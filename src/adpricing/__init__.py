@@ -51,7 +51,6 @@ from .payoffs import (
 from .equilibrium import (
     cpsc_comparison,
     entry_decision,
-    optimal_model,
     sweep_outside_option,
 )
 from .config import ExperimentConfig, load_config

@@ -456,12 +456,7 @@ def _study_cpsc(cfg: ExperimentConfig, art: Artifacts) -> dict[str, bool]:
     surrogate = _surrogate_variant(game)
     names = ("CPC", "CPSC", "OCPC")
     exact = {n: exact_equilibrium_payoffs(surrogate.with_model(n)) for n in names}
-    mc = {
-        n: estimate_equilibrium_payoffs(
-            surrogate, replications=enum_reps, seed=cfg.seed, model=n, threads=cfg.threads
-        )
-        for n in names
-    }
+    mc = estimate_equilibrium_payoffs(surrogate, enum_reps, cfg.seed, names, cfg.threads)
     enum_rows = []
     agree = True
     for n in names:
@@ -518,6 +513,10 @@ def run(cfg: ExperimentConfig) -> int:
     times: dict[str, float] = {}
     t_start = time.perf_counter()
     studies = RUN_STUDIES if cfg.study == "reproduce-all" else (cfg.study,)
+    if "sweep" in studies and all(s.outside_option is None for s in cfg.game.specs):
+        raise ConfigError(
+            "game.advertisers", "the sweep study needs an advertiser with an outside_option"
+        )
     for name in studies:
         t0 = time.perf_counter()
         study_verdicts = STUDY_FUNCS[name](cfg, art)

@@ -258,7 +258,7 @@ def parse_config(raw: Any, overrides: dict | None = None) -> ExperimentConfig:
     study = _require(effective, "study", "<root>")
     if study not in STUDIES:
         raise ConfigError("study", f"unknown study {study!r}; expected one of {list(STUDIES)}")
-    seed = _integer(_require(effective, "seed", "<root>"), "seed")
+    seed = _integer(_require(effective, "seed", "<root>"), "seed", minimum=0)
     replications = _integer(effective.get("replications", 1_000_000), "replications", minimum=1)
     threads = _integer(effective.get("threads", 1), "threads", minimum=1)
     out = effective.get("out")

@@ -26,29 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import Game, MODEL_TIE_ORDER
-from .payoffs import (
-    PayoffReport,
-    _score_stack,
-    _second_max,
-    estimate_equilibrium_payoffs,
-)
-from .sampling import (
-    STREAM_PAYOFFS,
-    MeanSE,
-    draw_rates,
-    mean_se,
-    run_batched,
-    tie_uniforms,
-    winner_tiebreak,
-)
+from .payoffs import PayoffReport, _payoff_pass, estimate_equilibrium_payoffs
+from .sampling import MeanSE, mean_se, sum_sq
 
 __all__ = [
     "entry_decision",
-    "ModelChoice",
-    "optimal_model",
     "SweepRow",
     "SweepResult",
     "sweep_outside_option",
@@ -73,13 +56,6 @@ def _tie_rank(name: str) -> int:
     return MODEL_TIE_ORDER.index(name)
 
 
-@dataclass(frozen=True)
-class ModelChoice:
-    chosen: str | None
-    table: dict[str, PayoffReport]
-    feasible: dict[str, bool]
-
-
 def _choose(table: dict[str, PayoffReport], feasible: dict[str, bool]) -> str | None:
     best = None
     for name, rep in table.items():
@@ -94,37 +70,6 @@ def _choose(table: dict[str, PayoffReport], feasible: dict[str, bool]) -> str | 
         ):
             best = name
     return best
-
-
-def optimal_model(
-    models,
-    game: Game,
-    replications: int = 1_000_000,
-    seed: int = 0,
-    threads: int = 1,
-) -> ModelChoice:
-    """argmax over models of the platform payoff, subject to every
-    advertiser with an outside option staying in. Ties broken by the
-    documented fixed ordering. Payoff estimates share draws across
-    models (common random numbers)."""
-    models = list(models)
-    if not models:
-        raise ValueError("optimal_model needs at least one model")
-    table = {
-        name: estimate_equilibrium_payoffs(
-            game, replications=replications, seed=seed, model=name, threads=threads
-        )
-        for name in models
-    }
-    outside = _outside_indices(game)
-    feasible = {
-        name: all(
-            entry_decision(rep.advertisers[i].mean, game.specs[i].outside_option)
-            for i in outside
-        )
-        for name, rep in table.items()
-    }
-    return ModelChoice(_choose(table, feasible), table, feasible)
 
 
 @dataclass(frozen=True)
@@ -159,8 +104,10 @@ def sweep_outside_option(
     threads: int = 1,
 ) -> SweepResult:
     """Sweep the outside option over r_grid (ascending). In-auction
-    payoffs do not depend on r, so the per-model table is estimated once
-    and reused; r only moves the entry decisions.
+    payoffs do not depend on r, so the per-model table is estimated once,
+    every model on the same draws, and reused; r only moves the entry
+    decisions. The platform picks the feasible model with the highest
+    payoff, ties broken by the fixed MODEL_TIE_ORDER.
 
     Rows where no model is feasible report the market as closed: chosen
     None and every payoff exactly 0."""
@@ -168,17 +115,14 @@ def sweep_outside_option(
     if any(b < a for a, b in zip(r_grid, r_grid[1:])):
         raise ValueError("r_grid must be ascending")
     models = list(models)
+    if not models:
+        raise ValueError("the sweep needs at least one model")
     outside = _outside_indices(game)
     if not outside:
         raise ValueError("sweep needs an advertiser with an outside option")
     free = [i for i in range(game.n) if i not in outside]
     adv1 = free[0] if free else 0
-    table = {
-        name: estimate_equilibrium_payoffs(
-            game, replications=replications, seed=seed, model=name, threads=threads
-        )
-        for name in models
-    }
+    table = estimate_equilibrium_payoffs(game, replications, seed, models, threads)
     boundaries = {
         name: min((rep.advertisers[i] for i in outside), key=lambda ms: ms.mean)
         for name, rep in table.items()
@@ -239,6 +183,14 @@ def sweep_outside_option(
     )
 
 
+_CPSC_DELTAS = (
+    "advertiser_payoff_cpsc_minus_cpc",
+    "advertiser_payoff_ocpc_minus_cpsc",
+    "platform_payoff_cpc_minus_cpsc",
+    "platform_payoff_cpsc_minus_ocpc",
+)
+
+
 @dataclass(frozen=True)
 class CpscDelta:
     name: str
@@ -275,48 +227,22 @@ def cpsc_comparison(
     if advertiser is None:
         outside = _outside_indices(game)
         advertiser = outside[0] if outside else 1
-    names = ("CPC", "CPSC", "OCPC")
 
-    def batch_fn(b_idx: int, size: int) -> dict:
-        rates = draw_rates(game, seed, STREAM_PAYOFFS, b_idx, size)
-        u = tie_uniforms(seed, STREAM_PAYOFFS, b_idx, size)
-        idx = np.arange(size)
-        pi2 = {}
-        plat = {}
-        for name in names:
-            scores = _score_stack(game, name, rates)
-            w = winner_tiebreak(scores, u)
-            e_l = _second_max(scores)
-            gap = scores[w, idx] - e_l
-            pi2[name] = np.where(w == advertiser, gap, 0.0)
-            plat[name] = e_l
-        d = {
-            "pi2_cpsc_cpc": pi2["CPSC"] - pi2["CPC"],
-            "pi2_ocpc_cpsc": pi2["OCPC"] - pi2["CPSC"],
-            "plat_cpc_cpsc": plat["CPC"] - plat["CPSC"],
-            "plat_cpsc_ocpc": plat["CPSC"] - plat["OCPC"],
-        }
-        out = {}
-        for key, arr in d.items():
-            out[key] = arr.sum()
-            out[key + "2"] = (arr * arr).sum()
-        return out
-
-    tot = run_batched(replications, batch_fn, threads=threads)
-    table = {
-        name: estimate_equilibrium_payoffs(
-            game, replications=replications, seed=seed, model=name, threads=threads
+    def paired(settled) -> dict:
+        pi2 = {name: arm.utils[advertiser] for name, arm in settled.items()}
+        plat = {name: arm.platform for name, arm in settled.items()}
+        diffs = (
+            pi2["CPSC"] - pi2["CPC"],
+            pi2["OCPC"] - pi2["CPSC"],
+            plat["CPC"] - plat["CPSC"],
+            plat["CPSC"] - plat["OCPC"],
         )
-        for name in names
-    }
+        return {label: sum_sq(d) for label, d in zip(_CPSC_DELTAS, diffs)}
+
+    table, tot = _payoff_pass(game, ("CPC", "CPSC", "OCPC"), replications, seed, threads, paired)
     deltas = []
-    for key, label in [
-        ("pi2_cpsc_cpc", "advertiser_payoff_cpsc_minus_cpc"),
-        ("pi2_ocpc_cpsc", "advertiser_payoff_ocpc_minus_cpsc"),
-        ("plat_cpc_cpsc", "platform_payoff_cpc_minus_cpsc"),
-        ("plat_cpsc_ocpc", "platform_payoff_cpsc_minus_ocpc"),
-    ]:
-        ms = mean_se(float(tot[key]), float(tot[key + "2"]), replications)
+    for label in _CPSC_DELTAS:
+        ms = mean_se(*tot[label], replications)
         holds = ms.mean > se_factor * ms.se or (ms.mean == 0.0 and ms.se == 0.0)
         deltas.append(CpscDelta(label, ms, holds))
     return CpscReport(

@@ -26,25 +26,25 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .distributions import Distribution, Point
-from .model import Game, Scenario, validate_game, pricing_model
+from .model import Game, pricing_model
 from .sampling import (
     STREAM_MINMAX,
     STREAM_ORDERINGS,
     STREAM_PAYOFFS,
     MeanSE,
-    batch_layout,
     batch_rng,
     draw_rates,
     mean_se,
     run_batched,
+    settle,
+    sum_sq,
     tie_uniforms,
-    winner_tiebreak,
 )
-from .strategy import NoEquilibrium, theoretical_strategy
 
 __all__ = [
     "PayoffReport",
@@ -71,17 +71,6 @@ class PayoffReport:
     seed: int
     method: str = "analytic-mc"
     conservation_residual: float = 0.0  # sum over draws of S - P - sum(utils)
-
-
-def _resolve(game: Game, model: str | None, scenario: Scenario | None) -> Game:
-    if model is None and scenario is None:
-        return game
-    return validate_game(
-        list(game.specs),
-        game.chain,
-        game.model if model is None else pricing_model(model, game.chain),
-        game.scenario if scenario is None else scenario,
-    )
 
 
 def _score_factors(game: Game, model_name: str, i: int):
@@ -112,80 +101,93 @@ def _score_stack(game: Game, model_name: str, rates: np.ndarray) -> np.ndarray:
     return out
 
 
-def _second_max(scores: np.ndarray) -> np.ndarray:
-    return np.partition(scores, -2, axis=0)[-2]
+class Settlement(NamedTuple):
+    """One model's batch under theoretical play, per draw."""
+
+    winner: np.ndarray | None
+    utils: np.ndarray  # shape (n, size)
+    platform: np.ndarray
+    social: np.ndarray
+
+
+def _settle_models(
+    game: Game, names, seed: int, stream: int, b_idx: int, size: int
+) -> dict[str, Settlement]:
+    """One batch of theoretical play under every named model, all settled
+    on the same rate draws and tie uniforms.
+
+    CPA out-site has no equilibrium; it is settled as the collapsed
+    regime: nothing is charged, the winner is uniform (winner None, it
+    moves no payoff), and each of the N advertisers keeps value/N."""
+    rates = draw_rates(game, seed, stream, b_idx, size)
+    u = tie_uniforms(seed, stream, b_idx, size)
+    n = game.n
+    out = {}
+    for name in names:
+        if name == "CPA" and game.scenario.is_out_site:
+            winner = None
+            utils = _score_stack(game, "CPA", rates) / n  # full realized product
+            platform = np.zeros(size)
+            social = utils.sum(axis=0)
+        else:
+            winner, social, platform = settle(_score_stack(game, name, rates), u)
+            utils = np.where(np.arange(n)[:, None] == winner, social - platform, 0.0)
+        out[name] = Settlement(winner, utils, platform, social)
+    return out
+
+
+def _payoff_pass(game: Game, names, replications: int, seed: int, threads: int, paired=None):
+    """One run_batched pass over STREAM_PAYOFFS settling every named model;
+    paired(settled) adds the caller's per-batch sums of paired per-draw
+    differences. Returns (reports by model, totals)."""
+
+    def batch_fn(b_idx: int, size: int) -> dict:
+        settled = _settle_models(game, names, seed, STREAM_PAYOFFS, b_idx, size)
+        out: dict = {}
+        for name, arm in settled.items():
+            out[name, "p"] = sum_sq(arm.platform)
+            out[name, "s"] = sum_sq(arm.social)
+            out[name, "resid"] = (arm.social - arm.platform - arm.utils.sum(axis=0)).sum()
+            for i in range(game.n):
+                out[name, i] = sum_sq(arm.utils[i])
+        if paired is not None:
+            out.update(paired(settled))
+        return out
+
+    tot = run_batched(replications, batch_fn, threads=threads)
+    reports = {
+        name: PayoffReport(
+            model=name,
+            scenario=game.scenario.kind,
+            advertisers=tuple(mean_se(*tot[name, i], replications) for i in range(game.n)),
+            platform=mean_se(*tot[name, "p"], replications),
+            social=mean_se(*tot[name, "s"], replications),
+            replications=replications,
+            seed=seed,
+            conservation_residual=float(tot[name, "resid"]),
+        )
+        for name in names
+    }
+    return reports, tot
 
 
 def estimate_equilibrium_payoffs(
     game: Game,
     replications: int = 1_000_000,
     seed: int = 0,
-    model: str | None = None,
-    scenario: Scenario | None = None,
+    models=None,
     threads: int = 1,
-    stream: int = STREAM_PAYOFFS,
-) -> PayoffReport:
+) -> dict[str, PayoffReport]:
     """Monte-Carlo payoffs per impression with every advertiser playing
-    its theoretical strategy.
+    its theoretical strategy, one report per model in models (default:
+    the game's posted model) under the game's scenario.
 
-    Rate draws and tie-breaks are keyed by (seed, stream, batch,
-    advertiser, depth) and never by the model, so reports for different
-    models under the same seed are exact common-random-number pairs.
-
-    CPA out-site has no equilibrium; its report is the collapsed-regime
-    outcome: nothing is charged, the winner is uniform, and each of the
-    N advertisers keeps value/N per impression."""
-    game = _resolve(game, model, scenario)
-    n = game.n
-    collapse_regime = game.model.name == "CPA" and game.scenario.is_out_site
-    if not collapse_regime:
-        for spec in game.specs:
-            strat = theoretical_strategy(game.model, game.scenario, spec, game.chain)
-            assert not isinstance(strat, NoEquilibrium)
-
-    def batch_fn(b_idx: int, size: int) -> dict:
-        rates = draw_rates(game, seed, stream, b_idx, size)
-        u = tie_uniforms(seed, stream, b_idx, size)
-        out: dict = {}
-        if collapse_regime:
-            values = _score_stack(game, "CPA", rates)  # full realized product
-            utils = values / n
-            platform = np.zeros(size)
-            social = utils.sum(axis=0)
-            resid = social - platform - utils.sum(axis=0)
-        else:
-            scores = _score_stack(game, game.model.name, rates)
-            winner = winner_tiebreak(scores, u)
-            e_loser = _second_max(scores) if n > 1 else np.zeros(size)
-            top = scores[winner, np.arange(size)]
-            win_gap = top - e_loser
-            utils = np.where(np.arange(n)[:, None] == winner[None, :], win_gap[None, :], 0.0)
-            platform = e_loser
-            social = top
-            resid = social - platform - utils.sum(axis=0)
-        out["p"] = platform.sum()
-        out["p2"] = (platform * platform).sum()
-        out["s"] = social.sum()
-        out["s2"] = (social * social).sum()
-        out["resid"] = resid.sum()
-        for i in range(n):
-            out[f"u{i}"] = utils[i].sum()
-            out[f"u2_{i}"] = (utils[i] * utils[i]).sum()
-        return out
-
-    tot = run_batched(replications, batch_fn, threads=threads)
-    return PayoffReport(
-        model=game.model.name,
-        scenario=game.scenario.kind,
-        advertisers=tuple(
-            mean_se(float(tot[f"u{i}"]), float(tot[f"u2_{i}"]), replications) for i in range(n)
-        ),
-        platform=mean_se(float(tot["p"]), float(tot["p2"]), replications),
-        social=mean_se(float(tot["s"]), float(tot["s2"]), replications),
-        replications=replications,
-        seed=seed,
-        conservation_residual=float(tot["resid"]),
-    )
+    Every model is settled on the same per-batch rate draws and tie
+    uniforms, keyed by (seed, stream, batch, advertiser, depth) and never
+    by the model, so the reports are exact common-random-number pairs.
+    CPA out-site reports the collapsed regime (see _settle_models)."""
+    names = [game.model.name] if models is None else models
+    return _payoff_pass(game, names, replications, seed, threads)[0]
 
 
 def _law_atoms(dist: Distribution) -> list[tuple[float, float]]:
@@ -336,20 +338,11 @@ def expected_min_max(
             ],
             axis=0,
         )
-        lo = draws.min(axis=0)
-        hi = draws.max(axis=0)
-        return {
-            "lo": lo.sum(),
-            "lo2": (lo * lo).sum(),
-            "hi": hi.sum(),
-            "hi2": (hi * hi).sum(),
-        }
+        return {"lo": sum_sq(draws.min(axis=0)), "hi": sum_sq(draws.max(axis=0))}
 
     tot = run_batched(replications, batch_fn)
     return MinMaxReport(
-        mean_se(float(tot["lo"]), float(tot["lo2"]), replications),
-        mean_se(float(tot["hi"]), float(tot["hi2"]), replications),
-        "mc",
+        mean_se(*tot["lo"], replications), mean_se(*tot["hi"], replications), "mc"
     )
 
 
@@ -402,43 +395,25 @@ def payoff_ordering_suite(
         raise ValueError("the ordering suite is a two-advertiser comparison")
 
     def batch_fn(b_idx: int, size: int) -> dict:
-        rates = draw_rates(game, seed, STREAM_ORDERINGS, b_idx, size)
-        u = tie_uniforms(seed, STREAM_ORDERINGS, b_idx, size)
-        s = _score_stack(game, "OCPC", rates)
-        t = _score_stack(game, "CPC", rates)
-        w_s = winner_tiebreak(s, u)
-        w_t = winner_tiebreak(t, u)
-        idx = np.arange(size)
-        d_social = s[w_s, idx] - t[w_t, idx]
-        d_platform = _second_max(s) - _second_max(t)
-        out = {
-            "dS": d_social.sum(),
-            "dS2": (d_social * d_social).sum(),
-            "dP": d_platform.sum(),
-            "dP2": (d_platform * d_platform).sum(),
-        }
+        settled = _settle_models(game, ("OCPC", "CPC"), seed, STREAM_ORDERINGS, b_idx, size)
+        s, t = settled["OCPC"], settled["CPC"]
+        out = {"dS": sum_sq(s.social - t.social), "dP": sum_sq(s.platform - t.platform)}
         for i in range(2):
-            k = 1 - i
-            u_s = np.where(w_s == i, s[i] - s[k], 0.0)
-            u_t = np.where(w_t == i, t[i] - t[k], 0.0)
-            du = u_s - u_t
-            gain = np.where((w_s == i) & (w_t != i), s[i] - s[k], 0.0)
-            loss = np.where((w_s != i) & (w_t == i), s[k] - s[i], 0.0)
-            resid = du - gain - loss
-            out[f"du{i}"] = du.sum()
-            out[f"du2_{i}"] = (du * du).sum()
-            out[f"g{i}"] = gain.sum()
-            out[f"g2_{i}"] = (gain * gain).sum()
-            out[f"l{i}"] = loss.sum()
-            out[f"l2_{i}"] = (loss * loss).sum()
-            out[f"r{i}"] = resid.sum()
-            out[f"r2_{i}"] = (resid * resid).sum()
+            du = s.utils[i] - t.utils[i]
+            # draws i wins only under OCPC, and only under CPC; each term is
+            # the OCPC winner's gap on those draws
+            gain = np.where(t.winner != i, s.utils[i], 0.0)
+            loss = np.where(t.winner == i, s.utils[1 - i], 0.0)
+            out[f"du{i}"] = sum_sq(du)
+            out[f"g{i}"] = sum_sq(gain)
+            out[f"l{i}"] = sum_sq(loss)
+            out[f"r{i}"] = sum_sq(du - gain - loss)
         return out
 
     tot = run_batched(replications, batch_fn, threads=threads)
     n = replications
-    dS = mean_se(float(tot["dS"]), float(tot["dS2"]), n)
-    dP = mean_se(float(tot["dP"]), float(tot["dP2"]), n)
+    dS = mean_se(*tot["dS"], n)
+    dP = mean_se(*tot["dP"], n)
 
     def ordering(name, delta, want_positive):
         margin = se_factor * delta.se
@@ -450,10 +425,7 @@ def payoff_ordering_suite(
 
     advs, decomps = [], []
     for i in range(2):
-        du = mean_se(float(tot[f"du{i}"]), float(tot[f"du2_{i}"]), n)
-        gain = mean_se(float(tot[f"g{i}"]), float(tot[f"g2_{i}"]), n)
-        loss = mean_se(float(tot[f"l{i}"]), float(tot[f"l2_{i}"]), n)
-        resid = mean_se(float(tot[f"r{i}"]), float(tot[f"r2_{i}"]), n)
+        du, gain, loss, resid = (mean_se(*tot[f"{k}{i}"], n) for k in ("du", "g", "l", "r"))
         advs.append(ordering(f"advertiser_{i}_payoff_higher", du, True))
         decomps.append(
             DecompositionCheck(

@@ -15,6 +15,7 @@ so changing one advertiser's law cannot perturb anybody else's draws.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -29,6 +30,8 @@ __all__ = [
     "EVENT_ROLE",
     "batch_layout",
     "run_batched",
+    "settle",
+    "sum_sq",
     "mean_se",
 ]
 
@@ -80,12 +83,14 @@ def run_batched(
 ) -> dict:
     """Run batch_fn(batch_index, size) over the layout and combine the
     per-batch partial dicts (float or ndarray values) by summation in
-    batch-index order. threads affects speed only, never the result."""
+    batch-index order. threads affects speed only, never the result; the
+    pool never holds more workers than there are batches or CPUs."""
     layout = batch_layout(n, batch_size)
     if threads <= 1 or len(layout) == 1:
         partials = [batch_fn(i, s) for i, s in layout]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
+        workers = min(threads, len(layout), os.cpu_count() or 1)
+        with ThreadPoolExecutor(max_workers=workers) as ex:
             futures = [ex.submit(batch_fn, i, s) for i, s in layout]
             partials = [f.result() for f in futures]  # submission order = batch order
     totals: dict = {}
@@ -130,6 +135,27 @@ def winner_tiebreak(scores: np.ndarray, u: np.ndarray) -> np.ndarray:
     return sel.argmax(axis=0)
 
 
+def settle(scores: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Second-price settlement of every column of scores (shape (n, size)):
+    the tie-broken winner, its score, and the highest other score, which
+    is the price (0 when n = 1). With a tie at the top the price equals
+    the top score."""
+    winner = winner_tiebreak(scores, u)
+    cols = np.arange(scores.shape[1])
+    top = scores[winner, cols]
+    if scores.shape[0] == 1:
+        return winner, top, np.zeros_like(top)
+    rest = scores.copy()
+    rest[winner, cols] = -np.inf
+    return winner, top, rest.max(axis=0)
+
+
+def sum_sq(x: np.ndarray) -> np.ndarray:
+    """(sum, sum of squares) of one batch's per-draw values: the partial
+    that run_batched adds up in batch order and mean_se(*total, n) reads."""
+    return np.array([x.sum(), (x * x).sum()])
+
+
 @dataclass(frozen=True)
 class MeanSE:
     mean: float
@@ -141,7 +167,7 @@ def mean_se(total: float, total_sq: float, n: int) -> MeanSE:
     """Sample mean and standard error (ddof=1) from raw sums."""
     if n < 1:
         raise ValueError("need at least one replication")
-    mean = total / n
+    mean = float(total) / n
     if n == 1:
         return MeanSE(mean, 0.0, n)
     var = max(total_sq - n * mean * mean, 0.0) / (n - 1)

@@ -43,8 +43,9 @@ from .sampling import (
     MeanSE,
     rate_role,
     run_batched,
+    settle,
+    sum_sq,
     tie_uniforms,
-    winner_tiebreak,
 )
 
 __all__ = [
@@ -416,38 +417,32 @@ def cpa_collapse(
                 [ms[i] * np.prod(rates[i], axis=0) for i in range(game.n)], axis=0
             )
             u = tie_uniforms(seed, STREAM_COLLAPSE, key, size)
-            out: dict = {}
             if not _c:
                 e = np.stack(
                     [(ms[i] / _a * _ah) * np.prod(rates[i], axis=0) for i in range(game.n)],
                     axis=0,
                 )
-                winner = winner_tiebreak(e, u)
-                e_loser = np.partition(e, -2, axis=0)[-2]
+                winner, _, e_loser = settle(e, u)
                 payment = e_loser * (_a / _ah)
                 util = np.where(
                     np.arange(game.n)[:, None] == winner[None, :], values - payment[None, :], 0.0
                 )
             else:
-                winner = np.minimum((u * game.n).astype(np.int64), game.n - 1)
-                payment = np.zeros(size)
+                # nothing is attributable: all scores tie at 0, so the winner
+                # is uniform and the price is 0
+                winner, _, payment = settle(np.zeros_like(values), u)
                 util = values / game.n
-            out["rev"] = payment.sum()
-            out["rev2"] = (payment * payment).sum()
+            out = {"rev": sum_sq(payment)}
             for i in range(game.n):
-                out[f"u{i}"] = util[i].sum()
-                out[f"u2_{i}"] = (util[i] * util[i]).sum()
+                out[f"u{i}"] = sum_sq(util[i])
                 out[f"w{i}"] = float(np.count_nonzero(winner == i))
             return out
 
         tot = run_batched(replications, batch_fn, threads=threads)
-        revenue = mean_se(float(tot["rev"]), float(tot["rev2"]), replications)
+        revenue = mean_se(*tot["rev"], replications)
         if collapsed:
             revenue = MeanSE(0.0, 0.0, replications)  # charged regime is off, exactly
-        utils = tuple(
-            mean_se(float(tot[f"u{i}"]), float(tot[f"u2_{i}"]), replications)
-            for i in range(game.n)
-        )
+        utils = tuple(mean_se(*tot[f"u{i}"], replications) for i in range(game.n))
         shares = tuple(float(tot[f"w{i}"]) / replications for i in range(game.n))
         rows.append(
             CollapseRound(

@@ -201,8 +201,10 @@ def test_bid_granularity_payoff_orderings():
 # --- 7: equivalent billing models ----------------------------------------
 
 def test_conversion_bidding_reports_identical_in_site():
-    a = estimate_equilibrium_payoffs(_cfg().game, replications=200_000, seed=SEED, model="OCPC")
-    b = estimate_equilibrium_payoffs(_cfg().game, replications=200_000, seed=SEED, model="CPA")
+    reps = estimate_equilibrium_payoffs(
+        _cfg().game, replications=200_000, seed=SEED, models=["OCPC", "CPA"]
+    )
+    a, b = reps["OCPC"], reps["CPA"]
     pairs = [(a.platform, b.platform), (a.social, b.social)]
     pairs += list(zip(a.advertisers, b.advertisers))
     for x, y in pairs:

@@ -98,6 +98,7 @@ def test_config_hash_ignores_out_and_threads(tmp_path):
         (lambda d: d["game"]["advertisers"][0]["rates"].__setitem__(
             "click", {"kind": "gaussian"}), "game"),
         (lambda d: d.__setitem__("replications", "many"), "replications"),
+        pytest.param(lambda d: d.__setitem__("seed", -1), "seed", id="negative-seed"),
     ],
 )
 def test_config_errors_name_the_field(mutate, field):
@@ -234,3 +235,39 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     assert "m must be > 0" in capsys.readouterr().err
 
     assert cli.main(["--config", str(tmp_path / "nope.yaml"), "--out", str(out)]) == 2
+
+    assert cli.main(["--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_cli_sweep_without_outside_option_exits_two(tmp_path, capsys):
+    out = tmp_path / "results"
+    out.mkdir()
+    raw = _small_dict("reproduce-all")
+    for adv in raw["game"]["advertisers"]:
+        adv.pop("outside_option", None)
+    cfg = _write(tmp_path, raw)
+    for study in ("sweep", "reproduce-all"):
+        assert cli.main(["--config", cfg, "--out", str(out), "--study", study]) == 2
+        assert "game.advertisers" in capsys.readouterr().err
+    assert not any(out.iterdir())  # rejected before any study ran
+
+
+def test_cli_thread_count_never_changes_csvs(tmp_path):
+    raw = _small_dict("sweep")
+    raw["study_params"]["cpsc"]["enumeration_replications"] = 40_000
+    cfg = _write(tmp_path, raw)
+    blobs = {}
+    for threads in (1, 2):
+        for study in ("sweep", "cpsc", "lemmas"):
+            out = tmp_path / f"{study}-t{threads}"
+            out.mkdir()
+            argv = ["--config", cfg, "--out", str(out), "--study", study,
+                    "--threads", str(threads), "--replications", "40000"]  # 3 batches
+            assert cli.main(argv) == 0
+            blobs[study, threads] = {
+                p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.csv"))
+            }
+    for study in ("sweep", "cpsc", "lemmas"):
+        assert blobs[study, 1]
+        assert blobs[study, 1] == blobs[study, 2]

@@ -7,11 +7,10 @@ import pytest
 
 from adpricing.distributions import Point, Uniform, two_point_surrogate
 from adpricing.model import CHAIN_4, MODEL_TIE_ORDER
-from adpricing.payoffs import exact_equilibrium_payoffs
+from adpricing.payoffs import estimate_equilibrium_payoffs, exact_equilibrium_payoffs
 from adpricing.equilibrium import (
     cpsc_comparison,
     entry_decision,
-    optimal_model,
     sweep_outside_option,
 )
 
@@ -30,23 +29,16 @@ def test_entry_decision_strict():
 
 def test_optimal_model_prefers_feasible_over_lucrative():
     # CPC pays the platform more but pushes the outside-option holder out
-    choice = optimal_model(["CPC", "OCPC"], make_game(default_specs()), REPS, seed=4)
-    assert choice.feasible == {"CPC": False, "OCPC": True}
-    assert choice.chosen == "OCPC"
-    assert choice.table["CPC"].platform.mean > choice.table["OCPC"].platform.mean
-
-
-def test_optimal_model_tie_breaks_by_fixed_order():
-    game = make_game(point_specs())  # degenerate laws: identical scores
-    choice = optimal_model(["OCPC", "CPC"], game, 2000, seed=1)
-    assert choice.table["CPC"].platform.mean == choice.table["OCPC"].platform.mean
-    assert choice.chosen == "CPC"
-    assert MODEL_TIE_ORDER.index("CPC") < MODEL_TIE_ORDER.index("OCPC")
+    res = sweep_outside_option([1.1], ["CPC", "OCPC"], make_game(default_specs()), REPS, seed=4)
+    row = res.rows[0]
+    assert row.feasible == {"CPC": False, "OCPC": True}
+    assert row.chosen == "OCPC"
+    assert res.table["CPC"].platform.mean > res.table["OCPC"].platform.mean
 
 
 def test_optimal_model_requires_models():
     with pytest.raises(ValueError):
-        optimal_model([], make_game(default_specs()))
+        sweep_outside_option([0.0, 1.0], [], make_game(default_specs()), 100)
 
 
 def test_sweep_regions_and_closure():
@@ -72,6 +64,18 @@ def test_sweep_regions_and_closure():
     assert not high.innovation
 
 
+def test_sweep_tie_breaks_by_fixed_order():
+    # degenerate laws: both models give identical scores, so identical
+    # platform payoffs; advertiser 2 wins every draw, keeps 2.0 and enters
+    specs = point_specs(c2=0.4)
+    specs = (specs[0], replace(specs[1], outside_option=1.0))
+    res = sweep_outside_option([0.0], ["OCPC", "CPC"], make_game(specs), 2000, seed=1)
+    assert res.table["CPC"].platform.mean == res.table["OCPC"].platform.mean
+    assert res.rows[0].feasible == {"OCPC": True, "CPC": True}
+    assert res.rows[0].chosen == "CPC"
+    assert MODEL_TIE_ORDER.index("CPC") < MODEL_TIE_ORDER.index("OCPC")
+
+
 def test_sweep_validations():
     game = make_game(default_specs())
     with pytest.raises(ValueError):
@@ -95,6 +99,14 @@ def test_cpsc_orderings_hold():
     for d in rep.deltas:
         assert d.holds
         assert d.delta.mean > 3.0 * d.delta.se
+
+
+def test_cpsc_table_is_the_payoff_estimate():
+    game = make_game(cart_specs(), model="CPSC", chain_events=CHAIN_4)
+    rep = cpsc_comparison(game, replications=40_000, seed=6)
+    assert rep.table == estimate_equilibrium_payoffs(
+        game, 40_000, seed=6, models=["CPC", "CPSC", "OCPC"]
+    )
 
 
 def test_cpsc_requires_cart_chain_and_duopoly():

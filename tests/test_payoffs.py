@@ -55,7 +55,7 @@ def test_score_laws_depth_structure():
 
 def test_symmetric_point_game_payoffs_exact():
     game = make_game(point_specs(), model="OCPC")
-    mc = estimate_equilibrium_payoffs(game, replications=2000, seed=1)
+    mc = estimate_equilibrium_payoffs(game, replications=2000, seed=1)["OCPC"]
     ex = exact_equilibrium_payoffs(game)
     for rep in (mc, ex):
         assert rep.platform.mean == 6.0
@@ -79,7 +79,7 @@ def test_estimator_matches_enumeration_on_discrete_game():
     )
     game = make_game(specs, model="OCPC")
     ex = exact_equilibrium_payoffs(game)
-    mc = estimate_equilibrium_payoffs(game, replications=200_000, seed=3)
+    mc = estimate_equilibrium_payoffs(game, replications=200_000, seed=3)["OCPC"]
     for ex_ms, mc_ms in [
         (ex.platform, mc.platform),
         (ex.social, mc.social),
@@ -91,16 +91,31 @@ def test_estimator_matches_enumeration_on_discrete_game():
 
 def test_ocpc_equals_cpa_in_site():
     game = make_game(default_specs())
-    a = estimate_equilibrium_payoffs(game, replications=100_000, seed=7, model="OCPC")
-    b = estimate_equilibrium_payoffs(game, replications=100_000, seed=7, model="CPA")
+    reps = estimate_equilibrium_payoffs(game, replications=100_000, seed=7, models=["OCPC", "CPA"])
+    a, b = reps["OCPC"], reps["CPA"]
     assert a.platform.mean == b.platform.mean
     assert a.social.mean == b.social.mean
     assert tuple(ms.mean for ms in a.advertisers) == tuple(ms.mean for ms in b.advertisers)
 
 
+@pytest.mark.parametrize("scenario", ["in_site", "out_site"])
+def test_multi_model_pass_equals_single_model_calls(scenario):
+    from dataclasses import replace
+
+    third = replace(default_specs()[0], id=3)
+    names = ["CPC", "OCPC", "CPA", "CPM"]
+    for specs in (default_specs(), default_specs() + (third,)):
+        game = make_game(specs, scenario=scenario)
+        multi = estimate_equilibrium_payoffs(game, 40_000, seed=5, models=names, threads=2)
+        assert list(multi) == names
+        for name in names:
+            single = estimate_equilibrium_payoffs(game.with_model(name), 40_000, seed=5)
+            assert multi[name] == single[name]
+
+
 def test_cpa_out_site_collapsed_regime_report():
     game = make_game(default_specs(), model="CPA", scenario="out_site")
-    rep = estimate_equilibrium_payoffs(game, replications=50_000, seed=2)
+    rep = estimate_equilibrium_payoffs(game, replications=50_000, seed=2)["CPA"]
     assert rep.platform.mean == 0.0 and rep.platform.se == 0.0
     for spec, ms in zip(game.specs, rep.advertisers):
         target = spec.m * math.prod(spec.rate_means()) / game.n

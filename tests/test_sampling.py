@@ -1,8 +1,12 @@
 """Deterministic seeding, batching, and tie-break plumbing."""
 
+import os
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
+from adpricing import sampling
 from adpricing.sampling import (
     BATCH_SIZE,
     MeanSE,
@@ -12,6 +16,7 @@ from adpricing.sampling import (
     mean_se,
     rate_role,
     run_batched,
+    settle,
     tie_uniforms,
     winner_tiebreak,
 )
@@ -102,3 +107,58 @@ def test_mean_se_matches_numpy():
     assert ms.n == 4
     degenerate = mean_se(4.0, 4.0, 4)  # all-ones sample
     assert degenerate == MeanSE(1.0, 0.0, 4)
+
+
+def _settle_by_hand(scores, u):
+    """Per-column reference: the tie rule of winner_tiebreak, then the
+    highest score among the other rows."""
+    n, size = scores.shape
+    winner = np.empty(size, dtype=np.int64)
+    top = np.empty(size)
+    second = np.empty(size)
+    for j in range(size):
+        col = list(scores[:, j])
+        best = max(col)
+        tied = [i for i, s in enumerate(col) if s == best]
+        w = tied[min(int(u[j] * len(tied)), len(tied) - 1)]
+        winner[j], top[j] = w, col[w]
+        second[j] = max((s for i, s in enumerate(col) if i != w), default=0.0)
+    return winner, top, second
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_settle_matches_brute_force_with_ties(n):
+    rng = np.random.default_rng(n)
+    scores = rng.integers(0, 3, size=(n, 500)).astype(np.float64)  # many ties
+    u = rng.random(500)
+    got = settle(scores, u)
+    want = _settle_by_hand(scores, u)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_run_batched_pool_is_bounded(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(sampling, "ThreadPoolExecutor", RecordingPool)
+    n = 2 * BATCH_SIZE + 1  # 3 batches
+    assert _keyed_sum(n, 10**6) == _keyed_sum(n, 1)
+    assert sizes == [min(3, os.cpu_count() or 1)]
+    monkeypatch.setattr(sampling.os, "cpu_count", lambda: 64)
+    _keyed_sum(n, 10**6)
+    assert sizes[-1] == 3

@@ -10,7 +10,7 @@ collapse under CPA billing.
 
 __version__ = "0.1.0"
 
-from .distributions import Beta, Discrete, Distribution, Point, Uniform, moments
+from .distributions import Beta, Discrete, Distribution, Point, Uniform
 from .model import (
     AdvertiserSpec,
     EventChain,
@@ -27,9 +27,6 @@ from .model import (
 )
 from .engine import (
     AuctionOutcome,
-    equivalent_bid,
-    highest_rival_bid,
-    price_per_pay_event,
     run_auction,
     run_repeated,
     select_winner,
@@ -38,7 +35,6 @@ from .strategy import (
     NO_EQUILIBRIUM,
     best_response_scan,
     cpa_collapse,
-    expected_utility,
     ocpc_reporting_invariance,
     theoretical_strategy,
 )

@@ -122,11 +122,8 @@ def _theoretical_profile(game):
 
 
 def _study_simulate(cfg: ExperimentConfig, art: Artifacts) -> dict[str, bool]:
-    params = cfg.params("simulate")
-    rounds = int(params.get("rounds", 1000))
-    if rounds < 1:
-        raise ConfigError("study_params.simulate.rounds", f"must be >= 1, got {rounds}")
-    mode = params.get("mode", "analytic")
+    rounds = cfg.int_param("simulate", "rounds", 1000)
+    mode = cfg.params("simulate").get("mode", "analytic")
     if mode not in ("analytic", "realized"):
         raise ConfigError("study_params.simulate.mode", f"expected analytic or realized, got {mode!r}")
     game = cfg.game
@@ -161,12 +158,12 @@ def _study_simulate(cfg: ExperimentConfig, art: Artifacts) -> dict[str, bool]:
 
 
 def _study_dominance(cfg: ExperimentConfig, art: Artifacts) -> dict[str, bool]:
-    params = cfg.params("dominance")
     reps = cfg.study_replications("dominance", default=100_000)
-    grid_points = int(params.get("grid_points", 101))
-    grid_max = float(params.get("grid_max_multiplier", 2.0))
-    fixtures = tuple(float(x) for x in params.get("fixtures", [0.25, 0.5, 1.0, 2.0]))
-    fixture_reps = int(params.get("fixture_replications", 200_000))
+    # a grid needs both ends: bid 0 and grid_max x the theoretical bid
+    grid_points = cfg.int_param("dominance", "grid_points", 101, minimum=2)
+    grid_max = cfg.number_param("dominance", "grid_max_multiplier", 2.0, above=0.0)
+    fixtures = cfg.numbers_param("dominance", "fixtures", [0.25, 0.5, 1.0, 2.0], above=0.0)
+    fixture_reps = cfg.int_param("dominance", "fixture_replications", 200_000)
 
     header = [
         "model", "scenario", "advertiser", "fixture_multiplier", "rival_e",
@@ -231,10 +228,6 @@ def _degenerate_variant(game):
 
 
 def _study_lemmas(cfg: ExperimentConfig, art: Artifacts) -> dict[str, bool]:
-    if cfg.game.n != 2:
-        raise ConfigError(
-            "game.advertisers", "payoff orderings are defined on the two-advertiser game"
-        )
     reps = cfg.study_replications("lemmas")
     suite = payoff_ordering_suite(
         cfg.game, replications=reps, seed=cfg.seed, threads=cfg.threads
@@ -311,10 +304,9 @@ def _study_lemmas(cfg: ExperimentConfig, art: Artifacts) -> dict[str, bool]:
 
 
 def _study_collapse(cfg: ExperimentConfig, art: Artifacts) -> dict[str, bool]:
-    params = cfg.params("collapse")
-    rounds = int(params.get("rounds", 21))
-    decay = float(params.get("decay", 0.5))
-    threshold = float(params.get("threshold", 1e-3))
+    rounds = cfg.int_param("collapse", "rounds", 21, minimum=2)
+    decay = cfg.number_param("collapse", "decay", 0.5, above=0.0, below=1.0)
+    threshold = cfg.number_param("collapse", "threshold", 1e-3)
     reps = cfg.study_replications("collapse", default=10_000)
     game = cfg.game.with_model("CPA", out_site(cfg.game.chain))
     trace = cpa_collapse(
@@ -356,10 +348,10 @@ def _study_collapse(cfg: ExperimentConfig, art: Artifacts) -> dict[str, bool]:
 
 
 def _study_sweep(cfg: ExperimentConfig, art: Artifacts) -> dict[str, bool]:
-    params = cfg.params("sweep")
-    r_min = float(params.get("r_min", 0.0))
-    r_max = float(params.get("r_max", 2.0))
-    r_points = int(params.get("r_points", 41))
+    # outside options are nonnegative, and the grid ascends
+    r_min = cfg.number_param("sweep", "r_min", 0.0, minimum=0.0)
+    r_max = cfg.number_param("sweep", "r_max", 2.0, minimum=r_min)
+    r_points = cfg.int_param("sweep", "r_points", 41)
     reps = cfg.study_replications("sweep")
     res = sweep_outside_option(
         np.linspace(r_min, r_max, r_points), cfg.models, cfg.game,
@@ -417,14 +409,28 @@ def _surrogate_variant(game):
     return validate_game(specs, game.chain, game.model, game.scenario)
 
 
-def _study_cpsc(cfg: ExperimentConfig, art: Artifacts) -> dict[str, bool]:
-    game = cfg.game if cfg.game.chain.has_cart else cfg.cart_game
-    if game is None:
+def _cpsc_game(cfg: ExperimentConfig):
+    """The cpsc study's game: the posted game if it has a cart event, else
+    cart_game; it must exist and have two advertisers."""
+    if cfg.game.chain.has_cart:
+        game, field = cfg.game, "game"
+    elif cfg.cart_game is not None:
+        game, field = cfg.cart_game, "cart_game"
+    else:
         raise ConfigError(
             "cart_game", "the cpsc study needs a 4-stage game (game or cart_game with a cart event)"
         )
+    if game.n != 2:
+        raise ConfigError(
+            f"{field}.advertisers", "the cpsc study compares payoffs in the two-advertiser game"
+        )
+    return game
+
+
+def _study_cpsc(cfg: ExperimentConfig, art: Artifacts) -> dict[str, bool]:
+    game = _cpsc_game(cfg)
     reps = cfg.study_replications("cpsc")
-    enum_reps = int(cfg.params("cpsc").get("enumeration_replications", 100_000))
+    enum_reps = cfg.int_param("cpsc", "enumeration_replications", 100_000)
     rep = cpsc_comparison(game, replications=reps, seed=cfg.seed, threads=cfg.threads)
 
     art.write_csv(
@@ -513,10 +519,17 @@ def run(cfg: ExperimentConfig) -> int:
     times: dict[str, float] = {}
     t_start = time.perf_counter()
     studies = RUN_STUDIES if cfg.study == "reproduce-all" else (cfg.study,)
+    # study preconditions, checked before any study writes a file
     if "sweep" in studies and all(s.outside_option is None for s in cfg.game.specs):
         raise ConfigError(
             "game.advertisers", "the sweep study needs an advertiser with an outside_option"
         )
+    if "lemmas" in studies and cfg.game.n != 2:
+        raise ConfigError(
+            "game.advertisers", "payoff orderings are defined on the two-advertiser game"
+        )
+    if "cpsc" in studies:
+        _cpsc_game(cfg)
     for name in studies:
         t0 = time.perf_counter()
         study_verdicts = STUDY_FUNCS[name](cfg, art)

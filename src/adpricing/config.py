@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -91,9 +92,24 @@ def _require(node: dict, key: str, where: str) -> Any:
     return node[key]
 
 
-def _number(value: Any, where: str) -> float:
+def _number(
+    value: Any,
+    where: str,
+    minimum: float | None = None,
+    above: float | None = None,
+    below: float | None = None,
+) -> float:
+    """A finite number, optionally >= minimum, > above and < below."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(where, f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(where, f"expected a finite number, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(where, f"must be >= {minimum}, got {value}")
+    if above is not None and value <= above:
+        raise ConfigError(where, f"must be > {above}, got {value}")
+    if below is not None and value >= below:
+        raise ConfigError(where, f"must be < {below}, got {value}")
     return float(value)
 
 
@@ -217,13 +233,28 @@ class ExperimentConfig:
     def params(self, study: str) -> dict:
         return self.study_params.get(study, {})
 
+    def int_param(self, study: str, key: str, default: int, minimum: int = 1) -> int:
+        """study_params.<study>.<key>, or default, as an integer >= minimum."""
+        return _integer(
+            self.params(study).get(key, default), f"study_params.{study}.{key}", minimum
+        )
+
+    def number_param(self, study: str, key: str, default: float, **bounds) -> float:
+        """study_params.<study>.<key>, or default, as a number within the
+        bounds (_number's minimum, above, below)."""
+        return _number(self.params(study).get(key, default), f"study_params.{study}.{key}", **bounds)
+
+    def numbers_param(self, study: str, key: str, default, **bounds) -> tuple[float, ...]:
+        """A non-empty list of numbers, each within the bounds."""
+        where = f"study_params.{study}.{key}"
+        values = self.params(study).get(key, default)
+        if not isinstance(values, list) or not values:
+            raise ConfigError(where, f"expected a non-empty list of numbers, got {values!r}")
+        return tuple(_number(v, f"{where}[{k}]", **bounds) for k, v in enumerate(values))
+
     def study_replications(self, study: str, default: int | None = None) -> int:
         base = self.replications if (default is None or self.replications_forced) else default
-        return _integer(
-            self.params(study).get("replications", base),
-            f"study_params.{study}.replications",
-            minimum=1,
-        )
+        return self.int_param(study, "replications", base)
 
     def canonical(self) -> dict:
         """Result-determining fields only. The output directory and

@@ -20,7 +20,6 @@ __all__ = [
     "Beta",
     "Point",
     "Discrete",
-    "moments",
     "uniform_die",
     "two_point_surrogate",
     "distribution_from_dict",
@@ -175,11 +174,6 @@ class Discrete(Distribution):
         return list(zip(self.values, self.probs))
 
 
-def moments(dist: Distribution) -> tuple[float, float]:
-    """Exact (mean, variance) of the declared law."""
-    return (dist.mean(), dist.variance())
-
-
 def uniform_die(sides: int = 6) -> Discrete:
     """Fair die as a finite law (handy enumeration fixture)."""
     p = 1.0 / sides
@@ -224,4 +218,6 @@ def distribution_from_dict(node: dict) -> Distribution:
             )
     except KeyError as exc:
         raise ValueError(f"distribution kind {kind!r} is missing field {exc}") from None
+    except TypeError as exc:  # a list where a number belongs, or the reverse
+        raise ValueError(f"malformed {kind!r} distribution node: {exc}") from None
     raise ValueError(f"unknown distribution kind {kind!r}")

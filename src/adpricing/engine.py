@@ -24,41 +24,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Game, PlatformBelief, PricingModel
+from .model import Game, PlatformBelief
 from .sampling import STREAM_ROUNDS, batch_rng
 
 __all__ = [
     "AuctionDraw",
     "AuctionOutcome",
     "RepeatedOutcome",
-    "ZeroPredictedRateError",
-    "equivalent_bid",
     "select_winner",
-    "price_per_pay_event",
-    "highest_rival_bid",
     "run_auction",
     "run_repeated",
 ]
 
 _MAX_REJECTIONS = 1000
-
-
-class ZeroPredictedRateError(ValueError):
-    """A charged depth has predicted rate zero; the platform would never
-    charge such a winner, so the draw must be rejected."""
-
-
-def equivalent_bid(model: PricingModel, predicted_rates, bid: float) -> float:
-    """Per-impression ranking score: bid x product of predicted rates for
-    depths 1..bid_depth (empty product for impression-level bidding)."""
-    if bid < 0:
-        raise ValueError(f"bid must be >= 0, got {bid}")
-    rates = list(predicted_rates)
-    if len(rates) < model.bid_depth:
-        raise ValueError(
-            f"{model.name} needs predicted rates for depths 1..{model.bid_depth}, got {len(rates)}"
-        )
-    return bid * math.prod(rates[: model.bid_depth])
 
 
 def select_winner(equivalent_bids, rng: np.random.Generator) -> tuple[int, float]:
@@ -79,38 +57,11 @@ def select_winner(equivalent_bids, rng: np.random.Generator) -> tuple[int, float
     return winner, max(v for j, v in enumerate(e) if j != winner)
 
 
-def highest_rival_bid(equivalent_bids, i: int) -> float:
-    e = list(equivalent_bids)
-    if len(e) < 2:
-        raise ValueError("highest_rival_bid needs at least 2 participants")
-    return max(v for j, v in enumerate(e) if j != i)
-
-
-def price_per_pay_event(model: PricingModel, winner_predicted_rates, e_loser: float) -> float:
-    """Second-price charge per pay-depth event: e_loser divided by the
-    winner's predicted rate product up to pay_depth. Under the platform's
-    own predictions the expected payment per impression is e_loser."""
-    rates = list(winner_predicted_rates)
-    if len(rates) < model.pay_depth:
-        raise ValueError(
-            f"{model.name} needs predicted rates for depths 1..{model.pay_depth}, got {len(rates)}"
-        )
-    denom = 1.0
-    for r in rates[: model.pay_depth]:
-        if r == 0.0:
-            raise ZeroPredictedRateError(
-                f"{model.name}: zero predicted rate at a charged depth"
-            )
-        denom *= r
-    return e_loser / denom
-
-
 @dataclass(frozen=True)
 class AuctionDraw:
-    """One sampled market: realized rates, platform predictions, e scores."""
+    """One sampled market: realized rates and equivalent bids."""
 
     realized: tuple[tuple[float, ...], ...]
-    predicted: tuple[tuple[float, ...], ...]
     equivalent_bids: tuple[float, ...]
 
 
@@ -132,7 +83,9 @@ class AuctionOutcome:
 
 def _manip_factor(game: Game, belief_or_alpha: float, depth_limit: int) -> float:
     """Scalar the out-site conversion factor contributes to a rate product
-    truncated at depth_limit (1.0 in-site or when conversions lie deeper)."""
+    truncated at depth_limit (1.0 in-site or when conversions lie deeper).
+    The scalar engine and the dominance scan both take the out-site rule
+    from here."""
     if game.scenario.is_out_site and game.chain.conversion_depth <= depth_limit:
         return belief_or_alpha
     return 1.0
@@ -163,10 +116,6 @@ def run_auction(
             [game.specs[i].rate(d).sample(rng) for d in range(1, L + 1)]
             for i in range(game.n)
         ]
-        predicted = [list(row) for row in realized]
-        if game.scenario.is_out_site:
-            for i in range(game.n):
-                predicted[i][conv - 1] = belief.alpha_hat[i] * realized[i][conv - 1]
         e = [
             (strategies[i].bid * _manip_factor(game, belief.alpha_hat[i], bd))
             * math.prod(realized[i][:bd])
@@ -217,11 +166,7 @@ def run_auction(
             social = value
             events = tuple(events)
 
-        draw = AuctionDraw(
-            tuple(tuple(r) for r in realized),
-            tuple(tuple(p) for p in predicted),
-            tuple(e),
-        )
+        draw = AuctionDraw(tuple(tuple(r) for r in realized), tuple(e))
         return AuctionOutcome(
             winner=winner,
             e_loser=e_loser,

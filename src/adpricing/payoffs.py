@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import Distribution, Point
+from .distributions import Distribution
 from .model import Game, pricing_model
 from .sampling import (
     STREAM_MINMAX,
@@ -52,7 +52,6 @@ __all__ = [
     "MinMaxReport",
     "OrderingResult",
     "OrderingSuite",
-    "score_laws",
     "estimate_equilibrium_payoffs",
     "exact_equilibrium_payoffs",
     "expected_min_max",
@@ -280,20 +279,6 @@ class ValueLaw:
         for f in self.factors:
             v = v * f.sample(rng, size)
         return v
-
-
-def score_laws(game: Game, model: str | None = None) -> list[ValueLaw]:
-    """Per-advertiser score laws under a model: realized laws up to the
-    bid depth, point masses at the mean beyond it."""
-    name = game.model.name if model is None else model
-    laws = []
-    for i, spec in enumerate(game.specs):
-        factors = [
-            spec.rate(d) if kind == "realized" else Point(x)
-            for d, (kind, x) in enumerate(_score_factors(game, name, i), start=1)
-        ]
-        laws.append(ValueLaw(spec.m, tuple(factors)))
-    return laws
 
 
 @dataclass(frozen=True)

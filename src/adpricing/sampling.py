@@ -8,8 +8,8 @@ after all batches complete, which makes every estimate bitwise
 identical across worker counts.
 
 Roles separate the random inputs inside one batch (one stream per
-advertiser/depth rate law, one for tie-breaking, one for event draws),
-so changing one advertiser's law cannot perturb anybody else's draws.
+advertiser/depth rate law, one for tie-breaking), so changing one
+advertiser's law cannot perturb anybody else's draws.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "batch_rng",
     "rate_role",
     "TIE_ROLE",
-    "EVENT_ROLE",
     "batch_layout",
     "run_batched",
     "settle",
@@ -37,19 +36,18 @@ __all__ = [
 
 BATCH_SIZE = 16_384
 
-# stream ids; each estimator owns one so studies never share draws
+# stream ids; each estimator owns one so studies never share draws (6 is
+# retired; ids are never renumbered, since that would change every draw)
 STREAM_PAYOFFS = 1
 STREAM_UTILITY = 2
 STREAM_ORDERINGS = 3
 STREAM_COLLAPSE = 4
 STREAM_MINMAX = 5
-STREAM_SIMULATE = 6
 STREAM_FIXTURES = 7
 STREAM_ROUNDS = 8
 
 # role ids inside a batch
 TIE_ROLE = 1_000_000
-EVENT_ROLE = 1_000_001
 
 
 def rate_role(advertiser: int, depth: int) -> int:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Game, PlatformBelief, PricingModel, Scenario, Strategy, EventChain
-from .engine import ZeroPredictedRateError
+from .engine import _manip_factor
 from .sampling import (
     STREAM_COLLAPSE,
     STREAM_FIXTURES,
@@ -51,14 +51,12 @@ from .sampling import (
 __all__ = [
     "NoEquilibrium",
     "NO_EQUILIBRIUM",
-    "UtilityEstimate",
     "DominanceReport",
     "FixtureScan",
     "CollapseRound",
     "CollapseTrace",
     "ReportingInvariance",
     "theoretical_strategy",
-    "expected_utility",
     "equilibrium_fixture_bids",
     "best_response_scan",
     "cpa_collapse",
@@ -89,18 +87,8 @@ def theoretical_strategy(
     return Strategy(bid=b, alpha=1.0)
 
 
-@dataclass(frozen=True)
-class UtilityEstimate:
-    """Per-impression expected utility with its Monte-Carlo error."""
-
-    mean: float
-    se: float
-    n: int
-    seed: int
-
-
 def _utility_coefficients(game: Game, i: int, alpha: float, alpha_hat: float):
-    """Scalars shared by the utility estimators.
+    """Scalars of advertiser i's utility in the dominance scan.
 
     Returns (bid manipulation factor, payment ratio, value multiplier).
     Funnel depths deeper than the bid depth are integrated out
@@ -110,67 +98,16 @@ def _utility_coefficients(game: Game, i: int, alpha: float, alpha_hat: float):
     sampling noise."""
     spec = game.specs[i]
     bd, pd = game.model.bid_depth, game.model.pay_depth
-    conv = game.chain.conversion_depth
-    out = game.scenario.is_out_site
-    bid_manip = alpha_hat if (out and conv <= bd) else 1.0
-    if out and conv <= pd:
-        if alpha_hat == 0.0:
-            raise ZeroPredictedRateError(
-                "platform belief alpha_hat=0 at a charged conversion depth"
-            )
-        pay_ratio = alpha / alpha_hat
-    else:
-        pay_ratio = 1.0
+    bid_manip = _manip_factor(game, alpha_hat, bd)
+    pay_predicted = _manip_factor(game, alpha_hat, pd)
+    if pay_predicted == 0.0:
+        raise ValueError("platform belief alpha_hat=0 at a charged conversion depth")
+    pay_ratio = _manip_factor(game, alpha, pd) / pay_predicted
     value_mul = spec.m
     means = spec.rate_means()
-    for d in range(bd + 1, conv + 1):
+    for d in range(bd + 1, game.chain.conversion_depth + 1):
         value_mul *= means[d - 1]
     return bid_manip, pay_ratio, value_mul
-
-
-def expected_utility(
-    i: int,
-    bid: float,
-    alpha: float,
-    rival_e: float,
-    game: Game,
-    belief: PlatformBelief | None = None,
-    replications: int = 100_000,
-    seed: int = 0,
-    threads: int = 1,
-    stream: int = STREAM_UTILITY,
-) -> UtilityEstimate:
-    """Advertiser i's per-impression utility against a fixed rival
-    equivalent bid, at the given bid and reporting probability.
-
-    Wins iff e_i > rival_e strictly. alpha is ignored in-site (fixed 1).
-    Draws are keyed by (seed, stream, batch, advertiser, depth) only, so
-    calls at different (bid, alpha) share the exact same rates."""
-    if rival_e < 0:
-        raise ValueError(f"rival_e must be >= 0, got {rival_e}")
-    if replications < 1:
-        raise ValueError("replications must be >= 1")
-    spec = game.specs[i]
-    bd = game.model.bid_depth
-    if not game.scenario.is_out_site:
-        alpha = 1.0
-    alpha_hat = belief.alpha_hat[i] if belief is not None else 1.0
-    bid_manip, pay_ratio, value_mul = _utility_coefficients(game, i, alpha, alpha_hat)
-    bid_eff = bid * bid_manip
-    pay = rival_e * pay_ratio
-
-    def batch_fn(b_idx: int, size: int) -> dict:
-        prod_bd = np.ones(size, dtype=np.float64)
-        for d in range(1, bd + 1):
-            rng = batch_rng(seed, stream, b_idx, rate_role(i, d))
-            prod_bd *= spec.rate(d).sample(rng, size)
-        win = (bid_eff * prod_bd) > rival_e
-        u = np.where(win, value_mul * prod_bd - pay, 0.0)
-        return {"s": u.sum(), "s2": (u * u).sum()}
-
-    tot = run_batched(replications, batch_fn, threads=threads)
-    ms = mean_se(float(tot["s"]), float(tot["s2"]), replications)
-    return UtilityEstimate(ms.mean, ms.se, replications, seed)
 
 
 def equilibrium_fixture_bids(
@@ -464,8 +401,8 @@ class ReportingInvariance:
     alpha: float
     bid: float
     rival_es: tuple[float, ...]
-    utilities_scaled: tuple[UtilityEstimate, ...]  # (bid, alpha) play
-    utilities_truthful: tuple[UtilityEstimate, ...]  # (alpha x bid, 1) play
+    utilities_scaled: tuple[FixtureScan, ...]  # (bid, alpha) play
+    utilities_truthful: tuple[FixtureScan, ...]  # (alpha x bid, 1) play
     max_rel_diff: float
     passed: bool
 
@@ -481,29 +418,33 @@ def ocpc_reporting_invariance(
 ) -> ReportingInvariance:
     """Out-site OCPC: playing (bid, alpha) against a platform that has
     learned alpha is utility-identical to truthfully playing alpha x bid.
-    Checked under common random numbers at several rival fixtures."""
+    Checked under common random numbers at several rival fixtures: one
+    one-bid scan per arm, compared on the scanned bid's utility."""
     if game.model.name != "OCPC" or not game.scenario.is_out_site:
         raise ValueError("reporting invariance is an out-site OCPC statement")
     fixtures = equilibrium_fixture_bids(game, i, multipliers=(0.5, 1.0, 2.0), seed=seed)
     belief_scaled = PlatformBelief(
         tuple(alpha if k == i else 1.0 for k in range(game.n))
     )
-    belief_truthful = PlatformBelief.truthful(game.n)
-    us, ut = [], []
+    scaled = best_response_scan(
+        i, [bid], fixtures, game, belief_scaled, replications, seed,
+        theoretical=bid, alpha=alpha,
+    ).fixtures
+    truthful = best_response_scan(
+        i, [alpha * bid], fixtures, game, None, replications, seed,
+        theoretical=alpha * bid,
+    ).fixtures
     worst = 0.0
-    for e_k in fixtures:
-        a = expected_utility(i, bid, alpha, e_k, game, belief_scaled, replications, seed)
-        b = expected_utility(i, alpha * bid, 1.0, e_k, game, belief_truthful, replications, seed)
-        us.append(a)
-        ut.append(b)
-        scale = max(abs(a.mean), abs(b.mean))
-        worst = max(worst, abs(a.mean - b.mean) / scale if scale > 0 else 0.0)
+    for a, b in zip(scaled, truthful):
+        scale = max(abs(a.utility_theory), abs(b.utility_theory))
+        if scale > 0:
+            worst = max(worst, abs(a.utility_theory - b.utility_theory) / scale)
     return ReportingInvariance(
         alpha=alpha,
         bid=bid,
         rival_es=tuple(fixtures),
-        utilities_scaled=tuple(us),
-        utilities_truthful=tuple(ut),
+        utilities_scaled=scaled,
+        utilities_truthful=truthful,
         max_rel_diff=worst,
         passed=worst <= rel_tol,
     )

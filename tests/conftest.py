@@ -1,9 +1,13 @@
 """Shared fixtures and hypothesis strategies for small random games."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from adpricing.distributions import Discrete, Point, Uniform
+from adpricing.engine import run_auction
 from adpricing.model import (
     AdvertiserSpec,
     CHAIN_3,
@@ -15,6 +19,7 @@ from adpricing.model import (
     pricing_model,
     validate_game,
 )
+from adpricing.strategy import theoretical_strategy
 
 
 def make_game(specs, model="OCPC", scenario="in_site", chain_events=CHAIN_3):
@@ -54,6 +59,18 @@ def point_specs(c1=0.3, p1=0.2, c2=0.3, p2=0.2, m1=100.0, m2=100.0):
         AdvertiserSpec(id=1, m=m1, rates=(Point(c1), Point(p1))),
         AdvertiserSpec(id=2, m=m2, rates=(Point(c2), Point(p2))),
     )
+
+
+def mean_rate_equivalent_bids(game):
+    """Every advertiser's equivalent bid under theoretical play with each
+    rate at its mean, read off one scalar-engine auction on a copy of the
+    game whose laws are point masses at their means."""
+    specs = [replace(s, rates=tuple(Point(r.mean()) for r in s.rates)) for s in game.specs]
+    means = validate_game(specs, game.chain, game.model, game.scenario)
+    strategies = [
+        theoretical_strategy(means.model, means.scenario, s, means.chain) for s in means.specs
+    ]
+    return run_auction(means, strategies, None, np.random.default_rng(0)).draw.equivalent_bids
 
 
 @pytest.fixture

@@ -21,14 +21,9 @@ from hypothesis import strategies as st
 
 from adpricing.config import load_config
 from adpricing.distributions import Point, two_point_surrogate, uniform_die
-from adpricing.engine import (
-    equivalent_bid,
-    price_per_pay_event,
-    run_auction,
-    run_repeated,
-)
+from adpricing.engine import run_auction, run_repeated
 from adpricing.equilibrium import cpsc_comparison, sweep_outside_option
-from adpricing.model import in_site, out_site, pricing_model
+from adpricing.model import Strategy, in_site, out_site
 from adpricing.payoffs import (
     ValueLaw,
     estimate_equilibrium_payoffs,
@@ -36,7 +31,7 @@ from adpricing.payoffs import (
     expected_min_max,
     payoff_ordering_suite,
 )
-from adpricing.sampling import STREAM_SIMULATE, STREAM_ROUNDS, batch_rng, run_batched
+from adpricing.sampling import STREAM_ROUNDS, batch_rng, run_batched
 from adpricing.strategy import (
     best_response_scan,
     cpa_collapse,
@@ -45,7 +40,7 @@ from adpricing.strategy import (
     theoretical_strategy,
 )
 
-from conftest import games_with_bids, make_game, point_specs
+from conftest import games_with_bids, make_game, mean_rate_equivalent_bids, point_specs
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -116,15 +111,16 @@ def test_dice_minmax_oracle_exact_and_monte_carlo():
 # --- 2: per-impression conversion unit values ----------------------------
 
 def test_equivalent_bid_unit_values_exact():
-    chain = _cfg().game.chain
-    per_conversion = pricing_model("OCPC", chain)
-    per_click = pricing_model("CPC", chain)
-    assert equivalent_bid(per_conversion, [0.3, 0.2], 100.0) == 6.0
-    assert equivalent_bid(per_click, [0.3], 10.0) == 3.0
+    def auction(model, bids, **rates):
+        game = make_game(point_specs(**rates), model=model, chain_events=_cfg().game.chain.events)
+        return run_auction(game, [Strategy(b) for b in bids], None, batch_rng(SEED, 0, 0, 0))
+
+    assert auction("OCPC", (100.0, 10.0)).draw.equivalent_bids == (6.0, 0.6)
+    assert auction("CPC", (10.0, 1.0)).draw.equivalent_bids == (3.0, 0.3)
+    assert auction("CPM", (7.5, 5.0)).draw.equivalent_bids == (7.5, 5.0)
     # per-click charge is capped by the bidder's own per-click value:
     # against a rival matching its score exactly, the charge is b * p-hat
-    own = equivalent_bid(per_conversion, [0.3, 0.1], 10.0)
-    assert price_per_pay_event(per_conversion, [0.3, 0.1], own) == 1.0
+    assert auction("OCPC", (10.0, 10.0), p1=0.1, p2=0.1).price_per_pay_event == 1.0
 
 
 # --- 3: dominant-strategy grid scans -------------------------------------
@@ -262,13 +258,10 @@ def test_three_player_dominance_and_two_player_reduction():
 
     # one rival: the fixture closed form reproduces the engine conversion
     game2 = _cfg().game
-    bd = game2.model.bid_depth
+    engine_es = mean_rate_equivalent_bids(game2)
     for i in range(game2.n):
-        k = 1 - i
-        th = theoretical_strategy(game2.model, game2.scenario, game2.specs[k], game2.chain)
-        means = [game2.specs[k].rate(d).mean() for d in range(1, bd + 1)]
         fx = equilibrium_fixture_bids(game2, i, multipliers=(1.0,), seed=SEED)
-        assert fx[0] == equivalent_bid(game2.model, means, th.bid)
+        assert fx[0] == engine_es[1 - i]
 
 
 # --- 10: outside-option sweep --------------------------------------------
@@ -385,7 +378,7 @@ def _prop_expected_take_is_the_losing_score(gb, seed):
 @given(n=st.integers(1, 50_000), seed=st.integers(0, 2**32 - 1))
 def _prop_worker_count_never_shows_in_results(n, seed):
     def batch_fn(b_idx, size):
-        draws = batch_rng(seed, STREAM_SIMULATE, b_idx, 0).random(size)
+        draws = batch_rng(seed, STREAM_ROUNDS, b_idx, 0).random(size)
         return {"total": float(np.sum(draws)), "count": size}
 
     results = [run_batched(n, batch_fn, threads=t) for t in (1, 2, 8)]

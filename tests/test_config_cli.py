@@ -99,6 +99,16 @@ def test_config_hash_ignores_out_and_threads(tmp_path):
             "click", {"kind": "gaussian"}), "game"),
         (lambda d: d.__setitem__("replications", "many"), "replications"),
         pytest.param(lambda d: d.__setitem__("seed", -1), "seed", id="negative-seed"),
+        pytest.param(
+            lambda d: d["game"]["advertisers"][0]["rates"].__setitem__(
+                "click", {"kind": "discrete", "atoms": 5}),
+            "game.advertisers[0].rates.click", id="atoms-not-a-list",
+        ),
+        pytest.param(
+            lambda d: d["game"]["advertisers"][0]["rates"].__setitem__(
+                "click", {"kind": "uniform", "lo": [0.1], "hi": 0.4}),
+            "game.advertisers[0].rates.click", id="bound-is-a-list",
+        ),
     ],
 )
 def test_config_errors_name_the_field(mutate, field):
@@ -251,6 +261,61 @@ def test_cli_sweep_without_outside_option_exits_two(tmp_path, capsys):
         assert cli.main(["--config", cfg, "--out", str(out), "--study", study]) == 2
         assert "game.advertisers" in capsys.readouterr().err
     assert not any(out.iterdir())  # rejected before any study ran
+
+
+def _third_advertiser(game):
+    game["advertisers"].append(dict(game["advertisers"][0], m=90.0))
+
+
+def test_cli_cpsc_with_three_advertisers_exits_two(tmp_path, capsys):
+    out = tmp_path / "results"
+    out.mkdir()
+    with open(ROOT / "configs" / "cart.yaml") as fh:
+        raw = yaml.safe_load(fh)
+    _third_advertiser(raw["game"])
+    cfg = _write(tmp_path, raw)
+    assert cli.main(["--config", cfg, "--out", str(out)]) == 2
+    assert "game.advertisers" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_cli_reproduce_all_with_three_advertisers_exits_two(tmp_path, capsys):
+    out = tmp_path / "results"
+    out.mkdir()
+    raw = _small_dict("reproduce-all")
+    _third_advertiser(raw["game"])
+    cfg = _write(tmp_path, raw)
+    assert cli.main(["--config", cfg, "--out", str(out)]) == 2
+    assert "game.advertisers" in capsys.readouterr().err
+    assert not any(out.iterdir())  # rejected before simulate or dominance ran
+
+    raw = _small_dict("reproduce-all")
+    _third_advertiser(raw["cart_game"])
+    cfg = _write(tmp_path, raw)
+    assert cli.main(["--config", cfg, "--out", str(out)]) == 2
+    assert "cart_game.advertisers" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "study, key, value",
+    [
+        ("dominance", "grid_points", 0),
+        ("dominance", "grid_points", "x"),
+        ("dominance", "fixtures", 5),
+        ("collapse", "decay", 2),
+        ("collapse", "rounds", 1),
+        ("sweep", "r_points", 0),
+        ("sweep", "r_max", -1.0),  # below r_min = 0
+        ("cpsc", "enumeration_replications", 0),
+    ],
+)
+def test_cli_bad_study_params_exit_two(tmp_path, capsys, study, key, value):
+    out = tmp_path / "results"
+    out.mkdir()
+    cfg = _write(tmp_path, _small_dict(study, **{key: value}))
+    assert cli.main(["--config", cfg, "--out", str(out)]) == 2
+    assert f"study_params.{study}.{key}" in capsys.readouterr().err
 
 
 def test_cli_thread_count_never_changes_csvs(tmp_path):

@@ -12,7 +12,6 @@ from adpricing.distributions import (
     Point,
     Uniform,
     distribution_from_dict,
-    moments,
     two_point_surrogate,
     uniform_die,
 )
@@ -67,11 +66,6 @@ def test_uniform_die():
     assert die.variance() == pytest.approx(35.0 / 12.0, rel=1e-12)
     assert len(die.atoms()) == 6
     assert all(p == pytest.approx(1.0 / 6.0) for _, p in die.atoms())
-
-
-def test_moments_helper():
-    d = Uniform(0.0, 1.0)
-    assert moments(d) == (d.mean(), d.variance())
 
 
 @pytest.mark.parametrize(

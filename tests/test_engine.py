@@ -1,63 +1,64 @@
-"""Auction engine: unit conversions, winner selection, pricing, and the
-single/repeated auction paths."""
+"""Auction engine: unit conversions, winner selection, pricing, rejected
+draws, and the single/repeated auction paths."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from adpricing.distributions import Point, Uniform
-from adpricing.engine import (
-    ZeroPredictedRateError,
-    equivalent_bid,
-    highest_rival_bid,
-    price_per_pay_event,
-    run_auction,
-    run_repeated,
-    select_winner,
-)
-from adpricing.model import (
-    CHAIN_3,
-    AdvertiserSpec,
-    EventChain,
-    PlatformBelief,
-    Strategy,
-    pricing_model,
-)
+from adpricing.distributions import Discrete
+from adpricing.engine import run_auction, run_repeated, select_winner
+from adpricing.model import PlatformBelief, Strategy
 from adpricing.sampling import batch_rng
 
 from conftest import default_specs, make_game, point_specs
 
-CH3 = EventChain(CHAIN_3)
+
+def _point_auction(model, bids, **rates):
+    """One analytic auction on a point-mass game (c = 0.3, p = 0.2 unless
+    overridden), where every rate is known exactly."""
+    game = make_game(point_specs(**rates), model=model)
+    return run_auction(game, [Strategy(b) for b in bids], None, batch_rng(0, 0, 0, 0))
 
 
 def test_equivalent_bid_unit_values():
-    # bid per conversion at c=0.3, p=0.2 is worth 6 per thousand... per impression
-    assert equivalent_bid(pricing_model("CPA", CH3), (0.3, 0.2), 100.0) == 6.0
-    assert equivalent_bid(pricing_model("CPC", CH3), (0.3,), 10.0) == 3.0
-    assert equivalent_bid(pricing_model("CPM", CH3), (), 7.5) == 7.5
-    assert equivalent_bid(pricing_model("OCPC", CH3), (0.3, 0.2), 100.0) == 6.0
-
-
-def test_equivalent_bid_errors():
-    with pytest.raises(ValueError, match="depths"):
-        equivalent_bid(pricing_model("CPA", CH3), (0.3,), 100.0)
-    with pytest.raises(ValueError, match="bid"):
-        equivalent_bid(pricing_model("CPC", CH3), (0.3,), -1.0)
+    # bid per conversion at c=0.3, p=0.2 is worth 6 per impression
+    assert _point_auction("OCPC", (100.0, 10.0)).draw.equivalent_bids == (6.0, 0.6)
+    assert _point_auction("CPA", (100.0, 10.0)).draw.equivalent_bids == (6.0, 0.6)
+    assert _point_auction("CPC", (10.0, 1.0)).draw.equivalent_bids == (3.0, 0.3)
+    assert _point_auction("CPM", (7.5, 5.0)).draw.equivalent_bids == (7.5, 5.0)
 
 
 def test_price_per_pay_event_values():
-    cpc = pricing_model("CPC", CH3)
-    assert price_per_pay_event(cpc, (0.3,), 6.0) == 20.0
-    # second-price cap: charge at most the winner's own per-event quote
-    ocpc = pricing_model("OCPC", CH3)
-    own_e = equivalent_bid(ocpc, (0.3, 0.1), 10.0)
-    assert price_per_pay_event(ocpc, (0.3, 0.1), own_e) == 1.0
-    cpm = pricing_model("CPM", CH3)
-    assert price_per_pay_event(cpm, (), 5.0) == 5.0
+    # the runner-up's e per winner's pay-depth event (click for OCPC and CPC)
+    assert _point_auction("OCPC", (100.0, 10.0)).price_per_pay_event == 2.0
+    assert _point_auction("CPC", (10.0, 1.0)).price_per_pay_event == 1.0
+    assert _point_auction("CPC", (30.0, 20.0)).price_per_pay_event == 20.0
+    # second-price cap: against a rival matching its score exactly, the
+    # per-click charge is the bidder's own quote times p
+    tied = _point_auction("OCPC", (10.0, 10.0), p1=0.1, p2=0.1)
+    assert tied.e_loser == tied.draw.equivalent_bids[tied.winner]
+    assert tied.price_per_pay_event == 1.0
+    # per-impression billing charges e_loser itself
+    assert _point_auction("CPM", (7.5, 5.0)).price_per_pay_event == 5.0
 
 
 def test_price_per_pay_event_zero_rate():
-    with pytest.raises(ZeroPredictedRateError):
-        price_per_pay_event(pricing_model("CPC", CH3), (0.0,), 6.0)
+    # a zero click rate leaves no price per click: every draw is rejected
+    specs = point_specs(c1=0.0, c2=0.0)
+    game = make_game(specs, model="CPC")
+    with pytest.raises(RuntimeError, match="rejected"):
+        run_auction(game, (Strategy(10.0), Strategy(5.0)), None, batch_rng(0, 0, 0, 0))
+
+
+def test_run_auction_counts_rejected_draws():
+    zero_or_not = Discrete((0.0, 0.3), (0.5, 0.5))
+    specs = tuple(replace(s, rates=(zero_or_not, s.rates[1])) for s in point_specs())
+    game = make_game(specs, model="CPC")
+    # at this seed the first draw gives both advertisers a zero click rate
+    out = run_auction(game, (Strategy(10.0), Strategy(5.0)), None, batch_rng(2, 0, 0, 0))
+    assert out.rejections >= 1
+    assert out.draw.realized[out.winner][0] == 0.3  # the kept draw is priceable
 
 
 def test_select_winner_and_rival():
@@ -65,10 +66,6 @@ def test_select_winner_and_rival():
     w, e_l = select_winner([1.0, 5.0, 2.0], rng)
     assert (w, e_l) == (1, 2.0)
     assert select_winner([4.0], rng) == (0, 0.0)
-    assert highest_rival_bid([1.0, 5.0, 2.0], 1) == 2.0
-    assert highest_rival_bid([1.0, 5.0, 2.0], 0) == 5.0
-    with pytest.raises(ValueError):
-        highest_rival_bid([1.0], 0)
 
 
 def test_select_winner_tie_frequencies():

@@ -2,6 +2,7 @@
 billing-model equivalences, and the paired payoff orderings."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,6 @@ from adpricing.payoffs import (
     exact_equilibrium_payoffs,
     expected_min_max,
     payoff_ordering_suite,
-    score_laws,
 )
 
 from conftest import default_specs, make_game, point_specs, rate_laws
@@ -43,14 +43,19 @@ def test_value_law_atoms_and_samples():
     assert math.fsum(p for _, p in atoms) == pytest.approx(1.0)
 
 
-def test_score_laws_depth_structure():
-    game = make_game(default_specs(), model="CPC")
-    laws = score_laws(game)
-    # realized click factor, mean conversion factor
-    assert laws[0].factors[0] == game.specs[0].rate(1)
-    assert laws[0].factors[1] == Point(game.specs[0].rate(2).mean())
-    ocpc = score_laws(game, "OCPC")
-    assert ocpc[0].factors[1] == game.specs[0].rate(2)
+def test_bid_depth_sets_which_laws_enter_the_score():
+    # CPC scores on the mean conversion rate, so a point mass at that mean
+    # leaves its exact payoffs unchanged; OCPC scores on the realized rate
+    conv = Discrete((0.05, 0.15), (0.5, 0.5))
+    clicks = (Discrete((0.2, 0.4), (0.5, 0.5)), Discrete((0.15, 0.45), (0.25, 0.75)))
+    spread = tuple(
+        replace(s, rates=(c, conv)) for s, c in zip(default_specs(), clicks)
+    )
+    at_mean = tuple(replace(s, rates=(s.rates[0], Point(conv.mean()))) for s in spread)
+    for model, same in (("CPC", True), ("OCPC", False)):
+        a = exact_equilibrium_payoffs(make_game(spread, model=model))
+        b = exact_equilibrium_payoffs(make_game(at_mean, model=model))
+        assert ((a.platform, a.social, a.advertisers) == (b.platform, b.social, b.advertisers)) is same
 
 
 def test_symmetric_point_game_payoffs_exact():

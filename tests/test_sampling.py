@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from adpricing import sampling
+from adpricing.engine import select_winner
 from adpricing.sampling import (
     BATCH_SIZE,
     MeanSE,
@@ -135,6 +136,30 @@ def test_settle_matches_brute_force_with_ties(n):
     want = _settle_by_hand(scores, u)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+class _FixedUniform:
+    """Stand-in rng whose one draw is a given uniform."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_settle_matches_scalar_engine_with_ties(n):
+    # the vectorized kernel against the scalar engine's selection rule on the
+    # same integer score columns and tie uniforms
+    rng = np.random.default_rng(100 + n)
+    size = 4000
+    scores = rng.integers(0, 3, size=(n, size)).astype(np.float64)
+    u = rng.random(size)
+    winner, _, price = settle(scores, u)
+    for j in range(size):
+        w, e_loser = select_winner(scores[:, j], _FixedUniform(u[j]))
+        assert (w, e_loser) == (winner[j], price[j]), j
 
 
 def test_run_batched_pool_is_bounded(monkeypatch):

@@ -4,7 +4,6 @@ reporting invariance, and the underreporting spiral."""
 import numpy as np
 import pytest
 
-from adpricing.engine import equivalent_bid
 from adpricing.model import (
     CHAIN_4,
     PlatformBelief,
@@ -17,12 +16,17 @@ from adpricing.strategy import (
     best_response_scan,
     cpa_collapse,
     equilibrium_fixture_bids,
-    expected_utility,
     ocpc_reporting_invariance,
     theoretical_strategy,
 )
 
-from conftest import cart_specs, default_specs, make_game, point_specs
+from conftest import (
+    cart_specs,
+    default_specs,
+    make_game,
+    mean_rate_equivalent_bids,
+    point_specs,
+)
 
 
 def _theory(game, i=0):
@@ -61,33 +65,37 @@ def test_theoretical_out_site():
     assert theoretical_strategy(cpc.model, cpc.scenario, cpc.specs[0], cpc.chain) == _theory(in_variant)
 
 
-def test_expected_utility_exact_point_game():
+def _one_bid(game, bid, rival_es, belief=None, alpha=1.0, replications=500, seed=1):
+    """Utility of one bid per rival fixture: a one-point scan at that bid."""
+    return best_response_scan(
+        0, [bid], rival_es, game, belief, replications, seed, theoretical=bid, alpha=alpha
+    ).fixtures
+
+
+def test_one_bid_scan_exact_point_game():
     game = make_game(point_specs(p1=0.1), model="CPC")
-    # value per impression 100 x 0.3 x 0.1 = 3; theoretical bid 10
-    win = expected_utility(0, 10.0, 1.0, rival_e=2.0, game=game, replications=500, seed=1)
-    assert (win.mean, win.se) == (1.0, 0.0)
-    lose = expected_utility(0, 10.0, 1.0, rival_e=4.0, game=game, replications=500, seed=1)
-    assert (lose.mean, lose.se) == (0.0, 0.0)
-    # exact tie loses: winning requires strictly beating the rival
-    tie = expected_utility(0, 10.0, 1.0, rival_e=10.0 * 0.3, game=game, replications=500, seed=1)
-    assert tie.mean == 0.0
+    # value per impression 100 x 0.3 x 0.1 = 3; theoretical bid 10; the
+    # last fixture is an exact tie, which loses: winning requires strictly
+    # beating the rival
+    win, lose, tie = _one_bid(game, 10.0, [2.0, 4.0, 10.0 * 0.3])
+    assert (win.utility_theory, win.se_theory) == (1.0, 0.0)
+    assert (lose.utility_theory, lose.se_theory) == (0.0, 0.0)
+    assert (tie.utility_theory, tie.se_theory) == (0.0, 0.0)
 
 
-def test_expected_utility_is_seed_deterministic():
+def test_one_bid_scan_is_seed_deterministic():
     game = make_game(default_specs(), model="CPC")
-    a = expected_utility(0, 8.0, 1.0, 2.0, game, replications=4000, seed=3)
-    b = expected_utility(0, 8.0, 1.0, 2.0, game, replications=4000, seed=3)
-    c = expected_utility(0, 8.0, 1.0, 2.0, game, replications=4000, seed=4)
-    assert (a.mean, a.se) == (b.mean, b.se)
-    assert a.mean != c.mean
+    (a,) = _one_bid(game, 8.0, [2.0], replications=4000, seed=3)
+    (b,) = _one_bid(game, 8.0, [2.0], replications=4000, seed=3)
+    (c,) = _one_bid(game, 8.0, [2.0], replications=4000, seed=4)
+    assert (a.utility_theory, a.se_theory) == (b.utility_theory, b.se_theory)
+    assert a.utility_theory != c.utility_theory
 
 
 def test_fixture_bids_two_player_reduction_exact():
     game = make_game(default_specs(), model="CPC")
     fixtures = equilibrium_fixture_bids(game, 0, multipliers=(0.25, 0.5, 1.0, 2.0))
-    rival = game.specs[1]
-    rival_theory = theoretical_strategy(game.model, game.scenario, rival, game.chain)
-    engine_e = equivalent_bid(game.model, [rival.rate(1).mean()], rival_theory.bid)
+    engine_e = mean_rate_equivalent_bids(game)[1]
     assert fixtures[2] == engine_e
     assert fixtures == [m * engine_e for m in (0.25, 0.5, 1.0, 2.0)]
 
@@ -98,11 +106,7 @@ def test_fixture_bids_three_player_between_rivals():
     third = replace(point_specs()[0], id=3, m=90.0)
     game = make_game(default_specs() + (third,), model="CPC")
     fixtures = equilibrium_fixture_bids(game, 0, multipliers=(1.0,), replications=50_000)
-    es = []
-    for k in (1, 2):
-        spec = game.specs[k]
-        theory = theoretical_strategy(game.model, game.scenario, spec, game.chain)
-        es.append(equivalent_bid(game.model, [spec.rate(1).mean()], theory.bid))
+    es = mean_rate_equivalent_bids(game)[1:]
     # the mean of the max of rival scores sits at or above every single one
     assert fixtures[0] >= max(es) - 0.05
     assert fixtures[0] <= sum(es)
@@ -144,6 +148,14 @@ def test_reporting_invariance_requires_out_site_ocpc():
         ocpc_reporting_invariance(0, 0.5, 100.0, make_game(default_specs(), model="OCPC"))
 
 
+def test_scan_rejects_zero_belief_at_charged_conversions():
+    # CPA out-site charges per reported conversion: with alpha_hat = 0 the
+    # platform predicts none, so no price per conversion exists
+    game = make_game(default_specs(), model="CPA", scenario="out_site")
+    with pytest.raises(ValueError, match="alpha_hat=0"):
+        _one_bid(game, 100.0, [1.0], PlatformBelief((0.0, 1.0)))
+
+
 def test_underreporting_changes_utility():
     # the invariance maps (b, alpha) to (alpha x b, 1); plain alpha shifts
     # with the bid held fixed do move the utility
@@ -151,9 +163,9 @@ def test_underreporting_changes_utility():
     fixtures = equilibrium_fixture_bids(game, 0, multipliers=(1.0,))
     e_k = fixtures[0]
     belief = PlatformBelief((0.4, 1.0))
-    u_under = expected_utility(0, 100.0, 0.4, e_k, game, belief, replications=20_000, seed=6)
-    u_truth = expected_utility(0, 100.0, 1.0, e_k, game, None, replications=20_000, seed=6)
-    assert u_under.mean != u_truth.mean
+    (u_under,) = _one_bid(game, 100.0, [e_k], belief, 0.4, replications=20_000, seed=6)
+    (u_truth,) = _one_bid(game, 100.0, [e_k], replications=20_000, seed=6)
+    assert u_under.utility_theory != u_truth.utility_theory
 
 
 def test_cpa_collapse_schedule_and_regimes():

@@ -1,6 +1,11 @@
 """Command-line front door: load a config, run a named study, write
 CSV artifacts plus a hashed JSON manifest.
 
+Each study returns its tables and verdicts and writes nothing; run
+writes every CSV and then the manifest once the last study has
+returned, so a config error or a crash leaves the output directory as
+it was.
+
 Studies
     simulate      per-round auction trace under theoretical play
     dominance     grid scans of the theoretical bids against rival fixtures
@@ -35,7 +40,7 @@ from .config import ConfigError, ExperimentConfig, STUDIES, load_config
 from .distributions import Point, two_point_surrogate, uniform_die
 from .engine import run_repeated
 from .equilibrium import cpsc_comparison, sweep_outside_option
-from .model import GameValidationError, PlatformBelief, in_site, out_site, validate_game
+from .model import PlatformBelief, in_site, out_site, validate_game
 from .payoffs import (
     ValueLaw,
     estimate_equilibrium_payoffs,
@@ -43,6 +48,7 @@ from .payoffs import (
     expected_min_max,
     payoff_ordering_suite,
 )
+from .sampling import MeanSE
 from .strategy import (
     NO_EQUILIBRIUM,
     best_response_scan,
@@ -52,8 +58,6 @@ from .strategy import (
 )
 
 __all__ = ["main", "run"]
-
-RUN_STUDIES = ("simulate", "dominance", "lemmas", "collapse", "sweep", "cpsc")
 
 # (model, scenario) pairs with a claimed dominant strategy, plus the
 # CPA out-site pair whose absence of one must be flagged
@@ -79,6 +83,15 @@ def _cell(v) -> str:
     return str(v)
 
 
+def _pair(name: str) -> list[str]:
+    """Header of one MeanSE cell, which fills two columns."""
+    return [f"{name}_mean", f"{name}_se"]
+
+
+def _z(ms: MeanSE) -> float:
+    return ms.mean / ms.se if ms.se > 0 else 0.0
+
+
 class Artifacts:
     """Tracks every file a run writes so the manifest stays complete."""
 
@@ -87,25 +100,33 @@ class Artifacts:
         self.files: list[str] = []
 
     def write_csv(self, relpath: str, header, rows) -> None:
+        """One CSV; a MeanSE cell fills two columns, its mean and its SE."""
         path = self.outdir / relpath
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             for row in rows:
-                writer.writerow([_cell(v) for v in row])
+                cells = []
+                for v in row:
+                    if isinstance(v, MeanSE):
+                        cells += (_cell(v.mean), _cell(v.se))
+                    else:
+                        cells.append(_cell(v))
+                writer.writerow(cells)
         self.files.append(relpath)
 
     def hashes(self) -> dict[str, str]:
+        """sha256 of every written file, read in blocks: the tables are
+        still in memory when the manifest is made."""
         out = {}
         for rel in sorted(self.files):
-            digest = hashlib.sha256((self.outdir / rel).read_bytes()).hexdigest()
-            out[rel] = digest
+            digest = hashlib.sha256()
+            with open(self.outdir / rel, "rb") as fh:
+                for block in iter(lambda: fh.read(1 << 16), b""):
+                    digest.update(block)
+            out[rel] = digest.hexdigest()
         return out
-
-
-def _scenario(game, kind: str):
-    return in_site() if kind == "in_site" else out_site(game.chain)
 
 
 def _theoretical_profile(game):
@@ -121,7 +142,7 @@ def _theoretical_profile(game):
     return tuple(strategies)
 
 
-def _study_simulate(cfg: ExperimentConfig, art: Artifacts) -> dict[str, bool]:
+def _study_simulate(cfg: ExperimentConfig):
     rounds = cfg.int_param("simulate", "rounds", 1000)
     mode = cfg.params("simulate").get("mode", "analytic")
     if mode not in ("analytic", "realized"):
@@ -148,16 +169,17 @@ def _study_simulate(cfg: ExperimentConfig, art: Artifacts) -> dict[str, bool]:
             + list(oc.payoffs)
             + [oc.platform_payoff, oc.social_welfare, resid]
         )
-    art.write_csv("simulate/trace.csv", header, rows)
-    art.write_csv(
-        "simulate/totals.csv",
-        ["rounds", "mode"] + [f"payoff_{a}" for a in ids] + ["platform_payoff", "social_welfare"],
-        [[rounds, mode] + list(rep.payoffs) + [rep.platform_payoff, rep.social_welfare]],
-    )
-    return {"conservation_zero": bool(all_zero)}
+    tables = {
+        "trace.csv": (header, rows),
+        "totals.csv": (
+            ["rounds", "mode"] + [f"payoff_{a}" for a in ids] + ["platform_payoff", "social_welfare"],
+            [[rounds, mode, *rep.payoffs, rep.platform_payoff, rep.social_welfare]],
+        ),
+    }
+    return tables, {"conservation_zero": bool(all_zero)}
 
 
-def _study_dominance(cfg: ExperimentConfig, art: Artifacts) -> dict[str, bool]:
+def _study_dominance(cfg: ExperimentConfig):
     reps = cfg.study_replications("dominance", default=100_000)
     # a grid needs both ends: bid 0 and grid_max x the theoretical bid
     grid_points = cfg.int_param("dominance", "grid_points", 101, minimum=2)
@@ -175,7 +197,8 @@ def _study_dominance(cfg: ExperimentConfig, art: Artifacts) -> dict[str, bool]:
     all_pass = True
     flagged = False
     for model_name, kind in DOMINANCE_COMBOS:
-        game = cfg.game.with_model(model_name, _scenario(cfg.game, kind))
+        scenario = in_site() if kind == "in_site" else out_site(cfg.game.chain)
+        game = cfg.game.with_model(model_name, scenario)
         for i, spec in enumerate(game.specs):
             theory = theoretical_strategy(game.model, game.scenario, spec, game.chain)
             if theory is NO_EQUILIBRIUM:
@@ -208,76 +231,46 @@ def _study_dominance(cfg: ExperimentConfig, art: Artifacts) -> dict[str, bool]:
                 None, None, rep.argmax_index, rep.theory_index,
                 rep.passed and localized, False,
             ])
-    art.write_csv("dominance/dominance.csv", header, rows)
-    return {"scans_pass": bool(all_pass), "cpa_out_flagged": flagged}
+    return {"dominance.csv": (header, rows)}, {
+        "scans_pass": bool(all_pass),
+        "cpa_out_flagged": flagged,
+    }
 
 
-def _degenerate_variant(game):
-    """Point-mass conversion laws at their means; click laws untouched."""
-    conv_idx = game.chain.n_rate_depths - 1
+def _map_laws(game, fn):
+    """The game with every advertiser's rate law at depth index d
+    replaced by fn(d, law)."""
     specs = [
-        replace(
-            spec,
-            rates=tuple(
-                Point(r.mean()) if d == conv_idx else r for d, r in enumerate(spec.rates)
-            ),
-        )
+        replace(spec, rates=tuple(fn(d, r) for d, r in enumerate(spec.rates)))
         for spec in game.specs
     ]
     return validate_game(specs, game.chain, game.model, game.scenario)
 
 
-def _study_lemmas(cfg: ExperimentConfig, art: Artifacts) -> dict[str, bool]:
+def _study_lemmas(cfg: ExperimentConfig):
     reps = cfg.study_replications("lemmas")
     suite = payoff_ordering_suite(
         cfg.game, replications=reps, seed=cfg.seed, threads=cfg.threads
     )
     ids = [spec.id for spec in cfg.game.specs]
+    orderings_header = ["quantity", "comparison", *_pair("delta"), "z", "holds"]
 
     def _ordering_rows(s):
         named = [("social_welfare", s.social), ("platform_payoff", s.platform)] + [
             (f"advertiser_{a}", res) for a, res in zip(ids, s.advertisers)
         ]
-        out = []
-        for label, res in named:
-            z = res.delta.mean / res.delta.se if res.delta.se > 0 else 0.0
-            out.append([label, res.name, res.delta.mean, res.delta.se, z, res.holds])
-        return out
+        return [[label, res.name, res.delta, _z(res.delta), res.holds] for label, res in named]
 
-    art.write_csv(
-        "lemmas/orderings.csv",
-        ["quantity", "comparison", "delta_mean", "delta_se", "z", "holds"],
-        _ordering_rows(suite),
-    )
-    art.write_csv(
-        "lemmas/decomposition.csv",
-        [
-            "advertiser", "direct_mean", "direct_se", "gain_mean", "gain_se",
-            "loss_mean", "loss_se", "residual_mean", "residual_se", "consistent",
-        ],
-        [
-            [
-                ids[d.advertiser], d.direct.mean, d.direct.se, d.gain_term.mean,
-                d.gain_term.se, d.loss_term.mean, d.loss_term.se,
-                d.residual.mean, d.residual.se, d.consistent,
-            ]
-            for d in suite.decomposition
-        ],
-    )
-
+    # point-mass conversion laws at their means; click laws untouched
+    conv_idx = cfg.game.chain.n_rate_depths - 1
     degen = payoff_ordering_suite(
-        _degenerate_variant(cfg.game),
+        _map_laws(cfg.game, lambda d, r: Point(r.mean()) if d == conv_idx else r),
         replications=min(reps, 100_000),
         seed=cfg.seed,
         threads=cfg.threads,
     )
     degen_results = [degen.social, degen.platform, *degen.advertisers]
     degen_zero = all(r.delta.mean == 0.0 and r.delta.se == 0.0 for r in degen_results)
-    art.write_csv(
-        "lemmas/degenerate_control.csv",
-        ["quantity", "comparison", "delta_mean", "delta_se", "z", "holds"],
-        _ordering_rows(degen),
-    )
 
     die = ValueLaw(1.0, (uniform_die(6),))
     exact = expected_min_max([die, die], exhaustive=True)
@@ -286,16 +279,26 @@ def _study_lemmas(cfg: ExperimentConfig, art: Artifacts) -> dict[str, bool]:
         ["max_of_two_dice", exact.e_max.mean, mc.e_max.mean, abs(mc.e_max.mean - exact.e_max.mean)],
         ["min_of_two_dice", exact.e_min.mean, mc.e_min.mean, abs(mc.e_min.mean - exact.e_min.mean)],
     ]
-    art.write_csv(
-        "lemmas/dice_oracle.csv", ["statistic", "exact", "monte_carlo", "abs_error"], dice_rows
-    )
     dice_ok = (
         exact.e_max.mean == 161.0 / 36.0
         and exact.e_min.mean == 91.0 / 36.0
         and abs(mc.e_max.mean - exact.e_max.mean) < 0.01
         and abs(mc.e_min.mean - exact.e_min.mean) < 0.01
     )
-    return {
+    tables = {
+        "orderings.csv": (orderings_header, _ordering_rows(suite)),
+        "decomposition.csv": (
+            ["advertiser", *_pair("direct"), *_pair("gain"), *_pair("loss"),
+             *_pair("residual"), "consistent"],
+            [
+                [ids[d.advertiser], d.direct, d.gain_term, d.loss_term, d.residual, d.consistent]
+                for d in suite.decomposition
+            ],
+        ),
+        "degenerate_control.csv": (orderings_header, _ordering_rows(degen)),
+        "dice_oracle.csv": (["statistic", "exact", "monte_carlo", "abs_error"], dice_rows),
+    }
+    return tables, {
         "orderings_hold": suite.passed,
         "decomposition_consistent": all(d.consistent for d in suite.decomposition),
         "degenerate_exact_zero": bool(degen_zero),
@@ -303,7 +306,7 @@ def _study_lemmas(cfg: ExperimentConfig, art: Artifacts) -> dict[str, bool]:
     }
 
 
-def _study_collapse(cfg: ExperimentConfig, art: Artifacts) -> dict[str, bool]:
+def _study_collapse(cfg: ExperimentConfig):
     rounds = cfg.int_param("collapse", "rounds", 21, minimum=2)
     decay = cfg.number_param("collapse", "decay", 0.5, above=0.0, below=1.0)
     threshold = cfg.number_param("collapse", "threshold", 1e-3)
@@ -315,17 +318,14 @@ def _study_collapse(cfg: ExperimentConfig, art: Artifacts) -> dict[str, bool]:
     )
     ids = [spec.id for spec in game.specs]
     header = (
-        ["round", "alpha", "alpha_hat", "collapsed", "revenue_mean", "revenue_se"]
+        ["round", "alpha", "alpha_hat", "collapsed", *_pair("revenue")]
         + [f"winner_share_{a}" for a in ids]
-        + [x for a in ids for x in (f"utility_{a}_mean", f"utility_{a}_se")]
+        + [x for a in ids for x in _pair(f"utility_{a}")]
     )
     rows = [
-        [r.round, r.alpha, r.alpha_hat, r.collapsed, r.revenue.mean, r.revenue.se]
-        + list(r.winner_share)
-        + [x for u in r.utilities for x in (u.mean, u.se)]
+        [r.round, r.alpha, r.alpha_hat, r.collapsed, r.revenue, *r.winner_share, *r.utilities]
         for r in trace.rounds
     ]
-    art.write_csv("collapse/collapse.csv", header, rows)
 
     first, last = trace.rounds[0], trace.rounds[-1]
     post = [r for r in trace.rounds if r.collapsed]
@@ -339,7 +339,7 @@ def _study_collapse(cfg: ExperimentConfig, art: Artifacts) -> dict[str, bool]:
         for r in post
         for i, u in enumerate(r.utilities)
     )
-    return {
+    return {"collapse.csv": (header, rows)}, {
         "revenue_collapse": last.revenue.mean < 0.01 * first.revenue.mean,
         "collapsed_platform_zero": bool(post) and all(r.revenue.mean == 0.0 for r in post),
         "collapsed_shares": shares_ok,
@@ -347,7 +347,7 @@ def _study_collapse(cfg: ExperimentConfig, art: Artifacts) -> dict[str, bool]:
     }
 
 
-def _study_sweep(cfg: ExperimentConfig, art: Artifacts) -> dict[str, bool]:
+def _study_sweep(cfg: ExperimentConfig):
     # outside options are nonnegative, and the grid ascends
     r_min = cfg.number_param("sweep", "r_min", 0.0, minimum=0.0)
     r_max = cfg.number_param("sweep", "r_max", 2.0, minimum=r_min)
@@ -361,24 +361,17 @@ def _study_sweep(cfg: ExperimentConfig, art: Artifacts) -> dict[str, bool]:
     header = (
         ["r", "chosen"]
         + [f"feasible_{m}" for m in res.models]
-        + ["platform_mean", "platform_se", "social_mean", "social_se"]
-        + [x for a in ids for x in (f"payoff_{a}_mean", f"payoff_{a}_se")]
+        + [*_pair("platform"), *_pair("social")]
+        + [x for a in ids for x in _pair(f"payoff_{a}")]
         + ["innovation", "adv1_drop", "adv1_drop_se"]
     )
     rows = [
         [row.r, row.chosen if row.chosen is not None else "none"]
         + [row.feasible[m] for m in res.models]
-        + [row.platform.mean, row.platform.se, row.social.mean, row.social.se]
-        + [x for a in row.advertisers for x in (a.mean, a.se)]
+        + [row.platform, row.social, *row.advertisers]
         + [row.innovation, row.adv1_drop, row.adv1_drop_se]
         for row in res.rows
     ]
-    art.write_csv("sweep/sweep.csv", header, rows)
-    art.write_csv(
-        "sweep/boundaries.csv",
-        ["model", "entry_threshold_mean", "entry_threshold_se"],
-        [[m, b.mean, b.se] for m, b in res.boundaries.items()],
-    )
 
     # region pattern implied by the estimated thresholds and payoff table
     def _expected(r: float):
@@ -391,7 +384,13 @@ def _study_sweep(cfg: ExperimentConfig, art: Artifacts) -> dict[str, bool]:
     observed = {row.chosen for row in res.rows}
     regions_ok = observed >= set(res.models) | {None}
     inno = [row for row in res.rows if row.innovation]
-    return {
+    tables = {
+        "sweep.csv": (header, rows),
+        "boundaries.csv": (
+            ["model", *_pair("entry_threshold")], [[m, b] for m, b in res.boundaries.items()]
+        ),
+    }
+    return tables, {
         "region_pattern": bool(pattern_ok),
         "three_regions": bool(regions_ok),
         "innovation_platform_positive": bool(inno)
@@ -399,14 +398,6 @@ def _study_sweep(cfg: ExperimentConfig, art: Artifacts) -> dict[str, bool]:
         "innovation_drop_negative": bool(inno)
         and all(row.adv1_drop < -3.0 * row.adv1_drop_se for row in inno),
     }
-
-
-def _surrogate_variant(game):
-    specs = [
-        replace(spec, rates=tuple(two_point_surrogate(r) for r in spec.rates))
-        for spec in game.specs
-    ]
-    return validate_game(specs, game.chain, game.model, game.scenario)
 
 
 def _cpsc_game(cfg: ExperimentConfig):
@@ -427,39 +418,15 @@ def _cpsc_game(cfg: ExperimentConfig):
     return game
 
 
-def _study_cpsc(cfg: ExperimentConfig, art: Artifacts) -> dict[str, bool]:
+def _study_cpsc(cfg: ExperimentConfig):
     game = _cpsc_game(cfg)
     reps = cfg.study_replications("cpsc")
     enum_reps = cfg.int_param("cpsc", "enumeration_replications", 100_000)
     rep = cpsc_comparison(game, replications=reps, seed=cfg.seed, threads=cfg.threads)
-
-    art.write_csv(
-        "cpsc/orderings.csv",
-        ["comparison", "delta_mean", "delta_se", "z", "holds"],
-        [
-            [
-                d.name, d.delta.mean, d.delta.se,
-                d.delta.mean / d.delta.se if d.delta.se > 0 else 0.0, d.holds,
-            ]
-            for d in rep.deltas
-        ],
-    )
     ids = [spec.id for spec in game.specs]
-    art.write_csv(
-        "cpsc/payoffs.csv",
-        ["model"]
-        + [x for a in ids for x in (f"payoff_{a}_mean", f"payoff_{a}_se")]
-        + ["platform_mean", "platform_se", "social_mean", "social_se"],
-        [
-            [name]
-            + [x for a in r.advertisers for x in (a.mean, a.se)]
-            + [r.platform.mean, r.platform.se, r.social.mean, r.social.se]
-            for name, r in rep.table.items()
-        ],
-    )
 
     # enumerable two-point variant: exact payoffs vs the MC estimator
-    surrogate = _surrogate_variant(game)
+    surrogate = _map_laws(game, lambda d, r: two_point_surrogate(r))
     names = ("CPC", "CPSC", "OCPC")
     exact = {n: exact_equilibrium_payoffs(surrogate.with_model(n)) for n in names}
     mc = estimate_equilibrium_payoffs(surrogate, enum_reps, cfg.seed, names, cfg.threads)
@@ -474,22 +441,33 @@ def _study_cpsc(cfg: ExperimentConfig, art: Artifacts) -> dict[str, bool]:
             z = (est.mean - ex.mean) / est.se if est.se > 0 else 0.0
             ok = abs(z) <= 5.0 if est.se > 0 else est.mean == ex.mean
             agree &= ok
-            enum_rows.append([n, label, ex.mean, est.mean, est.se, z, ok])
-    art.write_csv(
-        "cpsc/enumeration.csv",
-        ["model", "quantity", "exact", "mc_mean", "mc_se", "z", "agree"],
-        enum_rows,
-    )
-    a = rep.advertiser
+            enum_rows.append([n, label, ex.mean, est, z, ok])
+    k = rep.advertiser
     exact_orderings = (
-        exact["CPC"].advertisers[a].mean
-        < exact["CPSC"].advertisers[a].mean
-        < exact["OCPC"].advertisers[a].mean
+        exact["CPC"].advertisers[k].mean
+        < exact["CPSC"].advertisers[k].mean
+        < exact["OCPC"].advertisers[k].mean
         and exact["OCPC"].platform.mean
         < exact["CPSC"].platform.mean
         < exact["CPC"].platform.mean
     )
-    return {
+    tables = {
+        "orderings.csv": (
+            ["comparison", *_pair("delta"), "z", "holds"],
+            [[d.name, d.delta, _z(d.delta), d.holds] for d in rep.deltas],
+        ),
+        "payoffs.csv": (
+            ["model"]
+            + [x for a in ids for x in _pair(f"payoff_{a}")]
+            + [*_pair("platform"), *_pair("social")],
+            [[name, *r.advertisers, r.platform, r.social] for name, r in rep.table.items()],
+        ),
+        "enumeration.csv": (
+            ["model", "quantity", "exact", *_pair("mc"), "z", "agree"],
+            enum_rows,
+        ),
+    }
+    return tables, {
         "orderings_hold": rep.passed,
         "enumeration_orderings": bool(exact_orderings),
         "enumeration_mc_agree": bool(agree),
@@ -508,18 +486,16 @@ STUDY_FUNCS = {
 
 def run(cfg: ExperimentConfig) -> int:
     """Execute the configured study, write artifacts + manifest, return
-    the exit code."""
+    the exit code. Nothing is written until every study has returned."""
     if cfg.out is None:
         raise ConfigError("out", "no output directory given (set 'out' in the config or pass --out)")
     outdir = Path(cfg.out)
     if not outdir.is_dir():
         raise ConfigError("out", f"output directory {str(outdir)!r} does not exist")
-    art = Artifacts(outdir)
-    verdicts: dict[str, bool] = {}
     times: dict[str, float] = {}
     t_start = time.perf_counter()
-    studies = RUN_STUDIES if cfg.study == "reproduce-all" else (cfg.study,)
-    # study preconditions, checked before any study writes a file
+    studies = tuple(STUDY_FUNCS) if cfg.study == "reproduce-all" else (cfg.study,)
+    # study preconditions, checked before any study runs
     if "sweep" in studies and all(s.outside_option is None for s in cfg.game.specs):
         raise ConfigError(
             "game.advertisers", "the sweep study needs an advertiser with an outside_option"
@@ -530,25 +506,23 @@ def run(cfg: ExperimentConfig) -> int:
         )
     if "cpsc" in studies:
         _cpsc_game(cfg)
+    results = {}
     for name in studies:
         t0 = time.perf_counter()
-        study_verdicts = STUDY_FUNCS[name](cfg, art)
+        results[name] = STUDY_FUNCS[name](cfg)
         times[name] = round(time.perf_counter() - t0, 3)
-        for key, ok in study_verdicts.items():
-            verdicts[f"{name}.{key}"] = bool(ok)
+
+    art = Artifacts(outdir)
+    verdicts: dict[str, bool] = {}
+    per_study = []
+    for name, (tables, study_verdicts) in results.items():
+        for csv_name, (header, rows) in tables.items():
+            art.write_csv(f"{name}/{csv_name}", header, rows)
+        vs = {f"{name}.{key}": bool(ok) for key, ok in study_verdicts.items()}
+        per_study.append([name, all(vs.values()), len(vs), sum(vs.values())])
+        verdicts.update(vs)
     if cfg.study == "reproduce-all":
-        per_study = {
-            name: [v for k, v in verdicts.items() if k.startswith(name + ".")]
-            for name in RUN_STUDIES
-        }
-        art.write_csv(
-            "summary.csv",
-            ["study", "passed", "checks", "checks_passed"],
-            [
-                [name, all(vs), len(vs), sum(vs)]
-                for name, vs in per_study.items()
-            ],
-        )
+        art.write_csv("summary.csv", ["study", "passed", "checks", "checks_passed"], per_study)
     times["total"] = round(time.perf_counter() - t_start, 3)
 
     manifest = {
@@ -602,10 +576,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, overrides)
         return run(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (GameValidationError, OSError) as exc:
+    except (ConfigError, ValueError, RuntimeError, OSError) as exc:
+        # ValueError covers GameValidationError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,7 +27,9 @@ import math
 from dataclasses import dataclass
 
 from .model import Game, MODEL_TIE_ORDER
-from .payoffs import PayoffReport, _payoff_pass, estimate_equilibrium_payoffs
+from .payoffs import (
+    OrderingResult, PayoffReport, _ordering, _payoff_pass, estimate_equilibrium_payoffs,
+)
 from .sampling import MeanSE, mean_se, sum_sq
 
 __all__ = [
@@ -35,7 +37,6 @@ __all__ = [
     "SweepRow",
     "SweepResult",
     "sweep_outside_option",
-    "CpscDelta",
     "CpscReport",
     "cpsc_comparison",
 ]
@@ -91,8 +92,6 @@ class SweepResult:
     boundaries: dict[str, MeanSE]  # estimated entry thresholds per model
     table: dict[str, PayoffReport]
     models: tuple[str, ...]
-    replications: int
-    seed: int
 
 
 def sweep_outside_option(
@@ -178,8 +177,6 @@ def sweep_outside_option(
         boundaries=boundaries,
         table=table,
         models=tuple(models),
-        replications=replications,
-        seed=seed,
     )
 
 
@@ -192,20 +189,11 @@ _CPSC_DELTAS = (
 
 
 @dataclass(frozen=True)
-class CpscDelta:
-    name: str
-    delta: MeanSE  # paired per-draw difference
-    holds: bool
-
-
-@dataclass(frozen=True)
 class CpscReport:
     table: dict[str, PayoffReport]
-    deltas: tuple[CpscDelta, ...]
+    deltas: tuple[OrderingResult, ...]
     advertiser: int
     passed: bool
-    replications: int
-    seed: int
 
 
 def cpsc_comparison(
@@ -240,16 +228,12 @@ def cpsc_comparison(
         return {label: sum_sq(d) for label, d in zip(_CPSC_DELTAS, diffs)}
 
     table, tot = _payoff_pass(game, ("CPC", "CPSC", "OCPC"), replications, seed, threads, paired)
-    deltas = []
-    for label in _CPSC_DELTAS:
-        ms = mean_se(*tot[label], replications)
-        holds = ms.mean > se_factor * ms.se or (ms.mean == 0.0 and ms.se == 0.0)
-        deltas.append(CpscDelta(label, ms, holds))
+    deltas = tuple(
+        _ordering(label, mean_se(*tot[label], replications), se_factor) for label in _CPSC_DELTAS
+    )
     return CpscReport(
         table=table,
-        deltas=tuple(deltas),
+        deltas=deltas,
         advertiser=advertiser,
         passed=all(d.holds for d in deltas),
-        replications=replications,
-        seed=seed,
     )

@@ -61,13 +61,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PayoffReport:
-    model: str
-    scenario: str
     advertisers: tuple[MeanSE, ...]
     platform: MeanSE
     social: MeanSE
-    replications: int
-    seed: int
     method: str = "analytic-mc"
     conservation_residual: float = 0.0  # sum over draws of S - P - sum(utils)
 
@@ -156,13 +152,9 @@ def _payoff_pass(game: Game, names, replications: int, seed: int, threads: int, 
     tot = run_batched(replications, batch_fn, threads=threads)
     reports = {
         name: PayoffReport(
-            model=name,
-            scenario=game.scenario.kind,
             advertisers=tuple(mean_se(*tot[name, i], replications) for i in range(game.n)),
             platform=mean_se(*tot[name, "p"], replications),
             social=mean_se(*tot[name, "s"], replications),
-            replications=replications,
-            seed=seed,
             conservation_residual=float(tot[name, "resid"]),
         )
         for name in names
@@ -206,13 +198,9 @@ def exact_equilibrium_payoffs(game: Game) -> PayoffReport:
         vals = [spec.m * math.prod(spec.rate_means()) for spec in game.specs]
         utils = [v / n for v in vals]
         return PayoffReport(
-            model=game.model.name,
-            scenario=game.scenario.kind,
             advertisers=tuple(MeanSE(u, 0.0, 0) for u in utils),
             platform=MeanSE(0.0, 0.0, 0),
             social=MeanSE(math.fsum(utils), 0.0, 0),
-            replications=0,
-            seed=0,
             method="exhaustive",
         )
 
@@ -249,13 +237,9 @@ def exact_equilibrium_payoffs(game: Game) -> PayoffReport:
         for i in ties:
             util_terms[i].append(share * (scores[i] - e_loser))
     return PayoffReport(
-        model=game.model.name,
-        scenario=game.scenario.kind,
         advertisers=tuple(MeanSE(math.fsum(t), 0.0, 0) for t in util_terms),
         platform=MeanSE(math.fsum(plat_terms), 0.0, 0),
         social=MeanSE(math.fsum(soc_terms), 0.0, 0),
-        replications=0,
-        seed=0,
         method="exhaustive",
     )
 
@@ -334,8 +318,17 @@ def expected_min_max(
 @dataclass(frozen=True)
 class OrderingResult:
     name: str
-    delta: MeanSE  # OCPC minus CPC, paired per draw
+    delta: MeanSE  # paired per-draw difference
     holds: bool  # right sign with the SE-factor margin
+
+
+def _ordering(name: str, delta: MeanSE, se_factor: float, positive: bool = True) -> OrderingResult:
+    """The ordering verdict: delta lies beyond se_factor x SE in the wanted
+    direction. Degenerate laws make both arms identical, so an exact zero
+    counts as held."""
+    margin = se_factor * delta.se
+    holds = delta.mean > margin if positive else delta.mean < -margin
+    return OrderingResult(name, delta, holds or (delta.mean == 0.0 and delta.se == 0.0))
 
 
 @dataclass(frozen=True)
@@ -359,8 +352,6 @@ class OrderingSuite:
     advertisers: tuple[OrderingResult, ...]
     decomposition: tuple[DecompositionCheck, ...]
     passed: bool
-    replications: int
-    seed: int
 
 
 def payoff_ordering_suite(
@@ -400,18 +391,10 @@ def payoff_ordering_suite(
     dS = mean_se(*tot["dS"], n)
     dP = mean_se(*tot["dP"], n)
 
-    def ordering(name, delta, want_positive):
-        margin = se_factor * delta.se
-        holds = delta.mean > margin if want_positive else delta.mean < -margin
-        # degenerate laws make both arms identical: equality counts as held
-        if delta.mean == 0.0 and delta.se == 0.0:
-            holds = True
-        return OrderingResult(name, delta, holds)
-
     advs, decomps = [], []
     for i in range(2):
         du, gain, loss, resid = (mean_se(*tot[f"{k}{i}"], n) for k in ("du", "g", "l", "r"))
-        advs.append(ordering(f"advertiser_{i}_payoff_higher", du, True))
+        advs.append(_ordering(f"advertiser_{i}_payoff_higher", du, se_factor))
         decomps.append(
             DecompositionCheck(
                 advertiser=i,
@@ -423,8 +406,8 @@ def payoff_ordering_suite(
                 or resid.mean == 0.0,
             )
         )
-    social = ordering("social_welfare_higher", dS, True)
-    platform = ordering("platform_payoff_lower", dP, False)
+    social = _ordering("social_welfare_higher", dS, se_factor)
+    platform = _ordering("platform_payoff_lower", dP, se_factor, positive=False)
     passed = (
         social.holds
         and platform.holds
@@ -437,6 +420,4 @@ def payoff_ordering_suite(
         advertisers=tuple(advs),
         decomposition=tuple(decomps),
         passed=passed,
-        replications=n,
-        seed=seed,
     )

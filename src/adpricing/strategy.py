@@ -160,7 +160,6 @@ class FixtureScan:
     utility_theory: float
     se_theory: float
     utilities: np.ndarray  # per grid bid
-    ses: np.ndarray
     argmax_index: int
     margin: float  # utility_theory - max grid utility
     se_margin: float  # paired SE of that difference
@@ -169,19 +168,12 @@ class FixtureScan:
 
 @dataclass(frozen=True)
 class DominanceReport:
-    model: str
-    scenario: str
-    advertiser: int
-    grid: np.ndarray
-    alpha: float
     theory_bid: float
     theory_index: int  # nearest grid index to the theoretical bid
     fixtures: tuple[FixtureScan, ...]
     mean_curve: np.ndarray  # across-fixture average utility per grid bid
     argmax_index: int  # argmax of mean_curve (localization check)
     passed: bool
-    replications: int
-    seed: int
 
 
 def best_response_scan(
@@ -256,7 +248,7 @@ def best_response_scan(
         means = s / n
         ses = np.sqrt(np.maximum(q / n - means**2, 0.0) / max(n - 1, 1))
         u_th, se_th = means[th], ses[th]
-        u_grid, se_grid = means[:-1], ses[:-1]
+        u_grid = means[:-1]
         diff = u_th - u_grid
         var_d = np.maximum(dsq[:-1] / n - diff**2, 0.0)
         se_d = np.sqrt(var_d / max(n - 1, 1))
@@ -268,7 +260,6 @@ def best_response_scan(
                 utility_theory=float(u_th),
                 se_theory=float(se_th),
                 utilities=u_grid,
-                ses=se_grid,
                 argmax_index=amax,
                 margin=float(u_th - u_grid[amax]),
                 se_margin=float(se_d[amax]),
@@ -278,19 +269,12 @@ def best_response_scan(
 
     mean_curve = np.mean([f.utilities for f in fixtures], axis=0)
     return DominanceReport(
-        model=game.model.name,
-        scenario=game.scenario.kind,
-        advertiser=i,
-        grid=grid,
-        alpha=alpha,
         theory_bid=float(theoretical),
         theory_index=int(np.argmin(np.abs(grid - theoretical))),
         fixtures=tuple(fixtures),
         mean_curve=mean_curve,
         argmax_index=int(np.argmax(mean_curve)),
         passed=all(f.passed for f in fixtures),
-        replications=replications,
-        seed=seed,
     )
 
 
@@ -308,10 +292,6 @@ class CollapseRound:
 @dataclass(frozen=True)
 class CollapseTrace:
     rounds: tuple[CollapseRound, ...]
-    decay: float
-    threshold: float
-    replications: int
-    seed: int
 
 
 def cpa_collapse(
@@ -393,16 +373,11 @@ def cpa_collapse(
             )
         )
         alpha_hat = alpha
-    return CollapseTrace(tuple(rows), decay, threshold, replications, seed)
+    return CollapseTrace(tuple(rows))
 
 
 @dataclass(frozen=True)
 class ReportingInvariance:
-    alpha: float
-    bid: float
-    rival_es: tuple[float, ...]
-    utilities_scaled: tuple[FixtureScan, ...]  # (bid, alpha) play
-    utilities_truthful: tuple[FixtureScan, ...]  # (alpha x bid, 1) play
     max_rel_diff: float
     passed: bool
 
@@ -440,11 +415,6 @@ def ocpc_reporting_invariance(
         if scale > 0:
             worst = max(worst, abs(a.utility_theory - b.utility_theory) / scale)
     return ReportingInvariance(
-        alpha=alpha,
-        bid=bid,
-        rival_es=tuple(fixtures),
-        utilities_scaled=scaled,
-        utilities_truthful=truthful,
         max_rel_diff=worst,
         passed=worst <= rel_tol,
     )

@@ -1,6 +1,7 @@
 """YAML config parsing, override semantics, and end-to-end CLI runs on
 temporary output directories."""
 
+import csv
 import hashlib
 import json
 from pathlib import Path
@@ -316,6 +317,7 @@ def test_cli_bad_study_params_exit_two(tmp_path, capsys, study, key, value):
     cfg = _write(tmp_path, _small_dict(study, **{key: value}))
     assert cli.main(["--config", cfg, "--out", str(out)]) == 2
     assert f"study_params.{study}.{key}" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_cli_thread_count_never_changes_csvs(tmp_path):
@@ -336,3 +338,87 @@ def test_cli_thread_count_never_changes_csvs(tmp_path):
     for study in ("sweep", "cpsc", "lemmas"):
         assert blobs[study, 1]
         assert blobs[study, 1] == blobs[study, 2]
+
+
+def test_cli_bad_later_study_param_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "results"
+    out.mkdir()
+    raw = _small_dict("reproduce-all")
+    raw["study_params"]["sweep"]["r_points"] = 0  # sweep runs after four other studies
+    cfg = _write(tmp_path, raw)
+    assert cli.main(["--config", cfg, "--out", str(out)]) == 2
+    assert "study_params.sweep.r_points" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_cli_crashing_study_writes_nothing(tmp_path, monkeypatch):
+    out = tmp_path / "results"
+    out.mkdir()
+    raw = _small_dict("reproduce-all")
+    raw["out"] = str(out)
+    cfg = load_config(_write(tmp_path, raw))
+
+    def crash(cfg):
+        raise RuntimeError("study crashed")
+
+    monkeypatch.setitem(cli.STUDY_FUNCS, "cpsc", crash)
+    with pytest.raises(RuntimeError, match="study crashed"):
+        cli.run(cfg)
+    assert not any(out.iterdir())
+
+
+def test_cli_runtime_error_exits_two(tmp_path, capsys):
+    out = tmp_path / "results"
+    out.mkdir()
+    raw = _small_dict("simulate")
+    raw["game"]["model"] = "CPC"
+    for adv in raw["game"]["advertisers"]:
+        adv["rates"]["click"] = {"kind": "point", "v": 0.0}  # no click is ever priced
+    cfg = _write(tmp_path, raw)
+    assert cli.main(["--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "rejected" in err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert not any(out.iterdir())
+
+
+# column orders as documented in the README's Outputs section
+README_HEADERS = {
+    "simulate/trace.csv": "round,winner,e_loser,price_per_pay_event,payoff_1,payoff_2,"
+    "platform_payoff,social_welfare,conservation",
+    "simulate/totals.csv": "rounds,mode,payoff_1,payoff_2,platform_payoff,social_welfare",
+    "dominance/dominance.csv": "model,scenario,advertiser,fixture_multiplier,rival_e,"
+    "theory_bid,utility_theory,se_theory,grid_best_utility,margin,se_margin,"
+    "argmax_index,theory_index,passed,no_equilibrium",
+    "lemmas/orderings.csv": "quantity,comparison,delta_mean,delta_se,z,holds",
+    "lemmas/degenerate_control.csv": "quantity,comparison,delta_mean,delta_se,z,holds",
+    "lemmas/decomposition.csv": "advertiser,direct_mean,direct_se,gain_mean,gain_se,"
+    "loss_mean,loss_se,residual_mean,residual_se,consistent",
+    "lemmas/dice_oracle.csv": "statistic,exact,monte_carlo,abs_error",
+    "collapse/collapse.csv": "round,alpha,alpha_hat,collapsed,revenue_mean,revenue_se,"
+    "winner_share_1,winner_share_2,utility_1_mean,utility_1_se,utility_2_mean,utility_2_se",
+    "sweep/sweep.csv": "r,chosen,feasible_CPC,feasible_OCPC,platform_mean,platform_se,"
+    "social_mean,social_se,payoff_1_mean,payoff_1_se,payoff_2_mean,payoff_2_se,"
+    "innovation,adv1_drop,adv1_drop_se",
+    "sweep/boundaries.csv": "model,entry_threshold_mean,entry_threshold_se",
+    "cpsc/orderings.csv": "comparison,delta_mean,delta_se,z,holds",
+    "cpsc/payoffs.csv": "model,payoff_1_mean,payoff_1_se,payoff_2_mean,payoff_2_se,"
+    "platform_mean,platform_se,social_mean,social_se",
+    "cpsc/enumeration.csv": "model,quantity,exact,mc_mean,mc_se,z,agree",
+    "summary.csv": "study,passed,checks,checks_passed",
+}
+
+
+def test_cli_csv_headers_match_readme(tmp_path):
+    out = tmp_path / "results"
+    out.mkdir()
+    cfg = _write(tmp_path, _small_dict("reproduce-all"))
+    assert cli.main(["--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["files"]) == set(README_HEADERS)
+    for rel, header in README_HEADERS.items():
+        with open(out / rel, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == header.split(","), rel
+        assert len(rows) > 1, rel
+        assert all(len(row) == len(rows[0]) for row in rows[1:]), rel

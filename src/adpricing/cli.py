@@ -143,7 +143,8 @@ def _theoretical_profile(game):
 
 
 def _study_simulate(cfg: ExperimentConfig):
-    rounds = cfg.int_param("simulate", "rounds", 1000)
+    # the trace holds one row per round in memory
+    rounds = cfg.int_param("simulate", "rounds", 1000, maximum=1_000_000)
     mode = cfg.params("simulate").get("mode", "analytic")
     if mode not in ("analytic", "realized"):
         raise ConfigError("study_params.simulate.mode", f"expected analytic or realized, got {mode!r}")
@@ -182,7 +183,7 @@ def _study_simulate(cfg: ExperimentConfig):
 def _study_dominance(cfg: ExperimentConfig):
     reps = cfg.study_replications("dominance", default=100_000)
     # a grid needs both ends: bid 0 and grid_max x the theoretical bid
-    grid_points = cfg.int_param("dominance", "grid_points", 101, minimum=2)
+    grid_points = cfg.int_param("dominance", "grid_points", 101, minimum=2, maximum=100_000)
     grid_max = cfg.number_param("dominance", "grid_max_multiplier", 2.0, above=0.0)
     fixtures = cfg.numbers_param("dominance", "fixtures", [0.25, 0.5, 1.0, 2.0], above=0.0)
     fixture_reps = cfg.int_param("dominance", "fixture_replications", 200_000)

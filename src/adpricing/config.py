@@ -113,11 +113,15 @@ def _number(
     return float(value)
 
 
-def _integer(value: Any, where: str, minimum: int | None = None) -> int:
+def _integer(
+    value: Any, where: str, minimum: int | None = None, maximum: int | None = None
+) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(where, f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(where, f"must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(where, f"must be <= {maximum}, got {value}")
     return value
 
 
@@ -233,10 +237,13 @@ class ExperimentConfig:
     def params(self, study: str) -> dict:
         return self.study_params.get(study, {})
 
-    def int_param(self, study: str, key: str, default: int, minimum: int = 1) -> int:
-        """study_params.<study>.<key>, or default, as an integer >= minimum."""
+    def int_param(
+        self, study: str, key: str, default: int, minimum: int = 1, maximum: int | None = None
+    ) -> int:
+        """study_params.<study>.<key>, or default, as an integer within
+        [minimum, maximum]."""
         return _integer(
-            self.params(study).get(key, default), f"study_params.{study}.{key}", minimum
+            self.params(study).get(key, default), f"study_params.{study}.{key}", minimum, maximum
         )
 
     def number_param(self, study: str, key: str, default: float, **bounds) -> float:

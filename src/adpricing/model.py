@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .distributions import Distribution
+from .sampling import ADVERTISER_LIMIT
 
 __all__ = [
     "EventChain",
@@ -226,6 +227,11 @@ def validate_game(
     violations: list[str] = []
     if len(specs) == 0:
         violations.append("advertiser list is empty")
+    if len(specs) >= ADVERTISER_LIMIT:
+        violations.append(
+            f"{len(specs)} advertisers: at most {ADVERTISER_LIMIT - 1}, "
+            "so rate draw keys stay apart from tie-break keys"
+        )
     if model.name == "CPSC" and not chain.has_cart:
         violations.append("CPSC: missing cart depth")
     if model.bid_depth > chain.conversion_depth:

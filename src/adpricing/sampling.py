@@ -27,6 +27,7 @@ __all__ = [
     "batch_rng",
     "rate_role",
     "TIE_ROLE",
+    "ADVERTISER_LIMIT",
     "batch_layout",
     "run_batched",
     "settle",
@@ -46,8 +47,10 @@ STREAM_MINMAX = 5
 STREAM_FIXTURES = 7
 STREAM_ROUNDS = 8
 
-# role ids inside a batch
+# role ids inside a batch: rate laws take 64 x advertiser + depth, which
+# stays below TIE_ROLE for fewer than ADVERTISER_LIMIT advertisers
 TIE_ROLE = 1_000_000
+ADVERTISER_LIMIT = TIE_ROLE // 64
 
 
 def rate_role(advertiser: int, depth: int) -> int:

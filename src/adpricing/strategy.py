@@ -20,7 +20,12 @@ platform's revenue hits zero.
 best_response_scan verifies dominance numerically: it sweeps a bid
 grid against fixed rival equivalent bids with common random numbers
 and checks that the theoretical bid is within 3 standard errors of
-the grid maximum everywhere.
+the grid maximum everywhere. Bid b wins a draw when x * b beats the
+rival, x being the draw's product of rates up to the bid depth; that is
+monotone in x for b >= 0, so every bid wins on an upper tail of a
+batch's sorted draws. One sort, one win boundary per bid and suffix sums
+of the utility then give every grid bid's moments, at a cost that does
+not grow with the product of draws and grid size.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import numpy as np
 from .model import Game, PlatformBelief, PricingModel, Scenario, Strategy, EventChain
 from .engine import _manip_factor
 from .sampling import (
+    BATCH_SIZE,
     STREAM_COLLAPSE,
     STREAM_FIXTURES,
     STREAM_UTILITY,
@@ -176,6 +182,36 @@ class DominanceReport:
     passed: bool
 
 
+def _win_starts(x: np.ndarray, bids: np.ndarray, e: float) -> np.ndarray:
+    """Per bid b >= 0, the first index k of ascending x with x[k] * b > e,
+    so that b wins on exactly x[k:] (len(x) when it never wins).
+
+    x -> x * b is monotone in floats, so the win set is an upper tail.
+    searchsorted on e / b guesses its start to within rounding; the guess
+    then steps over whole blocks of tied values until the float
+    comparison the auction makes holds: x[k - 1] * b <= e < x[k] * b."""
+    n = x.size
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.searchsorted(x, e / bids, side="right")
+    while True:
+        down = k > 0
+        down[down] = x[k[down] - 1] * bids[down] > e
+        if not down.any():
+            break
+        k[down] = np.searchsorted(x, x[k[down] - 1], side="left")
+    while True:
+        up = k < n
+        up[up] = ~(x[k[up]] * bids[up] > e)
+        if not up.any():
+            return k
+        k[up] = np.searchsorted(x, x[k[up]], side="right")
+
+
+def _suffix_sums(v: np.ndarray) -> np.ndarray:
+    """out[k] = v[k:].sum() for k = 0..len(v); out[len(v)] = 0."""
+    return np.append(np.cumsum(v[::-1])[::-1], 0.0)
+
+
 def best_response_scan(
     i: int,
     grid,
@@ -198,6 +234,12 @@ def best_response_scan(
     (extreme fixtures produce flat always-win or never-win stretches
     where a per-fixture argmax is meaningless).
 
+    Each batch sorts its bid-depth rate products x once. Bid b wins
+    against fixture e on an upper tail x[k:] (see _win_starts), so
+    suffix sums of the utility w and of w^2 give every bid's sums, and
+    the draws on which a grid bid and the theoretical bid disagree form
+    the contiguous range between their win starts.
+
     theoretical overrides the derived equilibrium bid (negative controls)."""
     grid = np.asarray(list(grid), dtype=np.float64)
     rival_es = [float(x) for x in rival_es]
@@ -214,29 +256,29 @@ def best_response_scan(
             raise ValueError("no theoretical bid exists for this model/scenario")
         theoretical = strat.bid
     bid_manip, pay_ratio, value_mul = _utility_coefficients(game, i, alpha, alpha_hat)
-    stream_scan = STREAM_UTILITY
 
     # last evaluation column holds the theoretical bid
     bids_eval = np.append(grid, theoretical) * bid_manip
-    n_cols = bids_eval.size
-    th = n_cols - 1
+    if not np.all(bids_eval >= 0.0):
+        raise ValueError("bids must be >= 0")
+    th = bids_eval.size - 1
 
     def batch_fn(b_idx: int, size: int) -> dict:
-        prod_bd = np.ones(size, dtype=np.float64)
+        x = np.ones(size, dtype=np.float64)
         for d in range(1, bd + 1):
-            rng = batch_rng(seed, stream_scan, b_idx, rate_role(i, d))
-            prod_bd *= spec.rate(d).sample(rng, size)
-        e_mat = prod_bd[:, None] * bids_eval[None, :]
+            rng = batch_rng(seed, STREAM_UTILITY, b_idx, rate_role(i, d))
+            x *= spec.rate(d).sample(rng, size)
+        x.sort()
         out: dict = {}
         for f_idx, e_k in enumerate(rival_es):
-            win = e_mat > e_k
-            w = value_mul * prod_bd - e_k * pay_ratio
-            uw = win * w[:, None]
-            out[f"s{f_idx}"] = uw.sum(axis=0)
-            out[f"q{f_idx}"] = (uw * w[:, None]).sum(axis=0)
-            # paired squared differences against the theory column
-            flip = win != win[:, th][:, None]
-            out[f"d{f_idx}"] = (flip * (w * w)[:, None]).sum(axis=0)
+            k = _win_starts(x, bids_eval, e_k)
+            w = value_mul * x - e_k * pay_ratio
+            s1, s2 = _suffix_sums(w), _suffix_sums(w * w)
+            out[f"s{f_idx}"] = s1[k]
+            out[f"q{f_idx}"] = s2[k[th]]  # only the theoretical bid's SE is read
+            # paired squared differences against the theory column: the
+            # draws between the two win starts
+            out[f"d{f_idx}"] = np.abs(s2[k] - s2[k[th]])
         return out
 
     tot = run_batched(replications, batch_fn, threads=threads)
@@ -246,8 +288,8 @@ def best_response_scan(
     for f_idx, e_k in enumerate(rival_es):
         s, q, dsq = tot[f"s{f_idx}"], tot[f"q{f_idx}"], tot[f"d{f_idx}"]
         means = s / n
-        ses = np.sqrt(np.maximum(q / n - means**2, 0.0) / max(n - 1, 1))
-        u_th, se_th = means[th], ses[th]
+        u_th = means[th]
+        se_th = np.sqrt(max(q / n - u_th**2, 0.0) / max(n - 1, 1))
         u_grid = means[:-1]
         diff = u_th - u_grid
         var_d = np.maximum(dsq[:-1] / n - diff**2, 0.0)
@@ -317,7 +359,14 @@ def cpa_collapse(
         raise ValueError("rounds must be >= 2")
     if not (0.0 < decay < 1.0):
         raise ValueError(f"decay must lie in (0, 1), got {decay}")
-    L = game.chain.n_rate_depths
+    # a round's draws are keyed t * round_stride + batch, so a round may
+    # not use more batches than the stride
+    round_stride = 1 << 20
+    if -(-replications // BATCH_SIZE) > round_stride:
+        raise ValueError(
+            f"replications={replications} needs more than {round_stride} batches per round; "
+            "the rounds' draw keys would alias"
+        )
     ms = [spec.m for spec in game.specs]
 
     rows = []
@@ -328,7 +377,7 @@ def cpa_collapse(
 
         def batch_fn(b_idx: int, size: int, _t=t, _ah=alpha_hat, _a=alpha, _c=collapsed):
             # fold the round into the batch index so rounds never share draws
-            key = _t * (1 << 20) + b_idx
+            key = _t * round_stride + b_idx
             rates = draw_rates(game, seed, STREAM_COLLAPSE, key, size)
             values = np.stack(
                 [ms[i] * np.prod(rates[i], axis=0) for i in range(game.n)], axis=0

@@ -303,12 +303,14 @@ def test_cli_reproduce_all_with_three_advertisers_exits_two(tmp_path, capsys):
     [
         ("dominance", "grid_points", 0),
         ("dominance", "grid_points", "x"),
+        ("dominance", "grid_points", 1_000_000_000),  # above 100_000
         ("dominance", "fixtures", 5),
         ("collapse", "decay", 2),
         ("collapse", "rounds", 1),
         ("sweep", "r_points", 0),
         ("sweep", "r_max", -1.0),  # below r_min = 0
         ("cpsc", "enumeration_replications", 0),
+        ("simulate", "rounds", 1_000_000_000_000),  # above 1_000_000
     ],
 )
 def test_cli_bad_study_params_exit_two(tmp_path, capsys, study, key, value):
@@ -326,7 +328,7 @@ def test_cli_thread_count_never_changes_csvs(tmp_path):
     cfg = _write(tmp_path, raw)
     blobs = {}
     for threads in (1, 2):
-        for study in ("sweep", "cpsc", "lemmas"):
+        for study in ("sweep", "cpsc", "lemmas", "dominance"):
             out = tmp_path / f"{study}-t{threads}"
             out.mkdir()
             argv = ["--config", cfg, "--out", str(out), "--study", study,
@@ -335,7 +337,7 @@ def test_cli_thread_count_never_changes_csvs(tmp_path):
             blobs[study, threads] = {
                 p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.csv"))
             }
-    for study in ("sweep", "cpsc", "lemmas"):
+    for study in ("sweep", "cpsc", "lemmas", "dominance"):
         assert blobs[study, 1]
         assert blobs[study, 1] == blobs[study, 2]
 

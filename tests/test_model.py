@@ -19,6 +19,8 @@ from adpricing.model import (
     validate_game,
 )
 
+from adpricing.sampling import TIE_ROLE, rate_role
+
 from conftest import default_specs, make_game, point_specs
 
 
@@ -111,6 +113,22 @@ def test_validate_game_collects_all_violations():
     assert "exceeds 1 or dips below 0" in msg
     assert "expected 2 rate laws" in msg
     assert len(err.value.violations) == 4
+
+
+def test_validate_game_keeps_rate_keys_below_the_tie_key():
+    # rate draws are keyed 64 x advertiser + depth; the tie-break key is
+    # TIE_ROLE, so the advertiser count is capped below TIE_ROLE // 64
+    chain = EventChain(CHAIN_3)
+    model = pricing_model("CPC", chain)
+    spec = default_specs()[0]
+    limit = TIE_ROLE // 64
+    assert rate_role(limit - 2, chain.n_rate_depths) < TIE_ROLE
+    validate_game([spec] * (limit - 1), chain, model, in_site())
+    with pytest.raises(GameValidationError) as err:
+        validate_game([spec] * limit, chain, model, in_site())
+    assert err.value.violations == [
+        f"{limit} advertisers: at most {limit - 1}, so rate draw keys stay apart from tie-break keys"
+    ]
 
 
 def test_validate_game_out_site_depth():

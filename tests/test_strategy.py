@@ -1,9 +1,12 @@
 """Theoretical strategies, utility estimation, dominance scans, the
 reporting invariance, and the underreporting spiral."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from adpricing.distributions import Discrete
 from adpricing.model import (
     CHAIN_4,
     PlatformBelief,
@@ -11,8 +14,10 @@ from adpricing.model import (
     in_site,
     out_site,
 )
+from adpricing.sampling import BATCH_SIZE, STREAM_UTILITY, batch_rng, rate_role
 from adpricing.strategy import (
     NO_EQUILIBRIUM,
+    _win_starts,
     best_response_scan,
     cpa_collapse,
     equilibrium_fixture_bids,
@@ -148,6 +153,15 @@ def test_reporting_invariance_requires_out_site_ocpc():
         ocpc_reporting_invariance(0, 0.5, 100.0, make_game(default_specs(), model="OCPC"))
 
 
+def test_scan_rejects_negative_bids():
+    # the sorted-threshold kernel relies on x -> x * b being increasing
+    game = make_game(default_specs(), model="CPC")
+    with pytest.raises(ValueError, match="bids must be >= 0"):
+        best_response_scan(0, [0.0, -1.0], [1.0], game, replications=10)
+    with pytest.raises(ValueError, match="bids must be >= 0"):
+        best_response_scan(0, [1.0], [1.0], game, replications=10, theoretical=-1.0)
+
+
 def test_scan_rejects_zero_belief_at_charged_conversions():
     # CPA out-site charges per reported conversion: with alpha_hat = 0 the
     # platform predicts none, so no price per conversion exists
@@ -193,3 +207,121 @@ def test_cpa_collapse_validation():
         cpa_collapse(game, 1, 0.5)
     with pytest.raises(ValueError):
         cpa_collapse(game, 5, 1.0)
+
+
+def test_cpa_collapse_rejects_aliasing_round_keys():
+    # a round's batch keys are t * 2^20 + batch: one more batch than that
+    # would reach the next round's keys (rejected before any draw)
+    game = make_game(default_specs(), model="CPA", scenario="out_site")
+    with pytest.raises(ValueError, match="batches per round"):
+        cpa_collapse(game, 5, 0.5, replications=(1 << 20) * BATCH_SIZE + 1)
+
+
+def _scan_draws(game, seed, size):
+    """Advertiser 0's rate products up to the bid depth in batch 0 of the
+    scan, unsorted."""
+    spec = game.specs[0]
+    x = np.ones(size)
+    for d in range(1, game.model.bid_depth + 1):
+        x *= spec.rate(d).sample(batch_rng(seed, STREAM_UTILITY, 0, rate_role(0, d)), size)
+    return x
+
+
+def _dense_scan_sums(game, x, bids, rival_es):
+    """Per fixture, the scan's sums by the dense rule: every draw's product
+    with every bid is compared with the fixture. In-site without a belief,
+    so bids and payments are not rescaled; the last bid is the theory
+    column."""
+    spec = game.specs[0]
+    value_mul = spec.m
+    for d in range(game.model.bid_depth + 1, game.chain.conversion_depth + 1):
+        value_mul *= spec.rate_means()[d - 1]
+    sums = []
+    for e in rival_es:
+        win = x[:, None] * bids[None, :] > e
+        w = value_mul * x - e
+        uw = win * w[:, None]
+        flip = win != win[:, -1:]
+        sums.append((win, w, uw.sum(axis=0), (uw * w[:, None]).sum(axis=0),
+                     (flip * (w * w)[:, None]).sum(axis=0)))
+    return sums
+
+
+def _atom_game():
+    # click rates on three atoms: many draws tie on every threshold
+    (spec, rival) = default_specs()
+    spec = replace(spec, rates=(Discrete((0.25, 0.35, 0.45), (0.3, 0.4, 0.3)), spec.rates[1]))
+    return make_game((spec, rival), model="CPC")
+
+
+def _misguessed_fixtures(x, bids):
+    """Fixtures on which the quotient guess e / b lands on the wrong side
+    of a drawn x, so the win start must be corrected: x * b hit exactly
+    with (x * b) / b < x, and the float just below x * b with a quotient
+    >= x."""
+    found = {}
+    for v in np.unique(x)[:200]:
+        for b in bids[bids > 0]:
+            below = np.nextafter(v * b, 0.0)
+            if (v * b) / b < v:
+                found.setdefault("up", v * b)
+            if below / b >= v:
+                found.setdefault("down", below)
+    return list(found.values())
+
+
+@pytest.mark.parametrize(
+    "game_fn, n_misguessed",
+    [
+        (_atom_game, 2),
+        (lambda: make_game(default_specs(), model="CPC"), 2),
+        # bid depth 0: every x is 1, one block of ties, never misguessed
+        (lambda: make_game(default_specs(), model="CPM"), 0),
+    ],
+    ids=["atoms", "continuous", "bid-depth-0"],
+)
+def test_scan_matches_dense_oracle(game_fn, n_misguessed):
+    game = game_fn()
+    theory = _theory(game).bid
+    size, seed = 5000, 3
+    grid = np.linspace(0.0, 2.0 * theory, 21)  # holds bid 0 and the theoretical bid
+    assert grid[10] == theory
+    bids = np.append(grid, theory)
+    x = _scan_draws(game, seed, size)
+    # fixtures hit exactly (a drawn x times a grid bid, the same x times
+    # the theoretical bid), fixtures the quotient guess misses, and one
+    # between draws
+    misguessed = _misguessed_fixtures(x, grid)
+    assert len(misguessed) == n_misguessed
+    rival_es = [x[0] * grid[7], x[0] * theory, *misguessed, 0.9 * x.mean() * theory]
+    dense = _dense_scan_sums(game, x, bids, rival_es)
+
+    xs = np.sort(x)
+    for (win, *_), e in zip(dense, rival_es):
+        k = _win_starts(xs, bids, e)
+        assert np.array_equal(xs[:, None] * bids[None, :] > e, np.arange(size)[:, None] >= k)
+        assert np.array_equal(win.sum(axis=0), size - k)
+
+    n = size
+    rep = best_response_scan(0, grid, rival_es, game, replications=n, seed=seed,
+                             theoretical=theory)
+    # one one-bid scan per grid bid reports that bid's paired margin and SE
+    singles = [
+        best_response_scan(0, [b], rival_es, game, replications=n, seed=seed,
+                           theoretical=theory).fixtures
+        for b in grid
+    ]
+    for f, (scan, (win, w, s, q, dsq)) in enumerate(zip(rep.fixtures, dense)):
+        # a sum's rounding scales with the magnitude of its terms
+        u_tol = 1e-12 * np.abs(w).mean()
+        means = s / n
+        np.testing.assert_allclose(scan.utilities, means[:-1], rtol=1e-12, atol=u_tol)
+        np.testing.assert_allclose(scan.utility_theory, means[-1], rtol=1e-12, atol=u_tol)
+        se_th = np.sqrt(max(q[-1] / n - means[-1] ** 2, 0.0) / (n - 1))
+        np.testing.assert_allclose(scan.se_theory, se_th, rtol=1e-12)
+        diff = means[-1] - means[:-1]
+        se_d = np.sqrt(np.maximum(dsq[:-1] / n - diff**2, 0.0) / (n - 1))
+        np.testing.assert_allclose([one[f].margin for one in singles], diff,
+                                   rtol=1e-12, atol=u_tol)
+        np.testing.assert_allclose([one[f].se_margin for one in singles], se_d, rtol=1e-12)
+        assert scan.passed == bool(np.all(diff >= -3.0 * se_d))

@@ -48,7 +48,7 @@ from .payoffs import (
     expected_min_max,
     payoff_ordering_suite,
 )
-from .sampling import MeanSE
+from .sampling import SE_FACTOR, MeanSE
 from .strategy import (
     NO_EQUILIBRIUM,
     best_response_scan,
@@ -200,17 +200,22 @@ def _study_dominance(cfg: ExperimentConfig):
     for model_name, kind in DOMINANCE_COMBOS:
         scenario = in_site() if kind == "in_site" else out_site(cfg.game.chain)
         game = cfg.game.with_model(model_name, scenario)
-        for i, spec in enumerate(game.specs):
-            theory = theoretical_strategy(game.model, game.scenario, spec, game.chain)
-            if theory is NO_EQUILIBRIUM:
-                flagged = True
-                rows.append(
-                    [model_name, kind, spec.id] + [None] * 11 + [True]
+        theories = [
+            theoretical_strategy(game.model, game.scenario, s, game.chain) for s in game.specs
+        ]
+        if theories[0] is NO_EQUILIBRIUM:
+            flagged = True
+            rows.extend([model_name, kind, spec.id] + [None] * 11 + [True] for spec in game.specs)
+            continue
+        fixture_sets = equilibrium_fixture_bids(
+            game, multipliers=fixtures, replications=fixture_reps, seed=cfg.seed
+        )
+        for i, (spec, theory, rival_es) in enumerate(zip(game.specs, theories, fixture_sets)):
+            if not np.isfinite(grid_max * theory.bid):
+                raise ConfigError(
+                    "study_params.dominance.grid_max_multiplier",
+                    f"grid_max_multiplier x theoretical bid {theory.bid!r} overflows",
                 )
-                continue
-            rival_es = equilibrium_fixture_bids(
-                game, i, multipliers=fixtures, replications=fixture_reps, seed=cfg.seed
-            )
             grid = np.linspace(0.0, grid_max * theory.bid, grid_points)
             rep = best_response_scan(
                 i, grid, rival_es, game,
@@ -336,7 +341,7 @@ def _study_collapse(cfg: ExperimentConfig):
         abs(s - 1.0 / n) <= 0.02 for r in post for s in r.winner_share
     )
     utils_ok = bool(post) and all(
-        abs(u.mean - targets[i]) <= 3.0 * u.se
+        abs(u.mean - targets[i]) <= SE_FACTOR * u.se
         for r in post
         for i, u in enumerate(r.utilities)
     )
@@ -397,7 +402,7 @@ def _study_sweep(cfg: ExperimentConfig):
         "innovation_platform_positive": bool(inno)
         and all(row.platform.mean > 0 for row in inno),
         "innovation_drop_negative": bool(inno)
-        and all(row.adv1_drop < -3.0 * row.adv1_drop_se for row in inno),
+        and all(row.adv1_drop < -SE_FACTOR * row.adv1_drop_se for row in inno),
     }
 
 

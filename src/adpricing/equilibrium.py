@@ -201,20 +201,17 @@ def cpsc_comparison(
     replications: int = 1_000_000,
     seed: int = 0,
     threads: int = 1,
-    se_factor: float = 3.0,
-    advertiser: int | None = None,
 ) -> CpscReport:
     """Check that bidding per cart sits between CPC and OCPC on a
     four-stage funnel: the constrained advertiser's payoff rises with
     bid granularity (CPC < CPSC < OCPC) while the platform's take falls
-    (OCPC < CPSC < CPC). Paired per-draw differences, 3 SE margins."""
+    (OCPC < CPSC < CPC). Paired per-draw differences, SE_FACTOR x SE margins."""
     if not game.chain.has_cart:
         raise ValueError("cpsc_comparison needs the 4-stage chain (cart depth)")
     if game.n != 2:
         raise ValueError("cpsc_comparison compares the two-advertiser game")
-    if advertiser is None:
-        outside = _outside_indices(game)
-        advertiser = outside[0] if outside else 1
+    outside = _outside_indices(game)
+    advertiser = outside[0] if outside else 1
 
     def paired(settled) -> dict:
         pi2 = {name: arm.utils[advertiser] for name, arm in settled.items()}
@@ -228,9 +225,7 @@ def cpsc_comparison(
         return {label: sum_sq(d) for label, d in zip(_CPSC_DELTAS, diffs)}
 
     table, tot = _payoff_pass(game, ("CPC", "CPSC", "OCPC"), replications, seed, threads, paired)
-    deltas = tuple(
-        _ordering(label, mean_se(*tot[label], replications), se_factor) for label in _CPSC_DELTAS
-    )
+    deltas = tuple(_ordering(label, mean_se(*tot[label], replications)) for label in _CPSC_DELTAS)
     return CpscReport(
         table=table,
         deltas=deltas,

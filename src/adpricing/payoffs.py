@@ -33,6 +33,7 @@ import numpy as np
 from .distributions import Distribution
 from .model import Game, pricing_model
 from .sampling import (
+    SE_FACTOR,
     STREAM_MINMAX,
     STREAM_ORDERINGS,
     STREAM_PAYOFFS,
@@ -322,11 +323,11 @@ class OrderingResult:
     holds: bool  # right sign with the SE-factor margin
 
 
-def _ordering(name: str, delta: MeanSE, se_factor: float, positive: bool = True) -> OrderingResult:
-    """The ordering verdict: delta lies beyond se_factor x SE in the wanted
+def _ordering(name: str, delta: MeanSE, positive: bool = True) -> OrderingResult:
+    """The ordering verdict: delta lies beyond SE_FACTOR x SE in the wanted
     direction. Degenerate laws make both arms identical, so an exact zero
     counts as held."""
-    margin = se_factor * delta.se
+    margin = SE_FACTOR * delta.se
     holds = delta.mean > margin if positive else delta.mean < -margin
     return OrderingResult(name, delta, holds or (delta.mean == 0.0 and delta.se == 0.0))
 
@@ -359,7 +360,6 @@ def payoff_ordering_suite(
     replications: int = 1_000_000,
     seed: int = 0,
     threads: int = 1,
-    se_factor: float = 3.0,
 ) -> OrderingSuite:
     """Paired OCPC-vs-CPC comparison on one in-site two-advertiser game.
 
@@ -394,7 +394,7 @@ def payoff_ordering_suite(
     advs, decomps = [], []
     for i in range(2):
         du, gain, loss, resid = (mean_se(*tot[f"{k}{i}"], n) for k in ("du", "g", "l", "r"))
-        advs.append(_ordering(f"advertiser_{i}_payoff_higher", du, se_factor))
+        advs.append(_ordering(f"advertiser_{i}_payoff_higher", du))
         decomps.append(
             DecompositionCheck(
                 advertiser=i,
@@ -402,12 +402,12 @@ def payoff_ordering_suite(
                 gain_term=gain,
                 loss_term=loss,
                 residual=resid,
-                consistent=abs(resid.mean) <= se_factor * max(resid.se, 0.0)
+                consistent=abs(resid.mean) <= SE_FACTOR * max(resid.se, 0.0)
                 or resid.mean == 0.0,
             )
         )
-    social = _ordering("social_welfare_higher", dS, se_factor)
-    platform = _ordering("platform_payoff_lower", dP, se_factor, positive=False)
+    social = _ordering("social_welfare_higher", dS)
+    platform = _ordering("platform_payoff_lower", dP, positive=False)
     passed = (
         social.holds
         and platform.holds

@@ -33,6 +33,7 @@ __all__ = [
     "settle",
     "sum_sq",
     "mean_se",
+    "SE_FACTOR",
 ]
 
 BATCH_SIZE = 16_384
@@ -155,6 +156,10 @@ def sum_sq(x: np.ndarray) -> np.ndarray:
     """(sum, sum of squares) of one batch's per-draw values: the partial
     that run_batched adds up in batch order and mean_se(*total, n) reads."""
     return np.array([x.sum(), (x * x).sum()])
+
+
+# the standard-error multiple every Monte-Carlo verdict's margin uses
+SE_FACTOR = 3.0
 
 
 @dataclass(frozen=True)

@@ -39,10 +39,10 @@ from .model import Game, PlatformBelief, PricingModel, Scenario, Strategy, Event
 from .engine import _manip_factor
 from .sampling import (
     BATCH_SIZE,
+    SE_FACTOR,
     STREAM_COLLAPSE,
     STREAM_FIXTURES,
     STREAM_UTILITY,
-    batch_layout,
     batch_rng,
     draw_rates,
     mean_se,
@@ -118,44 +118,36 @@ def _utility_coefficients(game: Game, i: int, alpha: float, alpha_hat: float):
 
 def equilibrium_fixture_bids(
     game: Game,
-    i: int,
     multipliers=(0.25, 0.5, 1.0, 2.0),
     replications: int = 200_000,
     seed: int = 0,
-) -> list[float]:
-    """Rival equivalent-bid fixtures: multiples of E[e^{-i}], the mean of
-    the highest rival equivalent bid when rivals play theoretically.
-    Closed form from moments for one rival, Monte-Carlo otherwise."""
-    rivals = [k for k in range(game.n) if k != i]
-    if not rivals:
+) -> tuple[list[float], ...]:
+    """Rival equivalent-bid fixtures, one list per advertiser i: multiples
+    of E[e^{-i}], the mean of the highest rival equivalent bid when
+    rivals play theoretically. Closed form from moments for one rival;
+    otherwise one Monte-Carlo pass whose draws serve every advertiser."""
+    if game.n < 2:
         raise ValueError("fixtures need at least one rival")
     bd = game.model.bid_depth
+    strats = [theoretical_strategy(game.model, game.scenario, s, game.chain) for s in game.specs]
+    if any(s is NO_EQUILIBRIUM for s in strats):
+        raise ValueError(f"{game.model.name}/{game.scenario.kind} has no equilibrium bid")
+    bids = [s.bid for s in strats]
 
-    def rival_theory_bid(k: int) -> float:
-        strat = theoretical_strategy(game.model, game.scenario, game.specs[k], game.chain)
-        if isinstance(strat, NoEquilibrium):
-            raise ValueError(f"{game.model.name}/{game.scenario.kind} has no equilibrium bid")
-        return strat.bid
-
-    if len(rivals) == 1:
+    if game.n == 2:
         # same operation order as the engine's per-impression conversion,
         # so the reduction reproduces its output bitwise
-        k = rivals[0]
-        means = [game.specs[k].rate(d).mean() for d in range(1, bd + 1)]
-        base = rival_theory_bid(k) * math.prod(means)
+        bases = [bids[k] * math.prod(game.specs[k].rate_means()[:bd]) for k in (1, 0)]
     else:
-        bids = {k: rival_theory_bid(k) for k in rivals}
-        total = 0.0
-        done = 0
-        for b_idx, size in batch_layout(replications):
+        def batch_fn(b_idx: int, size: int) -> dict:
             rates = draw_rates(game, seed, STREAM_FIXTURES, b_idx, size)
-            e = np.stack(
-                [bids[k] * np.prod(rates[k, :bd, :], axis=0) for k in rivals], axis=0
-            )
-            total += float(e.max(axis=0).sum())
-            done += size
-        base = total / done
-    return [m * base for m in multipliers]
+            e = np.stack([bids[k] * np.prod(rates[k, :bd, :], axis=0) for k in range(game.n)])
+            rival_max = [np.delete(e, i, axis=0).max(axis=0).sum() for i in range(game.n)]
+            return {"rival_max": np.array(rival_max)}
+
+        tot = run_batched(replications, batch_fn)
+        bases = [float(t) / replications for t in tot["rival_max"]]
+    return tuple([m * base for m in multipliers] for base in bases)
 
 
 @dataclass(frozen=True)
@@ -223,13 +215,12 @@ def best_response_scan(
     threads: int = 1,
     theoretical: float | None = None,
     alpha: float = 1.0,
-    se_factor: float = 3.0,
 ) -> DominanceReport:
     """Sweep candidate bids against each rival fixture with common random
     numbers and test the theoretical bid for dominance.
 
     Pass rule, per fixture: utility(theoretical) >= utility(b) minus
-    se_factor x the paired standard error, for every grid bid b. The
+    SE_FACTOR x the paired standard error, for every grid bid b. The
     localization argmax is reported on the across-fixture mean curve
     (extreme fixtures produce flat always-win or never-win stretches
     where a per-fixture argmax is meaningless).
@@ -294,7 +285,7 @@ def best_response_scan(
         diff = u_th - u_grid
         var_d = np.maximum(dsq[:-1] / n - diff**2, 0.0)
         se_d = np.sqrt(var_d / max(n - 1, 1))
-        ok = bool(np.all(diff >= -se_factor * se_d))
+        ok = bool(np.all(diff >= -SE_FACTOR * se_d))
         amax = int(np.argmax(u_grid))
         fixtures.append(
             FixtureScan(
@@ -446,7 +437,7 @@ def ocpc_reporting_invariance(
     one-bid scan per arm, compared on the scanned bid's utility."""
     if game.model.name != "OCPC" or not game.scenario.is_out_site:
         raise ValueError("reporting invariance is an out-site OCPC statement")
-    fixtures = equilibrium_fixture_bids(game, i, multipliers=(0.5, 1.0, 2.0), seed=seed)
+    fixtures = equilibrium_fixture_bids(game, multipliers=(0.5, 1.0, 2.0), seed=seed)[i]
     belief_scaled = PlatformBelief(
         tuple(alpha if k == i else 1.0 for k in range(game.n))
     )

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from adpricing.distributions import Discrete, Point, Uniform
@@ -20,6 +21,11 @@ from adpricing.model import (
     validate_game,
 )
 from adpricing.strategy import theoretical_strategy
+
+# every property draws the same examples on every run; each test keeps
+# its own max_examples
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 def make_game(specs, model="OCPC", scenario="in_site", chain_events=CHAIN_3):

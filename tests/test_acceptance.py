@@ -80,9 +80,9 @@ def _variant(game, model, scenario):
 
 def _scan_all_advertisers(game, replications):
     reports = []
-    for i in range(game.n):
+    fixture_sets = equilibrium_fixture_bids(game, seed=SEED)
+    for i, fixtures in enumerate(fixture_sets):
         th = theoretical_strategy(game.model, game.scenario, game.specs[i], game.chain)
-        fixtures = equilibrium_fixture_bids(game, i, seed=SEED)
         grid = np.linspace(0.0, 2.0 * th.bid, 101)
         reports.append(
             best_response_scan(
@@ -259,9 +259,9 @@ def test_three_player_dominance_and_two_player_reduction():
     # one rival: the fixture closed form reproduces the engine conversion
     game2 = _cfg().game
     engine_es = mean_rate_equivalent_bids(game2)
+    fixture_sets = equilibrium_fixture_bids(game2, multipliers=(1.0,), seed=SEED)
     for i in range(game2.n):
-        fx = equilibrium_fixture_bids(game2, i, multipliers=(1.0,), seed=SEED)
-        assert fx[0] == engine_es[1 - i]
+        assert fixture_sets[i][0] == engine_es[1 - i]
 
 
 # --- 10: outside-option sweep --------------------------------------------
@@ -324,11 +324,12 @@ _CASES = 1000
 
 @settings(max_examples=_CASES, deadline=None)
 @given(gb=games_with_bids(), seed=st.integers(0, 2**32 - 1))
-def _prop_value_splits_between_platform_and_winner(gb, seed):
+def _prop_value_splits_and_the_take_is_the_losing_score(gb, seed):
     game, strategies = gb
     out = run_auction(game, strategies, None, np.random.default_rng(seed))
     resid = out.social_welfare - out.platform_payoff - math.fsum(out.payoffs)
     assert resid == 0.0
+    assert out.platform_payoff == out.e_loser
 
 
 @settings(max_examples=_CASES, deadline=None)
@@ -367,14 +368,6 @@ def _prop_common_bid_scale_preserves_the_winner(gb, seed, log2k):
 
 
 @settings(max_examples=_CASES, deadline=None)
-@given(gb=games_with_bids(), seed=st.integers(0, 2**32 - 1))
-def _prop_expected_take_is_the_losing_score(gb, seed):
-    game, strategies = gb
-    out = run_auction(game, strategies, None, np.random.default_rng(seed))
-    assert out.platform_payoff == out.e_loser
-
-
-@settings(max_examples=_CASES, deadline=None)
 @given(n=st.integers(1, 50_000), seed=st.integers(0, 2**32 - 1))
 def _prop_worker_count_never_shows_in_results(n, seed):
     def batch_fn(b_idx, size):
@@ -386,8 +379,7 @@ def _prop_worker_count_never_shows_in_results(n, seed):
 
 
 def test_engine_invariant_properties():
-    _prop_value_splits_between_platform_and_winner()
+    _prop_value_splits_and_the_take_is_the_losing_score()
     _prop_charge_ignores_the_winning_bid()
     _prop_common_bid_scale_preserves_the_winner()
-    _prop_expected_take_is_the_losing_score()
     _prop_worker_count_never_shows_in_results()

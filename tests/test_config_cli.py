@@ -305,6 +305,7 @@ def test_cli_reproduce_all_with_three_advertisers_exits_two(tmp_path, capsys):
         ("dominance", "grid_points", "x"),
         ("dominance", "grid_points", 1_000_000_000),  # above 100_000
         ("dominance", "fixtures", 5),
+        ("dominance", "grid_max_multiplier", 1e308),  # x theoretical bid overflows
         ("collapse", "decay", 2),
         ("collapse", "rounds", 1),
         ("sweep", "r_points", 0),

@@ -14,7 +14,15 @@ from adpricing.model import (
     in_site,
     out_site,
 )
-from adpricing.sampling import BATCH_SIZE, STREAM_UTILITY, batch_rng, rate_role
+from adpricing.sampling import (
+    BATCH_SIZE,
+    STREAM_FIXTURES,
+    STREAM_UTILITY,
+    batch_layout,
+    batch_rng,
+    draw_rates,
+    rate_role,
+)
 from adpricing.strategy import (
     NO_EQUILIBRIUM,
     _win_starts,
@@ -99,7 +107,7 @@ def test_one_bid_scan_is_seed_deterministic():
 
 def test_fixture_bids_two_player_reduction_exact():
     game = make_game(default_specs(), model="CPC")
-    fixtures = equilibrium_fixture_bids(game, 0, multipliers=(0.25, 0.5, 1.0, 2.0))
+    fixtures = equilibrium_fixture_bids(game, multipliers=(0.25, 0.5, 1.0, 2.0))[0]
     engine_e = mean_rate_equivalent_bids(game)[1]
     assert fixtures[2] == engine_e
     assert fixtures == [m * engine_e for m in (0.25, 0.5, 1.0, 2.0)]
@@ -110,18 +118,44 @@ def test_fixture_bids_three_player_between_rivals():
 
     third = replace(point_specs()[0], id=3, m=90.0)
     game = make_game(default_specs() + (third,), model="CPC")
-    fixtures = equilibrium_fixture_bids(game, 0, multipliers=(1.0,), replications=50_000)
+    fixtures = equilibrium_fixture_bids(game, multipliers=(1.0,), replications=50_000)[0]
     es = mean_rate_equivalent_bids(game)[1:]
     # the mean of the max of rival scores sits at or above every single one
     assert fixtures[0] >= max(es) - 0.05
     assert fixtures[0] <= sum(es)
 
 
+def test_fixture_pass_matches_per_advertiser_rival_max():
+    # oracle: each advertiser's own batch loop over the same draws, the max
+    # over its rivals summed per batch, then in batch order
+    third = replace(point_specs()[0], id=3, m=90.0)
+    n = 2 * BATCH_SIZE + 5
+    mults = (0.5, 1.0, 3.0)
+    for model in ("CPC", "OCPC"):
+        game = make_game(default_specs() + (third,), model=model)
+        bd = game.model.bid_depth
+        bids = [_theory(game, k).bid for k in range(game.n)]
+        fixture_sets = equilibrium_fixture_bids(game, multipliers=mults, replications=n, seed=9)
+        assert len(fixture_sets) == game.n
+        for i in range(game.n):
+            total = 0.0
+            for b_idx, size in batch_layout(n):
+                rates = draw_rates(game, 9, STREAM_FIXTURES, b_idx, size)
+                e = np.stack(
+                    [bids[k] * np.prod(rates[k, :bd, :], axis=0) for k in range(game.n) if k != i]
+                )
+                total += float(e.max(axis=0).sum())
+            assert fixture_sets[i] == [m * (total / n) for m in mults], (model, i)
+
+    with pytest.raises(ValueError, match="at least one rival"):
+        equilibrium_fixture_bids(make_game(default_specs()[:1], model="CPC"))
+
+
 def test_best_response_scan_passes_for_theory():
     game = make_game(default_specs(), model="CPC")
     theory = _theory(game)
     grid = np.linspace(0.0, 2.0 * theory.bid, 41)
-    fixtures = equilibrium_fixture_bids(game, 0)
+    fixtures = equilibrium_fixture_bids(game)[0]
     rep = best_response_scan(0, grid, fixtures, game, replications=20_000, seed=2)
     assert rep.passed
     assert abs(rep.argmax_index - rep.theory_index) <= 1
@@ -132,7 +166,7 @@ def test_best_response_scan_flags_wrong_bid():
     game = make_game(default_specs(), model="CPC")
     theory = _theory(game)
     grid = np.linspace(0.0, 2.0 * theory.bid, 41)
-    fixtures = equilibrium_fixture_bids(game, 0)
+    fixtures = equilibrium_fixture_bids(game)[0]
     rep = best_response_scan(
         0, grid, fixtures, game, replications=20_000, seed=2,
         theoretical=2.0 * theory.bid,
@@ -174,7 +208,7 @@ def test_underreporting_changes_utility():
     # the invariance maps (b, alpha) to (alpha x b, 1); plain alpha shifts
     # with the bid held fixed do move the utility
     game = make_game(default_specs(), model="OCPC", scenario="out_site")
-    fixtures = equilibrium_fixture_bids(game, 0, multipliers=(1.0,))
+    fixtures = equilibrium_fixture_bids(game, multipliers=(1.0,))[0]
     e_k = fixtures[0]
     belief = PlatformBelief((0.4, 1.0))
     (u_under,) = _one_bid(game, 100.0, [e_k], belief, 0.4, replications=20_000, seed=6)

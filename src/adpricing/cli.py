@@ -88,10 +88,6 @@ def _pair(name: str) -> list[str]:
     return [f"{name}_mean", f"{name}_se"]
 
 
-def _z(ms: MeanSE) -> float:
-    return ms.mean / ms.se if ms.se > 0 else 0.0
-
-
 class Artifacts:
     """Tracks every file a run writes so the manifest stays complete."""
 
@@ -198,7 +194,7 @@ def _study_dominance(cfg: ExperimentConfig):
     all_pass = True
     flagged = False
     for model_name, kind in DOMINANCE_COMBOS:
-        scenario = in_site() if kind == "in_site" else out_site(cfg.game.chain)
+        scenario = in_site() if kind == "in_site" else out_site()
         game = cfg.game.with_model(model_name, scenario)
         theories = [
             theoretical_strategy(game.model, game.scenario, s, game.chain) for s in game.specs
@@ -210,6 +206,11 @@ def _study_dominance(cfg: ExperimentConfig):
         fixture_sets = equilibrium_fixture_bids(
             game, multipliers=fixtures, replications=fixture_reps, seed=cfg.seed
         )
+        if not np.all(np.isfinite(fixture_sets)):
+            raise ConfigError(
+                "study_params.dominance.fixtures",
+                f"a fixture multiplier in {fixtures!r} overflows the rival equivalent bid",
+            )
         for i, (spec, theory, rival_es) in enumerate(zip(game.specs, theories, fixture_sets)):
             if not np.isfinite(grid_max * theory.bid):
                 raise ConfigError(
@@ -265,7 +266,7 @@ def _study_lemmas(cfg: ExperimentConfig):
         named = [("social_welfare", s.social), ("platform_payoff", s.platform)] + [
             (f"advertiser_{a}", res) for a, res in zip(ids, s.advertisers)
         ]
-        return [[label, res.name, res.delta, _z(res.delta), res.holds] for label, res in named]
+        return [[label, res.name, res.delta, res.delta.z(), res.holds] for label, res in named]
 
     # point-mass conversion laws at their means; click laws untouched
     conv_idx = cfg.game.chain.n_rate_depths - 1
@@ -317,7 +318,7 @@ def _study_collapse(cfg: ExperimentConfig):
     decay = cfg.number_param("collapse", "decay", 0.5, above=0.0, below=1.0)
     threshold = cfg.number_param("collapse", "threshold", 1e-3)
     reps = cfg.study_replications("collapse", default=10_000)
-    game = cfg.game.with_model("CPA", out_site(cfg.game.chain))
+    game = cfg.game.with_model("CPA", out_site())
     trace = cpa_collapse(
         game, rounds=rounds, decay=decay, replications=reps,
         seed=cfg.seed, threshold=threshold, threads=cfg.threads,
@@ -444,7 +445,7 @@ def _study_cpsc(cfg: ExperimentConfig):
             for i in range(game.n)
         ]
         for label, ex, est in quantities:
-            z = (est.mean - ex.mean) / est.se if est.se > 0 else 0.0
+            z = est.z(ex.mean)
             ok = abs(z) <= 5.0 if est.se > 0 else est.mean == ex.mean
             agree &= ok
             enum_rows.append([n, label, ex.mean, est, z, ok])
@@ -460,7 +461,7 @@ def _study_cpsc(cfg: ExperimentConfig):
     tables = {
         "orderings.csv": (
             ["comparison", *_pair("delta"), "z", "holds"],
-            [[d.name, d.delta, _z(d.delta), d.holds] for d in rep.deltas],
+            [[d.name, d.delta, d.delta.z(), d.holds] for d in rep.deltas],
         ),
         "payoffs.csv": (
             ["model"]

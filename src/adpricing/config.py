@@ -149,7 +149,7 @@ def _parse_game(
     if kind == "in_site":
         scenario = in_site()
     elif kind == "out_site":
-        scenario = out_site(chain)
+        scenario = out_site()
     else:
         raise ConfigError(f"{where}.scenario", f"expected in_site or out_site, got {kind!r}")
 

@@ -30,7 +30,7 @@ from .model import Game, MODEL_TIE_ORDER
 from .payoffs import (
     OrderingResult, PayoffReport, _ordering, _payoff_pass, estimate_equilibrium_payoffs,
 )
-from .sampling import MeanSE, mean_se, sum_sq
+from .sampling import MeanSE
 
 __all__ = [
     "entry_decision",
@@ -222,10 +222,10 @@ def cpsc_comparison(
             plat["CPC"] - plat["CPSC"],
             plat["CPSC"] - plat["OCPC"],
         )
-        return {label: sum_sq(d) for label, d in zip(_CPSC_DELTAS, diffs)}
+        return dict(zip(_CPSC_DELTAS, diffs))
 
-    table, tot = _payoff_pass(game, ("CPC", "CPSC", "OCPC"), replications, seed, threads, paired)
-    deltas = tuple(_ordering(label, mean_se(*tot[label], replications)) for label in _CPSC_DELTAS)
+    table, est = _payoff_pass(game, ("CPC", "CPSC", "OCPC"), replications, seed, threads, paired)
+    deltas = tuple(_ordering(label, est[label]) for label in _CPSC_DELTAS)
     return CpscReport(
         table=table,
         deltas=deltas,

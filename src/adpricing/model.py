@@ -98,9 +98,6 @@ class EventChain:
     def has_cart(self) -> bool:
         return "cart" in self.events
 
-    def depth_of(self, event: str) -> int:
-        return self.events.index(event)
-
 
 @dataclass(frozen=True)
 class AdvertiserSpec:
@@ -147,10 +144,10 @@ def pricing_model(name: str, chain: EventChain) -> PricingModel:
 
 @dataclass(frozen=True)
 class Scenario:
-    """in_site or out_site; out_site carries the manipulable depth."""
+    """in_site or out_site; out-site, advertisers can manipulate only
+    conversion reporting."""
 
     kind: str
-    manipulable_depth: int | None = None
 
     @property
     def is_out_site(self) -> bool:
@@ -161,9 +158,8 @@ def in_site() -> Scenario:
     return Scenario("in_site")
 
 
-def out_site(chain: EventChain) -> Scenario:
-    # manipulation is restricted to conversion reporting
-    return Scenario("out_site", chain.conversion_depth)
+def out_site() -> Scenario:
+    return Scenario("out_site")
 
 
 @dataclass(frozen=True)
@@ -254,8 +250,6 @@ def validate_game(
                 violations.append(
                     f"{tag}: depth-{d} rate support [{lo}, {hi}] exceeds 1 or dips below 0"
                 )
-    if scenario.is_out_site and scenario.manipulable_depth != chain.conversion_depth:
-        violations.append("out_site manipulable depth must be the conversion depth")
     if violations:
         raise GameValidationError(violations)
     return Game(tuple(specs), chain, model, scenario)

@@ -40,10 +40,8 @@ from .sampling import (
     MeanSE,
     batch_rng,
     draw_rates,
-    mean_se,
-    run_batched,
+    estimate,
     settle,
-    sum_sq,
     tie_uniforms,
 )
 
@@ -66,7 +64,7 @@ class PayoffReport:
     platform: MeanSE
     social: MeanSE
     method: str = "analytic-mc"
-    conservation_residual: float = 0.0  # sum over draws of S - P - sum(utils)
+    conservation_residual: float = 0.0  # mean over draws of S - P - sum(utils)
 
 
 def _score_factors(game: Game, model_name: str, i: int):
@@ -133,34 +131,34 @@ def _settle_models(
 
 
 def _payoff_pass(game: Game, names, replications: int, seed: int, threads: int, paired=None):
-    """One run_batched pass over STREAM_PAYOFFS settling every named model;
-    paired(settled) adds the caller's per-batch sums of paired per-draw
-    differences. Returns (reports by model, totals)."""
+    """One estimate pass over STREAM_PAYOFFS settling every named model;
+    paired(settled) adds the caller's paired per-draw differences.
+    Returns (reports by model, estimates by key)."""
 
     def batch_fn(b_idx: int, size: int) -> dict:
         settled = _settle_models(game, names, seed, STREAM_PAYOFFS, b_idx, size)
         out: dict = {}
         for name, arm in settled.items():
-            out[name, "p"] = sum_sq(arm.platform)
-            out[name, "s"] = sum_sq(arm.social)
-            out[name, "resid"] = (arm.social - arm.platform - arm.utils.sum(axis=0)).sum()
+            out[name, "p"] = arm.platform
+            out[name, "s"] = arm.social
+            out[name, "resid"] = arm.social - arm.platform - arm.utils.sum(axis=0)
             for i in range(game.n):
-                out[name, i] = sum_sq(arm.utils[i])
+                out[name, i] = arm.utils[i]
         if paired is not None:
             out.update(paired(settled))
         return out
 
-    tot = run_batched(replications, batch_fn, threads=threads)
+    est = estimate(replications, batch_fn, threads=threads)
     reports = {
         name: PayoffReport(
-            advertisers=tuple(mean_se(*tot[name, i], replications) for i in range(game.n)),
-            platform=mean_se(*tot[name, "p"], replications),
-            social=mean_se(*tot[name, "s"], replications),
-            conservation_residual=float(tot[name, "resid"]),
+            advertisers=tuple(est[name, i] for i in range(game.n)),
+            platform=est[name, "p"],
+            social=est[name, "s"],
+            conservation_residual=est[name, "resid"].mean,
         )
         for name in names
     }
-    return reports, tot
+    return reports, est
 
 
 def estimate_equilibrium_payoffs(
@@ -308,12 +306,10 @@ def expected_min_max(
             ],
             axis=0,
         )
-        return {"lo": sum_sq(draws.min(axis=0)), "hi": sum_sq(draws.max(axis=0))}
+        return {"lo": draws.min(axis=0), "hi": draws.max(axis=0)}
 
-    tot = run_batched(replications, batch_fn)
-    return MinMaxReport(
-        mean_se(*tot["lo"], replications), mean_se(*tot["hi"], replications), "mc"
-    )
+    est = estimate(replications, batch_fn)
+    return MinMaxReport(est["lo"], est["hi"], "mc")
 
 
 @dataclass(frozen=True)
@@ -373,27 +369,24 @@ def payoff_ordering_suite(
     def batch_fn(b_idx: int, size: int) -> dict:
         settled = _settle_models(game, ("OCPC", "CPC"), seed, STREAM_ORDERINGS, b_idx, size)
         s, t = settled["OCPC"], settled["CPC"]
-        out = {"dS": sum_sq(s.social - t.social), "dP": sum_sq(s.platform - t.platform)}
+        out = {"dS": s.social - t.social, "dP": s.platform - t.platform}
         for i in range(2):
             du = s.utils[i] - t.utils[i]
             # draws i wins only under OCPC, and only under CPC; each term is
             # the OCPC winner's gap on those draws
             gain = np.where(t.winner != i, s.utils[i], 0.0)
             loss = np.where(t.winner == i, s.utils[1 - i], 0.0)
-            out[f"du{i}"] = sum_sq(du)
-            out[f"g{i}"] = sum_sq(gain)
-            out[f"l{i}"] = sum_sq(loss)
-            out[f"r{i}"] = sum_sq(du - gain - loss)
+            out["du", i] = du
+            out["g", i] = gain
+            out["l", i] = loss
+            out["r", i] = du - gain - loss
         return out
 
-    tot = run_batched(replications, batch_fn, threads=threads)
-    n = replications
-    dS = mean_se(*tot["dS"], n)
-    dP = mean_se(*tot["dP"], n)
+    est = estimate(replications, batch_fn, threads=threads)
 
     advs, decomps = [], []
     for i in range(2):
-        du, gain, loss, resid = (mean_se(*tot[f"{k}{i}"], n) for k in ("du", "g", "l", "r"))
+        du, gain, loss, resid = (est[k, i] for k in ("du", "g", "l", "r"))
         advs.append(_ordering(f"advertiser_{i}_payoff_higher", du))
         decomps.append(
             DecompositionCheck(
@@ -406,8 +399,8 @@ def payoff_ordering_suite(
                 or resid.mean == 0.0,
             )
         )
-    social = _ordering("social_welfare_higher", dS)
-    platform = _ordering("platform_payoff_lower", dP, positive=False)
+    social = _ordering("social_welfare_higher", est["dS"])
+    platform = _ordering("platform_payoff_lower", est["dP"], positive=False)
     passed = (
         social.holds
         and platform.holds

@@ -5,7 +5,8 @@ generators derived statelessly from (master_seed, stream, batch_index,
 role), so a batch's draws never depend on which worker ran it or in
 what order. Per-batch partial sums are combined in batch-index order
 after all batches complete, which makes every estimate bitwise
-identical across worker counts.
+identical across worker counts. estimate is the one place per-draw
+values become means with standard errors.
 
 Roles separate the random inputs inside one batch (one stream per
 advertiser/depth rate law, one for tie-breaking), so changing one
@@ -31,7 +32,7 @@ __all__ = [
     "batch_layout",
     "run_batched",
     "settle",
-    "sum_sq",
+    "estimate",
     "mean_se",
     "SE_FACTOR",
 ]
@@ -152,12 +153,6 @@ def settle(scores: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return winner, top, rest.max(axis=0)
 
 
-def sum_sq(x: np.ndarray) -> np.ndarray:
-    """(sum, sum of squares) of one batch's per-draw values: the partial
-    that run_batched adds up in batch order and mean_se(*total, n) reads."""
-    return np.array([x.sum(), (x * x).sum()])
-
-
 # the standard-error multiple every Monte-Carlo verdict's margin uses
 SE_FACTOR = 3.0
 
@@ -167,6 +162,11 @@ class MeanSE:
     mean: float
     se: float
     n: int
+
+    def z(self, target: float = 0.0) -> float:
+        """Distance of the mean from target in standard errors (0 when the
+        SE is 0)."""
+        return (self.mean - target) / self.se if self.se > 0 else 0.0
 
 
 def mean_se(total: float, total_sq: float, n: int) -> MeanSE:
@@ -178,3 +178,17 @@ def mean_se(total: float, total_sq: float, n: int) -> MeanSE:
         return MeanSE(mean, 0.0, n)
     var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
     return MeanSE(mean, math.sqrt(var / n), n)
+
+
+def estimate(n: int, batch_fn: Callable[[int, int], dict], threads: int = 1) -> dict:
+    """Mean and standard error of every per-draw array batch_fn(batch_index,
+    size) returns (float or bool, one entry per draw, under any key).
+    Each batch reduces its arrays to (sum, sum of squares); run_batched
+    adds those in batch order, so the result does not depend on threads."""
+
+    def moments(b_idx: int, size: int) -> dict:
+        draws = batch_fn(b_idx, size)
+        return {key: np.array([x.sum(), (x * x).sum()]) for key, x in draws.items()}
+
+    totals = run_batched(n, moments, threads=threads)
+    return {key: mean_se(s, sq, n) for key, (s, sq) in totals.items()}

@@ -45,12 +45,11 @@ from .sampling import (
     STREAM_UTILITY,
     batch_rng,
     draw_rates,
-    mean_se,
+    estimate,
     MeanSE,
     rate_role,
     run_batched,
     settle,
-    sum_sq,
     tie_uniforms,
 )
 
@@ -142,11 +141,10 @@ def equilibrium_fixture_bids(
         def batch_fn(b_idx: int, size: int) -> dict:
             rates = draw_rates(game, seed, STREAM_FIXTURES, b_idx, size)
             e = np.stack([bids[k] * np.prod(rates[k, :bd, :], axis=0) for k in range(game.n)])
-            rival_max = [np.delete(e, i, axis=0).max(axis=0).sum() for i in range(game.n)]
-            return {"rival_max": np.array(rival_max)}
+            return {i: np.delete(e, i, axis=0).max(axis=0) for i in range(game.n)}
 
-        tot = run_batched(replications, batch_fn)
-        bases = [float(t) / replications for t in tot["rival_max"]]
+        est = estimate(replications, batch_fn)
+        bases = [est[i].mean for i in range(game.n)]
     return tuple([m * base for m in multipliers] for base in bases)
 
 
@@ -389,25 +387,22 @@ def cpa_collapse(
                 # is uniform and the price is 0
                 winner, _, payment = settle(np.zeros_like(values), u)
                 util = values / game.n
-            out = {"rev": sum_sq(payment)}
+            out = {"rev": payment}
             for i in range(game.n):
-                out[f"u{i}"] = sum_sq(util[i])
-                out[f"w{i}"] = float(np.count_nonzero(winner == i))
+                out["u", i] = util[i]
+                out["w", i] = winner == i
             return out
 
-        tot = run_batched(replications, batch_fn, threads=threads)
-        revenue = mean_se(*tot["rev"], replications)
-        if collapsed:
-            revenue = MeanSE(0.0, 0.0, replications)  # charged regime is off, exactly
-        utils = tuple(mean_se(*tot[f"u{i}"], replications) for i in range(game.n))
-        shares = tuple(float(tot[f"w{i}"]) / replications for i in range(game.n))
+        est = estimate(replications, batch_fn, threads=threads)
+        utils = tuple(est["u", i] for i in range(game.n))
+        shares = tuple(est["w", i].mean for i in range(game.n))
         rows.append(
             CollapseRound(
                 round=t,
                 alpha=alpha,
                 alpha_hat=alpha_hat,
                 collapsed=collapsed,
-                revenue=revenue,
+                revenue=est["rev"],
                 utilities=utils,
                 winner_share=shares,
             )

@@ -30,7 +30,7 @@ settings.load_profile("deterministic")
 
 def make_game(specs, model="OCPC", scenario="in_site", chain_events=CHAIN_3):
     chain = EventChain(tuple(chain_events))
-    sc = in_site() if scenario == "in_site" else out_site(chain)
+    sc = in_site() if scenario == "in_site" else out_site()
     return validate_game(list(specs), chain, pricing_model(model, chain), sc)
 
 
@@ -129,7 +129,7 @@ def small_games(draw, models=("CPM", "CPC", "CPA", "OCPC"), scenario="in_site", 
         )
         for i in range(n_adv)
     ]
-    sc = in_site() if scenario == "in_site" else out_site(chain)
+    sc = in_site() if scenario == "in_site" else out_site()
     model = pricing_model(draw(st.sampled_from(models)), chain)
     return validate_game(specs, chain, model, sc)
 

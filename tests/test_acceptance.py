@@ -74,7 +74,7 @@ def _cfg3():
 
 
 def _variant(game, model, scenario):
-    sc = in_site() if scenario == "in_site" else out_site(game.chain)
+    sc = in_site() if scenario == "in_site" else out_site()
     return game.with_model(model, sc)
 
 

@@ -11,7 +11,6 @@ from adpricing.model import (
     GameValidationError,
     PlatformBelief,
     PricingModel,
-    Scenario,
     Strategy,
     in_site,
     out_site,
@@ -33,8 +32,6 @@ def test_chain_properties():
     assert c4.n_rate_depths == 3
     assert c4.conversion_depth == 3
     assert c4.has_cart
-    assert c4.depth_of("cart") == 2
-    assert c4.depth_of("impression") == 0
 
 
 def test_chain_validation():
@@ -92,9 +89,7 @@ def test_strategy_and_belief_bounds():
 
 def test_scenarios():
     assert not in_site().is_out_site
-    oc = out_site(EventChain(CHAIN_3))
-    assert oc.is_out_site and oc.manipulable_depth == 2
-    assert out_site(EventChain(CHAIN_4)).manipulable_depth == 3
+    assert out_site().is_out_site
 
 
 def test_validate_game_collects_all_violations():
@@ -131,15 +126,6 @@ def test_validate_game_keeps_rate_keys_below_the_tie_key():
     ]
 
 
-def test_validate_game_out_site_depth():
-    chain = EventChain(CHAIN_3)
-    with pytest.raises(GameValidationError, match="manipulable depth"):
-        validate_game(
-            list(default_specs()), chain, pricing_model("CPA", chain),
-            Scenario("out_site", manipulable_depth=1),
-        )
-
-
 def test_game_accessors_and_with_model():
     game = make_game(default_specs())
     assert game.n == 2
@@ -148,7 +134,7 @@ def test_game_accessors_and_with_model():
     assert game.specs[0].rate_means() == (
         Uniform(0.2, 0.4).mean(), Uniform(0.05, 0.15).mean()
     )
-    flipped = game.with_model("CPC", out_site(game.chain))
+    flipped = game.with_model("CPC", out_site())
     assert flipped.model.name == "CPC"
     assert flipped.scenario.is_out_site
     assert flipped.specs == game.specs

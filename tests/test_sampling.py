@@ -14,6 +14,7 @@ from adpricing.sampling import (
     batch_layout,
     batch_rng,
     draw_rates,
+    estimate,
     mean_se,
     rate_role,
     run_batched,
@@ -108,6 +109,25 @@ def test_mean_se_matches_numpy():
     assert ms.n == 4
     degenerate = mean_se(4.0, 4.0, 4)  # all-ones sample
     assert degenerate == MeanSE(1.0, 0.0, 4)
+
+
+@pytest.mark.parametrize("n", [1, BATCH_SIZE, 2 * BATCH_SIZE + 5])
+def test_estimate_matches_numpy_and_thread_count(n):
+    def draws(b_idx, size):
+        x = batch_rng(3, 9, b_idx, 0).random(size)
+        return {"float": x, "bool": x < 0.3}
+
+    whole = [draws(i, size) for i, size in batch_layout(n)]
+    got = estimate(n, draws, threads=1)
+    assert estimate(n, draws, threads=2) == got
+    for key in ("float", "bool"):
+        x = np.concatenate([part[key] for part in whole])
+        assert got[key].n == n
+        assert got[key].mean == pytest.approx(np.mean(x), rel=1e-15)
+        if n == 1:
+            assert got[key].se == 0.0
+        else:
+            assert got[key].se == pytest.approx(np.std(x, ddof=1) / np.sqrt(n), rel=1e-12)
 
 
 def _settle_by_hand(scores, u):

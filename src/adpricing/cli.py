@@ -176,6 +176,13 @@ def _study_simulate(cfg: ExperimentConfig):
     return tables, {"conservation_zero": bool(all_zero)}
 
 
+def _square_finite(x) -> bool:
+    """True when every value of x and its square are finite: the dominance
+    scan sums squared utilities on the scale of the rival fixtures and bids."""
+    with np.errstate(over="ignore"):
+        return bool(np.all(np.isfinite(np.square(x))))
+
+
 def _study_dominance(cfg: ExperimentConfig):
     reps = cfg.study_replications("dominance", default=100_000)
     # a grid needs both ends: bid 0 and grid_max x the theoretical bid
@@ -206,16 +213,18 @@ def _study_dominance(cfg: ExperimentConfig):
         fixture_sets = equilibrium_fixture_bids(
             game, multipliers=fixtures, replications=fixture_reps, seed=cfg.seed
         )
-        if not np.all(np.isfinite(fixture_sets)):
+        if not _square_finite(fixture_sets):
             raise ConfigError(
                 "study_params.dominance.fixtures",
-                f"a fixture multiplier in {fixtures!r} overflows the rival equivalent bid",
+                f"a fixture multiplier in {fixtures!r} overflows the rival equivalent bid"
+                " or its square",
             )
         for i, (spec, theory, rival_es) in enumerate(zip(game.specs, theories, fixture_sets)):
-            if not np.isfinite(grid_max * theory.bid):
+            if not _square_finite(grid_max * theory.bid):
                 raise ConfigError(
                     "study_params.dominance.grid_max_multiplier",
-                    f"grid_max_multiplier x theoretical bid {theory.bid!r} overflows",
+                    f"grid_max_multiplier x theoretical bid {theory.bid!r} overflows"
+                    " or its square does",
                 )
             grid = np.linspace(0.0, grid_max * theory.bid, grid_points)
             rep = best_response_scan(

@@ -128,28 +128,48 @@ def tie_uniforms(seed: int, stream: int, batch: int, size: int) -> np.ndarray:
 
 def winner_tiebreak(scores: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Column-wise argmax of scores (shape (n, size)) with ties broken
-    uniformly by u in [0,1); mirrors the scalar engine's tie rule."""
+    uniformly by u in [0,1): the winner is the tied row of rank
+    min(int(u * k), k - 1) among the k tied rows; mirrors the scalar
+    engine's tie rule."""
+    n, size = scores.shape
+    if n == 2:
+        # with k = 2 the rank int(2u) is 1 exactly when u >= 0.5
+        a, b = scores
+        return ((b > a) | ((b == a) & (u >= 0.5))).astype(np.int64)
     top = scores.max(axis=0)
     is_max = scores == top
     k = is_max.sum(axis=0)
-    target = np.minimum((u * k).astype(np.int64), k - 1)
-    cum = np.cumsum(is_max, axis=0)
-    sel = is_max & (cum == target + 1)
-    return sel.argmax(axis=0)
+    rank = np.minimum((u * k).astype(np.int64), k - 1) + 1
+    # one pass over the rows counts the tied rows seen so far; exactly one
+    # tied row reaches the rank, and row 0 wins when no later row does
+    seen = is_max[0].astype(np.int64)
+    winner = np.zeros(size, dtype=np.int64)
+    for j in range(1, n):
+        seen += is_max[j]
+        winner += j * (is_max[j] & (seen == rank))
+    return winner
 
 
 def settle(scores: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Second-price settlement of every column of scores (shape (n, size)):
-    the tie-broken winner, its score, and the highest other score, which
-    is the price (0 when n = 1). With a tie at the top the price equals
-    the top score."""
+    """Second-price settlement of every column of float64 scores (shape
+    (n, size)): the tie-broken winner, its score, and the highest other
+    score, which is the price (0 when n = 1). With a tie at the top the
+    price equals the top score."""
     winner = winner_tiebreak(scores, u)
-    cols = np.arange(scores.shape[1])
-    top = scores[winner, cols]
-    if scores.shape[0] == 1:
+    n, size = scores.shape
+    if n == 2:
+        # top and price are the two rows' own values, swapped where row 1
+        # won: a branch-free select on the float bits, which keeps the
+        # sign of a tied zero and runs several times faster than np.where
+        a, b = scores.view(np.int64)
+        swap = (a ^ b) & -winner
+        return winner, (a ^ swap).view(np.float64), (b ^ swap).view(np.float64)
+    cell = winner * size + np.arange(size)  # flat index of each column's winner
+    top = scores.take(cell)
+    if n == 1:
         return winner, top, np.zeros_like(top)
     rest = scores.copy()
-    rest[winner, cols] = -np.inf
+    rest.reshape(-1)[cell] = -np.inf
     return winner, top, rest.max(axis=0)
 
 

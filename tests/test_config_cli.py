@@ -307,6 +307,7 @@ def test_cli_reproduce_all_with_three_advertisers_exits_two(tmp_path, capsys):
         ("dominance", "fixtures", 5),
         ("dominance", "grid_max_multiplier", 1e308),  # x theoretical bid overflows
         ("dominance", "fixtures", [1e308]),  # x mean rival equivalent bid overflows
+        ("dominance", "fixtures", [1e300]),  # the scan's squared utilities overflow
         ("collapse", "decay", 2),
         ("collapse", "rounds", 1),
         ("sweep", "r_points", 0),

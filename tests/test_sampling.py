@@ -147,15 +147,41 @@ def _settle_by_hand(scores, u):
     return winner, top, second
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_settle_matches_brute_force_with_ties(n):
     rng = np.random.default_rng(n)
-    scores = rng.integers(0, 3, size=(n, 500)).astype(np.float64)  # many ties
-    u = rng.random(500)
+    blocks = [
+        rng.integers(0, 3, size=(n, 500)).astype(np.float64),  # many ties
+        rng.random((n, 500)),  # continuous
+        np.full((n, 4), -np.inf),  # every row tied at -inf
+        np.zeros((n, 4)),  # every row tied at 0
+    ]
+    if n == 2:
+        # +0 against -0 ties: top and price are the rows' own zeros
+        blocks.append(np.array([[0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, -0.0, 0.0]]))
+    scores = np.concatenate(blocks, axis=1)
+    u = rng.random(scores.shape[1])
+    u[1000:] = np.resize([0.0, 0.5, 1.0 - 2.0**-53], u.size - 1000)  # rank edges on tied columns
     got = settle(scores, u)
     want = _settle_by_hand(scores, u)
     for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+        assert g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_settle_calls_winner_tiebreak_through_the_module(monkeypatch, n):
+    # perfbench's per-layer trace wraps sampling.winner_tiebreak, so every
+    # settlement must reach it through the module attribute
+    calls = []
+
+    def recording(scores, u):
+        calls.append(scores.shape)
+        return winner_tiebreak(scores, u)
+
+    monkeypatch.setattr(sampling, "winner_tiebreak", recording)
+    settle(np.random.default_rng(n).random((n, 16)), np.full(16, 0.5))
+    assert calls == [(n, 16)]
 
 
 class _FixedUniform:

@@ -83,6 +83,11 @@ def _cell(v) -> str:
     return str(v)
 
 
+# cell types the csv writer already spells as _cell does: a float with
+# repr, an int with str (bool, an int subclass, is not one of them)
+_PLAIN = frozenset((float, int, str))
+
+
 def _pair(name: str) -> list[str]:
     """Header of one MeanSE cell, which fills two columns."""
     return [f"{name}_mean", f"{name}_se"]
@@ -103,13 +108,15 @@ class Artifacts:
             writer = csv.writer(fh)
             writer.writerow(header)
             for row in rows:
-                cells = []
-                for v in row:
-                    if isinstance(v, MeanSE):
-                        cells += (_cell(v.mean), _cell(v.se))
-                    else:
-                        cells.append(_cell(v))
-                writer.writerow(cells)
+                if not _PLAIN.issuperset(map(type, row)):
+                    cells = []
+                    for v in row:
+                        if isinstance(v, MeanSE):
+                            cells += (_cell(v.mean), _cell(v.se))
+                        else:
+                            cells.append(_cell(v))
+                    row = cells
+                writer.writerow(row)
         self.files.append(relpath)
 
     def hashes(self) -> dict[str, str]:
@@ -323,7 +330,7 @@ def _study_lemmas(cfg: ExperimentConfig):
 
 
 def _study_collapse(cfg: ExperimentConfig):
-    rounds = cfg.int_param("collapse", "rounds", 21, minimum=2)
+    rounds = cfg.int_param("collapse", "rounds", 21, minimum=2, maximum=1_000)
     decay = cfg.number_param("collapse", "decay", 0.5, above=0.0, below=1.0)
     threshold = cfg.number_param("collapse", "threshold", 1e-3)
     reps = cfg.study_replications("collapse", default=10_000)
@@ -367,7 +374,7 @@ def _study_sweep(cfg: ExperimentConfig):
     # outside options are nonnegative, and the grid ascends
     r_min = cfg.number_param("sweep", "r_min", 0.0, minimum=0.0)
     r_max = cfg.number_param("sweep", "r_max", 2.0, minimum=r_min)
-    r_points = cfg.int_param("sweep", "r_points", 41)
+    r_points = cfg.int_param("sweep", "r_points", 41, maximum=100_000)
     reps = cfg.study_replications("sweep")
     res = sweep_outside_option(
         np.linspace(r_min, r_max, r_points), cfg.models, cfg.game,

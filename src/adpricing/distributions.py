@@ -63,6 +63,8 @@ class Uniform(Distribution):
             raise ValueError("uniform bounds must be finite")
         if self.hi < self.lo:
             raise ValueError(f"uniform requires lo <= hi, got ({self.lo}, {self.hi})")
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError(f"uniform range hi - lo must be finite, got ({self.lo}, {self.hi})")
 
     def mean(self) -> float:
         return 0.5 * (self.lo + self.hi)
@@ -74,7 +76,12 @@ class Uniform(Distribution):
         return (self.lo, self.hi)
 
     def sample(self, rng, size=None):
-        return rng.uniform(self.lo, self.hi, size=size)
+        # numpy's own uniform, lo + (hi - lo) * one double per draw, without
+        # its per-call argument handling
+        x = rng.random(size)
+        x *= self.hi - self.lo
+        x += self.lo
+        return x
 
 
 @dataclass(frozen=True)

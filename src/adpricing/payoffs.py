@@ -125,7 +125,8 @@ def _settle_models(
             social = utils.sum(axis=0)
         else:
             winner, social, platform = settle(_score_stack(game, name, rates), u)
-            utils = np.where(np.arange(n)[:, None] == winner, social - platform, 0.0)
+            utils = np.zeros((n, size))
+            utils[winner, np.arange(size)] = social - platform
         out[name] = Settlement(winner, utils, platform, social)
     return out
 

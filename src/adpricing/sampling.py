@@ -54,14 +54,24 @@ STREAM_ROUNDS = 8
 TIE_ROLE = 1_000_000
 ADVERTISER_LIMIT = TIE_ROLE // 64
 
+_WORD = 1 << 32
+
 
 def rate_role(advertiser: int, depth: int) -> int:
     return advertiser * 64 + depth
 
 
 def batch_rng(seed: int, stream: int, batch: int, role: int = 0) -> np.random.Generator:
-    """Stateless child generator for one (stream, batch, role) cell."""
-    return np.random.default_rng(np.random.SeedSequence((seed, stream, batch, role)))
+    """Stateless child generator for one (stream, batch, role) cell.
+
+    SeedSequence turns each key part into its 32-bit words, and a part
+    below 2**32 is one word. A key made only of such parts is passed as
+    those words already: the same generator, built without numpy's
+    per-part Python conversion. Any other key takes the tuple path."""
+    key = (seed, stream, batch, role)
+    if all(type(k) is int and 0 <= k < _WORD for k in key):
+        key = np.array(key, dtype=np.uint32)
+    return np.random.default_rng(np.random.SeedSequence(key))
 
 
 def batch_layout(n: int, batch_size: int = BATCH_SIZE) -> list[tuple[int, int]]:

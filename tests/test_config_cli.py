@@ -6,11 +6,13 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from adpricing import cli
 from adpricing.config import ConfigError, load_config, parse_config
+from adpricing.sampling import MeanSE
 
 ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_YAML = ROOT / "configs" / "default.yaml"
@@ -109,6 +111,11 @@ def test_config_hash_ignores_out_and_threads(tmp_path):
             lambda d: d["game"]["advertisers"][0]["rates"].__setitem__(
                 "click", {"kind": "uniform", "lo": [0.1], "hi": 0.4}),
             "game.advertisers[0].rates.click", id="bound-is-a-list",
+        ),
+        pytest.param(
+            lambda d: d["game"]["advertisers"][0]["rates"].__setitem__(
+                "click", {"kind": "uniform", "lo": -1e308, "hi": 1e308}),
+            "game.advertisers[0].rates.click", id="uniform-range-overflows",
         ),
     ],
 )
@@ -250,6 +257,13 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     assert cli.main(["--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
     assert "seed" in capsys.readouterr().err
 
+    raw = _small_dict()
+    raw["game"]["advertisers"][0]["rates"]["click"] = {"kind": "uniform", "lo": -1e308, "hi": 1e308}
+    wide = _write(tmp_path, raw, "wide.yaml")
+    assert cli.main(["--config", wide, "--out", str(out)]) == 2
+    assert "game.advertisers[0].rates.click" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
 
 def test_cli_sweep_without_outside_option_exits_two(tmp_path, capsys):
     out = tmp_path / "results"
@@ -312,6 +326,8 @@ def test_cli_reproduce_all_with_three_advertisers_exits_two(tmp_path, capsys):
         ("collapse", "rounds", 1),
         ("sweep", "r_points", 0),
         ("sweep", "r_max", -1.0),  # below r_min = 0
+        ("sweep", "r_points", 10**13),  # above 100_000
+        ("collapse", "rounds", 10**13),  # above 1_000
         ("cpsc", "enumeration_replications", 0),
         ("simulate", "rounds", 1_000_000_000_000),  # above 1_000_000
     ],
@@ -412,6 +428,33 @@ README_HEADERS = {
     "cpsc/enumeration.csv": "model,quantity,exact,mc_mean,mc_se,z,agree",
     "summary.csv": "study,passed,checks,checks_passed",
 }
+
+
+def test_write_csv_plain_rows_match_the_per_cell_path(tmp_path):
+    nan, inf = float("nan"), float("inf")
+    rows = [
+        [0, 1.5, -0.0, nan, inf, -inf, 'say "hi", bye', 10**20, 1e-300, ""],  # plain
+        [True, None, np.float64(0.1), np.int64(-7), np.bool_(False), MeanSE(0.25, 1e-3, 10)],
+        [False, np.float64(nan), np.float64(-0.0), MeanSE(inf, 0.0, 1), "a\nb", 2.0, 3],
+        [-inf, "x", np.float64(2.5), 1],
+        [True, 1, 0.5],  # bool is an int subclass the csv writer spells True
+        [np.float32(0.1), np.bool_(True), "y"],
+        [MeanSE(-0.0, nan, 2)],
+    ]
+    art = cli.Artifacts(tmp_path)
+    art.write_csv("fast.csv", ["h"], rows)
+    with open(tmp_path / "cells.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["h"])
+        for row in rows:
+            cells = []
+            for v in row:
+                cells += [v.mean, v.se] if isinstance(v, MeanSE) else [v]
+            writer.writerow([cli._cell(v) for v in cells])
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert fast == (tmp_path / "cells.csv").read_bytes()
+    assert fast.splitlines()[1] == b'0,1.5,-0.0,nan,inf,-inf,"say ""hi"", bye",100000000000000000000,1e-300,'
+    assert fast.splitlines()[2] == b"true,,0.1,-7,false,0.25,0.001"
 
 
 def test_cli_csv_headers_match_readme(tmp_path):

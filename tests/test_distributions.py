@@ -27,6 +27,27 @@ def test_uniform_moments():
     assert not d.is_finite_discrete()
 
 
+@pytest.mark.parametrize("lo, hi", [(0.2, 0.4), (0.3, 0.3), (-2.5, 7.0), (0.0, 1e300)])
+@pytest.mark.parametrize("size", [None, 7, (3, 4)])
+def test_uniform_sample_is_numpy_uniform_bit_for_bit(lo, hi, size):
+    law = Uniform(lo, hi)
+    ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+    x = law.sample(ours, size)
+    y = theirs.uniform(lo, hi, size)
+    assert type(x) is type(y)
+    assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+    assert ours.random() == theirs.random()  # one double consumed per draw
+
+
+def test_uniform_range_must_be_finite():
+    # numpy's uniform raises OverflowError on such a range; the law rejects it first
+    with pytest.raises(ValueError, match="finite"):
+        Uniform(-1e308, 1e308)
+    with pytest.raises(ValueError, match="finite"):
+        distribution_from_dict({"kind": "uniform", "lo": -1e308, "hi": 1e308})
+    assert Uniform(-1e307, 1e307).sample(np.random.default_rng(0)) < 1e307
+
+
 def test_beta_moments_exact():
     d = Beta(2.0, 3.0)
     assert d.mean() == 0.4

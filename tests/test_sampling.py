@@ -46,6 +46,30 @@ def test_batch_rng_keys():
     assert rate_role(2, 1) != rate_role(1, 2)
 
 
+@pytest.mark.parametrize(
+    "key",
+    [
+        (0, 0, 0, 0),
+        (1, 8, 39_999, 0),
+        (2**32 - 1, 7, 5, 1_000_000),
+        (2**32, 8, 0, 0),  # one part takes two words
+        (3, 1, 2**64, 64),
+        (2**64 - 1, 2**32, 2**40, 2**33),
+    ],
+)
+def test_batch_rng_is_the_seed_sequence_of_the_key(key):
+    ours = batch_rng(*key)
+    theirs = np.random.default_rng(np.random.SeedSequence(key))
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    assert ours.random(4).tobytes() == theirs.random(4).tobytes()
+
+
+@pytest.mark.parametrize("key", [(-1, 0, 0, 0), (1, 8, -3, 0), (1, 8, 0, -(2**40))])
+def test_batch_rng_rejects_a_negative_key_part(key):
+    with pytest.raises(ValueError):  # never OverflowError from a uint32 cast
+        batch_rng(*key)
+
+
 def _keyed_sum(n, threads):
     def batch_fn(b_idx, size):
         x = batch_rng(11, 5, b_idx, 0).random(size)

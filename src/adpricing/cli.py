@@ -25,6 +25,7 @@ manifest's wall_time_s block.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import csv
 import hashlib
 import json
@@ -574,6 +575,33 @@ def run(cfg: ExperimentConfig) -> int:
     return 0 if all(verdicts.values()) else 1
 
 
+# glibc's mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_batch_memory() -> None:
+    """Keep freed batch temporaries in the heap for the next batch.
+
+    Every float64 temporary of a BATCH_SIZE-column batch is 128 KiB or
+    more, and glibc returns blocks that large to the kernel on free (by
+    its mmap threshold or by trimming the heap), so every batch faulted
+    the same pages in again. Both thresholds are set because either call
+    turns off glibc's sliding mmap threshold: the trim threshold alone
+    would freeze it wherever imports had left it. 4 MiB is well above
+    the largest batch temporary. A no-op where the C library has no
+    mallopt. Only main calls this: the CLI owns its process, library
+    callers of run() own theirs."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 4 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="adpricing",
@@ -598,6 +626,7 @@ def main(argv=None) -> int:
     }
     try:
         cfg = load_config(args.config, overrides)
+        _keep_batch_memory()
         return run(cfg)
     except (ConfigError, ValueError, RuntimeError, OSError) as exc:
         # ValueError covers GameValidationError

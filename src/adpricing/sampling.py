@@ -88,6 +88,14 @@ def batch_layout(n: int, batch_size: int = BATCH_SIZE) -> list[tuple[int, int]]:
     return out
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has
+    one (taskset, cgroup cpusets), else every CPU of the host."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_batched(
     n: int,
     batch_fn: Callable[[int, int], dict],
@@ -97,12 +105,13 @@ def run_batched(
     """Run batch_fn(batch_index, size) over the layout and combine the
     per-batch partial dicts (float or ndarray values) by summation in
     batch-index order. threads affects speed only, never the result; the
-    pool never holds more workers than there are batches or CPUs."""
+    pool never holds more workers than there are batches or CPUs this
+    process may run on, and with one worker there is no pool."""
     layout = batch_layout(n, batch_size)
-    if threads <= 1 or len(layout) == 1:
+    workers = min(threads, len(layout), _usable_cpus())
+    if workers <= 1:
         partials = [batch_fn(i, s) for i, s in layout]
     else:
-        workers = min(threads, len(layout), os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=workers) as ex:
             futures = [ex.submit(batch_fn, i, s) for i, s in layout]
             partials = [f.result() for f in futures]  # submission order = batch order

@@ -403,6 +403,33 @@ def test_cli_runtime_error_exits_two(tmp_path, capsys):
     assert not any(out.iterdir())
 
 
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+class _LibcWithoutMallopt:
+    def __init__(self, name):
+        pass
+
+
+@pytest.mark.parametrize("cdll", [_no_libc, _LibcWithoutMallopt])
+def test_cli_without_mallopt_writes_the_same_files(tmp_path, monkeypatch, cdll):
+    cfg = _write(tmp_path, _small_dict("sweep"))
+    runs = {}
+    for name in ("libc", "fake"):
+        if name == "fake":
+            monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+            assert cli._keep_batch_memory() is None
+        out = tmp_path / name
+        out.mkdir()
+        assert cli.main(["--config", cfg, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        runs[name] = (manifest["files"], manifest["verdicts"],
+                      {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.csv"))})
+    assert runs["libc"][2]
+    assert runs["fake"] == runs["libc"]
+
+
 # column orders as documented in the README's Outputs section
 README_HEADERS = {
     "simulate/trace.csv": "round,winner,e_loser,price_per_pay_event,payoff_1,payoff_2,"

@@ -2,11 +2,14 @@
 billing-model equivalences, and the paired payoff orderings."""
 
 import math
+import platform
+import resource
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 
+from adpricing import cli
 from adpricing.distributions import Discrete, Point, uniform_die
 from adpricing.payoffs import (
     ValueLaw,
@@ -14,7 +17,9 @@ from adpricing.payoffs import (
     exact_equilibrium_payoffs,
     expected_min_max,
     payoff_ordering_suite,
+    _settle_models,
 )
+from adpricing.sampling import BATCH_SIZE, STREAM_PAYOFFS
 
 from conftest import default_specs, make_game, point_specs, rate_laws
 
@@ -173,3 +178,17 @@ def test_max_of_independent_pair_dominates_mean(law):
     slack = 1e-12 * abs(mu)  # degenerate laws: se is 0 but fsum rounding may differ
     assert rep.e_max.mean >= mu - 6.0 * rep.e_max.se - slack
     assert rep.e_min.mean <= mu + 6.0 * rep.e_min.se + slack
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's mallopt thresholds")
+def test_settlement_batches_reuse_freed_memory():
+    # without the CLI's allocator setting, every batch after the first
+    # faults about 680 pages of its 128 KiB temporaries in again
+    cli._keep_batch_memory()
+    game = make_game(default_specs())
+    faults = []
+    for b_idx in range(4):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        _settle_models(game, ("CPC", "OCPC", "CPA"), 1, STREAM_PAYOFFS, b_idx, BATCH_SIZE)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert max(faults[1:]) < 50, faults

@@ -1,6 +1,5 @@
 """Deterministic seeding, batching, and tie-break plumbing."""
 
-import os
 from concurrent.futures import Future
 
 import numpy as np
@@ -252,8 +251,17 @@ def test_run_batched_pool_is_bounded(monkeypatch):
 
     monkeypatch.setattr(sampling, "ThreadPoolExecutor", RecordingPool)
     n = 2 * BATCH_SIZE + 1  # 3 batches
-    assert _keyed_sum(n, 10**6) == _keyed_sum(n, 1)
-    assert sizes == [min(3, os.cpu_count() or 1)]
-    monkeypatch.setattr(sampling.os, "cpu_count", lambda: 64)
-    _keyed_sum(n, 10**6)
-    assert sizes[-1] == 3
+    base = _keyed_sum(n, 1)
+    monkeypatch.setattr(sampling.os, "sched_getaffinity", lambda pid: set(range(64)),
+                        raising=False)
+    assert _keyed_sum(n, 10**6) == base
+    assert sizes == [3]
+    # pinned to one CPU (taskset -c 1): no pool, whatever --threads asks
+    monkeypatch.setattr(sampling.os, "sched_getaffinity", lambda pid: {0})
+    assert [_keyed_sum(n, t) for t in (2, 8)] == [base, base]
+    assert sizes == [3]
+    # no affinity mask (macOS, Windows): every CPU of the host
+    monkeypatch.delattr(sampling.os, "sched_getaffinity")
+    monkeypatch.setattr(sampling.os, "cpu_count", lambda: 2)
+    assert _keyed_sum(n, 8) == base
+    assert sizes == [3, 2]

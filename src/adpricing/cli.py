@@ -18,8 +18,9 @@ Studies
 
 Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 config or
 runtime error. Identical (config, seed) reproduce byte-identical
-artifacts regardless of --threads; wall times live only in the
-manifest's wall_time_s block.
+artifacts; wall times live only in the manifest's wall_time_s block.
+--threads is validated and recorded in the manifest but changes
+nothing: every estimator runs its batches serially.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, STUDIES, load_config
+from .config import MAX_REPLICATIONS, ConfigError, ExperimentConfig, STUDIES, load_config
 from .distributions import Point, two_point_surrogate, uniform_die
 from .engine import run_repeated
 from .equilibrium import cpsc_comparison, sweep_outside_option
@@ -197,7 +198,9 @@ def _study_dominance(cfg: ExperimentConfig):
     grid_points = cfg.int_param("dominance", "grid_points", 101, minimum=2, maximum=100_000)
     grid_max = cfg.number_param("dominance", "grid_max_multiplier", 2.0, above=0.0)
     fixtures = cfg.numbers_param("dominance", "fixtures", [0.25, 0.5, 1.0, 2.0], above=0.0)
-    fixture_reps = cfg.int_param("dominance", "fixture_replications", 200_000)
+    fixture_reps = cfg.int_param(
+        "dominance", "fixture_replications", 200_000, maximum=MAX_REPLICATIONS
+    )
 
     header = [
         "model", "scenario", "advertiser", "fixture_multiplier", "rival_e",
@@ -237,7 +240,7 @@ def _study_dominance(cfg: ExperimentConfig):
             grid = np.linspace(0.0, grid_max * theory.bid, grid_points)
             rep = best_response_scan(
                 i, grid, rival_es, game,
-                replications=reps, seed=cfg.seed, threads=cfg.threads, alpha=theory.alpha,
+                replications=reps, seed=cfg.seed, alpha=theory.alpha,
             )
             localized = abs(rep.argmax_index - rep.theory_index) <= 1
             all_pass &= rep.passed and localized
@@ -273,9 +276,7 @@ def _map_laws(game, fn):
 
 def _study_lemmas(cfg: ExperimentConfig):
     reps = cfg.study_replications("lemmas")
-    suite = payoff_ordering_suite(
-        cfg.game, replications=reps, seed=cfg.seed, threads=cfg.threads
-    )
+    suite = payoff_ordering_suite(cfg.game, replications=reps, seed=cfg.seed)
     ids = [spec.id for spec in cfg.game.specs]
     orderings_header = ["quantity", "comparison", *_pair("delta"), "z", "holds"]
 
@@ -291,7 +292,6 @@ def _study_lemmas(cfg: ExperimentConfig):
         _map_laws(cfg.game, lambda d, r: Point(r.mean()) if d == conv_idx else r),
         replications=min(reps, 100_000),
         seed=cfg.seed,
-        threads=cfg.threads,
     )
     degen_results = [degen.social, degen.platform, *degen.advertisers]
     degen_zero = all(r.delta.mean == 0.0 and r.delta.se == 0.0 for r in degen_results)
@@ -338,7 +338,7 @@ def _study_collapse(cfg: ExperimentConfig):
     game = cfg.game.with_model("CPA", out_site())
     trace = cpa_collapse(
         game, rounds=rounds, decay=decay, replications=reps,
-        seed=cfg.seed, threshold=threshold, threads=cfg.threads,
+        seed=cfg.seed, threshold=threshold,
     )
     ids = [spec.id for spec in game.specs]
     header = (
@@ -379,7 +379,7 @@ def _study_sweep(cfg: ExperimentConfig):
     reps = cfg.study_replications("sweep")
     res = sweep_outside_option(
         np.linspace(r_min, r_max, r_points), cfg.models, cfg.game,
-        replications=reps, seed=cfg.seed, threads=cfg.threads,
+        replications=reps, seed=cfg.seed,
     )
     ids = [spec.id for spec in cfg.game.specs]
     header = (
@@ -445,15 +445,17 @@ def _cpsc_game(cfg: ExperimentConfig):
 def _study_cpsc(cfg: ExperimentConfig):
     game = _cpsc_game(cfg)
     reps = cfg.study_replications("cpsc")
-    enum_reps = cfg.int_param("cpsc", "enumeration_replications", 100_000)
-    rep = cpsc_comparison(game, replications=reps, seed=cfg.seed, threads=cfg.threads)
+    enum_reps = cfg.int_param(
+        "cpsc", "enumeration_replications", 100_000, maximum=MAX_REPLICATIONS
+    )
+    rep = cpsc_comparison(game, replications=reps, seed=cfg.seed)
     ids = [spec.id for spec in game.specs]
 
     # enumerable two-point variant: exact payoffs vs the MC estimator
     surrogate = _map_laws(game, lambda d, r: two_point_surrogate(r))
     names = ("CPC", "CPSC", "OCPC")
     exact = {n: exact_equilibrium_payoffs(surrogate.with_model(n)) for n in names}
-    mc = estimate_equilibrium_payoffs(surrogate, enum_reps, cfg.seed, names, cfg.threads)
+    mc = estimate_equilibrium_payoffs(surrogate, enum_reps, cfg.seed, names)
     enum_rows = []
     agree = True
     for n in names:
@@ -615,7 +617,7 @@ def main(argv=None) -> int:
     parser.add_argument("--study", default=None, choices=list(STUDIES),
                         help="study to run (overrides config)")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads; affects speed only, never results")
+                        help="accepted and recorded in the manifest; changes nothing")
     args = parser.parse_args(argv)
     overrides = {
         "seed": args.seed,

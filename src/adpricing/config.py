@@ -10,7 +10,7 @@ Schema (see configs/default.yaml for a complete example):
     study: sweep            # or via --study
     seed: 42                # master seed, required (here or --seed)
     replications: 1000000   # default draw count for payoff estimates
-    threads: 1
+    threads: 1              # recorded in the manifest; changes nothing
     out: results            # output directory, must already exist
     game:
       chain: [impression, click, conversion]
@@ -38,6 +38,10 @@ Schema (see configs/default.yaml for a complete example):
 
 Distribution nodes: {kind: uniform, lo, hi}, {kind: beta, a, b},
 {kind: point, v}, {kind: discrete, atoms: [[value, prob], ...]}.
+
+Every replication count, top-level or per study, lies in
+[1, MAX_REPLICATIONS]: estimators run their batches serially, so an
+unbounded count would mean a run that never ends.
 """
 
 from __future__ import annotations
@@ -64,7 +68,14 @@ from .model import (
     validate_game,
 )
 
-__all__ = ["STUDIES", "ConfigError", "ExperimentConfig", "load_config", "parse_config"]
+__all__ = [
+    "STUDIES",
+    "MAX_REPLICATIONS",
+    "ConfigError",
+    "ExperimentConfig",
+    "load_config",
+    "parse_config",
+]
 
 STUDIES = (
     "simulate",
@@ -75,6 +86,8 @@ STUDIES = (
     "cpsc",
     "reproduce-all",
 )
+
+MAX_REPLICATIONS = 10**10
 
 
 class ConfigError(Exception):
@@ -261,12 +274,12 @@ class ExperimentConfig:
 
     def study_replications(self, study: str, default: int | None = None) -> int:
         base = self.replications if (default is None or self.replications_forced) else default
-        return self.int_param(study, "replications", base)
+        return self.int_param(study, "replications", base, maximum=MAX_REPLICATIONS)
 
     def canonical(self) -> dict:
         """Result-determining fields only. The output directory and
-        thread count steer plumbing and speed, never numbers, so they
-        stay out of the identity. Feeding this mapping back through
+        the recorded thread count never change a number, so they stay
+        out of the identity. Feeding this mapping back through
         parse_config reproduces the run."""
         return {k: v for k, v in self.effective.items() if k not in ("out", "threads")}
 
@@ -297,7 +310,9 @@ def parse_config(raw: Any, overrides: dict | None = None) -> ExperimentConfig:
     if study not in STUDIES:
         raise ConfigError("study", f"unknown study {study!r}; expected one of {list(STUDIES)}")
     seed = _integer(_require(effective, "seed", "<root>"), "seed", minimum=0)
-    replications = _integer(effective.get("replications", 1_000_000), "replications", minimum=1)
+    replications = _integer(
+        effective.get("replications", 1_000_000), "replications", minimum=1, maximum=MAX_REPLICATIONS
+    )
     threads = _integer(effective.get("threads", 1), "threads", minimum=1)
     out = effective.get("out")
     if out is not None and not isinstance(out, str):

@@ -100,7 +100,6 @@ def sweep_outside_option(
     game: Game,
     replications: int = 1_000_000,
     seed: int = 0,
-    threads: int = 1,
 ) -> SweepResult:
     """Sweep the outside option over r_grid (ascending). In-auction
     payoffs do not depend on r, so the per-model table is estimated once,
@@ -121,7 +120,7 @@ def sweep_outside_option(
         raise ValueError("sweep needs an advertiser with an outside option")
     free = [i for i in range(game.n) if i not in outside]
     adv1 = free[0] if free else 0
-    table = estimate_equilibrium_payoffs(game, replications, seed, models, threads)
+    table = estimate_equilibrium_payoffs(game, replications, seed, models)
     boundaries = {
         name: min((rep.advertisers[i] for i in outside), key=lambda ms: ms.mean)
         for name, rep in table.items()
@@ -200,7 +199,6 @@ def cpsc_comparison(
     game: Game,
     replications: int = 1_000_000,
     seed: int = 0,
-    threads: int = 1,
 ) -> CpscReport:
     """Check that bidding per cart sits between CPC and OCPC on a
     four-stage funnel: the constrained advertiser's payoff rises with
@@ -224,7 +222,7 @@ def cpsc_comparison(
         )
         return dict(zip(_CPSC_DELTAS, diffs))
 
-    table, est = _payoff_pass(game, ("CPC", "CPSC", "OCPC"), replications, seed, threads, paired)
+    table, est = _payoff_pass(game, ("CPC", "CPSC", "OCPC"), replications, seed, paired)
     deltas = tuple(_ordering(label, est[label]) for label in _CPSC_DELTAS)
     return CpscReport(
         table=table,

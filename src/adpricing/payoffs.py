@@ -131,7 +131,7 @@ def _settle_models(
     return out
 
 
-def _payoff_pass(game: Game, names, replications: int, seed: int, threads: int, paired=None):
+def _payoff_pass(game: Game, names, replications: int, seed: int, paired=None):
     """One estimate pass over STREAM_PAYOFFS settling every named model;
     paired(settled) adds the caller's paired per-draw differences.
     Returns (reports by model, estimates by key)."""
@@ -149,7 +149,7 @@ def _payoff_pass(game: Game, names, replications: int, seed: int, threads: int, 
             out.update(paired(settled))
         return out
 
-    est = estimate(replications, batch_fn, threads=threads)
+    est = estimate(replications, batch_fn)
     reports = {
         name: PayoffReport(
             advertisers=tuple(est[name, i] for i in range(game.n)),
@@ -167,7 +167,6 @@ def estimate_equilibrium_payoffs(
     replications: int = 1_000_000,
     seed: int = 0,
     models=None,
-    threads: int = 1,
 ) -> dict[str, PayoffReport]:
     """Monte-Carlo payoffs per impression with every advertiser playing
     its theoretical strategy, one report per model in models (default:
@@ -178,7 +177,7 @@ def estimate_equilibrium_payoffs(
     by the model, so the reports are exact common-random-number pairs.
     CPA out-site reports the collapsed regime (see _settle_models)."""
     names = [game.model.name] if models is None else models
-    return _payoff_pass(game, names, replications, seed, threads)[0]
+    return _payoff_pass(game, names, replications, seed)[0]
 
 
 def _law_atoms(dist: Distribution) -> list[tuple[float, float]]:
@@ -356,7 +355,6 @@ def payoff_ordering_suite(
     game: Game,
     replications: int = 1_000_000,
     seed: int = 0,
-    threads: int = 1,
 ) -> OrderingSuite:
     """Paired OCPC-vs-CPC comparison on one in-site two-advertiser game.
 
@@ -383,7 +381,7 @@ def payoff_ordering_suite(
             out["r", i] = du - gain - loss
         return out
 
-    est = estimate(replications, batch_fn, threads=threads)
+    est = estimate(replications, batch_fn)
 
     advs, decomps = [], []
     for i in range(2):

@@ -2,11 +2,11 @@
 
 Replications are split into fixed-size batches. Every batch owns child
 generators derived statelessly from (master_seed, stream, batch_index,
-role), so a batch's draws never depend on which worker ran it or in
-what order. Per-batch partial sums are combined in batch-index order
-after all batches complete, which makes every estimate bitwise
-identical across worker counts. estimate is the one place per-draw
-values become means with standard errors.
+role), so a batch's draws depend only on its key. run_batched runs the
+batches one after another in batch-index order and adds each partial
+into the totals as it arrives, so memory stays flat however many
+replications are asked for. estimate is the one place per-draw values
+become means with standard errors.
 
 Roles separate the random inputs inside one batch (one stream per
 advertiser/depth rate law, one for tie-breaking), so changing one
@@ -16,10 +16,8 @@ advertiser's law cannot perturb anybody else's draws.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -74,26 +72,14 @@ def batch_rng(seed: int, stream: int, batch: int, role: int = 0) -> np.random.Ge
     return np.random.default_rng(np.random.SeedSequence(key))
 
 
-def batch_layout(n: int, batch_size: int = BATCH_SIZE) -> list[tuple[int, int]]:
-    """(batch_index, size) pairs covering n replications; the layout is a
-    pure function of n so partitioning never depends on worker count."""
+def batch_layout(n: int, batch_size: int = BATCH_SIZE) -> Iterator[tuple[int, int]]:
+    """(batch_index, size) pairs covering n replications, yielded lazily;
+    the layout is a pure function of n. A count below 1 raises here, at
+    the call, not at the first batch."""
     if n < 1:
         raise ValueError(f"replication count must be >= 1, got {n}")
-    out = []
     full, rem = divmod(n, batch_size)
-    for i in range(full):
-        out.append((i, batch_size))
-    if rem:
-        out.append((full, rem))
-    return out
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has
-    one (taskset, cgroup cpusets), else every CPU of the host."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return ((i, batch_size if i < full else rem) for i in range(full + (rem > 0)))
 
 
 def run_batched(
@@ -102,22 +88,12 @@ def run_batched(
     threads: int = 1,
     batch_size: int = BATCH_SIZE,
 ) -> dict:
-    """Run batch_fn(batch_index, size) over the layout and combine the
-    per-batch partial dicts (float or ndarray values) by summation in
-    batch-index order. threads affects speed only, never the result; the
-    pool never holds more workers than there are batches or CPUs this
-    process may run on, and with one worker there is no pool."""
-    layout = batch_layout(n, batch_size)
-    workers = min(threads, len(layout), _usable_cpus())
-    if workers <= 1:
-        partials = [batch_fn(i, s) for i, s in layout]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            futures = [ex.submit(batch_fn, i, s) for i, s in layout]
-            partials = [f.result() for f in futures]  # submission order = batch order
+    """Call batch_fn(batch_index, size) over the layout in batch order and
+    sum the partial dicts (float or ndarray values) as they arrive.
+    threads is ignored; perfbench's tracer binds it and batch_size by name."""
     totals: dict = {}
-    for part in partials:
-        for key, val in part.items():
+    for i, size in batch_layout(n, batch_size):
+        for key, val in batch_fn(i, size).items():
             if key in totals:
                 totals[key] = totals[key] + val
             else:
@@ -219,15 +195,15 @@ def mean_se(total: float, total_sq: float, n: int) -> MeanSE:
     return MeanSE(mean, math.sqrt(var / n), n)
 
 
-def estimate(n: int, batch_fn: Callable[[int, int], dict], threads: int = 1) -> dict:
+def estimate(n: int, batch_fn: Callable[[int, int], dict]) -> dict:
     """Mean and standard error of every per-draw array batch_fn(batch_index,
     size) returns (float or bool, one entry per draw, under any key).
     Each batch reduces its arrays to (sum, sum of squares); run_batched
-    adds those in batch order, so the result does not depend on threads."""
+    adds those in batch order."""
 
     def moments(b_idx: int, size: int) -> dict:
         draws = batch_fn(b_idx, size)
         return {key: np.array([x.sum(), (x * x).sum()]) for key, x in draws.items()}
 
-    totals = run_batched(n, moments, threads=threads)
+    totals = run_batched(n, moments)
     return {key: mean_se(s, sq, n) for key, (s, sq) in totals.items()}

@@ -210,7 +210,6 @@ def best_response_scan(
     belief: PlatformBelief | None = None,
     replications: int = 100_000,
     seed: int = 0,
-    threads: int = 1,
     theoretical: float | None = None,
     alpha: float = 1.0,
 ) -> DominanceReport:
@@ -270,7 +269,7 @@ def best_response_scan(
             out[f"d{f_idx}"] = np.abs(s2[k] - s2[k[th]])
         return out
 
-    tot = run_batched(replications, batch_fn, threads=threads)
+    tot = run_batched(replications, batch_fn)
 
     n = replications
     fixtures = []
@@ -332,7 +331,6 @@ def cpa_collapse(
     replications: int = 10_000,
     seed: int = 0,
     threshold: float = 1e-3,
-    threads: int = 1,
 ) -> CollapseTrace:
     """Out-site CPA reporting spiral with a one-round belief lag.
 
@@ -393,7 +391,7 @@ def cpa_collapse(
                 out["w", i] = winner == i
             return out
 
-        est = estimate(replications, batch_fn, threads=threads)
+        est = estimate(replications, batch_fn)
         utils = tuple(est["u", i] for i in range(game.n))
         shares = tuple(est["w", i].mean for i in range(game.n))
         rows.append(

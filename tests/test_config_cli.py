@@ -101,6 +101,10 @@ def test_config_hash_ignores_out_and_threads(tmp_path):
         (lambda d: d["game"]["advertisers"][0]["rates"].__setitem__(
             "click", {"kind": "gaussian"}), "game"),
         (lambda d: d.__setitem__("replications", "many"), "replications"),
+        pytest.param(lambda d: d.__setitem__("replications", 10**30), "replications",
+                     id="replications-1e30"),
+        pytest.param(lambda d: d.__setitem__("replications", 10**10 + 1), "replications",
+                     id="replications-above-bound"),
         pytest.param(lambda d: d.__setitem__("seed", -1), "seed", id="negative-seed"),
         pytest.param(
             lambda d: d["game"]["advertisers"][0]["rates"].__setitem__(
@@ -329,6 +333,13 @@ def test_cli_reproduce_all_with_three_advertisers_exits_two(tmp_path, capsys):
         ("sweep", "r_points", 10**13),  # above 100_000
         ("collapse", "rounds", 10**13),  # above 1_000
         ("cpsc", "enumeration_replications", 0),
+        ("cpsc", "enumeration_replications", 10**30),  # above 10**10
+        ("cpsc", "replications", 10**30),
+        ("dominance", "replications", 10**30),
+        ("dominance", "fixture_replications", 10**30),
+        ("lemmas", "replications", 10**30),
+        ("collapse", "replications", 10**30),
+        ("sweep", "replications", 10**30),
         ("simulate", "rounds", 1_000_000_000_000),  # above 1_000_000
     ],
 )
@@ -339,6 +350,16 @@ def test_cli_bad_study_params_exit_two(tmp_path, capsys, study, key, value):
     assert cli.main(["--config", cfg, "--out", str(out)]) == 2
     assert f"study_params.{study}.{key}" in capsys.readouterr().err
     assert not any(out.iterdir())
+
+
+def test_cli_replications_flag_above_the_bound_exits_two(tmp_path, capsys):
+    out = tmp_path / "results"
+    out.mkdir()
+    cfg = _write(tmp_path, _small_dict("sweep"))
+    assert cli.main(["--config", cfg, "--out", str(out), "--replications", str(10**30)]) == 2
+    assert "config field 'replications'" in capsys.readouterr().err
+    assert not any(out.iterdir())
+    assert load_config(cfg, {"replications": 10**10}).replications == 10**10
 
 
 def test_cli_thread_count_never_changes_csvs(tmp_path):

@@ -116,7 +116,7 @@ def test_multi_model_pass_equals_single_model_calls(scenario):
     names = ["CPC", "OCPC", "CPA", "CPM"]
     for specs in (default_specs(), default_specs() + (third,)):
         game = make_game(specs, scenario=scenario)
-        multi = estimate_equilibrium_payoffs(game, 40_000, seed=5, models=names, threads=2)
+        multi = estimate_equilibrium_payoffs(game, 40_000, seed=5, models=names)
         assert list(multi) == names
         for name in names:
             single = estimate_equilibrium_payoffs(game.with_model(name), 40_000, seed=5)

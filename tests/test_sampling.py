@@ -1,6 +1,6 @@
 """Deterministic seeding, batching, and tie-break plumbing."""
 
-from concurrent.futures import Future
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,14 +26,15 @@ from conftest import default_specs, make_game
 
 
 def test_batch_layout_partitions():
-    layout = batch_layout(10 * BATCH_SIZE + 17, BATCH_SIZE)
+    layout = list(batch_layout(10 * BATCH_SIZE + 17, BATCH_SIZE))
     assert sum(size for _, size in layout) == 10 * BATCH_SIZE + 17
     assert all(size <= BATCH_SIZE for _, size in layout)
     assert [idx for idx, _ in layout] == list(range(len(layout)))
-    assert layout == batch_layout(10 * BATCH_SIZE + 17, BATCH_SIZE)
-    assert batch_layout(5, BATCH_SIZE) == [(0, 5)]
+    assert layout == list(batch_layout(10 * BATCH_SIZE + 17, BATCH_SIZE))
+    assert list(batch_layout(5, BATCH_SIZE)) == [(0, 5)]
+    assert list(batch_layout(2 * BATCH_SIZE, BATCH_SIZE)) == [(0, BATCH_SIZE), (1, BATCH_SIZE)]
     with pytest.raises(ValueError):
-        batch_layout(0)
+        batch_layout(0)  # raises at the call, before any batch is asked for
 
 
 def test_batch_rng_keys():
@@ -82,6 +83,27 @@ def test_run_batched_worker_count_is_invisible(n):
     base = _keyed_sum(n, 1)
     assert _keyed_sum(n, 2) == base
     assert _keyed_sum(n, 8) == base
+
+
+def test_run_batched_memory_stays_flat():
+    n = 200_000
+
+    def batch_fn(b_idx, size):
+        return {"s": float(b_idx), "v": np.array([b_idx, size], dtype=np.float64)}
+
+    tracemalloc.start()
+    try:
+        got = run_batched(n, batch_fn, batch_size=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # one partial at a time, whatever n is
+    s, v = 0.0, np.array([0.0, 1.0])
+    for i in range(1, n):
+        s = s + float(i)
+        v = v + np.array([i, 1], dtype=np.float64)
+    assert got["s"] == s
+    assert np.array_equal(got["v"], v)
 
 
 def test_draw_rates_shape_and_determinism():
@@ -141,8 +163,8 @@ def test_estimate_matches_numpy_and_thread_count(n):
         return {"float": x, "bool": x < 0.3}
 
     whole = [draws(i, size) for i, size in batch_layout(n)]
-    got = estimate(n, draws, threads=1)
-    assert estimate(n, draws, threads=2) == got
+    got = estimate(n, draws)
+    assert estimate(n, draws) == got
     for key in ("float", "bool"):
         x = np.concatenate([part[key] for part in whole])
         assert got[key].n == n
@@ -229,39 +251,3 @@ def test_settle_matches_scalar_engine_with_ties(n):
     for j in range(size):
         w, e_loser = select_winner(scores[:, j], _FixedUniform(u[j]))
         assert (w, e_loser) == (winner[j], price[j]), j
-
-
-def test_run_batched_pool_is_bounded(monkeypatch):
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            fut = Future()
-            fut.set_result(fn(*args))
-            return fut
-
-    monkeypatch.setattr(sampling, "ThreadPoolExecutor", RecordingPool)
-    n = 2 * BATCH_SIZE + 1  # 3 batches
-    base = _keyed_sum(n, 1)
-    monkeypatch.setattr(sampling.os, "sched_getaffinity", lambda pid: set(range(64)),
-                        raising=False)
-    assert _keyed_sum(n, 10**6) == base
-    assert sizes == [3]
-    # pinned to one CPU (taskset -c 1): no pool, whatever --threads asks
-    monkeypatch.setattr(sampling.os, "sched_getaffinity", lambda pid: {0})
-    assert [_keyed_sum(n, t) for t in (2, 8)] == [base, base]
-    assert sizes == [3]
-    # no affinity mask (macOS, Windows): every CPU of the host
-    monkeypatch.delattr(sampling.os, "sched_getaffinity")
-    monkeypatch.setattr(sampling.os, "cpu_count", lambda: 2)
-    assert _keyed_sum(n, 8) == base
-    assert sizes == [3, 2]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Game, PlatformBelief
-from .sampling import STREAM_ROUNDS, batch_rng
+from .sampling import STREAM_ROUNDS, batch_rngs
 
 __all__ = [
     "AuctionDraw",
@@ -199,16 +199,17 @@ def run_repeated(
     seed: int,
     mode: str = "analytic",
 ) -> RepeatedOutcome:
-    """T independent auctions, each on its own derived round seed; totals
-    are the plain sums of the per-round outcomes."""
+    """T independent auctions; round t runs on batch_rng(seed,
+    STREAM_ROUNDS, t), its generators seeded a chunk at a time by
+    batch_rngs. Totals are the plain sums of the per-round outcomes."""
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     trace = []
     payoffs = [0.0] * game.n
     platform = 0.0
     social = 0.0
-    for t in range(T):
-        out = run_auction(game, strategies, belief, batch_rng(seed, STREAM_ROUNDS, t), mode)
+    for rng in batch_rngs(seed, STREAM_ROUNDS, T):
+        out = run_auction(game, strategies, belief, rng, mode)
         trace.append(out)
         for i in range(game.n):
             payoffs[i] += out.payoffs[i]

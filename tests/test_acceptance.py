@@ -23,7 +23,7 @@ from adpricing.config import load_config
 from adpricing.distributions import Point, two_point_surrogate, uniform_die
 from adpricing.engine import run_auction, run_repeated
 from adpricing.equilibrium import cpsc_comparison, sweep_outside_option
-from adpricing.model import Strategy, in_site, out_site
+from adpricing.model import PlatformBelief, Strategy, in_site, out_site
 from adpricing.payoffs import (
     ValueLaw,
     estimate_equilibrium_payoffs,
@@ -212,27 +212,53 @@ def test_conversion_bidding_reports_identical_in_site():
 
 def test_repeated_totals_match_per_round_values():
     T = 50
-    game = _cfg().game
-    strats = [
-        theoretical_strategy(game.model, game.scenario, s, game.chain)
-        for s in game.specs
-    ]
-    rep = run_repeated(game, strats, None, T, seed=SEED)
-    singles = [
-        run_auction(game, strats, None, batch_rng(SEED, STREAM_ROUNDS, t))
-        for t in range(T)
-    ]
     tol = REL_EXACT * T
-    assert rep.platform_payoff == pytest.approx(
-        math.fsum(o.platform_payoff for o in singles), rel=tol
-    )
-    assert rep.social_welfare == pytest.approx(
-        math.fsum(o.social_welfare for o in singles), rel=tol
-    )
-    for i in range(game.n):
-        assert rep.payoffs[i] == pytest.approx(
-            math.fsum(o.payoffs[i] for o in singles), rel=tol, abs=tol
-        )
+    for scenario in ("in_site", "out_site"):
+        game = _variant(_cfg().game, "OCPC", scenario)
+        strats = [
+            theoretical_strategy(game.model, game.scenario, s, game.chain)
+            for s in game.specs
+        ]
+        belief = None
+        if scenario == "out_site":
+            # underreporting, so realized rounds draw and use the report uniform
+            strats = [replace(s, alpha=a) for s, a in zip(strats, (0.6, 0.8))]
+            belief = PlatformBelief(tuple(s.alpha for s in strats))
+        for mode in ("analytic", "realized"):
+            rep = run_repeated(game, strats, belief, T, seed=SEED, mode=mode)
+            singles = [
+                run_auction(game, strats, belief, batch_rng(SEED, STREAM_ROUNDS, t), mode)
+                for t in range(T)
+            ]
+            # every round is the oracle's round on its own batch_rng key
+            assert len(rep.trace) == T
+            for t in range(T):
+                assert rep.trace[t] == singles[t], (scenario, mode, t)
+            if scenario == "out_site" and mode == "realized":
+                assert {o.reported_conversion for o in singles} == {False, True}
+
+            # totals are the plain sums in round order, bit for bit
+            platform = social = 0.0
+            payoffs = [0.0] * game.n
+            for o in singles:
+                platform += o.platform_payoff
+                social += o.social_welfare
+                for i in range(game.n):
+                    payoffs[i] += o.payoffs[i]
+            assert rep.platform_payoff == platform
+            assert rep.social_welfare == social
+            assert rep.payoffs == tuple(payoffs)
+
+            assert rep.platform_payoff == pytest.approx(
+                math.fsum(o.platform_payoff for o in singles), rel=tol
+            )
+            assert rep.social_welfare == pytest.approx(
+                math.fsum(o.social_welfare for o in singles), rel=tol
+            )
+            for i in range(game.n):
+                assert rep.payoffs[i] == pytest.approx(
+                    math.fsum(o.payoffs[i] for o in singles), rel=tol, abs=tol
+                )
 
     # degenerate laws pin every round to the same value: total is T times it
     pg = make_game(point_specs(c1=0.3, p1=0.2, c2=0.25, p2=0.1))

@@ -148,7 +148,7 @@ def _theoretical_profile(game):
 
 
 def _study_simulate(cfg: ExperimentConfig):
-    # the trace holds one row per round in memory
+    # the trace holds one row per round in memory until every study returns
     rounds = cfg.int_param("simulate", "rounds", 1000, maximum=1_000_000)
     mode = cfg.params("simulate").get("mode", "analytic")
     if mode not in ("analytic", "realized"):
@@ -157,7 +157,6 @@ def _study_simulate(cfg: ExperimentConfig):
     # posted play from the config wins; default is equilibrium play
     strategies = cfg.strategies or _theoretical_profile(game)
     belief = PlatformBelief(tuple(s.alpha for s in strategies))
-    rep = run_repeated(game, strategies, belief, rounds, seed=cfg.seed, mode=mode)
 
     ids = [spec.id for spec in game.specs]
     header = (
@@ -166,8 +165,12 @@ def _study_simulate(cfg: ExperimentConfig):
         + ["platform_payoff", "social_welfare", "conservation"]
     )
     rows = []
+    # totals are the plain sums of the rounds, in round order
+    payoffs = [0.0] * game.n
+    platform = social = 0.0
     all_zero = True
-    for t, oc in enumerate(rep.trace):
+    outcomes = run_repeated(game, strategies, belief, rounds, seed=cfg.seed, mode=mode)
+    for t, oc in enumerate(outcomes):
         resid = oc.social_welfare - oc.platform_payoff - sum(oc.payoffs)
         all_zero &= resid == 0.0
         rows.append(
@@ -175,11 +178,15 @@ def _study_simulate(cfg: ExperimentConfig):
             + list(oc.payoffs)
             + [oc.platform_payoff, oc.social_welfare, resid]
         )
+        for i, p in enumerate(oc.payoffs):
+            payoffs[i] += p
+        platform += oc.platform_payoff
+        social += oc.social_welfare
     tables = {
         "trace.csv": (header, rows),
         "totals.csv": (
             ["rounds", "mode"] + [f"payoff_{a}" for a in ids] + ["platform_payoff", "social_welfare"],
-            [[rounds, mode, *rep.payoffs, rep.platform_payoff, rep.social_welfare]],
+            [[rounds, mode, *payoffs, platform, social]],
         ),
     }
     return tables, {"conservation_zero": bool(all_zero)}

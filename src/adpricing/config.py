@@ -180,11 +180,20 @@ def _parse_game(
     if not isinstance(adv_nodes, list) or len(adv_nodes) < 2:
         raise ConfigError(f"{where}.advertisers", "expected a list of at least 2 advertisers")
     specs = []
+    first_with_id: dict[int, int] = {}
     for i, adv in enumerate(adv_nodes):
         tag = f"{where}.advertisers[{i}]"
         adv = _mapping(adv, tag)
         m = _number(_require(adv, "m", tag), f"{tag}.m")
         adv_id = _integer(adv.get("id", i + 1), f"{tag}.id")
+        # ids name the CSV payoff columns and the trace's winner
+        if adv_id in first_with_id:
+            raise ConfigError(
+                f"{tag}.id",
+                f"id {adv_id} is already taken by {where}.advertisers[{first_with_id[adv_id]}]"
+                " (an omitted id defaults to the 1-based position)",
+            )
+        first_with_id[adv_id] = i
         outside = adv.get("outside_option")
         if outside is not None:
             outside = _number(outside, f"{tag}.outside_option")

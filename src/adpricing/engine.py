@@ -21,16 +21,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .model import Game, PlatformBelief
-from .sampling import STREAM_ROUNDS, batch_rngs
+from .sampling import STREAM_ROUNDS, batch_rng
 
 __all__ = [
     "AuctionDraw",
     "AuctionOutcome",
-    "RepeatedOutcome",
     "select_winner",
     "run_auction",
     "run_repeated",
@@ -183,14 +183,6 @@ def run_auction(
     raise RuntimeError(f"rejected {_MAX_REJECTIONS} draws in a row; check the rate laws")
 
 
-@dataclass(frozen=True)
-class RepeatedOutcome:
-    payoffs: tuple[float, ...]
-    platform_payoff: float
-    social_welfare: float
-    trace: tuple[AuctionOutcome, ...]
-
-
 def run_repeated(
     game: Game,
     strategies,
@@ -198,21 +190,12 @@ def run_repeated(
     T: int,
     seed: int,
     mode: str = "analytic",
-) -> RepeatedOutcome:
-    """T independent auctions; round t runs on batch_rng(seed,
-    STREAM_ROUNDS, t), its generators seeded a chunk at a time by
-    batch_rngs. Totals are the plain sums of the per-round outcomes."""
+) -> Iterator[AuctionOutcome]:
+    """T independent auctions, yielded lazily one outcome at a time. The
+    rounds draw in order from one generator, batch_rng(seed,
+    STREAM_ROUNDS, 0), so a shorter run's outcomes are a prefix of a
+    longer one's. A T below 1 raises here, at the call."""
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    trace = []
-    payoffs = [0.0] * game.n
-    platform = 0.0
-    social = 0.0
-    for rng in batch_rngs(seed, STREAM_ROUNDS, T):
-        out = run_auction(game, strategies, belief, rng, mode)
-        trace.append(out)
-        for i in range(game.n):
-            payoffs[i] += out.payoffs[i]
-        platform += out.platform_payoff
-        social += out.social_welfare
-    return RepeatedOutcome(tuple(payoffs), platform, social, tuple(trace))
+    rng = batch_rng(seed, STREAM_ROUNDS, 0)
+    return (run_auction(game, strategies, belief, rng, mode) for _ in range(T))

@@ -24,7 +24,6 @@ import numpy as np
 __all__ = [
     "BATCH_SIZE",
     "batch_rng",
-    "batch_rngs",
     "rate_role",
     "TIE_ROLE",
     "ADVERTISER_LIMIT",
@@ -54,14 +53,6 @@ TIE_ROLE = 1_000_000
 ADVERTISER_LIMIT = TIE_ROLE // 64
 
 _WORD = 1 << 32
-_MASK = _WORD - 1
-
-# numpy's SeedSequence: pool size, hash and mix constants, shift
-_POOL = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_SHIFT = np.uint32(16)
 
 
 def rate_role(advertiser: int, depth: int) -> int:
@@ -79,106 +70,6 @@ def batch_rng(seed: int, stream: int, batch: int, role: int = 0) -> np.random.Ge
     if all(type(k) is int and 0 <= k < _WORD for k in key):
         key = np.array(key, dtype=np.uint32)
     return np.random.default_rng(np.random.SeedSequence(key))
-
-
-def _words(part: int) -> list[int]:
-    """SeedSequence's 32-bit entropy words of one key part, least
-    significant first: 0 is one word, a larger part as many as it needs."""
-    if part < 0:
-        raise ValueError(f"key parts must be non-negative, got {part}")
-    words = [part & _MASK]
-    while part > _MASK:
-        part >>= 32
-        words.append(part & _MASK)
-    return words
-
-
-def _seed_states(entropy: list[np.ndarray]) -> np.ndarray:
-    """SeedSequence(key).generate_state(4, np.uint64) for many keys in one
-    pass, one row per key. entropy holds the keys' 32-bit words by
-    position: a uint32 array with one entry per key, or with a single
-    entry that every key shares. The hash constants do not depend on the
-    data, so every step is one wrapping uint32 operation over all keys."""
-    h = _INIT_A
-
-    def hashmix(v: np.ndarray) -> np.ndarray:
-        nonlocal h
-        v = v ^ np.uint32(h)
-        h = h * _MULT_A & _MASK
-        v *= np.uint32(h)
-        v ^= v >> _SHIFT
-        return v
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        r = _MIX_L * x - _MIX_R * y
-        r ^= r >> _SHIFT
-        return r
-
-    zero = np.zeros(1, dtype=np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL)]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    # generate_state cycles the pool through its own hash into 8 words
-    h = _INIT_B
-    out = np.empty((max(len(w) for w in pool), 8), dtype=np.uint32)
-    for i in range(8):
-        v = pool[i % _POOL] ^ np.uint32(h)
-        h = h * _MULT_B & _MASK
-        v *= np.uint32(h)
-        v ^= v >> _SHIFT
-        out[:, i] = v
-    # as SeedSequence does: little-endian word pairs, read as native uint64
-    return out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
-
-
-def batch_rngs(seed: int, stream: int, n: int) -> Iterator[np.random.Generator]:
-    """Lazily yield generators equal to batch_rng(seed, stream, b) for b
-    in range(n), hashing the keys of a chunk of at most BATCH_SIZE
-    generators in one vectorized pass of SeedSequence's arithmetic;
-    numpy still seeds each PCG64 from the hashed words.
-
-    The first generator is checked against batch_rng(seed, stream, 0). If
-    their states differ (a numpy whose SeedSequence hashes otherwise),
-    every generator is batch_rng's own. A negative key part raises
-    ValueError."""
-    head = [np.array([w], dtype=np.uint32) for w in _words(seed) + _words(stream)]
-
-    # defined here, not with the module: naming np.random imports it, and
-    # that belongs to the first draw, not to every import of adpricing
-    class SeedState(np.random.bit_generator.ISeedSequence):
-        """A seed sequence whose generate_state(4, np.uint64) is already
-        known: PCG64 asks for exactly that, once, when it is built."""
-
-        def __init__(self, state: np.ndarray):
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.state
-
-    checked = False
-    # chunks start at multiples of BATCH_SIZE, a divisor of 2**32, so
-    # every b of a chunk has the same words above its lowest one
-    for lo in range(0, n, BATCH_SIZE):
-        high = _words(lo >> 32) if lo > _MASK else []
-        tail = [np.array([w], dtype=np.uint32) for w in high + [0]]  # role 0
-        low = np.arange(min(BATCH_SIZE, n - lo), dtype=np.uint32) + np.uint32(lo & _MASK)
-        for state in _seed_states(head + [low] + tail):
-            rng = np.random.Generator(np.random.PCG64(SeedState(state)))
-            if not checked:
-                checked = True
-                ref = batch_rng(seed, stream, 0)
-                if rng.bit_generator.state != ref.bit_generator.state:
-                    yield ref
-                    for b in range(1, n):
-                        yield batch_rng(seed, stream, b)
-                    return
-            yield rng
 
 
 def batch_layout(n: int, batch_size: int = BATCH_SIZE) -> Iterator[tuple[int, int]]:

@@ -210,6 +210,19 @@ def test_conversion_bidding_reports_identical_in_site():
 
 # --- 8: repeated-auction accounting --------------------------------------
 
+def _plain_totals(outcomes, n):
+    """Per-advertiser payoffs, platform and social welfare summed in round
+    order, as the simulate study's totals.csv adds them."""
+    payoffs = [0.0] * n
+    platform = social = 0.0
+    for o in outcomes:
+        platform += o.platform_payoff
+        social += o.social_welfare
+        for i in range(n):
+            payoffs[i] += o.payoffs[i]
+    return payoffs, platform, social
+
+
 def test_repeated_totals_match_per_round_values():
     T = 50
     tol = REL_EXACT * T
@@ -225,39 +238,23 @@ def test_repeated_totals_match_per_round_values():
             strats = [replace(s, alpha=a) for s, a in zip(strats, (0.6, 0.8))]
             belief = PlatformBelief(tuple(s.alpha for s in strats))
         for mode in ("analytic", "realized"):
-            rep = run_repeated(game, strats, belief, T, seed=SEED, mode=mode)
-            singles = [
-                run_auction(game, strats, belief, batch_rng(SEED, STREAM_ROUNDS, t), mode)
-                for t in range(T)
-            ]
-            # every round is the oracle's round on its own batch_rng key
-            assert len(rep.trace) == T
-            for t in range(T):
-                assert rep.trace[t] == singles[t], (scenario, mode, t)
+            trace = list(run_repeated(game, strats, belief, T, seed=SEED, mode=mode))
+            # the rounds are the oracle's, replayed in order on one generator
+            rng = batch_rng(SEED, STREAM_ROUNDS, 0)
+            singles = [run_auction(game, strats, belief, rng, mode) for _ in range(T)]
+            assert trace == singles, (scenario, mode)
             if scenario == "out_site" and mode == "realized":
-                assert {o.reported_conversion for o in singles} == {False, True}
+                assert {o.reported_conversion for o in trace} == {False, True}
 
-            # totals are the plain sums in round order, bit for bit
-            platform = social = 0.0
-            payoffs = [0.0] * game.n
-            for o in singles:
-                platform += o.platform_payoff
-                social += o.social_welfare
-                for i in range(game.n):
-                    payoffs[i] += o.payoffs[i]
-            assert rep.platform_payoff == platform
-            assert rep.social_welfare == social
-            assert rep.payoffs == tuple(payoffs)
-
-            assert rep.platform_payoff == pytest.approx(
-                math.fsum(o.platform_payoff for o in singles), rel=tol
+            # the in-order plain sums stay within float noise of exact sums
+            payoffs, platform, social = _plain_totals(trace, game.n)
+            assert platform == pytest.approx(
+                math.fsum(o.platform_payoff for o in trace), rel=tol
             )
-            assert rep.social_welfare == pytest.approx(
-                math.fsum(o.social_welfare for o in singles), rel=tol
-            )
+            assert social == pytest.approx(math.fsum(o.social_welfare for o in trace), rel=tol)
             for i in range(game.n):
-                assert rep.payoffs[i] == pytest.approx(
-                    math.fsum(o.payoffs[i] for o in singles), rel=tol, abs=tol
+                assert payoffs[i] == pytest.approx(
+                    math.fsum(o.payoffs[i] for o in trace), rel=tol, abs=tol
                 )
 
     # degenerate laws pin every round to the same value: total is T times it
@@ -265,10 +262,10 @@ def test_repeated_totals_match_per_round_values():
     pstrats = [
         theoretical_strategy(pg.model, pg.scenario, s, pg.chain) for s in pg.specs
     ]
-    prep = run_repeated(pg, pstrats, None, T, seed=SEED)
+    _, platform, social = _plain_totals(run_repeated(pg, pstrats, None, T, seed=SEED), pg.n)
     one = run_auction(pg, pstrats, None, batch_rng(SEED, STREAM_ROUNDS, 0))
-    assert prep.platform_payoff == pytest.approx(T * one.platform_payoff, rel=tol)
-    assert prep.social_welfare == pytest.approx(T * one.social_welfare, rel=tol)
+    assert platform == pytest.approx(T * one.platform_payoff, rel=tol)
+    assert social == pytest.approx(T * one.social_welfare, rel=tol)
 
 
 # --- 9: more than two advertisers ----------------------------------------

@@ -195,34 +195,63 @@ def test_cli_simulate_end_to_end(tmp_path):
         assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest
 
 
+def _simulate_realized(tmp_path, scenario, rounds):
+    """Out dir of one realized simulate run of the shrunk default config."""
+    raw = _small_dict("simulate", rounds=rounds, mode="realized")
+    raw["game"]["scenario"] = scenario
+    if scenario == "out_site":
+        # posted underreporting: the platform's belief scales every bid
+        raw["game"]["strategies"] = [{"bid": 10.0, "alpha": 0.6}, {"bid": 10.0, "alpha": 0.8}]
+    out = tmp_path / f"{scenario}-{rounds}"
+    out.mkdir()
+    cfg = _write(tmp_path, raw, f"{scenario}-{rounds}.yaml")
+    assert cli.main(["--config", cfg, "--out", str(out)]) == 0
+    return out
+
+
 # sha256 of simulate/trace.csv and totals.csv for 500 realized rounds of
-# the default game at seed 42, recorded before round generators were
-# seeded a chunk at a time; a deliberate re-key of the rounds updates them
+# the default game at seed 42, recorded when the rounds were first drawn
+# in order from one generator; a deliberate re-key of the rounds updates them
 SIMULATE_REALIZED_SHA256 = {
     "in_site": {
-        "simulate/trace.csv": "1baf97b7c79e24ddf38974c5e11d190b93ea8243400f4a0931754c4292c36f5c",
-        "simulate/totals.csv": "052ae0811975775dd4d6ae064f0ca9714f0f7052eb794e4c68d40679831cf086",
+        "simulate/trace.csv": "400a3c2652fde939a71dd942ccb289873ed28d79d518203cb7f7e31f4eb493c1",
+        "simulate/totals.csv": "3096a33c729a95a8b5bd168c91cd8f453ed31becfb0ce313ffd8f44dd1fd96cf",
     },
     "out_site": {
-        "simulate/trace.csv": "ecf29fd9fab595dc1cce38cd49f231615f1a6d85edeb4f5f8c65a8fc667ac9aa",
-        "simulate/totals.csv": "8a28a49d14cdb4e0e9b119177256dfc14f3b1da483dbde0184aac1e009fb9d25",
+        "simulate/trace.csv": "db2bf0833fa330e3086aa467c8399001d2ef9259df11280799c7161cd75e7ffe",
+        "simulate/totals.csv": "6034cc0fb48ad4b6349cd9deb8ad9d78ed2bc0326b46d1fe52db94f35b848e7d",
     },
 }
 
 
 @pytest.mark.parametrize("scenario", sorted(SIMULATE_REALIZED_SHA256))
 def test_cli_simulate_realized_files_are_pinned(tmp_path, scenario):
-    raw = _small_dict("simulate", rounds=500, mode="realized")
-    raw["game"]["scenario"] = scenario
-    if scenario == "out_site":
-        # posted underreporting: the platform's belief scales every bid
-        raw["game"]["strategies"] = [{"bid": 10.0, "alpha": 0.6}, {"bid": 10.0, "alpha": 0.8}]
-    out = tmp_path / "results"
-    out.mkdir()
-    assert cli.main(["--config", _write(tmp_path, raw), "--out", str(out)]) == 0
+    out = _simulate_realized(tmp_path, scenario, 500)
     digests = {rel: hashlib.sha256((out / rel).read_bytes()).hexdigest()
                for rel in ("simulate/trace.csv", "simulate/totals.csv")}
     assert digests == SIMULATE_REALIZED_SHA256[scenario]
+
+
+@pytest.mark.parametrize("scenario", ["in_site", "out_site"])
+def test_cli_simulate_trace_is_a_prefix_and_totals_are_its_sums(tmp_path, scenario):
+    short, long = (_simulate_realized(tmp_path, scenario, n) / "simulate" for n in (200, 500))
+    short_trace = (short / "trace.csv").read_text().splitlines()
+    long_trace = (long / "trace.csv").read_text().splitlines()
+    assert len(short_trace) == 201
+    assert short_trace == long_trace[:201]
+
+    for sim in (short, long):
+        with open(sim / "trace.csv", newline="") as fh:
+            trace = list(csv.DictReader(fh))
+        with open(sim / "totals.csv", newline="") as fh:
+            (totals,) = csv.DictReader(fh)
+        assert int(totals["rounds"]) == len(trace)
+        assert totals["mode"] == "realized"
+        for col in [c for c in totals if c not in ("rounds", "mode")]:
+            acc = 0.0
+            for row in trace:  # in round order, no compensated summation
+                acc += float(row[col])
+            assert float(totals[col]) == acc, col
 
 
 def test_cli_reruns_are_byte_identical(tmp_path):
@@ -297,6 +326,15 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     wide = _write(tmp_path, raw, "wide.yaml")
     assert cli.main(["--config", wide, "--out", str(out)]) == 2
     assert "game.advertisers[0].rates.click" in capsys.readouterr().err
+
+    # repeated advertiser ids would share a payoff column and a winner name
+    for game in ("game", "cart_game"):
+        raw = _small_dict()
+        for adv in raw[game]["advertisers"]:
+            adv["id"] = 7
+        dup = _write(tmp_path, raw, f"dup-{game}.yaml")
+        assert cli.main(["--config", dup, "--out", str(out)]) == 2
+        assert f"{game}.advertisers[1].id" in capsys.readouterr().err
     assert not any(out.iterdir())
 
 

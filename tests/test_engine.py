@@ -1,6 +1,7 @@
 """Auction engine: unit conversions, winner selection, pricing, rejected
 draws, and the single/repeated auction paths."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from adpricing.distributions import Discrete
 from adpricing.engine import run_auction, run_repeated, select_winner
 from adpricing.model import PlatformBelief, Strategy
-from adpricing.sampling import batch_rng
+from adpricing.sampling import STREAM_ROUNDS, batch_rng
 
 from conftest import default_specs, make_game, point_specs
 
@@ -129,25 +130,40 @@ def test_run_auction_out_site_underreporting():
 def test_run_repeated_matches_trace():
     game = make_game(default_specs(), model="CPC")
     strategies = (Strategy(10.0), Strategy(12.0))
-    rep = run_repeated(game, strategies, None, T=10, seed=5)
-    assert len(rep.trace) == 10
-    assert rep.payoffs == tuple(
-        sum(oc.payoffs[i] for oc in rep.trace) for i in range(2)
-    )
-    assert rep.platform_payoff == sum(oc.platform_payoff for oc in rep.trace)
-    assert rep.social_welfare == sum(oc.social_welfare for oc in rep.trace)
+    trace = list(run_repeated(game, strategies, None, T=10, seed=5))
+    assert len(trace) == 10
+    # one generator, consumed round after round
+    rng = batch_rng(5, STREAM_ROUNDS, 0)
+    for oc in trace:
+        assert oc == run_auction(game, strategies, None, rng)
     # rounds draw fresh markets
-    assert rep.trace[0].draw.realized != rep.trace[1].draw.realized
+    assert trace[0].draw.realized != trace[1].draw.realized
+    # a shorter run is a prefix of a longer one
+    assert list(run_repeated(game, strategies, None, T=4, seed=5)) == trace[:4]
 
 
 def test_run_repeated_t1_is_a_single_auction():
     game = make_game(default_specs(), model="OCPC")
     strategies = (Strategy(100.0), Strategy(100.0))
-    rep = run_repeated(game, strategies, None, T=1, seed=9)
-    assert rep.platform_payoff == rep.trace[0].platform_payoff
-    assert rep.payoffs == rep.trace[0].payoffs
+    (only,) = run_repeated(game, strategies, None, T=1, seed=9)
+    assert only == run_auction(game, strategies, None, batch_rng(9, STREAM_ROUNDS, 0))
     with pytest.raises(ValueError):
-        run_repeated(game, strategies, None, T=0, seed=9)
+        run_repeated(game, strategies, None, T=0, seed=9)  # at the call, not at next()
+
+
+def test_run_repeated_streams_its_rounds():
+    game = make_game(default_specs(), model="OCPC")
+    strategies = (Strategy(100.0), Strategy(80.0))
+    rounds = 0
+    tracemalloc.start()
+    try:
+        for _ in run_repeated(game, strategies, None, T=20_000, seed=3, mode="realized"):
+            rounds += 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rounds == 20_000
+    assert peak < 1 << 20  # one outcome at a time, not the whole trace
 
 
 def test_run_auction_rejects_bad_mode():

@@ -6,15 +6,12 @@ import numpy as np
 import pytest
 
 from adpricing import sampling
-from adpricing.engine import run_repeated, select_winner
-from adpricing.model import Strategy
+from adpricing.engine import select_winner
 from adpricing.sampling import (
     BATCH_SIZE,
-    STREAM_ROUNDS,
     MeanSE,
     batch_layout,
     batch_rng,
-    batch_rngs,
     draw_rates,
     estimate,
     mean_se,
@@ -71,72 +68,6 @@ def test_batch_rng_is_the_seed_sequence_of_the_key(key):
 def test_batch_rng_rejects_a_negative_key_part(key):
     with pytest.raises(ValueError):  # never OverflowError from a uint32 cast
         batch_rng(*key)
-
-
-def _count_batch_rng_calls(monkeypatch):
-    calls = []
-    real = sampling.batch_rng
-
-    def counted(*key):
-        calls.append(key)
-        return real(*key)
-
-    monkeypatch.setattr(sampling, "batch_rng", counted)
-    return calls
-
-
-@pytest.mark.parametrize("stream", [STREAM_ROUNDS, 2**33])
-@pytest.mark.parametrize("seed", [0, 42, 2**32 - 1, 2**32, 2**64 - 1, 10**30])
-def test_batch_rngs_equal_batch_rng(monkeypatch, seed, stream):
-    calls = _count_batch_rng_calls(monkeypatch)
-    picks = (0, 1, BATCH_SIZE - 1, BATCH_SIZE, BATCH_SIZE + 1)
-    n = BATCH_SIZE + 2
-    seen = 0
-    for b, rng in enumerate(batch_rngs(seed, stream, n)):
-        seen += 1
-        if b in picks:
-            assert rng.bit_generator.state == batch_rng(seed, stream, b).bit_generator.state, b
-    assert seen == n
-    (one,) = batch_rngs(seed, stream, 1)
-    assert one.bit_generator.state == batch_rng(seed, stream, 0).bit_generator.state
-    # the hashed path made them: batch_rng ran once per call, for the guard
-    assert calls == [(seed, stream, 0)] * 2
-
-
-@pytest.mark.parametrize("seed, stream", [(-1, STREAM_ROUNDS), (1, -8)])
-def test_batch_rngs_rejects_a_negative_key_part(seed, stream):
-    with pytest.raises(ValueError):
-        next(batch_rngs(seed, stream, 3))
-
-
-def test_batch_rngs_is_lazy(monkeypatch):
-    sizes = []
-    real = sampling._seed_states
-
-    def spy(entropy):
-        sizes.append(max(len(w) for w in entropy))
-        return real(entropy)
-
-    monkeypatch.setattr(sampling, "_seed_states", spy)
-    rngs = batch_rngs(7, STREAM_ROUNDS, 10**30)
-    first = next(rngs)
-    assert sizes == [BATCH_SIZE]  # one chunk hashed, not 10**30 keys
-    assert first.bit_generator.state == batch_rng(7, STREAM_ROUNDS, 0).bit_generator.state
-
-
-def test_batch_rngs_guard_falls_back_to_batch_rng(monkeypatch):
-    game = make_game(default_specs())
-    strategies = (Strategy(10.0), Strategy(8.0))
-    n = 40
-    before = run_repeated(game, strategies, None, n, seed=3, mode="realized")
-    real = sampling._seed_states
-    # wrong words for every key: the guard must catch the first generator
-    monkeypatch.setattr(sampling, "_seed_states", lambda entropy: real(entropy) ^ np.uint64(1))
-    calls = _count_batch_rng_calls(monkeypatch)
-    got = [rng.bit_generator.state for rng in batch_rngs(3, STREAM_ROUNDS, n)]
-    assert got == [batch_rng(3, STREAM_ROUNDS, b).bit_generator.state for b in range(n)]
-    assert len(calls) == n
-    assert run_repeated(game, strategies, None, n, seed=3, mode="realized").trace == before.trace
 
 
 def _keyed_sum(n, threads):

@@ -41,10 +41,11 @@ from . import __version__
 from .config import MAX_REPLICATIONS, ConfigError, ExperimentConfig, STUDIES, load_config
 from .distributions import Point, two_point_surrogate, uniform_die
 from .engine import run_repeated
-from .equilibrium import cpsc_comparison, sweep_outside_option
+from .equilibrium import CPSC_MODELS, cpsc_comparison, sweep_outside_option
 from .model import PlatformBelief, in_site, out_site, validate_game
 from .payoffs import (
     ValueLaw,
+    enumeration_size,
     estimate_equilibrium_payoffs,
     exact_equilibrium_payoffs,
     expected_min_max,
@@ -71,6 +72,10 @@ DOMINANCE_COMBOS = (
     ("OCPC", "out_site"),
     ("CPA", "out_site"),
 )
+
+# the most rate combinations the exact enumeration of the cpsc study's
+# surrogate game may visit for one of the models it compares
+MAX_ENUMERATION = 10**6
 
 
 def _cell(v) -> str:
@@ -150,7 +155,7 @@ def _theoretical_profile(game):
 def _study_simulate(cfg: ExperimentConfig):
     # the trace holds one row per round in memory until every study returns
     rounds = cfg.int_param("simulate", "rounds", 1000, maximum=1_000_000)
-    mode = cfg.params("simulate").get("mode", "analytic")
+    mode = cfg.param("simulate", "mode", "analytic")
     if mode not in ("analytic", "realized"):
         raise ConfigError("study_params.simulate.mode", f"expected analytic or realized, got {mode!r}")
     game = cfg.game
@@ -340,7 +345,12 @@ def _study_lemmas(cfg: ExperimentConfig):
 def _study_collapse(cfg: ExperimentConfig):
     rounds = cfg.int_param("collapse", "rounds", 21, minimum=2, maximum=1_000)
     decay = cfg.number_param("collapse", "decay", 0.5, above=0.0, below=1.0)
-    threshold = cfg.number_param("collapse", "threshold", 1e-3)
+    # above decay, round 0 would already be collapsed: there is no spiral
+    threshold = cfg.number_param("collapse", "threshold", 1e-3, above=0.0)
+    if threshold > decay:
+        raise ConfigError(
+            "study_params.collapse.threshold", f"must be <= decay {decay}, got {threshold}"
+        )
     reps = cfg.study_replications("collapse", default=10_000)
     game = cfg.game.with_model("CPA", out_site())
     trace = cpa_collapse(
@@ -360,10 +370,9 @@ def _study_collapse(cfg: ExperimentConfig):
 
     first, last = trace.rounds[0], trace.rounds[-1]
     post = [r for r in trace.rounds if r.collapsed]
-    n = game.n
-    targets = [spec.m * float(np.prod(spec.rate_means())) / n for spec in game.specs]
+    targets = [u.mean for u in exact_equilibrium_payoffs(game).advertisers]
     shares_ok = bool(post) and all(
-        abs(s - 1.0 / n) <= 0.02 for r in post for s in r.winner_share
+        abs(s - 1.0 / game.n) <= 0.02 for r in post for s in r.winner_share
     )
     utils_ok = bool(post) and all(
         abs(u.mean - targets[i]) <= SE_FACTOR * u.se
@@ -431,9 +440,12 @@ def _study_sweep(cfg: ExperimentConfig):
     }
 
 
-def _cpsc_game(cfg: ExperimentConfig):
-    """The cpsc study's game: the posted game if it has a cart event, else
-    cart_game; it must exist and have two advertisers."""
+def _cpsc_games(cfg: ExperimentConfig):
+    """The cpsc study's game, the posted game if it has a cart event, else
+    cart_game, and its enumerable two-point surrogate. The game must exist
+    and have two advertisers, and the surrogate's exact enumeration may
+    visit at most MAX_ENUMERATION rate combinations per model: discrete
+    laws pass into it unchanged, so their atom counts multiply."""
     if cfg.game.chain.has_cart:
         game, field = cfg.game, "game"
     elif cfg.cart_game is not None:
@@ -446,11 +458,19 @@ def _cpsc_game(cfg: ExperimentConfig):
         raise ConfigError(
             f"{field}.advertisers", "the cpsc study compares payoffs in the two-advertiser game"
         )
-    return game
+    surrogate = _map_laws(game, lambda d, r: two_point_surrogate(r))
+    size = max(enumeration_size(surrogate.with_model(name)) for name in CPSC_MODELS)
+    if size > MAX_ENUMERATION:
+        raise ConfigError(
+            f"{field}.advertisers",
+            f"the exact enumeration of the cpsc study would visit {size} rate combinations,"
+            f" above {MAX_ENUMERATION}; give the discrete rate laws fewer atoms",
+        )
+    return game, surrogate
 
 
 def _study_cpsc(cfg: ExperimentConfig):
-    game = _cpsc_game(cfg)
+    game, surrogate = _cpsc_games(cfg)
     reps = cfg.study_replications("cpsc")
     enum_reps = cfg.int_param(
         "cpsc", "enumeration_replications", 100_000, maximum=MAX_REPLICATIONS
@@ -459,13 +479,11 @@ def _study_cpsc(cfg: ExperimentConfig):
     ids = [spec.id for spec in game.specs]
 
     # enumerable two-point variant: exact payoffs vs the MC estimator
-    surrogate = _map_laws(game, lambda d, r: two_point_surrogate(r))
-    names = ("CPC", "CPSC", "OCPC")
-    exact = {n: exact_equilibrium_payoffs(surrogate.with_model(n)) for n in names}
-    mc = estimate_equilibrium_payoffs(surrogate, enum_reps, cfg.seed, names)
+    exact = {n: exact_equilibrium_payoffs(surrogate.with_model(n)) for n in CPSC_MODELS}
+    mc = estimate_equilibrium_payoffs(surrogate, enum_reps, cfg.seed, CPSC_MODELS)
     enum_rows = []
     agree = True
-    for n in names:
+    for n in CPSC_MODELS:
         quantities = [("platform", exact[n].platform, mc[n].platform)] + [
             (f"advertiser_{ids[i]}", exact[n].advertisers[i], mc[n].advertisers[i])
             for i in range(game.n)
@@ -538,7 +556,7 @@ def run(cfg: ExperimentConfig) -> int:
             "game.advertisers", "payoff orderings are defined on the two-advertiser game"
         )
     if "cpsc" in studies:
-        _cpsc_game(cfg)
+        _cpsc_games(cfg)
     results = {}
     for name in studies:
         t0 = time.perf_counter()

@@ -32,16 +32,22 @@ Schema (see configs/default.yaml for a complete example):
     study_params:
       simulate: {rounds: 1000, mode: analytic}
       dominance: {replications: 100000, grid_points: 101}
-      collapse: {rounds: 21, decay: 0.5, replications: 10000}
+      collapse: {rounds: 21, decay: 0.5, replications: 10000, threshold: 1.0e-3}
       sweep: {r_min: 0.0, r_max: 2.0, r_points: 41}
       cpsc: {enumeration_replications: 100000}
 
 Distribution nodes: {kind: uniform, lo, hi}, {kind: beta, a, b},
 {kind: point, v}, {kind: discrete, atoms: [[value, prob], ...]}.
 
+A key other than those above (at the root, in a game, an advertiser or
+a strategy), a study_params entry that is not a study, and a knob that
+is not in that study's STUDY_KNOBS are rejected, so a misspelled key
+cannot silently keep its default.
+
 Every replication count, top-level or per study, lies in
 [1, MAX_REPLICATIONS]: estimators run their batches serially, so an
-unbounded count would mean a run that never ends.
+unbounded count would mean a run that never ends. An advertiser's m is
+below MAX_VALUE, so no sum of squared payoffs overflows.
 """
 
 from __future__ import annotations
@@ -70,6 +76,7 @@ from .model import (
 
 __all__ = [
     "STUDIES",
+    "STUDY_KNOBS",
     "MAX_REPLICATIONS",
     "ConfigError",
     "ExperimentConfig",
@@ -87,7 +94,29 @@ STUDIES = (
     "reproduce-all",
 )
 
+# the keys a config may hold at its root
+TOP_LEVEL_KEYS = (
+    "study", "seed", "replications", "threads", "out", "game", "cart_game", "study_params",
+)
+
+# every knob each study reads from study_params.<study>; the accessors of
+# ExperimentConfig read no other name
+STUDY_KNOBS = {
+    "simulate": ("rounds", "mode"),
+    "dominance": (
+        "replications", "grid_points", "grid_max_multiplier", "fixtures", "fixture_replications",
+    ),
+    "lemmas": ("replications",),
+    "collapse": ("rounds", "decay", "threshold", "replications"),
+    "sweep": ("r_min", "r_max", "r_points", "replications"),
+    "cpsc": ("replications", "enumeration_replications"),
+}
+
 MAX_REPLICATIONS = 10**10
+
+# rates are probabilities, so every per-draw payoff is within a few m of 0;
+# below this m the sums of squares of MAX_REPLICATIONS of them stay finite
+MAX_VALUE = 1e100
 
 
 class ConfigError(Exception):
@@ -144,10 +173,21 @@ def _mapping(value: Any, where: str) -> dict:
     return value
 
 
+def _known(node: dict, keys, where: str, what: str = "key") -> dict:
+    """node, checked to hold no key outside keys; where prefixes the field
+    an error names ("" at the root)."""
+    for key in node:
+        if key not in keys:
+            field = f"{where}.{key}" if where else str(key)
+            raise ConfigError(field, f"unknown {what}; expected one of {list(keys)}")
+    return node
+
+
 def _parse_game(
     node: Any, where: str
 ) -> tuple[Game, tuple[str, ...], tuple[Strategy, ...] | None]:
     node = _mapping(node, where)
+    _known(node, ("chain", "scenario", "model", "models", "strategies", "advertisers"), where)
     chain_events = node.get("chain", ["impression", "click", "conversion"])
     if not isinstance(chain_events, list) or not all(
         isinstance(e, str) for e in chain_events
@@ -183,8 +223,8 @@ def _parse_game(
     first_with_id: dict[int, int] = {}
     for i, adv in enumerate(adv_nodes):
         tag = f"{where}.advertisers[{i}]"
-        adv = _mapping(adv, tag)
-        m = _number(_require(adv, "m", tag), f"{tag}.m")
+        adv = _known(_mapping(adv, tag), ("id", "m", "outside_option", "rates"), tag)
+        m = _number(_require(adv, "m", tag), f"{tag}.m", below=MAX_VALUE)
         adv_id = _integer(adv.get("id", i + 1), f"{tag}.id")
         # ids name the CSV payoff columns and the trace's winner
         if adv_id in first_with_id:
@@ -230,7 +270,7 @@ def _parse_game(
         parsed = []
         for i, sn in enumerate(strat_nodes):
             tag = f"{where}.strategies[{i}]"
-            sn = _mapping(sn, tag)
+            sn = _known(_mapping(sn, tag), ("bid", "alpha"), tag)
             bid = _number(_require(sn, "bid", tag), f"{tag}.bid")
             alpha = _number(sn.get("alpha", 1.0), f"{tag}.alpha")
             try:
@@ -256,8 +296,12 @@ class ExperimentConfig:
     strategies: tuple[Strategy, ...] | None = None  # posted play, else theoretical
     replications_forced: bool = False  # --replications given: it wins everywhere
 
-    def params(self, study: str) -> dict:
-        return self.study_params.get(study, {})
+    def param(self, study: str, key: str, default: Any) -> Any:
+        """study_params.<study>.<key> as written, or default. The knob must
+        be declared in STUDY_KNOBS; any other name raises KeyError."""
+        if key not in STUDY_KNOBS.get(study, ()):
+            raise KeyError(f"study_params.{study}.{key} is not declared in STUDY_KNOBS")
+        return self.study_params.get(study, {}).get(key, default)
 
     def int_param(
         self, study: str, key: str, default: int, minimum: int = 1, maximum: int | None = None
@@ -265,18 +309,18 @@ class ExperimentConfig:
         """study_params.<study>.<key>, or default, as an integer within
         [minimum, maximum]."""
         return _integer(
-            self.params(study).get(key, default), f"study_params.{study}.{key}", minimum, maximum
+            self.param(study, key, default), f"study_params.{study}.{key}", minimum, maximum
         )
 
     def number_param(self, study: str, key: str, default: float, **bounds) -> float:
         """study_params.<study>.<key>, or default, as a number within the
         bounds (_number's minimum, above, below)."""
-        return _number(self.params(study).get(key, default), f"study_params.{study}.{key}", **bounds)
+        return _number(self.param(study, key, default), f"study_params.{study}.{key}", **bounds)
 
     def numbers_param(self, study: str, key: str, default, **bounds) -> tuple[float, ...]:
         """A non-empty list of numbers, each within the bounds."""
         where = f"study_params.{study}.{key}"
-        values = self.params(study).get(key, default)
+        values = self.param(study, key, default)
         if not isinstance(values, list) or not values:
             raise ConfigError(where, f"expected a non-empty list of numbers, got {values!r}")
         return tuple(_number(v, f"{where}[{k}]", **bounds) for k, v in enumerate(values))
@@ -304,16 +348,12 @@ def parse_config(raw: Any, overrides: dict | None = None) -> ExperimentConfig:
     Recognized overrides: study, seed, replications, out, threads. A
     replications override also clears per-study replication knobs so
     one flag controls every estimate."""
-    raw = _mapping(raw, "<root>")
+    raw = _known(_mapping(raw, "<root>"), TOP_LEVEL_KEYS, "")
     effective = json.loads(json.dumps(raw))  # deep copy, JSON-typed
     overrides = overrides or {}
     for key in ("study", "seed", "replications", "out", "threads"):
         if overrides.get(key) is not None:
             effective[key] = overrides[key]
-    if overrides.get("replications") is not None:
-        for params in effective.get("study_params", {}).values():
-            if isinstance(params, dict):
-                params.pop("replications", None)
 
     study = _require(effective, "study", "<root>")
     if study not in STUDIES:
@@ -334,10 +374,12 @@ def parse_config(raw: Any, overrides: dict | None = None) -> ExperimentConfig:
         if not cart_game.chain.has_cart:
             raise ConfigError("cart_game.chain", "cart_game must use the 4-stage chain")
 
-    study_params = effective.get("study_params", {})
-    study_params = _mapping(study_params, "study_params")
-    for name, params in study_params.items():
-        _mapping(params, f"study_params.{name}")
+    study_params = _mapping(effective.get("study_params", {}), "study_params")
+    for name, params in _known(study_params, STUDY_KNOBS, "study_params", "study").items():
+        where = f"study_params.{name}"
+        _known(_mapping(params, where), STUDY_KNOBS[name], where, "knob")
+        if overrides.get("replications") is not None:
+            params.pop("replications", None)
 
     return ExperimentConfig(
         study=study,

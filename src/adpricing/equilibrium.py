@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from .model import Game, MODEL_TIE_ORDER
 from .payoffs import (
     OrderingResult, PayoffReport, _ordering, _payoff_pass, estimate_equilibrium_payoffs,
+    expected_value,
 )
 from .sampling import MeanSE
 
@@ -37,6 +38,7 @@ __all__ = [
     "SweepRow",
     "SweepResult",
     "sweep_outside_option",
+    "CPSC_MODELS",
     "CpscReport",
     "cpsc_comparison",
 ]
@@ -127,10 +129,9 @@ def sweep_outside_option(
     }
     # lone-bidder counterfactual: with rivals out, the free advertiser wins
     # every impression at price zero and keeps its full expected value
-    spec1 = game.specs[adv1]
-    monopoly = spec1.m * math.prod(spec1.rate_means())
+    monopoly = expected_value(game.specs[adv1])
 
-    zero = MeanSE(0.0, 0.0, replications)
+    zero = MeanSE(0.0, 0.0)
     rows = []
     for r in r_grid:
         feasible = {
@@ -179,6 +180,9 @@ def sweep_outside_option(
     )
 
 
+# the models cpsc_comparison settles, coarsest bid event first
+CPSC_MODELS = ("CPC", "CPSC", "OCPC")
+
 _CPSC_DELTAS = (
     "advertiser_payoff_cpsc_minus_cpc",
     "advertiser_payoff_ocpc_minus_cpsc",
@@ -222,7 +226,7 @@ def cpsc_comparison(
         )
         return dict(zip(_CPSC_DELTAS, diffs))
 
-    table, est = _payoff_pass(game, ("CPC", "CPSC", "OCPC"), replications, seed, paired)
+    table, est = _payoff_pass(game, CPSC_MODELS, replications, seed, paired)
     deltas = tuple(_ordering(label, est[label]) for label in _CPSC_DELTAS)
     return CpscReport(
         table=table,

@@ -51,8 +51,10 @@ __all__ = [
     "MinMaxReport",
     "OrderingResult",
     "OrderingSuite",
+    "enumeration_size",
     "estimate_equilibrium_payoffs",
     "exact_equilibrium_payoffs",
+    "expected_value",
     "expected_min_max",
     "payoff_ordering_suite",
 ]
@@ -63,8 +65,6 @@ class PayoffReport:
     advertisers: tuple[MeanSE, ...]
     platform: MeanSE
     social: MeanSE
-    method: str = "analytic-mc"
-    conservation_residual: float = 0.0  # mean over draws of S - P - sum(utils)
 
 
 def _score_factors(game: Game, model_name: str, i: int):
@@ -142,7 +142,6 @@ def _payoff_pass(game: Game, names, replications: int, seed: int, paired=None):
         for name, arm in settled.items():
             out[name, "p"] = arm.platform
             out[name, "s"] = arm.social
-            out[name, "resid"] = arm.social - arm.platform - arm.utils.sum(axis=0)
             for i in range(game.n):
                 out[name, i] = arm.utils[i]
         if paired is not None:
@@ -155,7 +154,6 @@ def _payoff_pass(game: Game, names, replications: int, seed: int, paired=None):
             advertisers=tuple(est[name, i] for i in range(game.n)),
             platform=est[name, "p"],
             social=est[name, "s"],
-            conservation_residual=est[name, "resid"].mean,
         )
         for name in names
     }
@@ -186,34 +184,45 @@ def _law_atoms(dist: Distribution) -> list[tuple[float, float]]:
     return dist.atoms()
 
 
+def expected_value(spec) -> float:
+    """An advertiser's expected value per impression: m x the product of
+    its mean rates."""
+    return spec.m * math.prod(spec.rate_means())
+
+
+def _enumeration_cells(game: Game) -> list[list[tuple[float, float]]]:
+    """The atoms of every (advertiser, depth) factor of the posted model's
+    scores, advertiser-major: a realized law's atoms, or its mean as one
+    sure atom beyond the bid depth."""
+    return [
+        _law_atoms(game.specs[i].rate(d)) if kind == "realized" else [(x, 1.0)]
+        for i in range(game.n)
+        for d, (kind, x) in enumerate(_score_factors(game, game.model.name, i), start=1)
+    ]
+
+
+def enumeration_size(game: Game) -> int:
+    """The number of rate combinations exact_equilibrium_payoffs visits."""
+    return math.prod(len(atoms) for atoms in _enumeration_cells(game))
+
+
 def exact_equilibrium_payoffs(game: Game) -> PayoffReport:
     """Exhaustive-enumeration twin of estimate_equilibrium_payoffs for
     finite-discrete rate laws (the brute-force oracle). Ties at the top
     score split the win uniformly, exactly."""
     n = game.n
-    collapse_regime = game.model.name == "CPA" and game.scenario.is_out_site
-    if collapse_regime:
-        # closed form: value means need no enumeration
-        vals = [spec.m * math.prod(spec.rate_means()) for spec in game.specs]
-        utils = [v / n for v in vals]
+    if game.model.name == "CPA" and game.scenario.is_out_site:
+        # the collapsed regime in closed form: each advertiser keeps value/N
+        utils = [expected_value(spec) / n for spec in game.specs]
         return PayoffReport(
-            advertisers=tuple(MeanSE(u, 0.0, 0) for u in utils),
-            platform=MeanSE(0.0, 0.0, 0),
-            social=MeanSE(math.fsum(utils), 0.0, 0),
-            method="exhaustive",
+            advertisers=tuple(MeanSE(u, 0.0) for u in utils),
+            platform=MeanSE(0.0, 0.0),
+            social=MeanSE(math.fsum(utils), 0.0),
         )
-
-    per_cell = []  # one (advertiser, atom list) per (advertiser, depth) cell
-    for i in range(n):
-        for d, (kind, x) in enumerate(_score_factors(game, game.model.name, i), start=1):
-            if kind == "realized":
-                per_cell.append((i, _law_atoms(game.specs[i].rate(d))))
-            else:
-                per_cell.append((i, [(x, 1.0)]))
 
     util_terms = [[] for _ in range(n)]
     plat_terms, soc_terms = [], []
-    for combo in itertools.product(*[atoms for _, atoms in per_cell]):
+    for combo in itertools.product(*_enumeration_cells(game)):
         prob = math.prod(p for _, p in combo)
         if prob == 0.0:
             continue
@@ -236,10 +245,9 @@ def exact_equilibrium_payoffs(game: Game) -> PayoffReport:
         for i in ties:
             util_terms[i].append(share * (scores[i] - e_loser))
     return PayoffReport(
-        advertisers=tuple(MeanSE(math.fsum(t), 0.0, 0) for t in util_terms),
-        platform=MeanSE(math.fsum(plat_terms), 0.0, 0),
-        social=MeanSE(math.fsum(soc_terms), 0.0, 0),
-        method="exhaustive",
+        advertisers=tuple(MeanSE(math.fsum(t), 0.0) for t in util_terms),
+        platform=MeanSE(math.fsum(plat_terms), 0.0),
+        social=MeanSE(math.fsum(soc_terms), 0.0),
     )
 
 
@@ -268,7 +276,6 @@ class ValueLaw:
 class MinMaxReport:
     e_min: MeanSE
     e_max: MeanSE
-    method: str
 
 
 def expected_min_max(
@@ -290,11 +297,7 @@ def expected_min_max(
             vals = [v for v, _ in combo]
             min_terms.append(prob * min(vals))
             max_terms.append(prob * max(vals))
-        return MinMaxReport(
-            MeanSE(math.fsum(min_terms), 0.0, 0),
-            MeanSE(math.fsum(max_terms), 0.0, 0),
-            "exhaustive",
-        )
+        return MinMaxReport(MeanSE(math.fsum(min_terms), 0.0), MeanSE(math.fsum(max_terms), 0.0))
     if replications is None:
         replications = 1_000_000
 
@@ -309,7 +312,7 @@ def expected_min_max(
         return {"lo": draws.min(axis=0), "hi": draws.max(axis=0)}
 
     est = estimate(replications, batch_fn)
-    return MinMaxReport(est["lo"], est["hi"], "mc")
+    return MinMaxReport(est["lo"], est["hi"])
 
 
 @dataclass(frozen=True)

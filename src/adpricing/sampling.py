@@ -176,7 +176,6 @@ SE_FACTOR = 3.0
 class MeanSE:
     mean: float
     se: float
-    n: int
 
     def z(self, target: float = 0.0) -> float:
         """Distance of the mean from target in standard errors (0 when the
@@ -190,9 +189,9 @@ def mean_se(total: float, total_sq: float, n: int) -> MeanSE:
         raise ValueError("need at least one replication")
     mean = float(total) / n
     if n == 1:
-        return MeanSE(mean, 0.0, n)
+        return MeanSE(mean, 0.0)
     var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
-    return MeanSE(mean, math.sqrt(var / n), n)
+    return MeanSE(mean, math.sqrt(var / n))
 
 
 def estimate(n: int, batch_fn: Callable[[int, int], dict]) -> dict:

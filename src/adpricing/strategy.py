@@ -79,17 +79,23 @@ class NoEquilibrium:
 NO_EQUILIBRIUM = NoEquilibrium()
 
 
+def _bid_event_value(spec, bid_depth: int, chain: EventChain) -> float:
+    """The expected value of one bid-depth event: m x the mean rates
+    deeper than bid_depth, multiplied in depth order."""
+    b = spec.m
+    means = spec.rate_means()
+    for d in range(bid_depth + 1, chain.conversion_depth + 1):
+        b *= means[d - 1]
+    return b
+
+
 def theoretical_strategy(
     model: PricingModel, scenario: Scenario, spec, chain: EventChain
 ) -> Strategy | NoEquilibrium:
     """Equilibrium play for one advertiser, or NO_EQUILIBRIUM (CPA out-site)."""
     if scenario.is_out_site and model.name == "CPA":
         return NO_EQUILIBRIUM
-    b = spec.m
-    means = spec.rate_means()
-    for d in range(model.bid_depth + 1, chain.conversion_depth + 1):
-        b *= means[d - 1]
-    return Strategy(bid=b, alpha=1.0)
+    return Strategy(bid=_bid_event_value(spec, model.bid_depth, chain), alpha=1.0)
 
 
 def _utility_coefficients(game: Game, i: int, alpha: float, alpha_hat: float):
@@ -101,18 +107,13 @@ def _utility_coefficients(game: Game, i: int, alpha: float, alpha_hat: float):
     to bid_depth, so replacing deeper realized rates by their means in
     the value term leaves the expectation unchanged and removes their
     sampling noise."""
-    spec = game.specs[i]
     bd, pd = game.model.bid_depth, game.model.pay_depth
     bid_manip = _manip_factor(game, alpha_hat, bd)
     pay_predicted = _manip_factor(game, alpha_hat, pd)
     if pay_predicted == 0.0:
         raise ValueError("platform belief alpha_hat=0 at a charged conversion depth")
     pay_ratio = _manip_factor(game, alpha, pd) / pay_predicted
-    value_mul = spec.m
-    means = spec.rate_means()
-    for d in range(bd + 1, game.chain.conversion_depth + 1):
-        value_mul *= means[d - 1]
-    return bid_manip, pay_ratio, value_mul
+    return bid_manip, pay_ratio, _bid_event_value(game.specs[i], bd, game.chain)
 
 
 def equilibrium_fixture_bids(
@@ -377,9 +378,9 @@ def cpa_collapse(
                 )
                 winner, _, e_loser = settle(e, u)
                 payment = e_loser * (_a / _ah)
-                util = np.where(
-                    np.arange(game.n)[:, None] == winner[None, :], values - payment[None, :], 0.0
-                )
+                cols = np.arange(size)
+                util = np.zeros((game.n, size))
+                util[winner, cols] = values[winner, cols] - payment
             else:
                 # nothing is attributable: all scores tie at 0, so the winner
                 # is uniform and the price is 0

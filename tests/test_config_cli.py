@@ -5,11 +5,14 @@ import csv
 import hashlib
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adpricing import cli
 from adpricing.config import ConfigError, load_config, parse_config
@@ -61,7 +64,9 @@ def test_load_default_config():
     assert cfg.models == ("CPC", "OCPC")
     assert cfg.cart_game is not None and cfg.cart_game.chain.has_cart
     assert cfg.study_replications("dominance", 100_000) == 100_000
-    assert cfg.params("sweep")["r_points"] == 41
+    assert cfg.param("sweep", "r_points", None) == 41
+    with pytest.raises(KeyError):
+        cfg.param("sweep", "r_pionts", 41)  # a knob config does not declare
 
 
 def test_overrides_apply_and_force_replications():
@@ -107,6 +112,10 @@ def test_config_hash_ignores_out_and_threads(tmp_path):
         pytest.param(lambda d: d.__setitem__("replications", 10**10 + 1), "replications",
                      id="replications-above-bound"),
         pytest.param(lambda d: d.__setitem__("seed", -1), "seed", id="negative-seed"),
+        pytest.param(
+            lambda d: d["game"]["advertisers"][1].__setitem__("m", 1e308),
+            "game.advertisers[1].m", id="m-squares-overflow",
+        ),
         pytest.param(
             lambda d: d["game"]["advertisers"][0]["rates"].__setitem__(
                 "click", {"kind": "discrete", "atoms": 5}),
@@ -321,6 +330,14 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     assert cli.main(["--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
     assert "seed" in capsys.readouterr().err
 
+    # --replications clears every study's replications knob, so study_params
+    # must be checked to be a mapping first
+    raw = _small_dict()
+    raw["study_params"] = "x"
+    flat = _write(tmp_path, raw, "flat.yaml")
+    assert cli.main(["--config", flat, "--out", str(out), "--replications", "2000"]) == 2
+    assert "config field 'study_params'" in capsys.readouterr().err
+
     raw = _small_dict()
     raw["game"]["advertisers"][0]["rates"]["click"] = {"kind": "uniform", "lo": -1e308, "hi": 1e308}
     wide = _write(tmp_path, raw, "wide.yaml")
@@ -397,6 +414,9 @@ def test_cli_reproduce_all_with_three_advertisers_exits_two(tmp_path, capsys):
         ("dominance", "fixtures", [1e300]),  # the scan's squared utilities overflow
         ("collapse", "decay", 2),
         ("collapse", "rounds", 1),
+        ("collapse", "threshold", 0),
+        ("collapse", "threshold", -1),
+        ("collapse", "threshold", 0.9),  # above decay 0.5: round 0 is already collapsed
         ("sweep", "r_points", 0),
         ("sweep", "r_max", -1.0),  # below r_min = 0
         ("sweep", "r_points", 10**13),  # above 100_000
@@ -449,6 +469,137 @@ def test_cli_thread_count_never_changes_csvs(tmp_path):
     for study in ("sweep", "cpsc", "lemmas", "dominance"):
         assert blobs[study, 1]
         assert blobs[study, 1] == blobs[study, 2]
+
+
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        pytest.param(
+            lambda d: d["study_params"]["dominance"].__setitem__(
+                "grid_pionts", d["study_params"]["dominance"].pop("grid_points")),
+            "study_params.dominance.grid_pionts", id="knob",
+        ),
+        pytest.param(
+            lambda d: d["study_params"].__setitem__(
+                "dominnace", d["study_params"].pop("dominance")),
+            "study_params.dominnace", id="study",
+        ),
+        pytest.param(
+            lambda d: d.__setitem__("replicatons", d.pop("replications")),
+            "replicatons", id="top-level",
+        ),
+        pytest.param(
+            lambda d: d["game"].__setitem__("modles", d["game"].pop("models")),
+            "game.modles", id="game",
+        ),
+        pytest.param(
+            lambda d: d["cart_game"]["advertisers"][1].__setitem__(
+                "outside_optoin", d["cart_game"]["advertisers"][1].pop("outside_option")),
+            "cart_game.advertisers[1].outside_optoin", id="advertiser",
+        ),
+        pytest.param(
+            lambda d: d["game"].__setitem__(
+                "strategies", [{"bid": 90.0}, {"bid": 80.0, "apha": 1.0}]),
+            "game.strategies[1].apha", id="strategy",
+        ),
+    ],
+)
+def test_cli_unknown_config_keys_exit_two(tmp_path, capsys, mutate, field):
+    # a misspelled key must not run on with the default it failed to set
+    out = tmp_path / "results"
+    out.mkdir()
+    raw = _base_dict()
+    mutate(raw)
+    assert cli.main(["--config", _write(tmp_path, raw), "--out", str(out)]) == 2
+    assert f"config field '{field}': unknown" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def _with_atoms(game_node, k):
+    """Every rate law of the game node as a k-atom discrete law."""
+    atoms = [[0.1 + 0.05 * j, 1.0 / k] for j in range(k)]
+    for adv in game_node["advertisers"]:
+        for event in adv["rates"]:
+            adv["rates"][event] = {"kind": "discrete", "atoms": atoms}
+
+
+@pytest.mark.parametrize("config, node, field", [
+    ("cart.yaml", "game", "game.advertisers"),
+    ("default.yaml", "cart_game", "cart_game.advertisers"),
+])
+def test_cli_cpsc_enumeration_above_the_cap_exits_two(tmp_path, capsys, config, node, field):
+    # 11-atom laws at all six (advertiser, depth) cells of the cart game:
+    # OCPC's exact enumeration would visit 11**6 > 10**6 combinations
+    with open(ROOT / "configs" / config) as fh:
+        raw = yaml.safe_load(fh)
+    _with_atoms(raw[node], 11)
+    out = tmp_path / "results"
+    out.mkdir()
+    argv = ["--config", _write(tmp_path, raw), "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"config field '{field}'" in err and str(11**6) in err
+    assert not any(out.iterdir())  # rejected before any study ran
+
+    _with_atoms(raw[node], 10)  # 10**6 combinations: at the cap, allowed
+    game, surrogate = cli._cpsc_games(load_config(_write(tmp_path, raw)))
+    assert surrogate.specs[0].rates[0].atoms() == game.specs[0].rates[0].atoms()
+
+
+def _key_paths(node, path=()):
+    """The path of every mapping entry and list item under node."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from _key_paths(value, path + (key,))
+
+
+_SHRUNK = _base_dict()
+_SHRUNK["study_params"]["simulate"]["rounds"] = 50
+_RETYPED = ("x", [1], {"k": 1}, None, True)
+_OUT_OF_RANGE = (-1, 0, 10**30, 1e308, -1e308, float("inf"), float("nan"))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    path=st.sampled_from(list(_key_paths(_SHRUNK))),
+    change=st.one_of(
+        st.just(("delete", None)),
+        st.tuples(st.just("retype"), st.sampled_from(_RETYPED)),
+        st.tuples(st.just("range"), st.sampled_from(_OUT_OF_RANGE)),
+    ),
+)
+def test_cli_exit_code_contract_under_one_key_mutations(path, change):
+    # the shrunk default config with one key deleted, retyped or pushed out
+    # of range: main returns 0, 1 or 2 and never raises; exit 1 comes with
+    # a failed verdict, exit 2 with an empty out dir
+    raw = json.loads(json.dumps(_SHRUNK))
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    op, value = change
+    if op == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "results"
+        out.mkdir()
+        cfg = Path(tmp) / "cfg.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        code = cli.main(["--config", str(cfg), "--out", str(out), "--replications", "2000"])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert not any(out.iterdir())
+        else:
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["passed"] == (code == 0)
+            assert all(manifest["verdicts"].values()) == (code == 0)
 
 
 def test_cli_bad_later_study_param_writes_nothing(tmp_path, capsys):
@@ -551,12 +702,12 @@ def test_write_csv_plain_rows_match_the_per_cell_path(tmp_path):
     nan, inf = float("nan"), float("inf")
     rows = [
         [0, 1.5, -0.0, nan, inf, -inf, 'say "hi", bye', 10**20, 1e-300, ""],  # plain
-        [True, None, np.float64(0.1), np.int64(-7), np.bool_(False), MeanSE(0.25, 1e-3, 10)],
-        [False, np.float64(nan), np.float64(-0.0), MeanSE(inf, 0.0, 1), "a\nb", 2.0, 3],
+        [True, None, np.float64(0.1), np.int64(-7), np.bool_(False), MeanSE(0.25, 1e-3)],
+        [False, np.float64(nan), np.float64(-0.0), MeanSE(inf, 0.0), "a\nb", 2.0, 3],
         [-inf, "x", np.float64(2.5), 1],
         [True, 1, 0.5],  # bool is an int subclass the csv writer spells True
         [np.float32(0.1), np.bool_(True), "y"],
-        [MeanSE(-0.0, nan, 2)],
+        [MeanSE(-0.0, nan)],
     ]
     art = cli.Artifacts(tmp_path)
     art.write_csv("fast.csv", ["h"], rows)

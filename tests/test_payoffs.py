@@ -6,6 +6,7 @@ import platform
 import resource
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -29,7 +30,6 @@ def test_dice_enumeration_oracle():
     rep = expected_min_max([die, die], exhaustive=True)
     assert rep.e_max.mean == 161.0 / 36.0
     assert rep.e_min.mean == 91.0 / 36.0
-    assert rep.method == "exhaustive"
 
 
 def test_dice_monte_carlo_matches():
@@ -72,8 +72,44 @@ def test_symmetric_point_game_payoffs_exact():
         assert rep.social.mean == 6.0
         assert rep.advertisers[0].mean == 0.0
         assert rep.advertisers[1].mean == 0.0
-    assert mc.conservation_residual == 0.0
-    assert ex.method == "exhaustive"
+
+
+def _tied_specs(n):
+    # identical two-atom laws: a quarter of the draws tie every score
+    laws = (Discrete((0.2, 0.4), (0.5, 0.5)), Discrete((0.1, 0.3), (0.5, 0.5)))
+    return tuple(replace(default_specs()[0], id=k + 1, rates=laws) for k in range(n))
+
+
+@pytest.mark.parametrize(
+    "specs, scenario, names",
+    [
+        pytest.param(default_specs(), "in_site", ("CPC", "OCPC", "CPA"), id="in-site"),
+        pytest.param(
+            default_specs(), "out_site", ("CPC", "OCPC", "CPA"), id="out-site-collapsed-cpa"
+        ),
+        pytest.param(
+            default_specs() + (replace(default_specs()[0], id=3),), "in_site",
+            ("CPC", "OCPC", "CPA"), id="three-advertisers",
+        ),
+        pytest.param(_tied_specs(2), "in_site", ("CPC", "OCPC", "CPA"), id="tied-discrete"),
+        pytest.param(_tied_specs(3), "in_site", ("CPC", "OCPC"), id="tied-discrete-three"),
+    ],
+)
+def test_settlement_conserves_value_on_every_draw(specs, scenario, names):
+    # social welfare splits exactly into the platform's take and the
+    # advertisers' utilities, draw by draw, in every model settled
+    game = make_game(specs, scenario=scenario)
+    settled = _settle_models(game, names, 4, STREAM_PAYOFFS, 0, 4096)
+    assert list(settled) == list(names)
+    for name, arm in settled.items():
+        assert arm.utils.shape == (game.n, 4096)
+        resid = arm.social - arm.platform - arm.utils.sum(axis=0)
+        assert np.all(resid == 0.0), name
+    if scenario == "out_site":
+        assert settled["CPA"].winner is None and not settled["CPA"].platform.any()
+    if specs[0].rates == specs[1].rates:
+        # tied top scores price at the top score
+        assert np.any(settled["OCPC"].platform == settled["OCPC"].social)
 
 
 def test_estimator_matches_enumeration_on_discrete_game():
@@ -126,9 +162,12 @@ def test_multi_model_pass_equals_single_model_calls(scenario):
 def test_cpa_out_site_collapsed_regime_report():
     game = make_game(default_specs(), model="CPA", scenario="out_site")
     rep = estimate_equilibrium_payoffs(game, replications=50_000, seed=2)["CPA"]
+    ex = exact_equilibrium_payoffs(game)  # closed form: the laws are continuous
     assert rep.platform.mean == 0.0 and rep.platform.se == 0.0
-    for spec, ms in zip(game.specs, rep.advertisers):
+    assert ex.platform.mean == 0.0
+    for spec, ms, ex_ms in zip(game.specs, rep.advertisers, ex.advertisers):
         target = spec.m * math.prod(spec.rate_means()) / game.n
+        assert ex_ms.mean == target
         assert ms.mean == pytest.approx(target, abs=5.0 * ms.se)
 
 

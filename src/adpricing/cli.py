@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import MAX_REPLICATIONS, ConfigError, ExperimentConfig, STUDIES, load_config
+from .config import ConfigError, ExperimentConfig, STUDIES, load_config
 from .distributions import Point, two_point_surrogate, uniform_die
 from .engine import run_repeated
 from .equilibrium import CPSC_MODELS, cpsc_comparison, sweep_outside_option
@@ -153,11 +153,7 @@ def _theoretical_profile(game):
 
 
 def _study_simulate(cfg: ExperimentConfig):
-    # the trace holds one row per round in memory until every study returns
-    rounds = cfg.int_param("simulate", "rounds", 1000, maximum=1_000_000)
-    mode = cfg.param("simulate", "mode", "analytic")
-    if mode not in ("analytic", "realized"):
-        raise ConfigError("study_params.simulate.mode", f"expected analytic or realized, got {mode!r}")
+    rounds, mode = cfg.params["simulate"]["rounds"], cfg.params["simulate"]["mode"]
     game = cfg.game
     # posted play from the config wins; default is equilibrium play
     strategies = cfg.strategies or _theoretical_profile(game)
@@ -205,14 +201,8 @@ def _square_finite(x) -> bool:
 
 
 def _study_dominance(cfg: ExperimentConfig):
-    reps = cfg.study_replications("dominance", default=100_000)
-    # a grid needs both ends: bid 0 and grid_max x the theoretical bid
-    grid_points = cfg.int_param("dominance", "grid_points", 101, minimum=2, maximum=100_000)
-    grid_max = cfg.number_param("dominance", "grid_max_multiplier", 2.0, above=0.0)
-    fixtures = cfg.numbers_param("dominance", "fixtures", [0.25, 0.5, 1.0, 2.0], above=0.0)
-    fixture_reps = cfg.int_param(
-        "dominance", "fixture_replications", 200_000, maximum=MAX_REPLICATIONS
-    )
+    p = cfg.params["dominance"]
+    grid_max, fixtures = p["grid_max_multiplier"], p["fixtures"]
 
     header = [
         "model", "scenario", "advertiser", "fixture_multiplier", "rival_e",
@@ -234,7 +224,7 @@ def _study_dominance(cfg: ExperimentConfig):
             rows.extend([model_name, kind, spec.id] + [None] * 11 + [True] for spec in game.specs)
             continue
         fixture_sets = equilibrium_fixture_bids(
-            game, multipliers=fixtures, replications=fixture_reps, seed=cfg.seed
+            game, multipliers=fixtures, replications=p["fixture_replications"], seed=cfg.seed
         )
         if not _square_finite(fixture_sets):
             raise ConfigError(
@@ -249,10 +239,10 @@ def _study_dominance(cfg: ExperimentConfig):
                     f"grid_max_multiplier x theoretical bid {theory.bid!r} overflows"
                     " or its square does",
                 )
-            grid = np.linspace(0.0, grid_max * theory.bid, grid_points)
+            grid = np.linspace(0.0, grid_max * theory.bid, p["grid_points"])
             rep = best_response_scan(
                 i, grid, rival_es, game,
-                replications=reps, seed=cfg.seed, alpha=theory.alpha,
+                replications=p["replications"], seed=cfg.seed, alpha=theory.alpha,
             )
             localized = abs(rep.argmax_index - rep.theory_index) <= 1
             all_pass &= rep.passed and localized
@@ -287,7 +277,7 @@ def _map_laws(game, fn):
 
 
 def _study_lemmas(cfg: ExperimentConfig):
-    reps = cfg.study_replications("lemmas")
+    reps = cfg.params["lemmas"]["replications"]
     suite = payoff_ordering_suite(cfg.game, replications=reps, seed=cfg.seed)
     ids = [spec.id for spec in cfg.game.specs]
     orderings_header = ["quantity", "comparison", *_pair("delta"), "z", "holds"]
@@ -343,20 +333,8 @@ def _study_lemmas(cfg: ExperimentConfig):
 
 
 def _study_collapse(cfg: ExperimentConfig):
-    rounds = cfg.int_param("collapse", "rounds", 21, minimum=2, maximum=1_000)
-    decay = cfg.number_param("collapse", "decay", 0.5, above=0.0, below=1.0)
-    # above decay, round 0 would already be collapsed: there is no spiral
-    threshold = cfg.number_param("collapse", "threshold", 1e-3, above=0.0)
-    if threshold > decay:
-        raise ConfigError(
-            "study_params.collapse.threshold", f"must be <= decay {decay}, got {threshold}"
-        )
-    reps = cfg.study_replications("collapse", default=10_000)
     game = cfg.game.with_model("CPA", out_site())
-    trace = cpa_collapse(
-        game, rounds=rounds, decay=decay, replications=reps,
-        seed=cfg.seed, threshold=threshold,
-    )
+    trace = cpa_collapse(game, seed=cfg.seed, **cfg.params["collapse"])
     ids = [spec.id for spec in game.specs]
     header = (
         ["round", "alpha", "alpha_hat", "collapsed", *_pair("revenue")]
@@ -388,14 +366,10 @@ def _study_collapse(cfg: ExperimentConfig):
 
 
 def _study_sweep(cfg: ExperimentConfig):
-    # outside options are nonnegative, and the grid ascends
-    r_min = cfg.number_param("sweep", "r_min", 0.0, minimum=0.0)
-    r_max = cfg.number_param("sweep", "r_max", 2.0, minimum=r_min)
-    r_points = cfg.int_param("sweep", "r_points", 41, maximum=100_000)
-    reps = cfg.study_replications("sweep")
+    p = cfg.params["sweep"]
     res = sweep_outside_option(
-        np.linspace(r_min, r_max, r_points), cfg.models, cfg.game,
-        replications=reps, seed=cfg.seed,
+        np.linspace(p["r_min"], p["r_max"], p["r_points"]), cfg.models, cfg.game,
+        replications=p["replications"], seed=cfg.seed,
     )
     ids = [spec.id for spec in cfg.game.specs]
     header = (
@@ -471,16 +445,13 @@ def _cpsc_games(cfg: ExperimentConfig):
 
 def _study_cpsc(cfg: ExperimentConfig):
     game, surrogate = _cpsc_games(cfg)
-    reps = cfg.study_replications("cpsc")
-    enum_reps = cfg.int_param(
-        "cpsc", "enumeration_replications", 100_000, maximum=MAX_REPLICATIONS
-    )
-    rep = cpsc_comparison(game, replications=reps, seed=cfg.seed)
+    p = cfg.params["cpsc"]
+    rep = cpsc_comparison(game, replications=p["replications"], seed=cfg.seed)
     ids = [spec.id for spec in game.specs]
 
     # enumerable two-point variant: exact payoffs vs the MC estimator
     exact = {n: exact_equilibrium_payoffs(surrogate.with_model(n)) for n in CPSC_MODELS}
-    mc = estimate_equilibrium_payoffs(surrogate, enum_reps, cfg.seed, CPSC_MODELS)
+    mc = estimate_equilibrium_payoffs(surrogate, p["enumeration_replications"], cfg.seed, CPSC_MODELS)
     enum_rows = []
     agree = True
     for n in CPSC_MODELS:

@@ -3,7 +3,7 @@
 Every input flows through the config file or the CLI flags; nothing is
 read from the environment or the clock, so a (config, seed) pair pins
 the run. The canonical form hashed into the manifest is the parsed
-mapping after CLI overrides are applied.
+mapping after CLI overrides are applied, with every knob resolved.
 
 Schema (see configs/default.yaml for a complete example):
 
@@ -36,13 +36,17 @@ Schema (see configs/default.yaml for a complete example):
       sweep: {r_min: 0.0, r_max: 2.0, r_points: 41}
       cpsc: {enumeration_replications: 100000}
 
-Distribution nodes: {kind: uniform, lo, hi}, {kind: beta, a, b},
+Law nodes (LAWS): {kind: uniform, lo, hi}, {kind: beta, a, b},
 {kind: point, v}, {kind: discrete, atoms: [[value, prob], ...]}.
 
-A key other than those above (at the root, in a game, an advertiser or
-a strategy), a study_params entry that is not a study, and a knob that
+parse_config parses the whole file before any study runs: every knob
+of every study in STUDY_KNOBS, planned or not, gets its declared type,
+bounds and default, and lands in ExperimentConfig.params. A key other
+than those above (at the root, in a game, an advertiser, a strategy or
+a law node), a study_params entry that is not a study, and a knob that
 is not in that study's STUDY_KNOBS are rejected, so a misspelled key
-cannot silently keep its default.
+cannot silently keep its default. Numbers must be YAML numbers: a
+bool or a string is rejected, also where float() would take it.
 
 Every replication count, top-level or per study, lies in
 [1, MAX_REPLICATIONS]: estimators run their batches serially, so an
@@ -56,11 +60,12 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Any
 
 import yaml
 
-from .distributions import distribution_from_dict
+from .distributions import Beta, Discrete, Distribution, Point, Uniform
 from .model import (
     AdvertiserSpec,
     EventChain,
@@ -99,19 +104,6 @@ TOP_LEVEL_KEYS = (
     "study", "seed", "replications", "threads", "out", "game", "cart_game", "study_params",
 )
 
-# every knob each study reads from study_params.<study>; the accessors of
-# ExperimentConfig read no other name
-STUDY_KNOBS = {
-    "simulate": ("rounds", "mode"),
-    "dominance": (
-        "replications", "grid_points", "grid_max_multiplier", "fixtures", "fixture_replications",
-    ),
-    "lemmas": ("replications",),
-    "collapse": ("rounds", "decay", "threshold", "replications"),
-    "sweep": ("r_min", "r_max", "r_points", "replications"),
-    "cpsc": ("replications", "enumeration_replications"),
-}
-
 MAX_REPLICATIONS = 10**10
 
 # rates are probabilities, so every per-draw payoff is within a few m of 0;
@@ -143,7 +135,14 @@ def _number(
 ) -> float:
     """A finite number, optionally >= minimum, > above and < below."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(where, f"expected a number, got {value!r}")
+        hint = ""
+        if isinstance(value, str):
+            try:
+                float(value)
+                hint = "; YAML reads a number without a dot, such as 1e-3, as a string: write 1.0e-3"
+            except ValueError:
+                pass
+        raise ConfigError(where, f"expected a number, got {value!r}{hint}")
     if not math.isfinite(value):
         raise ConfigError(where, f"expected a finite number, got {value!r}")
     if minimum is not None and value < minimum:
@@ -167,6 +166,19 @@ def _integer(
     return value
 
 
+def _numbers(value: Any, where: str, **bounds) -> list[float]:
+    """A non-empty list of numbers, each within the bounds (_number's)."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(where, f"expected a non-empty list of numbers, got {value!r}")
+    return [_number(v, f"{where}[{k}]", **bounds) for k, v in enumerate(value)]
+
+
+def _choice(value: Any, where: str, options: tuple) -> Any:
+    if value not in options:
+        raise ConfigError(where, f"expected one of {list(options)}, got {value!r}")
+    return value
+
+
 def _mapping(value: Any, where: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(where, f"expected a mapping, got {type(value).__name__}")
@@ -181,6 +193,76 @@ def _known(node: dict, keys, where: str, what: str = "key") -> dict:
             field = f"{where}.{key}" if where else str(key)
             raise ConfigError(field, f"unknown {what}; expected one of {list(keys)}")
     return node
+
+
+_REPLICATIONS = partial(_integer, minimum=1, maximum=MAX_REPLICATIONS)
+
+# study -> knob -> (parse, default): every knob each study reads from
+# study_params.<study>, parse(value, field) checking its type and bounds;
+# a None default is the top-level replications
+STUDY_KNOBS = {
+    "simulate": {
+        # the trace holds one row per round in memory until every study returns
+        "rounds": (partial(_integer, minimum=1, maximum=1_000_000), 1000),
+        "mode": (partial(_choice, options=("analytic", "realized")), "analytic"),
+    },
+    "dominance": {
+        "replications": (_REPLICATIONS, 100_000),
+        # a grid needs both ends: bid 0 and grid_max x the theoretical bid
+        "grid_points": (partial(_integer, minimum=2, maximum=100_000), 101),
+        "grid_max_multiplier": (partial(_number, above=0.0), 2.0),
+        "fixtures": (partial(_numbers, above=0.0), [0.25, 0.5, 1.0, 2.0]),
+        "fixture_replications": (_REPLICATIONS, 200_000),
+    },
+    "lemmas": {"replications": (_REPLICATIONS, None)},
+    "collapse": {
+        "rounds": (partial(_integer, minimum=2, maximum=1_000), 21),
+        "decay": (partial(_number, above=0.0, below=1.0), 0.5),
+        "threshold": (partial(_number, above=0.0), 1e-3),  # and <= decay
+        "replications": (_REPLICATIONS, 10_000),
+    },
+    "sweep": {
+        # outside options are nonnegative, and the grid ascends
+        "r_min": (partial(_number, minimum=0.0), 0.0),
+        "r_max": (_number, 2.0),  # and >= r_min
+        "r_points": (partial(_integer, minimum=1, maximum=100_000), 41),
+        "replications": (_REPLICATIONS, None),
+    },
+    "cpsc": {
+        "replications": (_REPLICATIONS, None),
+        "enumeration_replications": (_REPLICATIONS, 100_000),
+    },
+}
+
+# law kind -> (class, the keys of its parameters)
+LAWS = {
+    "uniform": (Uniform, ("lo", "hi")),
+    "beta": (Beta, ("a", "b")),
+    "point": (Point, ("v",)),
+    "discrete": (Discrete, ("atoms",)),
+}
+
+
+def _parse_law(node: Any, where: str) -> Distribution:
+    node = _mapping(node, where)
+    kind = _choice(_require(node, "kind", where), f"{where}.kind", tuple(LAWS))
+    cls, keys = LAWS[kind]
+    _known(node, ("kind", *keys), where)
+    args = [_require(node, key, where) for key in keys]
+    if kind == "discrete":
+        atoms = args[0]
+        if not isinstance(atoms, list) or not all(isinstance(a, list) and len(a) == 2 for a in atoms):
+            raise ConfigError(f"{where}.atoms", f"expected a list of [value, prob] pairs, got {atoms!r}")
+        args = [
+            tuple(_number(a[j], f"{where}.atoms[{k}][{j}]") for k, a in enumerate(atoms))
+            for j in (0, 1)
+        ]
+    else:
+        args = [_number(v, f"{where}.{key}") for key, v in zip(keys, args)]
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise ConfigError(where, str(exc)) from None
 
 
 def _parse_game(
@@ -237,20 +319,11 @@ def _parse_game(
         outside = adv.get("outside_option")
         if outside is not None:
             outside = _number(outside, f"{tag}.outside_option")
-        rates_node = _mapping(_require(adv, "rates", tag), f"{tag}.rates")
-        rates = []
-        for event in chain.events[1:]:
-            if event not in rates_node:
-                raise ConfigError(f"{tag}.rates.{event}", "missing rate law for this chain event")
-            try:
-                rates.append(distribution_from_dict(rates_node[event]))
-            except ValueError as exc:
-                raise ConfigError(f"{tag}.rates.{event}", str(exc)) from None
-        unknown = set(rates_node) - set(chain.events[1:])
-        if unknown:
-            raise ConfigError(
-                f"{tag}.rates", f"events not in the chain: {sorted(unknown)}"
-            )
+        events = chain.events[1:]
+        rates_node = _known(_mapping(_require(adv, "rates", tag), f"{tag}.rates"), events,
+                            f"{tag}.rates", "event")
+        rates = [_parse_law(_require(rates_node, e, f"{tag}.rates"), f"{tag}.rates.{e}")
+                 for e in events]
         specs.append(
             AdvertiserSpec(id=adv_id, m=m, rates=tuple(rates), outside_option=outside)
         )
@@ -291,43 +364,9 @@ class ExperimentConfig:
     game: Game
     models: tuple[str, ...]
     cart_game: Game | None
-    study_params: dict
-    effective: dict  # canonical mapping after overrides, the hash input
+    params: dict  # params[study][knob]: every knob of STUDY_KNOBS, parsed
+    effective: dict  # mapping after overrides, knobs resolved: the hash input
     strategies: tuple[Strategy, ...] | None = None  # posted play, else theoretical
-    replications_forced: bool = False  # --replications given: it wins everywhere
-
-    def param(self, study: str, key: str, default: Any) -> Any:
-        """study_params.<study>.<key> as written, or default. The knob must
-        be declared in STUDY_KNOBS; any other name raises KeyError."""
-        if key not in STUDY_KNOBS.get(study, ()):
-            raise KeyError(f"study_params.{study}.{key} is not declared in STUDY_KNOBS")
-        return self.study_params.get(study, {}).get(key, default)
-
-    def int_param(
-        self, study: str, key: str, default: int, minimum: int = 1, maximum: int | None = None
-    ) -> int:
-        """study_params.<study>.<key>, or default, as an integer within
-        [minimum, maximum]."""
-        return _integer(
-            self.param(study, key, default), f"study_params.{study}.{key}", minimum, maximum
-        )
-
-    def number_param(self, study: str, key: str, default: float, **bounds) -> float:
-        """study_params.<study>.<key>, or default, as a number within the
-        bounds (_number's minimum, above, below)."""
-        return _number(self.param(study, key, default), f"study_params.{study}.{key}", **bounds)
-
-    def numbers_param(self, study: str, key: str, default, **bounds) -> tuple[float, ...]:
-        """A non-empty list of numbers, each within the bounds."""
-        where = f"study_params.{study}.{key}"
-        values = self.param(study, key, default)
-        if not isinstance(values, list) or not values:
-            raise ConfigError(where, f"expected a non-empty list of numbers, got {values!r}")
-        return tuple(_number(v, f"{where}[{k}]", **bounds) for k, v in enumerate(values))
-
-    def study_replications(self, study: str, default: int | None = None) -> int:
-        base = self.replications if (default is None or self.replications_forced) else default
-        return self.int_param(study, "replications", base, maximum=MAX_REPLICATIONS)
 
     def canonical(self) -> dict:
         """Result-determining fields only. The output directory and
@@ -346,8 +385,8 @@ def parse_config(raw: Any, overrides: dict | None = None) -> ExperimentConfig:
     """Validate a loaded mapping, applying CLI overrides first.
 
     Recognized overrides: study, seed, replications, out, threads. A
-    replications override also clears per-study replication knobs so
-    one flag controls every estimate."""
+    replications override also replaces every study's replications knob,
+    once the written one has parsed, so one flag controls every estimate."""
     raw = _known(_mapping(raw, "<root>"), TOP_LEVEL_KEYS, "")
     effective = json.loads(json.dumps(raw))  # deep copy, JSON-typed
     overrides = overrides or {}
@@ -359,9 +398,7 @@ def parse_config(raw: Any, overrides: dict | None = None) -> ExperimentConfig:
     if study not in STUDIES:
         raise ConfigError("study", f"unknown study {study!r}; expected one of {list(STUDIES)}")
     seed = _integer(_require(effective, "seed", "<root>"), "seed", minimum=0)
-    replications = _integer(
-        effective.get("replications", 1_000_000), "replications", minimum=1, maximum=MAX_REPLICATIONS
-    )
+    replications = _REPLICATIONS(effective.get("replications", 1_000_000), "replications")
     threads = _integer(effective.get("threads", 1), "threads", minimum=1)
     out = effective.get("out")
     if out is not None and not isinstance(out, str):
@@ -375,11 +412,29 @@ def parse_config(raw: Any, overrides: dict | None = None) -> ExperimentConfig:
             raise ConfigError("cart_game.chain", "cart_game must use the 4-stage chain")
 
     study_params = _mapping(effective.get("study_params", {}), "study_params")
-    for name, params in _known(study_params, STUDY_KNOBS, "study_params", "study").items():
+    _known(study_params, STUDY_KNOBS, "study_params", "study")
+    params = {}
+    for name, knobs in STUDY_KNOBS.items():
         where = f"study_params.{name}"
-        _known(_mapping(params, where), STUDY_KNOBS[name], where, "knob")
-        if overrides.get("replications") is not None:
-            params.pop("replications", None)
+        node = _known(_mapping(study_params.get(name, {}), where), knobs, where, "knob")
+        params[name] = {
+            knob: parse(node.get(knob, replications if default is None else default), f"{where}.{knob}")
+            for knob, (parse, default) in knobs.items()
+        }
+        if overrides.get("replications") is not None and "replications" in knobs:
+            params[name]["replications"] = replications
+    sweep, collapse = params["sweep"], params["collapse"]
+    if sweep["r_max"] < sweep["r_min"]:
+        raise ConfigError(
+            "study_params.sweep.r_max", f"must be >= r_min {sweep['r_min']}, got {sweep['r_max']}"
+        )
+    # above decay, round 0 would already be collapsed: there is no spiral
+    if collapse["threshold"] > collapse["decay"]:
+        raise ConfigError(
+            "study_params.collapse.threshold",
+            f"must be <= decay {collapse['decay']}, got {collapse['threshold']}",
+        )
+    effective["study_params"] = params
 
     return ExperimentConfig(
         study=study,
@@ -390,10 +445,9 @@ def parse_config(raw: Any, overrides: dict | None = None) -> ExperimentConfig:
         game=game,
         models=models,
         cart_game=cart_game,
-        study_params=study_params,
+        params=params,
         effective=effective,
         strategies=strategies,
-        replications_forced=overrides.get("replications") is not None,
     )
 
 

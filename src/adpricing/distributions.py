@@ -22,7 +22,6 @@ __all__ = [
     "Discrete",
     "uniform_die",
     "two_point_surrogate",
-    "distribution_from_dict",
 ]
 
 _PROB_TOL = 1e-12
@@ -204,27 +203,3 @@ def two_point_surrogate(dist: Distribution) -> Distribution:
     p_hi = (mu - lo) / (hi - lo)
     return Discrete((lo, hi), (1.0 - p_hi, p_hi))
 
-
-def distribution_from_dict(node: dict) -> Distribution:
-    """Build a law from a config mapping, e.g. {kind: uniform, lo: 0.2, hi: 0.4}."""
-    if not isinstance(node, dict) or "kind" not in node:
-        raise ValueError(f"distribution node must be a mapping with a 'kind' key, got {node!r}")
-    kind = node["kind"]
-    try:
-        if kind == "uniform":
-            return Uniform(float(node["lo"]), float(node["hi"]))
-        if kind == "beta":
-            return Beta(float(node["a"]), float(node["b"]))
-        if kind == "point":
-            return Point(float(node["v"]))
-        if kind == "discrete":
-            atoms = node["atoms"]
-            return Discrete(
-                tuple(float(v) for v, _ in atoms),
-                tuple(float(p) for _, p in atoms),
-            )
-    except KeyError as exc:
-        raise ValueError(f"distribution kind {kind!r} is missing field {exc}") from None
-    except TypeError as exc:  # a list where a number belongs, or the reverse
-        raise ValueError(f"malformed {kind!r} distribution node: {exc}") from None
-    raise ValueError(f"unknown distribution kind {kind!r}")

@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adpricing import cli
-from adpricing.config import ConfigError, load_config, parse_config
+from adpricing.config import STUDY_KNOBS, ConfigError, load_config, parse_config
+from adpricing.distributions import Beta, Point, Uniform
 from adpricing.sampling import MeanSE
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -63,10 +64,10 @@ def test_load_default_config():
     assert cfg.game.model.name == "OCPC"
     assert cfg.models == ("CPC", "OCPC")
     assert cfg.cart_game is not None and cfg.cart_game.chain.has_cart
-    assert cfg.study_replications("dominance", 100_000) == 100_000
-    assert cfg.param("sweep", "r_points", None) == 41
+    assert cfg.params["dominance"]["replications"] == 100_000
+    assert cfg.params["sweep"]["r_points"] == 41
     with pytest.raises(KeyError):
-        cfg.param("sweep", "r_pionts", 41)  # a knob config does not declare
+        cfg.params["sweep"]["r_pionts"]  # a knob config does not declare
 
 
 def test_overrides_apply_and_force_replications():
@@ -79,10 +80,9 @@ def test_overrides_apply_and_force_replications():
     assert cfg.seed == 7
     assert cfg.out == "elsewhere"
     assert cfg.threads == 3
-    assert cfg.replications_forced
-    # forced count wins over every per-study default
-    assert cfg.study_replications("dominance", 100_000) == 5000
-    assert cfg.study_replications("collapse", 10_000) == 5000
+    # forced count wins over every per-study value and default
+    assert cfg.params["dominance"]["replications"] == 5000
+    assert cfg.params["collapse"]["replications"] == 5000
 
 
 def test_config_hash_ignores_out_and_threads(tmp_path):
@@ -172,6 +172,72 @@ def test_manifest_config_round_trips(tmp_path):
     assert rebuilt.config_hash() == original.config_hash() == manifest["config_sha256"]
     assert rebuilt.game == original.game
     assert rebuilt.cart_game == original.cart_game
+
+
+def test_manifest_config_reruns_a_forced_replications_run(tmp_path):
+    # the manifest records every resolved knob, so the forced count reruns
+    # without the flag instead of falling back to the written counts
+    forced, rerun = tmp_path / "forced", tmp_path / "rerun"
+    forced.mkdir()
+    rerun.mkdir()
+    cfg = _write(tmp_path, _small_dict("dominance"))
+    code = cli.main(["--config", cfg, "--out", str(forced), "--replications", "2000"])
+    manifest = json.loads((forced / "manifest.json").read_text())
+    again = _write(tmp_path, manifest["config"], "rerun.yaml")
+    assert cli.main(["--config", again, "--out", str(rerun)]) == code
+    csvs = [{p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.csv"))}
+            for out in (forced, rerun)]
+    assert csvs[0] and csvs[0] == csvs[1]
+
+
+def _click_law(node):
+    """The first advertiser's click law, parsed from node in the default config."""
+    raw = _base_dict()
+    raw["game"]["advertisers"][0]["rates"]["click"] = node
+    return parse_config(raw).game.specs[0].rates[0]
+
+
+def test_law_nodes_parse_every_kind():
+    assert _click_law({"kind": "uniform", "lo": 0.2, "hi": 0.4}) == Uniform(0.2, 0.4)
+    assert _click_law({"kind": "beta", "a": 2, "b": 3}) == Beta(2.0, 3.0)
+    assert _click_law({"kind": "point", "v": 0.3}) == Point(0.3)
+    d = _click_law({"kind": "discrete", "atoms": [[0.1, 0.5], [0.3, 0.5]]})
+    assert d.atoms() == [(0.1, 0.5), (0.3, 0.5)]
+
+
+_BAD_LAWS = [
+    ({"kind": "gamma", "a": 1}, "click.kind", "expected one of"),
+    ({"kind": "uniform", "lo": 0.2}, "click.hi", "missing"),
+    ({"lo": 0.2, "hi": 0.4}, "click.kind", "missing"),
+    ({"kind": "uniform", "lo": -1e308, "hi": 1e308}, "click", "finite"),
+    ({"kind": "uniform", "lo": 0.2, "hi": 0.4, "hj": 0.5}, "click.hj", "unknown key"),
+    ({"kind": "uniform", "lo": 0.2, "hi": True}, "click.hi", "expected a number"),
+    ({"kind": "point", "v": "0.3"}, "click.v", "expected a number"),
+    ({"kind": "discrete", "atoms": [[0.1, 0.5, 0.2]]}, "click.atoms", "pairs"),
+    ({"kind": "discrete", "atoms": [[0.1, "0.5"], [0.3, 0.5]]}, "click.atoms[0][1]", "number"),
+    ({"kind": "discrete", "atoms": [[0.1, 0.5], [0.3, 0.6]]}, "click", "sum to"),
+]
+
+
+def test_law_node_errors_name_the_field():
+    for node, field, match in _BAD_LAWS:
+        with pytest.raises(ConfigError, match=match) as exc:
+            _click_law(node)
+        assert exc.value.field == f"game.advertisers[0].rates.{field}", node
+
+
+def test_dotless_exponent_string_gets_a_yaml_hint(tmp_path):
+    # PyYAML reads 1e-3 (no dot) as a string, which a number field rejects
+    path = tmp_path / "cfg.yaml"
+    path.write_text(DEFAULT_YAML.read_text().replace("threshold: 1.0e-3", "threshold: 1e-3"))
+    with pytest.raises(ConfigError) as exc:
+        load_config(str(path))
+    assert exc.value.field == "study_params.collapse.threshold"
+    assert "'1e-3'" in str(exc.value) and "write 1.0e-3" in str(exc.value)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(_small_dict("collapse", decay="x"))
+    assert exc.value.field == "study_params.collapse.decay"
+    assert "1.0e-3" not in str(exc.value)
 
 
 def test_missing_and_malformed_files(tmp_path):
@@ -330,7 +396,7 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     assert cli.main(["--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
     assert "seed" in capsys.readouterr().err
 
-    # --replications clears every study's replications knob, so study_params
+    # --replications replaces every study's replications knob, so study_params
     # must be checked to be a mapping first
     raw = _small_dict()
     raw["study_params"] = "x"
@@ -602,7 +668,57 @@ def test_cli_exit_code_contract_under_one_key_mutations(path, change):
             assert all(manifest["verdicts"].values()) == (code == 0)
 
 
-def test_cli_bad_later_study_param_writes_nothing(tmp_path, capsys):
+def _field(path):
+    """The config field an error names for a key path: keys joined by
+    dots, list items as [k]."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+_NUMBER_PATHS = [p for p in _key_paths(_SHRUNK) if type(_at(_SHRUNK, p)) in (int, float)]
+_MAPPING_PATHS = [()] + [p for p in _key_paths(_SHRUNK) if isinstance(_at(_SHRUNK, p), dict)]
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [(p, v) for v in (True, "0.4") for p in _NUMBER_PATHS]
+    + [(p + ("zz",), 1) for p in _MAPPING_PATHS],
+    ids=lambda x: _field(x) if isinstance(x, tuple) else repr(x),
+)
+def test_cli_retyped_number_or_unknown_key_exits_two(tmp_path, capsys, path, value):
+    # every number of the shrunk default config as a bool or a string, and
+    # an unknown key in every mapping, law nodes included
+    raw = json.loads(json.dumps(_SHRUNK))
+    _at(raw, path[:-1])[path[-1]] = value
+    out = tmp_path / "results"
+    out.mkdir()
+    assert cli.main(["--config", _write(tmp_path, raw), "--out", str(out)]) == 2
+    assert f"config field '{_field(path)}': " in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("flags", [[], ["--replications", "2000"]])
+def test_cli_bad_knob_of_an_unplanned_study_exits_two(tmp_path, capsys, flags):
+    raw = _small_dict("simulate")
+    raw["study_params"]["cpsc"]["replications"] = "x"
+    out = tmp_path / "results"
+    out.mkdir()
+    assert cli.main(["--config", _write(tmp_path, raw), "--out", str(out)] + flags) == 2
+    assert "config field 'study_params.cpsc.replications'" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_cli_bad_later_study_param_writes_nothing(tmp_path, capsys, monkeypatch):
+    def compute(cfg):
+        raise AssertionError("a study ran before the config was parsed")
+
+    for name in cli.STUDY_FUNCS:
+        monkeypatch.setitem(cli.STUDY_FUNCS, name, compute)
     out = tmp_path / "results"
     out.mkdir()
     raw = _small_dict("reproduce-all")
@@ -738,6 +854,14 @@ def test_cli_csv_headers_match_readme(tmp_path):
         assert rows[0] == header.split(","), rel
         assert len(rows) > 1, rel
         assert all(len(row) == len(rows[0]) for row in rows[1:]), rel
+
+
+def test_readme_knob_table_names_every_declared_knob():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n| study | knob | default | bounds |\n", 1)[1].split("\n\n", 1)[0]
+    named = [tuple(cell.strip().strip("`") for cell in line.split("|")[1:3])
+             for line in table.splitlines()[1:]]
+    assert named == [(study, knob) for study, knobs in STUDY_KNOBS.items() for knob in knobs]
 
 
 def test_readme_claim_table_names_reproduce_all_verdicts(tmp_path):

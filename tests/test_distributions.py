@@ -11,7 +11,6 @@ from adpricing.distributions import (
     Discrete,
     Point,
     Uniform,
-    distribution_from_dict,
     two_point_surrogate,
     uniform_die,
 )
@@ -43,8 +42,6 @@ def test_uniform_range_must_be_finite():
     # numpy's uniform raises OverflowError on such a range; the law rejects it first
     with pytest.raises(ValueError, match="finite"):
         Uniform(-1e308, 1e308)
-    with pytest.raises(ValueError, match="finite"):
-        distribution_from_dict({"kind": "uniform", "lo": -1e308, "hi": 1e308})
     assert Uniform(-1e307, 1e307).sample(np.random.default_rng(0)) < 1e307
 
 
@@ -131,20 +128,3 @@ def test_two_point_surrogate_preserves_mean():
     assert two_point_surrogate(d) is d
     p = Point(0.3)
     assert two_point_surrogate(p) is p
-
-
-def test_distribution_from_dict_all_kinds():
-    assert distribution_from_dict({"kind": "uniform", "lo": 0.2, "hi": 0.4}) == Uniform(0.2, 0.4)
-    assert distribution_from_dict({"kind": "beta", "a": 2, "b": 3}) == Beta(2.0, 3.0)
-    assert distribution_from_dict({"kind": "point", "v": 0.3}) == Point(0.3)
-    d = distribution_from_dict({"kind": "discrete", "atoms": [[0.1, 0.5], [0.3, 0.5]]})
-    assert d.atoms() == [(0.1, 0.5), (0.3, 0.5)]
-
-
-def test_distribution_from_dict_errors():
-    with pytest.raises(ValueError):
-        distribution_from_dict({"kind": "gamma", "a": 1})
-    with pytest.raises(ValueError):
-        distribution_from_dict({"kind": "uniform", "lo": 0.2})
-    with pytest.raises(ValueError):
-        distribution_from_dict({"lo": 0.2, "hi": 0.4})

@@ -41,7 +41,6 @@ from .strategy import (
 from .payoffs import (
     estimate_equilibrium_payoffs,
     exact_equilibrium_payoffs,
-    expected_min_max,
     payoff_ordering_suite,
 )
 from .equilibrium import (

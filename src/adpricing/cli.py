@@ -39,19 +39,19 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, STUDIES, load_config
-from .distributions import Point, two_point_surrogate, uniform_die
+from .distributions import Discrete, Point, two_point_surrogate
 from .engine import run_repeated
 from .equilibrium import CPSC_MODELS, cpsc_comparison, sweep_outside_option
-from .model import PlatformBelief, in_site, out_site, validate_game
+from .model import (
+    AdvertiserSpec, EventChain, PlatformBelief, in_site, out_site, pricing_model, validate_game,
+)
 from .payoffs import (
-    ValueLaw,
     enumeration_size,
     estimate_equilibrium_payoffs,
     exact_equilibrium_payoffs,
-    expected_min_max,
     payoff_ordering_suite,
 )
-from .sampling import SE_FACTOR, MeanSE
+from .sampling import MeanSE
 from .strategy import (
     NO_EQUILIBRIUM,
     best_response_scan,
@@ -276,6 +276,17 @@ def _map_laws(game, fn):
     return validate_game(specs, game.chain, game.model, game.scenario)
 
 
+def _dice_game():
+    """Two fair dice as a CPC game: clicks at k/6 for the faces k, sure
+    conversions and m = 6, so each score is a face. The winner pays the
+    other face, so social welfare is E[max] = 161/36 and the platform's
+    take is E[min] = 91/36."""
+    face = Discrete(tuple(k / 6 for k in range(1, 7)), (1 / 6,) * 6)
+    specs = [AdvertiserSpec(id=i, m=6.0, rates=(face, Point(1.0))) for i in (1, 2)]
+    chain = EventChain()
+    return validate_game(specs, chain, pricing_model("CPC", chain), in_site())
+
+
 def _study_lemmas(cfg: ExperimentConfig):
     reps = cfg.params["lemmas"]["replications"]
     suite = payoff_ordering_suite(cfg.game, replications=reps, seed=cfg.seed)
@@ -298,18 +309,20 @@ def _study_lemmas(cfg: ExperimentConfig):
     degen_results = [degen.social, degen.platform, *degen.advertisers]
     degen_zero = all(r.delta.mean == 0.0 and r.delta.se == 0.0 for r in degen_results)
 
-    die = ValueLaw(1.0, (uniform_die(6),))
-    exact = expected_min_max([die, die], exhaustive=True)
-    mc = expected_min_max([die, die], replications=1_000_000, seed=cfg.seed)
+    dice = _dice_game()
+    exact = exact_equilibrium_payoffs(dice)
+    mc = estimate_equilibrium_payoffs(dice, 1_000_000, cfg.seed)["CPC"]
     dice_rows = [
-        ["max_of_two_dice", exact.e_max.mean, mc.e_max.mean, abs(mc.e_max.mean - exact.e_max.mean)],
-        ["min_of_two_dice", exact.e_min.mean, mc.e_min.mean, abs(mc.e_min.mean - exact.e_min.mean)],
+        [label, ex.mean, est.mean, abs(est.mean - ex.mean)]
+        for label, ex, est in (
+            ("max_of_two_dice", exact.social, mc.social),
+            ("min_of_two_dice", exact.platform, mc.platform),
+        )
     ]
     dice_ok = (
-        exact.e_max.mean == 161.0 / 36.0
-        and exact.e_min.mean == 91.0 / 36.0
-        and abs(mc.e_max.mean - exact.e_max.mean) < 0.01
-        and abs(mc.e_min.mean - exact.e_min.mean) < 0.01
+        exact.social.mean == 161.0 / 36.0
+        and exact.platform.mean == 91.0 / 36.0
+        and all(row[3] < 0.01 for row in dice_rows)
     )
     tables = {
         "orderings.csv": (orderings_header, _ordering_rows(suite)),
@@ -353,9 +366,7 @@ def _study_collapse(cfg: ExperimentConfig):
         abs(s - 1.0 / game.n) <= 0.02 for r in post for s in r.winner_share
     )
     utils_ok = bool(post) and all(
-        abs(u.mean - targets[i]) <= SE_FACTOR * u.se
-        for r in post
-        for i, u in enumerate(r.utilities)
+        u.within(targets[i]) for r in post for i, u in enumerate(r.utilities)
     )
     return {"collapse.csv": (header, rows)}, {
         "revenue_collapse": last.revenue.mean < 0.01 * first.revenue.mean,
@@ -383,7 +394,7 @@ def _study_sweep(cfg: ExperimentConfig):
         [row.r, row.chosen if row.chosen is not None else "none"]
         + [row.feasible[m] for m in res.models]
         + [row.platform, row.social, *row.advertisers]
-        + [row.innovation, row.adv1_drop, row.adv1_drop_se]
+        + [row.innovation, row.adv1_drop]
         for row in res.rows
     ]
 
@@ -410,7 +421,7 @@ def _study_sweep(cfg: ExperimentConfig):
         "innovation_platform_positive": bool(inno)
         and all(row.platform.mean > 0 for row in inno),
         "innovation_drop_negative": bool(inno)
-        and all(row.adv1_drop < -SE_FACTOR * row.adv1_drop_se for row in inno),
+        and all(row.adv1_drop.beyond(positive=False) for row in inno),
     }
 
 
@@ -460,10 +471,9 @@ def _study_cpsc(cfg: ExperimentConfig):
             for i in range(game.n)
         ]
         for label, ex, est in quantities:
-            z = est.z(ex.mean)
-            ok = abs(z) <= 5.0 if est.se > 0 else est.mean == ex.mean
+            ok = est.within(ex.mean, k=5.0)
             agree &= ok
-            enum_rows.append([n, label, ex.mean, est, z, ok])
+            enum_rows.append([n, label, ex.mean, est, est.z(ex.mean), ok])
     k = rep.advertiser
     exact_orderings = (
         exact["CPC"].advertisers[k].mean

@@ -72,9 +72,9 @@ from .model import (
     Game,
     GameValidationError,
     MODEL_NAMES,
+    PricingModel,
+    Scenario,
     Strategy,
-    in_site,
-    out_site,
     pricing_model,
     validate_game,
 )
@@ -265,6 +265,14 @@ def _parse_law(node: Any, where: str) -> Distribution:
         raise ConfigError(where, str(exc)) from None
 
 
+def _model(value: Any, where: str, chain: EventChain) -> PricingModel:
+    """A model name, resolved against the game's chain."""
+    try:
+        return pricing_model(_choice(value, where, MODEL_NAMES), chain)
+    except GameValidationError as exc:
+        raise ConfigError(where, str(exc)) from None
+
+
 def _parse_game(
     node: Any, where: str
 ) -> tuple[Game, tuple[str, ...], tuple[Strategy, ...] | None]:
@@ -280,23 +288,17 @@ def _parse_game(
     except GameValidationError as exc:
         raise ConfigError(f"{where}.chain", str(exc)) from None
 
-    kind = node.get("scenario", "in_site")
-    if kind == "in_site":
-        scenario = in_site()
-    elif kind == "out_site":
-        scenario = out_site()
-    else:
-        raise ConfigError(f"{where}.scenario", f"expected in_site or out_site, got {kind!r}")
-
-    model_name = node.get("model", "OCPC")
-    if model_name not in MODEL_NAMES:
-        raise ConfigError(f"{where}.model", f"unknown model {model_name!r}")
+    scenario = Scenario(
+        _choice(node.get("scenario", "in_site"), f"{where}.scenario", ("in_site", "out_site"))
+    )
+    model = _model(node.get("model", "OCPC"), f"{where}.model", chain)
     models = node.get("models", ["CPC", "OCPC"])
     if not isinstance(models, list) or not models:
         raise ConfigError(f"{where}.models", "expected a non-empty list of model names")
-    for name in models:
-        if name not in MODEL_NAMES:
-            raise ConfigError(f"{where}.models", f"unknown model {name!r}")
+    models = [_model(name, f"{where}.models[{k}]", chain).name for k, name in enumerate(models)]
+    for k, name in enumerate(models):
+        if name in models[:k]:
+            raise ConfigError(f"{where}.models[{k}]", f"{name} is already listed")
 
     adv_nodes = _require(node, "advertisers", where)
     if not isinstance(adv_nodes, list) or len(adv_nodes) < 2:
@@ -328,7 +330,7 @@ def _parse_game(
             AdvertiserSpec(id=adv_id, m=m, rates=tuple(rates), outside_option=outside)
         )
     try:
-        game = validate_game(specs, chain, pricing_model(model_name, chain), scenario)
+        game = validate_game(specs, chain, model, scenario)
     except GameValidationError as exc:
         raise ConfigError(where, "; ".join(exc.violations)) from None
 

@@ -3,8 +3,7 @@
 Four families are supported: uniform(lo, hi), beta(a, b), point(v) and
 finite discrete laws. Each exposes exact analytic moments and seeded
 sampling. Rate constraints (support inside [0, 1]) are enforced at game
-validation, not here, so the same laws can describe unbounded-scale
-values such as dice.
+validation, not here.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ __all__ = [
     "Beta",
     "Point",
     "Discrete",
-    "uniform_die",
     "two_point_surrogate",
 ]
 
@@ -178,12 +176,6 @@ class Discrete(Distribution):
 
     def atoms(self):
         return list(zip(self.values, self.probs))
-
-
-def uniform_die(sides: int = 6) -> Discrete:
-    """Fair die as a finite law (handy enumeration fixture)."""
-    p = 1.0 / sides
-    return Discrete(tuple(float(k) for k in range(1, sides + 1)), tuple(p for _ in range(sides)))
 
 
 def two_point_surrogate(dist: Distribution) -> Distribution:

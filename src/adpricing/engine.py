@@ -70,7 +70,6 @@ class AuctionOutcome:
     winner: int
     e_loser: float
     price_per_pay_event: float
-    mode: str
     payoffs: tuple[float, ...]  # per advertiser, losers exactly 0
     platform_payoff: float
     social_welfare: float
@@ -171,7 +170,6 @@ def run_auction(
             winner=winner,
             e_loser=e_loser,
             price_per_pay_event=ppe,
-            mode=mode,
             payoffs=tuple(payoffs),
             platform_payoff=platform,
             social_welfare=social,

@@ -84,8 +84,7 @@ class SweepRow:
     social: MeanSE
     advertisers: tuple[MeanSE, ...]
     innovation: bool  # platform earns here although CPC alone would not
-    adv1_drop: float  # payoff of the unconstrained advertiser vs CPC-only world
-    adv1_drop_se: float
+    adv1_drop: MeanSE  # payoff of the unconstrained advertiser vs CPC-only world
 
 
 @dataclass(frozen=True)
@@ -142,23 +141,20 @@ def sweep_outside_option(
         if chosen is None:
             platform, social = zero, zero
             advs = tuple(zero for _ in range(game.n))
-            pi1, pi1_se = 0.0, 0.0
         else:
             rep = table[chosen]
             platform, social, advs = rep.platform, rep.social, rep.advertisers
-            pi1, pi1_se = advs[adv1].mean, advs[adv1].se
+        pi1 = advs[adv1]
         cpc_feasible = feasible.get("CPC", False)
         innovation = chosen is not None and not cpc_feasible and platform.mean > 0
         if cpc_feasible:
             if chosen == "CPC":
-                drop, drop_se = 0.0, 0.0
+                drop = zero
             else:
                 cf = table["CPC"].advertisers[adv1]
-                drop = pi1 - cf.mean
-                drop_se = math.hypot(pi1_se, cf.se)
+                drop = MeanSE(pi1.mean - cf.mean, math.hypot(pi1.se, cf.se))
         else:
-            drop = pi1 - monopoly  # exact counterfactual, no estimation error
-            drop_se = pi1_se
+            drop = MeanSE(pi1.mean - monopoly, pi1.se)  # exact counterfactual, no estimation error
         rows.append(
             SweepRow(
                 r=r,
@@ -169,7 +165,6 @@ def sweep_outside_option(
                 advertisers=advs,
                 innovation=innovation,
                 adv1_drop=drop,
-                adv1_drop_se=drop_se,
             )
         )
     return SweepResult(
@@ -207,7 +202,8 @@ def cpsc_comparison(
     """Check that bidding per cart sits between CPC and OCPC on a
     four-stage funnel: the constrained advertiser's payoff rises with
     bid granularity (CPC < CPSC < OCPC) while the platform's take falls
-    (OCPC < CPSC < CPC). Paired per-draw differences, SE_FACTOR x SE margins."""
+    (OCPC < CPSC < CPC). Paired per-draw differences, each held to MeanSE's
+    ordering rule."""
     if not game.chain.has_cart:
         raise ValueError("cpsc_comparison needs the 4-stage chain (cart depth)")
     if game.n != 2:

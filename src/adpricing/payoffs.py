@@ -33,12 +33,9 @@ import numpy as np
 from .distributions import Distribution
 from .model import Game, pricing_model
 from .sampling import (
-    SE_FACTOR,
-    STREAM_MINMAX,
     STREAM_ORDERINGS,
     STREAM_PAYOFFS,
     MeanSE,
-    batch_rng,
     draw_rates,
     estimate,
     settle,
@@ -47,15 +44,12 @@ from .sampling import (
 
 __all__ = [
     "PayoffReport",
-    "ValueLaw",
-    "MinMaxReport",
     "OrderingResult",
     "OrderingSuite",
     "enumeration_size",
     "estimate_equilibrium_payoffs",
     "exact_equilibrium_payoffs",
     "expected_value",
-    "expected_min_max",
     "payoff_ordering_suite",
 ]
 
@@ -252,83 +246,18 @@ def exact_equilibrium_payoffs(game: Game) -> PayoffReport:
 
 
 @dataclass(frozen=True)
-class ValueLaw:
-    """Law of one advertiser's per-impression value: m x product of
-    independent factors."""
-
-    m: float
-    factors: tuple[Distribution, ...]
-
-    def atoms(self) -> list[tuple[float, float]]:
-        out = [(self.m, 1.0)]
-        for f in self.factors:
-            out = [(v * av, p * ap) for v, p in out for av, ap in f.atoms()]
-        return out
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        v = np.full(size, self.m, dtype=np.float64)
-        for f in self.factors:
-            v = v * f.sample(rng, size)
-        return v
-
-
-@dataclass(frozen=True)
-class MinMaxReport:
-    e_min: MeanSE
-    e_max: MeanSE
-
-
-def expected_min_max(
-    laws,
-    replications: int | None = None,
-    seed: int = 0,
-    exhaustive: bool = False,
-) -> MinMaxReport:
-    """E[min] and E[max] across independent per-advertiser value laws.
-    Exhaustive enumeration when requested (all laws finite-discrete),
-    Monte-Carlo otherwise."""
-    laws = list(laws)
-    if len(laws) < 2:
-        raise ValueError("expected_min_max needs at least 2 laws")
-    if exhaustive:
-        min_terms, max_terms = [], []
-        for combo in itertools.product(*[law.atoms() for law in laws]):
-            prob = math.prod(p for _, p in combo)
-            vals = [v for v, _ in combo]
-            min_terms.append(prob * min(vals))
-            max_terms.append(prob * max(vals))
-        return MinMaxReport(MeanSE(math.fsum(min_terms), 0.0), MeanSE(math.fsum(max_terms), 0.0))
-    if replications is None:
-        replications = 1_000_000
-
-    def batch_fn(b_idx: int, size: int) -> dict:
-        draws = np.stack(
-            [
-                law.sample(batch_rng(seed, STREAM_MINMAX, b_idx, j), size)
-                for j, law in enumerate(laws)
-            ],
-            axis=0,
-        )
-        return {"lo": draws.min(axis=0), "hi": draws.max(axis=0)}
-
-    est = estimate(replications, batch_fn)
-    return MinMaxReport(est["lo"], est["hi"])
-
-
-@dataclass(frozen=True)
 class OrderingResult:
     name: str
     delta: MeanSE  # paired per-draw difference
-    holds: bool  # right sign with the SE-factor margin
+    holds: bool  # right sign with the SE margin
 
 
 def _ordering(name: str, delta: MeanSE, positive: bool = True) -> OrderingResult:
-    """The ordering verdict: delta lies beyond SE_FACTOR x SE in the wanted
-    direction. Degenerate laws make both arms identical, so an exact zero
-    counts as held."""
-    margin = SE_FACTOR * delta.se
-    holds = delta.mean > margin if positive else delta.mean < -margin
-    return OrderingResult(name, delta, holds or (delta.mean == 0.0 and delta.se == 0.0))
+    """The ordering verdict: delta's ordering rule in the wanted direction.
+    Degenerate laws make both arms identical, so an exact zero counts as
+    held."""
+    holds = delta.beyond(positive) or (delta.mean == 0.0 and delta.se == 0.0)
+    return OrderingResult(name, delta, holds)
 
 
 @dataclass(frozen=True)
@@ -397,8 +326,7 @@ def payoff_ordering_suite(
                 gain_term=gain,
                 loss_term=loss,
                 residual=resid,
-                consistent=abs(resid.mean) <= SE_FACTOR * max(resid.se, 0.0)
-                or resid.mean == 0.0,
+                consistent=resid.within(),
             )
         )
     social = _ordering("social_welfare_higher", est["dS"])

@@ -37,13 +37,12 @@ __all__ = [
 
 BATCH_SIZE = 16_384
 
-# stream ids; each estimator owns one so studies never share draws (6 is
-# retired; ids are never renumbered, since that would change every draw)
+# stream ids; each estimator owns one so studies never share draws (5 and
+# 6 are retired; ids are never renumbered, since that would change every draw)
 STREAM_PAYOFFS = 1
 STREAM_UTILITY = 2
 STREAM_ORDERINGS = 3
 STREAM_COLLAPSE = 4
-STREAM_MINMAX = 5
 STREAM_FIXTURES = 7
 STREAM_ROUNDS = 8
 
@@ -168,12 +167,16 @@ def settle(scores: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return winner, top, rest.max(axis=0)
 
 
-# the standard-error multiple every Monte-Carlo verdict's margin uses
+# the standard-error multiple every Monte-Carlo verdict's margin uses,
+# read only through MeanSE's two rules
 SE_FACTOR = 3.0
 
 
 @dataclass(frozen=True)
 class MeanSE:
+    """A mean and its standard error: floats, or arrays of one per cell,
+    which the two rules then decide cell by cell."""
+
     mean: float
     se: float
 
@@ -181,6 +184,17 @@ class MeanSE:
         """Distance of the mean from target in standard errors (0 when the
         SE is 0)."""
         return (self.mean - target) / self.se if self.se > 0 else 0.0
+
+    def beyond(self, positive: bool = True, k: float = SE_FACTOR):
+        """The ordering rule: the mean lies strictly more than k SE from 0
+        on the wanted side (above when positive, else below)."""
+        margin = k * self.se
+        return self.mean > margin if positive else self.mean < -margin
+
+    def within(self, target: float = 0.0, k: float = SE_FACTOR):
+        """The equality rule: |mean - target| <= k SE, bounds included, so
+        an SE of 0 asks for the target exactly."""
+        return abs(self.mean - target) <= k * self.se
 
 
 def mean_se(total: float, total_sq: float, n: int) -> MeanSE:

@@ -39,7 +39,6 @@ from .model import Game, PlatformBelief, PricingModel, Scenario, Strategy, Event
 from .engine import _manip_factor
 from .sampling import (
     BATCH_SIZE,
-    SE_FACTOR,
     STREAM_COLLAPSE,
     STREAM_FIXTURES,
     STREAM_UTILITY,
@@ -217,8 +216,9 @@ def best_response_scan(
     """Sweep candidate bids against each rival fixture with common random
     numbers and test the theoretical bid for dominance.
 
-    Pass rule, per fixture: utility(theoretical) >= utility(b) minus
-    SE_FACTOR x the paired standard error, for every grid bid b. The
+    Pass rule, per fixture: no grid bid b beats the theoretical bid, that
+    is no paired difference utility(theoretical) - utility(b) lies below 0
+    by MeanSE's ordering rule (a NaN from overflowed sums fails). The
     localization argmax is reported on the across-fixture mean curve
     (extreme fixtures produce flat always-win or never-win stretches
     where a per-fixture argmax is meaningless).
@@ -283,7 +283,8 @@ def best_response_scan(
         diff = u_th - u_grid
         var_d = np.maximum(dsq[:-1] / n - diff**2, 0.0)
         se_d = np.sqrt(var_d / max(n - 1, 1))
-        ok = bool(np.all(diff >= -SE_FACTOR * se_d))
+        beaten = MeanSE(diff, se_d).beyond(positive=False) | np.isnan(diff) | np.isnan(se_d)
+        ok = not beaten.any()
         amax = int(np.argmax(u_grid))
         fixtures.append(
             FixtureScan(

@@ -20,15 +20,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adpricing.config import load_config
-from adpricing.distributions import Point, two_point_surrogate, uniform_die
+from adpricing import cli
+from adpricing.distributions import Point, two_point_surrogate
 from adpricing.engine import run_auction, run_repeated
 from adpricing.equilibrium import cpsc_comparison, sweep_outside_option
 from adpricing.model import PlatformBelief, Strategy, in_site, out_site
 from adpricing.payoffs import (
-    ValueLaw,
     estimate_equilibrium_payoffs,
     exact_equilibrium_payoffs,
-    expected_min_max,
     payoff_ordering_suite,
 )
 from adpricing.sampling import STREAM_ROUNDS, batch_rng, run_batched
@@ -95,16 +94,17 @@ def _scan_all_advertisers(game, replications):
 # --- 1: dice oracle ------------------------------------------------------
 
 def test_dice_minmax_oracle_exact_and_monte_carlo():
+    # two dice as a CPC game: social welfare is E[max], the platform's take E[min]
     t0 = time.perf_counter()
-    die = ValueLaw(1.0, (uniform_die(6),))
-    ex = expected_min_max([die, die], exhaustive=True)
-    assert ex.e_max.mean == 161.0 / 36.0
-    assert ex.e_min.mean == 91.0 / 36.0
-    assert abs(ex.e_max.mean - 4.47) < 0.005
-    assert abs(ex.e_min.mean - 2.53) < 0.005
-    mc = expected_min_max([die, die], replications=1_000_000, seed=SEED)
-    assert abs(mc.e_max.mean - ex.e_max.mean) < DICE_MC_ABS
-    assert abs(mc.e_min.mean - ex.e_min.mean) < DICE_MC_ABS
+    dice = cli._dice_game()
+    ex = exact_equilibrium_payoffs(dice)
+    assert ex.social.mean == 161.0 / 36.0
+    assert ex.platform.mean == 91.0 / 36.0
+    assert abs(ex.social.mean - 4.47) < 0.005
+    assert abs(ex.platform.mean - 2.53) < 0.005
+    mc = estimate_equilibrium_payoffs(dice, replications=1_000_000, seed=SEED)["CPC"]
+    assert abs(mc.social.mean - ex.social.mean) < DICE_MC_ABS
+    assert abs(mc.platform.mean - ex.platform.mean) < DICE_MC_ABS
     assert time.perf_counter() - t0 < DICE_BUDGET_S
 
 
@@ -310,7 +310,7 @@ def test_outside_option_sweep_regions_and_innovation():
     for row in innovation:
         assert row.chosen == "OCPC"
         assert row.platform.mean > 0.0
-        assert row.adv1_drop < -SE_MARGIN * row.adv1_drop_se
+        assert row.adv1_drop.mean < -SE_MARGIN * row.adv1_drop.se
     assert time.perf_counter() - t0 < SWEEP_BUDGET_S
 
 

@@ -421,6 +421,30 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("key, value, field, message", [
+    pytest.param("models", ["CPC", "CPSC"], "game.models[1]", "CPSC: missing cart depth",
+                 id="models-cart-model"),
+    pytest.param("models", ["CPC", "CPC", "OCPC"], "game.models[1]", "CPC is already listed",
+                 id="models-duplicate"),
+    pytest.param("models", ["CPC", "cpc"], "game.models[1]", "expected one of",
+                 id="models-unknown"),
+    pytest.param("model", "CPSC", "game.model", "CPSC: missing cart depth", id="model-cart"),
+    pytest.param("model", ["OCPC"], "game.model", "expected one of", id="model-list"),
+    pytest.param("scenario", "onsite", "game.scenario", "expected one of", id="scenario"),
+])
+def test_cli_bad_game_model_or_scenario_exits_two(tmp_path, capsys, key, value, field, message):
+    # each model must resolve on the game's chain and be listed once: a cart
+    # model on the 3-stage chain, or a repeated sweep column, stops the run
+    # before any study computes
+    raw = _base_dict()
+    raw["game"][key] = value
+    out = tmp_path / "results"
+    out.mkdir()
+    assert cli.main(["--config", _write(tmp_path, raw), "--out", str(out)]) == 2
+    assert f"config field '{field}': {message}" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 def test_cli_sweep_without_outside_option_exits_two(tmp_path, capsys):
     out = tmp_path / "results"
     out.mkdir()

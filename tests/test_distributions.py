@@ -12,7 +12,6 @@ from adpricing.distributions import (
     Point,
     Uniform,
     two_point_surrogate,
-    uniform_die,
 )
 
 from conftest import rate_laws
@@ -78,8 +77,11 @@ def test_discrete_validation():
         Discrete((0.1,), (0.5, 0.5))
 
 
+FAIR_DIE = Discrete(tuple(float(k) for k in range(1, 7)), (1.0 / 6.0,) * 6)
+
+
 def test_uniform_die():
-    die = uniform_die(6)
+    die = FAIR_DIE
     assert die.mean() == 3.5
     assert die.variance() == pytest.approx(35.0 / 12.0, rel=1e-12)
     assert len(die.atoms()) == 6
@@ -93,7 +95,7 @@ def test_uniform_die():
         Beta(2.0, 5.0),
         Point(0.125),
         Discrete((0.1, 0.4, 0.7), (0.2, 0.3, 0.5)),
-        uniform_die(6),
+        FAIR_DIE,
     ],
 )
 def test_sample_mean_matches_declared_moments(dist):

@@ -8,6 +8,7 @@ import pytest
 from adpricing.distributions import Point, Uniform, two_point_surrogate
 from adpricing.model import CHAIN_4, MODEL_TIE_ORDER
 from adpricing.payoffs import estimate_equilibrium_payoffs, exact_equilibrium_payoffs
+from adpricing.sampling import MeanSE
 from adpricing.equilibrium import (
     cpsc_comparison,
     entry_decision,
@@ -50,13 +51,13 @@ def test_sweep_regions_and_closure():
     low, mid, high = res.rows
     assert low.chosen == "CPC"
     assert not low.innovation
-    assert low.adv1_drop == 0.0 and low.adv1_drop_se == 0.0
+    assert low.adv1_drop == MeanSE(0.0, 0.0)
 
     assert mid.chosen == "OCPC"
     assert mid.innovation
     assert mid.platform.mean > 0
-    assert mid.adv1_drop < 0  # the free advertiser subsidizes rival entry
-    assert mid.adv1_drop_se == mid.advertisers[0].se
+    assert mid.adv1_drop.mean < 0  # the free advertiser subsidizes rival entry
+    assert mid.adv1_drop.se == mid.advertisers[0].se
 
     assert high.chosen is None
     assert high.platform.mean == 0.0 and high.platform.se == 0.0

@@ -11,12 +11,11 @@ import pytest
 from hypothesis import given, settings
 
 from adpricing import cli
-from adpricing.distributions import Discrete, Point, uniform_die
+from adpricing.distributions import Discrete, Point
+from adpricing.model import AdvertiserSpec
 from adpricing.payoffs import (
-    ValueLaw,
     estimate_equilibrium_payoffs,
     exact_equilibrium_payoffs,
-    expected_min_max,
     payoff_ordering_suite,
     _settle_models,
 )
@@ -26,26 +25,17 @@ from conftest import default_specs, make_game, point_specs, rate_laws
 
 
 def test_dice_enumeration_oracle():
-    die = ValueLaw(1.0, (uniform_die(6),))
-    rep = expected_min_max([die, die], exhaustive=True)
-    assert rep.e_max.mean == 161.0 / 36.0
-    assert rep.e_min.mean == 91.0 / 36.0
+    # each score is a face: the winner keeps the max, the platform the min
+    rep = exact_equilibrium_payoffs(cli._dice_game())
+    assert rep.social.mean == 161.0 / 36.0
+    assert rep.platform.mean == 91.0 / 36.0
+    assert math.fsum(a.mean for a in rep.advertisers) == pytest.approx(70.0 / 36.0, rel=1e-12)
 
 
 def test_dice_monte_carlo_matches():
-    die = ValueLaw(1.0, (uniform_die(6),))
-    rep = expected_min_max([die, die], replications=200_000, seed=8)
-    assert abs(rep.e_max.mean - 161.0 / 36.0) < 0.02
-    assert abs(rep.e_min.mean - 91.0 / 36.0) < 0.02
-    with pytest.raises(ValueError):
-        expected_min_max([die])
-
-
-def test_value_law_atoms_and_samples():
-    law = ValueLaw(10.0, (Discrete((0.1, 0.3), (0.5, 0.5)), Point(0.5)))
-    atoms = sorted(law.atoms())
-    assert atoms == [(10.0 * 0.1 * 0.5, 0.5), (10.0 * 0.3 * 0.5, 0.5)]
-    assert math.fsum(p for _, p in atoms) == pytest.approx(1.0)
+    rep = estimate_equilibrium_payoffs(cli._dice_game(), replications=200_000, seed=8)["CPC"]
+    assert abs(rep.social.mean - 161.0 / 36.0) < 0.02
+    assert abs(rep.platform.mean - 91.0 / 36.0) < 0.02
 
 
 def test_bid_depth_sets_which_laws_enter_the_score():
@@ -211,12 +201,15 @@ def test_ordering_suite_requires_two_advertisers():
 @settings(max_examples=60, deadline=None)
 @given(law=rate_laws())
 def test_max_of_independent_pair_dominates_mean(law):
-    v = ValueLaw(5.0, (law,))
-    rep = expected_min_max([v, v], replications=4000, seed=9)
+    # two advertisers with one click law and sure conversions: under CPC
+    # each score is 5 x its click rate, social welfare is E[max] and the
+    # platform's take E[min]
+    specs = [AdvertiserSpec(id=i, m=5.0, rates=(law, Point(1.0))) for i in (1, 2)]
+    rep = estimate_equilibrium_payoffs(make_game(specs, model="CPC"), 4000, seed=9)["CPC"]
     mu = 5.0 * law.mean()
     slack = 1e-12 * abs(mu)  # degenerate laws: se is 0 but fsum rounding may differ
-    assert rep.e_max.mean >= mu - 6.0 * rep.e_max.se - slack
-    assert rep.e_min.mean <= mu + 6.0 * rep.e_min.se + slack
+    assert rep.social.mean >= mu - 6.0 * rep.social.se - slack
+    assert rep.platform.mean <= mu + 6.0 * rep.platform.se + slack
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's mallopt thresholds")

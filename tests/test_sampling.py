@@ -1,6 +1,8 @@
-"""Deterministic seeding, batching, and tie-break plumbing."""
+"""Deterministic seeding, batching, tie-break plumbing, and the SE rules."""
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from adpricing import sampling
 from adpricing.engine import select_winner
 from adpricing.sampling import (
     BATCH_SIZE,
+    SE_FACTOR,
     MeanSE,
     batch_layout,
     batch_rng,
@@ -153,6 +156,59 @@ def test_mean_se_matches_numpy():
     assert ms.se == pytest.approx(x.std(ddof=1) / np.sqrt(len(x)), rel=1e-12)
     degenerate = mean_se(4.0, 4.0, 4)  # all-ones sample
     assert degenerate == MeanSE(1.0, 0.0)
+
+
+def test_ordering_rule_is_strict_beyond_k_se():
+    assert SE_FACTOR == 3.0
+    assert MeanSE(3.0 + 1e-12, 1.0).beyond()
+    assert not MeanSE(3.0, 1.0).beyond()  # exactly k SE is not beyond
+    assert not MeanSE(-3.5, 1.0).beyond()  # the wrong side
+    assert MeanSE(-3.5, 1.0).beyond(positive=False)
+    assert not MeanSE(-3.0, 1.0).beyond(positive=False)
+    assert MeanSE(4.5, 1.0).beyond(k=4.0) and not MeanSE(4.5, 1.0).beyond(k=5.0)
+    # an SE of 0: any nonzero mean on the wanted side holds, 0 itself does not
+    assert MeanSE(1e-300, 0.0).beyond() and MeanSE(-1e-300, 0.0).beyond(positive=False)
+    assert not MeanSE(0.0, 0.0).beyond() and not MeanSE(0.0, 0.0).beyond(positive=False)
+
+
+def test_equality_rule_includes_its_bounds():
+    assert MeanSE(13.0, 1.0).within(10.0)  # exactly k SE away
+    assert MeanSE(7.0, 1.0).within(10.0)
+    assert not MeanSE(13.0 + 1e-12, 1.0).within(10.0)
+    assert not MeanSE(7.0 - 1e-12, 1.0).within(10.0)
+    assert MeanSE(15.0, 1.0).within(10.0, k=5.0) and not MeanSE(15.0, 1.0).within(10.0, k=4.0)
+    assert MeanSE(0.0, 0.0).within()
+    # an SE of 0 asks for the target exactly
+    assert MeanSE(2.5, 0.0).within(2.5)
+    assert not MeanSE(2.5, 0.0).within(np.nextafter(2.5, 3.0))
+
+
+def test_se_rules_decide_array_fields_cell_by_cell():
+    ms = MeanSE(np.array([3.0, 3.5, -3.5, 0.0, 1.0]), np.array([1.0, 1.0, 1.0, 0.0, 0.0]))
+    assert ms.beyond().tolist() == [False, True, False, False, True]
+    assert ms.beyond(positive=False).tolist() == [False, False, True, False, False]
+    assert ms.within().tolist() == [True, False, False, True, False]
+    assert ms.within(np.array([0.0, 0.5, -0.5, 0.0, 1.0])).tolist() == [True] * 5
+
+
+def test_only_sampling_reads_the_se_factor():
+    # every verdict's margin goes through MeanSE's rules, so SE_FACTOR has
+    # one reader and a change of the margin rule has one home
+    src = Path(sampling.__file__).parent
+    readers = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "sampling.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = (
+                [a.name for a in node.names] if isinstance(node, (ast.Import, ast.ImportFrom))
+                else [node.id] if isinstance(node, ast.Name)
+                else [node.attr] if isinstance(node, ast.Attribute)
+                else []
+            )
+            if "SE_FACTOR" in names:
+                readers.append(f"{path.name}:{node.lineno}")
+    assert not readers
 
 
 @pytest.mark.parametrize("n", [1, BATCH_SIZE, 2 * BATCH_SIZE + 5])

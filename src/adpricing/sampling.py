@@ -185,10 +185,10 @@ class MeanSE:
         SE is 0)."""
         return (self.mean - target) / self.se if self.se > 0 else 0.0
 
-    def beyond(self, positive: bool = True, k: float = SE_FACTOR):
-        """The ordering rule: the mean lies strictly more than k SE from 0
-        on the wanted side (above when positive, else below)."""
-        margin = k * self.se
+    def beyond(self, positive: bool = True):
+        """The ordering rule: the mean lies strictly more than SE_FACTOR SE
+        from 0 on the wanted side (above when positive, else below)."""
+        margin = SE_FACTOR * self.se
         return self.mean > margin if positive else self.mean < -margin
 
     def within(self, target: float = 0.0, k: float = SE_FACTOR):

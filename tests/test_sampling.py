@@ -161,11 +161,10 @@ def test_mean_se_matches_numpy():
 def test_ordering_rule_is_strict_beyond_k_se():
     assert SE_FACTOR == 3.0
     assert MeanSE(3.0 + 1e-12, 1.0).beyond()
-    assert not MeanSE(3.0, 1.0).beyond()  # exactly k SE is not beyond
+    assert not MeanSE(3.0, 1.0).beyond()  # exactly 3 SE is not beyond
     assert not MeanSE(-3.5, 1.0).beyond()  # the wrong side
     assert MeanSE(-3.5, 1.0).beyond(positive=False)
     assert not MeanSE(-3.0, 1.0).beyond(positive=False)
-    assert MeanSE(4.5, 1.0).beyond(k=4.0) and not MeanSE(4.5, 1.0).beyond(k=5.0)
     # an SE of 0: any nonzero mean on the wanted side holds, 0 itself does not
     assert MeanSE(1e-300, 0.0).beyond() and MeanSE(-1e-300, 0.0).beyond(positive=False)
     assert not MeanSE(0.0, 0.0).beyond() and not MeanSE(0.0, 0.0).beyond(positive=False)

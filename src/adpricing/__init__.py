@@ -35,7 +35,6 @@ from .strategy import (
     NO_EQUILIBRIUM,
     best_response_scan,
     cpa_collapse,
-    ocpc_reporting_invariance,
     theoretical_strategy,
 )
 from .payoffs import (

@@ -51,7 +51,9 @@ bool or a string is rejected, also where float() would take it.
 Every replication count, top-level or per study, lies in
 [1, MAX_REPLICATIONS]: estimators run their batches serially, so an
 unbounded count would mean a run that never ends. An advertiser's m is
-below MAX_VALUE, so no sum of squared payoffs overflows.
+below MAX_VALUE, so no sum of squared payoffs overflows, and the
+dominance multipliers (fixtures, grid_max_multiplier) are below
+MAX_MULTIPLIER, so neither do the scan's sums.
 """
 
 from __future__ import annotations
@@ -109,6 +111,14 @@ MAX_REPLICATIONS = 10**10
 # rates are probabilities, so every per-draw payoff is within a few m of 0;
 # below this m the sums of squares of MAX_REPLICATIONS of them stay finite
 MAX_VALUE = 1e100
+
+# bound of the dominance scan's fixture and grid multipliers. With m below
+# MAX_VALUE and rates at most 1, every theoretical bid and rival equivalent
+# bid is below MAX_VALUE, so every rival fixture, grid bid and scan utility
+# is below (1 + multiplier) x MAX_VALUE in size. MAX_REPLICATIONS squares of
+# that sum to below 1e10 x (1 + multiplier)^2 x 1e200, which stays finite
+# for multipliers below about 1e49; 1e40 leaves room to spare
+MAX_MULTIPLIER = 1e40
 
 
 class ConfigError(Exception):
@@ -210,8 +220,8 @@ STUDY_KNOBS = {
         "replications": (_REPLICATIONS, 100_000),
         # a grid needs both ends: bid 0 and grid_max x the theoretical bid
         "grid_points": (partial(_integer, minimum=2, maximum=100_000), 101),
-        "grid_max_multiplier": (partial(_number, above=0.0), 2.0),
-        "fixtures": (partial(_numbers, above=0.0), [0.25, 0.5, 1.0, 2.0]),
+        "grid_max_multiplier": (partial(_number, above=0.0, below=MAX_MULTIPLIER), 2.0),
+        "fixtures": (partial(_numbers, above=0.0, below=MAX_MULTIPLIER), [0.25, 0.5, 1.0, 2.0]),
         "fixture_replications": (_REPLICATIONS, 200_000),
     },
     "lemmas": {"replications": (_REPLICATIONS, None)},

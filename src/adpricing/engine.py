@@ -83,8 +83,8 @@ class AuctionOutcome:
 def _manip_factor(game: Game, belief_or_alpha: float, depth_limit: int) -> float:
     """Scalar the out-site conversion factor contributes to a rate product
     truncated at depth_limit (1.0 in-site or when conversions lie deeper).
-    The scalar engine and the dominance scan both take the out-site rule
-    from here."""
+    Only the scalar engine reads it: the dominance scan plays truthfully,
+    where the factor is 1.0 at every depth."""
     if game.scenario.is_out_site and game.chain.conversion_depth <= depth_limit:
         return belief_or_alpha
     return 1.0

@@ -8,19 +8,20 @@ rate; per cart (CPSC) it is m x mean conversion-after-cart rate; per
 impression (CPM) it is m x product of all mean rates.
 
 Out-site, conversion reporting changes the picture. Under OCPC the
-platform charges per click, so underreporting only rescales the
-effective bid: utility depends on alpha x bid alone and truth-telling
-(alpha=1, b=m) is the canonical optimum. Under CPA every advertiser
-gains by underreporting a bit more than the platform's learned
-reporting factor while inflating the bid to compensate, so no
-equilibrium exists; cpa_collapse simulates that spiral with a
-one-round belief lag until reporting effectively stops and the
-platform's revenue hits zero.
+platform charges per click and the value is the true conversion, so at
+a fixed platform belief no auction outcome depends on the reporting
+rate alpha, and truth-telling (alpha=1, b=m) is an optimum. Under CPA
+every advertiser gains by underreporting a bit more than the
+platform's learned reporting factor while inflating the bid to
+compensate, so no equilibrium exists; cpa_collapse simulates that
+spiral with a one-round belief lag until reporting effectively stops
+and the platform's revenue hits zero. The reporting claim is checked
+on the scalar engine, not here.
 
-best_response_scan verifies dominance numerically: it sweeps a bid
-grid against fixed rival equivalent bids with common random numbers
-and checks that the theoretical bid is within 3 standard errors of
-the grid maximum everywhere. Bid b wins a draw when x * b beats the
+best_response_scan verifies dominance numerically at truthful play: it
+sweeps a bid grid against fixed rival equivalent bids with common
+random numbers and checks that the theoretical bid is within 3
+standard errors of the grid maximum everywhere. Bid b wins a draw when x * b beats the
 rival, x being the draw's product of rates up to the bid depth; that is
 monotone in x for b >= 0, so every bid wins on an upper tail of a
 batch's sorted draws. One sort, one win boundary per bid and suffix sums
@@ -35,8 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Game, PlatformBelief, PricingModel, Scenario, Strategy, EventChain
-from .engine import _manip_factor
+from .model import Game, PricingModel, Scenario, Strategy, EventChain
 from .sampling import (
     BATCH_SIZE,
     STREAM_COLLAPSE,
@@ -59,12 +59,10 @@ __all__ = [
     "FixtureScan",
     "CollapseRound",
     "CollapseTrace",
-    "ReportingInvariance",
     "theoretical_strategy",
     "equilibrium_fixture_bids",
     "best_response_scan",
     "cpa_collapse",
-    "ocpc_reporting_invariance",
 ]
 
 
@@ -95,24 +93,6 @@ def theoretical_strategy(
     if scenario.is_out_site and model.name == "CPA":
         return NO_EQUILIBRIUM
     return Strategy(bid=_bid_event_value(spec, model.bid_depth, chain), alpha=1.0)
-
-
-def _utility_coefficients(game: Game, i: int, alpha: float, alpha_hat: float):
-    """Scalars of advertiser i's utility in the dominance scan.
-
-    Returns (bid manipulation factor, payment ratio, value multiplier).
-    Funnel depths deeper than the bid depth are integrated out
-    analytically: the win event and the payment depend only on rates up
-    to bid_depth, so replacing deeper realized rates by their means in
-    the value term leaves the expectation unchanged and removes their
-    sampling noise."""
-    bd, pd = game.model.bid_depth, game.model.pay_depth
-    bid_manip = _manip_factor(game, alpha_hat, bd)
-    pay_predicted = _manip_factor(game, alpha_hat, pd)
-    if pay_predicted == 0.0:
-        raise ValueError("platform belief alpha_hat=0 at a charged conversion depth")
-    pay_ratio = _manip_factor(game, alpha, pd) / pay_predicted
-    return bid_manip, pay_ratio, _bid_event_value(game.specs[i], bd, game.chain)
 
 
 def equilibrium_fixture_bids(
@@ -207,14 +187,13 @@ def best_response_scan(
     grid,
     rival_es,
     game: Game,
-    belief: PlatformBelief | None = None,
+    theoretical: float,
     replications: int = 100_000,
     seed: int = 0,
-    theoretical: float | None = None,
-    alpha: float = 1.0,
 ) -> DominanceReport:
-    """Sweep candidate bids against each rival fixture with common random
-    numbers and test the theoretical bid for dominance.
+    """Sweep candidate bids of advertiser i, played truthfully, against
+    each rival fixture with common random numbers and test the
+    theoretical bid for dominance.
 
     Pass rule, per fixture: no grid bid b beats the theoretical bid, that
     is no paired difference utility(theoretical) - utility(b) lies below 0
@@ -229,28 +208,24 @@ def best_response_scan(
     the draws on which a grid bid and the theoretical bid disagree form
     the contiguous range between their win starts.
 
-    theoretical overrides the derived equilibrium bid (negative controls)."""
+    The game enters only through advertiser i's rate laws and the bid
+    depth, so models of equal bid depth give equal reports."""
     grid = np.asarray(list(grid), dtype=np.float64)
     rival_es = [float(x) for x in rival_es]
     if grid.size == 0 or not rival_es:
         raise ValueError("grid and rival_es must be nonempty")
     spec = game.specs[i]
     bd = game.model.bid_depth
-    if not game.scenario.is_out_site:
-        alpha = 1.0
-    alpha_hat = belief.alpha_hat[i] if belief is not None else 1.0
-    if theoretical is None:
-        strat = theoretical_strategy(game.model, game.scenario, spec, game.chain)
-        if isinstance(strat, NoEquilibrium):
-            raise ValueError("no theoretical bid exists for this model/scenario")
-        theoretical = strat.bid
-    bid_manip, pay_ratio, value_mul = _utility_coefficients(game, i, alpha, alpha_hat)
+    # the win event and the payment depend only on rates up to the bid
+    # depth, so the deeper rates enter the value at their means: the
+    # expectation is unchanged and their sampling noise is gone
+    value = _bid_event_value(spec, bd, game.chain)
 
     # last evaluation column holds the theoretical bid
-    bids_eval = np.append(grid, theoretical) * bid_manip
-    if not np.all(bids_eval >= 0.0):
+    bids = np.append(grid, theoretical)
+    if not np.all(bids >= 0.0):
         raise ValueError("bids must be >= 0")
-    th = bids_eval.size - 1
+    th = bids.size - 1
 
     def batch_fn(b_idx: int, size: int) -> dict:
         x = np.ones(size, dtype=np.float64)
@@ -260,8 +235,8 @@ def best_response_scan(
         x.sort()
         out: dict = {}
         for f_idx, e_k in enumerate(rival_es):
-            k = _win_starts(x, bids_eval, e_k)
-            w = value_mul * x - e_k * pay_ratio
+            k = _win_starts(x, bids, e_k)
+            w = value * x - e_k
             s1, s2 = _suffix_sums(w), _suffix_sums(w * w)
             out[f"s{f_idx}"] = s1[k]
             out[f"q{f_idx}"] = s2[k[th]]  # only the theoretical bid's SE is read
@@ -410,47 +385,3 @@ def cpa_collapse(
         )
         alpha_hat = alpha
     return CollapseTrace(tuple(rows))
-
-
-@dataclass(frozen=True)
-class ReportingInvariance:
-    max_rel_diff: float
-    passed: bool
-
-
-def ocpc_reporting_invariance(
-    i: int,
-    alpha: float,
-    bid: float,
-    game: Game,
-    seed: int = 0,
-    replications: int = 100_000,
-    rel_tol: float = 1e-12,
-) -> ReportingInvariance:
-    """Out-site OCPC: playing (bid, alpha) against a platform that has
-    learned alpha is utility-identical to truthfully playing alpha x bid.
-    Checked under common random numbers at several rival fixtures: one
-    one-bid scan per arm, compared on the scanned bid's utility."""
-    if game.model.name != "OCPC" or not game.scenario.is_out_site:
-        raise ValueError("reporting invariance is an out-site OCPC statement")
-    fixtures = equilibrium_fixture_bids(game, multipliers=(0.5, 1.0, 2.0), seed=seed)[i]
-    belief_scaled = PlatformBelief(
-        tuple(alpha if k == i else 1.0 for k in range(game.n))
-    )
-    scaled = best_response_scan(
-        i, [bid], fixtures, game, belief_scaled, replications, seed,
-        theoretical=bid, alpha=alpha,
-    ).fixtures
-    truthful = best_response_scan(
-        i, [alpha * bid], fixtures, game, None, replications, seed,
-        theoretical=alpha * bid,
-    ).fixtures
-    worst = 0.0
-    for a, b in zip(scaled, truthful):
-        scale = max(abs(a.utility_theory), abs(b.utility_theory))
-        if scale > 0:
-            worst = max(worst, abs(a.utility_theory - b.utility_theory) / scale)
-    return ReportingInvariance(
-        max_rel_diff=worst,
-        passed=worst <= rel_tol,
-    )

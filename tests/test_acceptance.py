@@ -1,8 +1,9 @@
 """End-to-end verification bundle for the shipped configuration.
 
-Twelve checks, one test each, in the order: oracle arithmetic, engine
-unit values, dominant-strategy scans, reporting invariance, the
-out-site reporting collapse, payoff orderings, billing equivalences,
+Twelve checks, in the order: oracle arithmetic, engine unit values,
+dominant-strategy scans, out-site underreporting on the scalar engine
+(OCPC's outcomes ignore it, CPA's take falls with it), the out-site
+reporting collapse, payoff orderings, billing equivalences,
 repeated-auction accounting, multi-advertiser reductions, the
 outside-option sweep, the cart-granularity comparison, and the engine
 invariants as generated property tests. Tolerances are pinned here as
@@ -35,7 +36,6 @@ from adpricing.strategy import (
     best_response_scan,
     cpa_collapse,
     equilibrium_fixture_bids,
-    ocpc_reporting_invariance,
     theoretical_strategy,
 )
 
@@ -84,9 +84,7 @@ def _scan_all_advertisers(game, replications):
         th = theoretical_strategy(game.model, game.scenario, game.specs[i], game.chain)
         grid = np.linspace(0.0, 2.0 * th.bid, 101)
         reports.append(
-            best_response_scan(
-                i, grid, fixtures, game, replications=replications, seed=SEED
-            )
+            best_response_scan(i, grid, fixtures, game, th.bid, replications=replications, seed=SEED)
         )
     return reports
 
@@ -135,19 +133,48 @@ def test_dominant_bids_beat_every_grid_point():
     assert time.perf_counter() - t0 < DOMINANCE_BUDGET_S
 
 
-# --- 4: out-site reporting invariance ------------------------------------
+# --- 4: out-site underreporting -----------------------------------------
 
-def test_underreporting_with_learned_belief_matches_scaled_bid():
-    game = _variant(_cfg().game, "OCPC", "out_site")
-    rng = np.random.default_rng(SEED)
-    for trial in range(10):
-        alpha = float(rng.uniform(0.05, 1.0))
-        bid = float(rng.uniform(1.0, 2.0 * game.specs[0].m))
-        rep = ocpc_reporting_invariance(
-            trial % game.n, alpha, bid, game, seed=SEED, replications=50_000
-        )
-        assert rep.passed
-        assert rep.max_rel_diff <= REL_EXACT
+REPORTING_ALPHAS = (1.0, 0.5, 0.37)
+
+
+def _underreported_rounds(model, alpha, mode, T=2000):
+    """T rounds out-site with every advertiser bidding m per conversion and
+    reporting at rate alpha, against a platform that believes alpha = 1."""
+    game = _variant(_cfg().game, model, "out_site")
+    strats = [Strategy(bid=spec.m, alpha=alpha) for spec in game.specs]
+    return game, list(run_repeated(game, strats, PlatformBelief.truthful(game.n), T, seed=3, mode=mode))
+
+
+def _settlements(rounds):
+    return [(o.winner, o.payoffs, o.platform_payoff) for o in rounds]
+
+
+def test_ocpc_out_site_outcomes_ignore_underreporting():
+    # OCPC charges per click and pays out the true conversion: at a fixed
+    # platform belief, no round's winner, payoffs or take moves with alpha
+    for mode in ("analytic", "realized"):
+        game, truthful = _underreported_rounds("OCPC", 1.0, mode)
+        for alpha in REPORTING_ALPHAS[1:]:
+            _, rounds = _underreported_rounds("OCPC", alpha, mode)
+            assert _settlements(rounds) == _settlements(truthful), (mode, alpha)
+        if mode == "realized":
+            # the realized rounds do leave conversions unreported
+            conv = game.chain.conversion_depth
+            assert any(o.events[conv - 1] and not o.reported_conversion for o in rounds)
+
+
+def test_cpa_out_site_take_falls_with_underreporting():
+    # CPA charges per reported conversion: the same comparison fails, the
+    # platform's take scales with alpha and the advertisers gain
+    rounds = [_underreported_rounds("CPA", alpha, "analytic")[1] for alpha in REPORTING_ALPHAS]
+    assert all(_settlements(r) != _settlements(rounds[0]) for r in rounds[1:])
+    takes = [sum(o.platform_payoff for o in r) for r in rounds]
+    gains = [sum(sum(o.payoffs) for o in r) for r in rounds]
+    assert takes[0] > takes[1] > takes[2] > 0.0
+    for alpha, take in zip(REPORTING_ALPHAS, takes):
+        assert take == pytest.approx(alpha * takes[0], rel=REL_EXACT)
+    assert gains[0] < gains[1] < gains[2]
 
 
 # --- 5: out-site attribution collapse ------------------------------------

@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 from adpricing import cli
 from adpricing.config import STUDY_KNOBS, ConfigError, load_config, parse_config
 from adpricing.distributions import Beta, Point, Uniform
+from adpricing.model import in_site, out_site
 from adpricing.sampling import MeanSE
+from adpricing.strategy import best_response_scan, equilibrium_fixture_bids, theoretical_strategy
 
 ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_YAML = ROOT / "configs" / "default.yaml"
@@ -751,6 +753,86 @@ def test_cli_bad_later_study_param_writes_nothing(tmp_path, capsys, monkeypatch)
     assert cli.main(["--config", cfg, "--out", str(out)]) == 2
     assert "study_params.sweep.r_points" in capsys.readouterr().err
     assert not any(out.iterdir())
+
+
+def test_cli_dominance_overflow_exits_before_any_study(tmp_path, capsys, monkeypatch):
+    # the fixture multipliers are bounded where they are parsed, so no
+    # study computes before the overflow is rejected
+    def compute(cfg):
+        raise AssertionError("a study ran before the dominance bounds were checked")
+
+    for name in cli.STUDY_FUNCS:
+        monkeypatch.setitem(cli.STUDY_FUNCS, name, compute)
+    out = tmp_path / "results"
+    out.mkdir()
+    raw = _small_dict("reproduce-all")
+    raw["study_params"]["dominance"]["fixtures"] = [1e300]
+    cfg = _write(tmp_path, raw)
+    assert cli.main(["--config", cfg, "--out", str(out)]) == 2
+    assert "study_params.dominance.fixtures[0]" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_cli_lemmas_orderings_verdict_reads_the_orderings_only(tmp_path):
+    # at this seed every ordering holds by |z| >= 205 while advertiser 0's
+    # decomposition residual sits at z = 3.68: only the decomposition fails
+    out = tmp_path / "results"
+    out.mkdir()
+    argv = ["--config", str(DEFAULT_YAML), "--out", str(out), "--study", "lemmas",
+            "--seed", "247540456"]
+    assert cli.main(argv) == 1
+    verdicts = json.loads((out / "manifest.json").read_text())["verdicts"]
+    assert verdicts["lemmas.orderings_hold"]
+    assert not verdicts["lemmas.decomposition_consistent"]
+
+
+@pytest.mark.parametrize("name", ["default.yaml", "three_player.yaml"])
+def test_dominance_scans_each_bid_depth_once(monkeypatch, name):
+    cfg = load_config(str(ROOT / "configs" / name), {"replications": 3000})
+    calls = {"scan": 0, "fixtures": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "best_response_scan", counted(cli.best_response_scan, "scan"))
+    monkeypatch.setattr(
+        cli, "equilibrium_fixture_bids", counted(cli.equilibrium_fixture_bids, "fixtures")
+    )
+    tables, verdicts = cli._study_dominance(cfg)
+    # CPC bids per click; CPA and OCPC per conversion
+    assert calls == {"scan": 2 * cfg.game.n, "fixtures": 2}
+    assert verdicts == {"scans_pass": True, "cpa_out_flagged": True}
+
+    _, rows = tables["dominance.csv"]
+    by_combo = {}
+    for row in rows:
+        by_combo.setdefault((row[0], row[1]), []).append(row[2:])
+    scanned = [c for c in cli.DOMINANCE_COMBOS if c != ("CPA", "out_site")]
+    assert list(by_combo) == list(cli.DOMINANCE_COMBOS)
+    p = cfg.params["dominance"]
+    for model, kind in scanned:
+        game = cfg.game.with_model(model, in_site() if kind == "in_site" else out_site())
+        # the rows equal a scan of this combo's own game
+        theory = theoretical_strategy(game.model, game.scenario, game.specs[0], game.chain)
+        fixtures = equilibrium_fixture_bids(
+            game, multipliers=p["fixtures"], replications=p["fixture_replications"],
+            seed=cfg.seed,
+        )[0]
+        rep = best_response_scan(
+            0, np.linspace(0.0, p["grid_max_multiplier"] * theory.bid, p["grid_points"]),
+            fixtures, game, theory.bid, replications=p["replications"], seed=cfg.seed,
+        )
+        own = by_combo[model, kind][: len(p["fixtures"])]
+        assert [r[3:6] for r in own] == [
+            [rep.theory_bid, f.utility_theory, f.se_theory] for f in rep.fixtures
+        ]
+        # combos of one bid depth write equal rows
+        twin = next(c for c in scanned
+                    if cfg.game.with_model(c[0]).model.bid_depth == game.model.bid_depth)
+        assert by_combo[model, kind] == by_combo[twin]
 
 
 def test_cli_crashing_study_writes_nothing(tmp_path, monkeypatch):

@@ -1,5 +1,5 @@
-"""Theoretical strategies, utility estimation, dominance scans, the
-reporting invariance, and the underreporting spiral."""
+"""Theoretical strategies, utility estimation, dominance scans and the
+underreporting spiral."""
 
 from dataclasses import replace
 
@@ -9,7 +9,6 @@ import pytest
 from adpricing.distributions import Discrete
 from adpricing.model import (
     CHAIN_4,
-    PlatformBelief,
     Strategy,
     in_site,
     out_site,
@@ -29,7 +28,6 @@ from adpricing.strategy import (
     best_response_scan,
     cpa_collapse,
     equilibrium_fixture_bids,
-    ocpc_reporting_invariance,
     theoretical_strategy,
 )
 
@@ -78,11 +76,9 @@ def test_theoretical_out_site():
     assert theoretical_strategy(cpc.model, cpc.scenario, cpc.specs[0], cpc.chain) == _theory(in_variant)
 
 
-def _one_bid(game, bid, rival_es, belief=None, alpha=1.0, replications=500, seed=1):
+def _one_bid(game, bid, rival_es, replications=500, seed=1):
     """Utility of one bid per rival fixture: a one-point scan at that bid."""
-    return best_response_scan(
-        0, [bid], rival_es, game, belief, replications, seed, theoretical=bid, alpha=alpha
-    ).fixtures
+    return best_response_scan(0, [bid], rival_es, game, bid, replications, seed).fixtures
 
 
 def test_one_bid_scan_exact_point_game():
@@ -156,7 +152,7 @@ def test_best_response_scan_passes_for_theory():
     theory = _theory(game)
     grid = np.linspace(0.0, 2.0 * theory.bid, 41)
     fixtures = equilibrium_fixture_bids(game)[0]
-    rep = best_response_scan(0, grid, fixtures, game, replications=20_000, seed=2)
+    rep = best_response_scan(0, grid, fixtures, game, theory.bid, replications=20_000, seed=2)
     assert rep.passed
     assert abs(rep.argmax_index - rep.theory_index) <= 1
     assert rep.theory_bid == theory.bid
@@ -167,53 +163,17 @@ def test_best_response_scan_flags_wrong_bid():
     theory = _theory(game)
     grid = np.linspace(0.0, 2.0 * theory.bid, 41)
     fixtures = equilibrium_fixture_bids(game)[0]
-    rep = best_response_scan(
-        0, grid, fixtures, game, replications=20_000, seed=2,
-        theoretical=2.0 * theory.bid,
-    )
+    rep = best_response_scan(0, grid, fixtures, game, 2.0 * theory.bid, replications=20_000, seed=2)
     assert not rep.passed
-
-
-def test_reporting_invariance_holds():
-    game = make_game(default_specs(), model="OCPC", scenario="out_site")
-    rep = ocpc_reporting_invariance(0, alpha=0.37, bid=140.0, game=game,
-                                    seed=5, replications=20_000)
-    assert rep.passed
-    assert rep.max_rel_diff <= 1e-12
-
-
-def test_reporting_invariance_requires_out_site_ocpc():
-    with pytest.raises(ValueError):
-        ocpc_reporting_invariance(0, 0.5, 100.0, make_game(default_specs(), model="OCPC"))
 
 
 def test_scan_rejects_negative_bids():
     # the sorted-threshold kernel relies on x -> x * b being increasing
     game = make_game(default_specs(), model="CPC")
     with pytest.raises(ValueError, match="bids must be >= 0"):
-        best_response_scan(0, [0.0, -1.0], [1.0], game, replications=10)
+        best_response_scan(0, [0.0, -1.0], [1.0], game, 1.0, replications=10)
     with pytest.raises(ValueError, match="bids must be >= 0"):
-        best_response_scan(0, [1.0], [1.0], game, replications=10, theoretical=-1.0)
-
-
-def test_scan_rejects_zero_belief_at_charged_conversions():
-    # CPA out-site charges per reported conversion: with alpha_hat = 0 the
-    # platform predicts none, so no price per conversion exists
-    game = make_game(default_specs(), model="CPA", scenario="out_site")
-    with pytest.raises(ValueError, match="alpha_hat=0"):
-        _one_bid(game, 100.0, [1.0], PlatformBelief((0.0, 1.0)))
-
-
-def test_underreporting_changes_utility():
-    # the invariance maps (b, alpha) to (alpha x b, 1); plain alpha shifts
-    # with the bid held fixed do move the utility
-    game = make_game(default_specs(), model="OCPC", scenario="out_site")
-    fixtures = equilibrium_fixture_bids(game, multipliers=(1.0,))[0]
-    e_k = fixtures[0]
-    belief = PlatformBelief((0.4, 1.0))
-    (u_under,) = _one_bid(game, 100.0, [e_k], belief, 0.4, replications=20_000, seed=6)
-    (u_truth,) = _one_bid(game, 100.0, [e_k], replications=20_000, seed=6)
-    assert u_under.utility_theory != u_truth.utility_theory
+        best_response_scan(0, [1.0], [1.0], game, -1.0, replications=10)
 
 
 def test_cpa_collapse_schedule_and_regimes():
@@ -263,9 +223,8 @@ def _scan_draws(game, seed, size):
 
 def _dense_scan_sums(game, x, bids, rival_es):
     """Per fixture, the scan's sums by the dense rule: every draw's product
-    with every bid is compared with the fixture. In-site without a belief,
-    so bids and payments are not rescaled; the last bid is the theory
-    column."""
+    with every bid is compared with the fixture; the last bid is the
+    theory column."""
     spec = game.specs[0]
     value_mul = spec.m
     for d in range(game.model.bid_depth + 1, game.chain.conversion_depth + 1):
@@ -337,12 +296,10 @@ def test_scan_matches_dense_oracle(game_fn, n_misguessed):
         assert np.array_equal(win.sum(axis=0), size - k)
 
     n = size
-    rep = best_response_scan(0, grid, rival_es, game, replications=n, seed=seed,
-                             theoretical=theory)
+    rep = best_response_scan(0, grid, rival_es, game, theory, replications=n, seed=seed)
     # one one-bid scan per grid bid reports that bid's paired margin and SE
     singles = [
-        best_response_scan(0, [b], rival_es, game, replications=n, seed=seed,
-                           theoretical=theory).fixtures
+        best_response_scan(0, [b], rival_es, game, theory, replications=n, seed=seed).fixtures
         for b in grid
     ]
     for f, (scan, (win, w, s, q, dsq)) in enumerate(zip(rep.fixtures, dense)):

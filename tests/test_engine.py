@@ -1,6 +1,7 @@
 """Auction engine: unit conversions, winner selection, pricing, rejected
 draws, and the single/repeated auction paths."""
 
+import hashlib
 import tracemalloc
 from dataclasses import replace
 
@@ -171,3 +172,74 @@ def test_run_auction_rejects_bad_mode():
     with pytest.raises(ValueError):
         run_auction(game, (Strategy(1.0), Strategy(1.0)), None,
                     batch_rng(0, 0, 0, 0), mode="fancy")
+
+
+def _zero_click_specs():
+    """The default game with a click law that is 0 half the time, so a
+    round whose winner has no click is redrawn."""
+    zero_or_not = Discrete((0.0, 0.3), (0.5, 0.5))
+    return tuple(replace(s, rates=(zero_or_not, s.rates[1])) for s in default_specs())
+
+
+# sha256 of the repr of every outcome's field tuple over 200 rounds of
+# run_repeated at seed 19, posted bids (10, 11), alphas (0.6, 0.8) and a
+# belief (0.5, 0.9) that differs from them; the field tuple, not the
+# outcome object, so the outcome's container type does not enter it.
+# Recorded before run_auction's body was rewritten for speed: every draw
+# and float operation keeps its order, so no digest may move
+RUN_REPEATED_SHA256 = {
+    "default/CPC/in_site/analytic": "0b4e693d3b72a88343bd898d79f00a97c4d431e9b17dc7ad0c5a05c6d49f1f63",
+    "default/CPC/in_site/realized": "e127214323a5655e6bf989a68d1d9662a903505f1a3d2f0e2737af9a45753326",
+    "default/CPC/out_site/analytic": "0b4e693d3b72a88343bd898d79f00a97c4d431e9b17dc7ad0c5a05c6d49f1f63",
+    "default/CPC/out_site/realized": "14a522df6e45a2373390f0bed810f36da991cb9562e66f2c0acfed44ea3c725f",
+    "default/OCPC/in_site/analytic": "c74a3fb45bbb9c4e13d9184eb9e1ab5ff12bc92e83adf9942c1b1d063ae33d6c",
+    "default/OCPC/in_site/realized": "8c252303ab88233fd70d26f19d8cbd83efbe5f479c501d553e103ad8b13cda82",
+    "default/OCPC/out_site/analytic": "55184d67bc09122fe6a28e576446861d2d6f6180bcab7d8607c15949f3f9a782",
+    "default/OCPC/out_site/realized": "f18edeb0e1eb3ff6badfd5be8af5e6f7c06b55aea2668b546046463708f0d63e",
+    "default/CPA/in_site/analytic": "bb2d6d4a431d67046d1593184ebb4a00f974c97501acb5d3e82bb80231736834",
+    "default/CPA/in_site/realized": "a15776dd3151847e39afbb0ce6ec345cf03a574e6ae7bc06609eb94a17bdd8ae",
+    "default/CPA/out_site/analytic": "c8d77d0cf6e4fab40c91f483950cbdf59d2ac07534028a551fa9bba022772924",
+    "default/CPA/out_site/realized": "ab00059cbbc4e88f1b7cc91f5b2d060cb9a2941b8bc6d41cbe900d35120b767e",
+    "default/CPM/in_site/analytic": "4592256721a8c330dffc514b6fc396f314682a8dffa2d600cba395d74212335c",
+    "default/CPM/in_site/realized": "b4ad4f0c2d384a8fc4e24625f1d5cbb762c2df5dea2ca25fb7a8ba8a211a125c",
+    "default/CPM/out_site/analytic": "4592256721a8c330dffc514b6fc396f314682a8dffa2d600cba395d74212335c",
+    "default/CPM/out_site/realized": "0ec8dbe407965b1aee7e9963333b39b0b6c39f8388787f67368b71782a4c7f74",
+    "zero_click/CPC/in_site/analytic": "00e7f03111d14a9ad342cfe36602f1324bfdfcc2bc55c5515454490d0f7006f5",
+    "zero_click/CPC/in_site/realized": "f8802ca559c66a24bfb272ae40d61c0e9f6f426522c16e98c906247b0fd5067d",
+    "zero_click/CPC/out_site/analytic": "00e7f03111d14a9ad342cfe36602f1324bfdfcc2bc55c5515454490d0f7006f5",
+    "zero_click/CPC/out_site/realized": "e2d94d70523215c9383de0d1c245e308b7df65e5126c5f4dcc21a6ca100b5032",
+    "zero_click/OCPC/in_site/analytic": "1abee4a6f742182c09eb6de0825d64593315bbce3ba4bf588c228771a9976dea",
+    "zero_click/OCPC/in_site/realized": "c531ce4cd710f0d8384d5869c1830f5c8c1eb804e10251183be194b52ae2cdc3",
+    "zero_click/OCPC/out_site/analytic": "2a1dc045b69bc031daeaa2eb476841ecb7280c18d7b710421e610f5591d0d548",
+    "zero_click/OCPC/out_site/realized": "b3657825fd6736a257ba254390d79d299089decd9cc33412de6c1597e4b7b0c9",
+    "zero_click/CPA/in_site/analytic": "2e8d7a7304c99db25384ae19150c591ff28b77b9ceeabca94005da9c7287aa2c",
+    "zero_click/CPA/in_site/realized": "d7cd981190f9b515c974f93442be3a4087ce0a34894c940b3bf12dcf0b7c4891",
+    "zero_click/CPA/out_site/analytic": "45cc64f0dbd4436e638022d1e7542de7d08bd738c73f954114eb22a43fa201b8",
+    "zero_click/CPA/out_site/realized": "6a70f9413f4224db924a8b0ed0d6372a905b056a0ea1289b10820ee68db910ae",
+    "zero_click/CPM/in_site/analytic": "6286b411ffd3c23d32b5d8a2262e1fc32162a95aeb901923f6f427428350f6df",
+    "zero_click/CPM/in_site/realized": "691a21c8b55a091419fee8c7059deb778d028e4c7ffca02049c511e37f9b9dce",
+    "zero_click/CPM/out_site/analytic": "6286b411ffd3c23d32b5d8a2262e1fc32162a95aeb901923f6f427428350f6df",
+    "zero_click/CPM/out_site/realized": "e7a3acf4be423ea04412d99e10bb5cf95861ee2d0e4f28ebe674d20ae5d02797",
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_REPEATED_SHA256))
+def test_run_repeated_outcomes_are_pinned(case):
+    specs, model, scenario, mode = case.split("/")
+    specs = default_specs() if specs == "default" else _zero_click_specs()
+    game = make_game(specs, model=model, scenario=scenario)
+    strategies = (Strategy(10.0, alpha=0.6), Strategy(11.0, alpha=0.8))
+    belief = PlatformBelief((0.5, 0.9))
+    digest = hashlib.sha256()
+    rejections = 0
+    for oc in run_repeated(game, strategies, belief, T=200, seed=19, mode=mode):
+        fields = (
+            oc.winner, oc.e_loser, oc.price_per_pay_event, oc.payoffs, oc.platform_payoff,
+            oc.social_welfare, oc.draw.realized, oc.draw.equivalent_bids, oc.rejections,
+            oc.events, oc.reported_conversion,
+        )
+        digest.update(repr(fields).encode())
+        rejections += oc.rejections
+    assert digest.hexdigest() == RUN_REPEATED_SHA256[case]
+    # the zero-click game pins the redraw path wherever a click is charged
+    assert (rejections > 0) == (case.startswith("zero_click") and model != "CPM")

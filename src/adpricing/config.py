@@ -50,9 +50,9 @@ bool or a string is rejected, also where float() would take it.
 
 Every replication count, top-level or per study, lies in
 [1, MAX_REPLICATIONS]: estimators run their batches serially, so an
-unbounded count would mean a run that never ends. An advertiser's m is
-below MAX_VALUE, so no sum of squared payoffs overflows, and the
-dominance multipliers (fixtures, grid_max_multiplier) are below
+unbounded count would mean a run that never ends. An advertiser's m and
+a posted bid are below MAX_VALUE, so no sum of squared payoffs and no
+simulate total overflows, and the dominance multipliers (fixtures, grid_max_multiplier) are below
 MAX_MULTIPLIER, so neither do the scan's sums.
 """
 
@@ -109,7 +109,9 @@ TOP_LEVEL_KEYS = (
 MAX_REPLICATIONS = 10**10
 
 # rates are probabilities, so every per-draw payoff is within a few m of 0;
-# below this m the sums of squares of MAX_REPLICATIONS of them stay finite
+# below this m the sums of squares of MAX_REPLICATIONS of them stay finite.
+# A posted bid is bounded by it too: a round charges at most the winner's
+# bid, so the simulate totals of at most 10**6 rounds stay below 1e106
 MAX_VALUE = 1e100
 
 # bound of the dominance scan's fixture and grid multipliers. With m below
@@ -356,7 +358,7 @@ def _parse_game(
         for i, sn in enumerate(strat_nodes):
             tag = f"{where}.strategies[{i}]"
             sn = _known(_mapping(sn, tag), ("bid", "alpha"), tag)
-            bid = _number(_require(sn, "bid", tag), f"{tag}.bid")
+            bid = _number(_require(sn, "bid", tag), f"{tag}.bid", below=MAX_VALUE)
             alpha = _number(sn.get("alpha", 1.0), f"{tag}.alpha")
             try:
                 parsed.append(Strategy(bid=bid, alpha=alpha))

@@ -20,8 +20,7 @@ realized (reported, when charging on conversions out-site) pay event.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -57,16 +56,14 @@ def select_winner(equivalent_bids, rng: np.random.Generator) -> tuple[int, float
     return winner, max(v for j, v in enumerate(e) if j != winner)
 
 
-@dataclass(frozen=True)
-class AuctionDraw:
+class AuctionDraw(NamedTuple):
     """One sampled market: realized rates and equivalent bids."""
 
     realized: tuple[tuple[float, ...], ...]
     equivalent_bids: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class AuctionOutcome:
+class AuctionOutcome(NamedTuple):
     winner: int
     e_loser: float
     price_per_pay_event: float
@@ -80,16 +77,6 @@ class AuctionOutcome:
     reported_conversion: bool | None = None
 
 
-def _manip_factor(game: Game, belief_or_alpha: float, depth_limit: int) -> float:
-    """Scalar the out-site conversion factor contributes to a rate product
-    truncated at depth_limit (1.0 in-site or when conversions lie deeper).
-    Only the scalar engine reads it: the dominance scan plays truthfully,
-    where the factor is 1.0 at every depth."""
-    if game.scenario.is_out_site and game.chain.conversion_depth <= depth_limit:
-        return belief_or_alpha
-    return 1.0
-
-
 def run_auction(
     game: Game,
     strategies,
@@ -101,82 +88,77 @@ def run_auction(
     if mode not in ("analytic", "realized"):
         raise ValueError(f"unknown mode {mode!r}")
     strategies = list(strategies)
-    if len(strategies) != game.n:
-        raise ValueError(f"need {game.n} strategies, got {len(strategies)}")
-    if belief is None:
-        belief = PlatformBelief.truthful(game.n)
-    L = game.chain.n_rate_depths
+    n = game.n
+    if len(strategies) != n:
+        raise ValueError(f"need {n} strategies, got {len(strategies)}")
     bd, pd = game.model.bid_depth, game.model.pay_depth
     conv = game.chain.conversion_depth
+    # out-site, a rate product that reaches the conversion depth carries a
+    # reporting factor: the platform's alpha_hat where it predicts, the
+    # winner's alpha where it charges; elsewhere the factor is 1.0. The pay
+    # depth never exceeds the bid depth, so a scaled pay has scaled bids
+    out_site = game.scenario.is_out_site
+    scaled_pay = out_site and conv <= pd
+    if out_site and conv <= bd and belief is not None:
+        factors = belief.alpha_hat
+    else:
+        factors = (1.0,) * n
+    bids = [s.bid * factors[i] for i, s in enumerate(strategies)]
+    specs = game.specs
 
     for attempt in range(_MAX_REJECTIONS + 1):
         # rates drawn advertiser-major, depth-minor; one tie uniform after
-        realized = [
-            [game.specs[i].rate(d).sample(rng) for d in range(1, L + 1)]
-            for i in range(game.n)
-        ]
-        e = [
-            (strategies[i].bid * _manip_factor(game, belief.alpha_hat[i], bd))
-            * math.prod(realized[i][:bd])
-            for i in range(game.n)
-        ]
+        realized = [tuple([law.sample(rng) for law in spec.rates]) for spec in specs]
+        e = [bid * math.prod(r[:bd]) for bid, r in zip(bids, realized)]
         winner, e_loser = select_winner(e, rng)
 
-        pred_pay = _manip_factor(game, belief.alpha_hat[winner], pd) * math.prod(
-            realized[winner][:pd]
-        )
+        rates_w = realized[winner]
+        pay_rate = math.prod(rates_w[:pd])
+        pred_pay = factors[winner] * pay_rate if scaled_pay else pay_rate
         if pd >= 1 and pred_pay == 0.0:
             continue  # rejected draw: platform would never charge this winner
         ppe = e_loser / pred_pay if pd >= 1 else e_loser
-        charged_pay = _manip_factor(game, strategies[winner].alpha, pd) * math.prod(
-            realized[winner][:pd]
-        )
 
-        spec_w = game.specs[winner]
-        payoffs = [0.0] * game.n
+        m = specs[winner].m
+        payoffs = [0.0] * n
         if mode == "analytic":
-            expected_payment = e_loser * (charged_pay / pred_pay) if pd >= 1 else e_loser
-            value = spec_w.m * math.prod(realized[winner])
-            payoffs[winner] = value - expected_payment
-            platform = expected_payment
-            social = value
+            charged_pay = strategies[winner].alpha * pay_rate if scaled_pay else pay_rate
+            payment = e_loser * (charged_pay / pred_pay) if pd >= 1 else e_loser
+            value = m * math.prod(rates_w)
             events = reported = None
         else:
-            u_ev = [rng.random() for _ in range(L)]
+            # one event uniform per depth, drawn whether or not the funnel
+            # was already left; then the report uniform out-site
             events = []
             reached = True
-            for d in range(1, L + 1):
-                reached = reached and (u_ev[d - 1] < realized[winner][d - 1])
+            for r in rates_w:
+                reached = rng.random() < r and reached
                 events.append(reached)
+            events = tuple(events)
             reported = None
-            if game.scenario.is_out_site:
-                u_rep = rng.random()
-                reported = events[conv - 1] and (u_rep < strategies[winner].alpha)
+            if out_site:
+                reported = rng.random() < strategies[winner].alpha and reached
             if pd == 0:
                 paid = True
-            elif game.scenario.is_out_site and pd == conv:
-                paid = bool(reported)
+            elif scaled_pay:
+                paid = reported
             else:
                 paid = events[pd - 1]
             payment = ppe if paid else 0.0
-            value = spec_w.m if events[conv - 1] else 0.0
-            payoffs[winner] = value - payment
-            platform = payment
-            social = value
-            events = tuple(events)
+            value = m if reached else 0.0
+        payoffs[winner] = value - payment
 
-        draw = AuctionDraw(tuple(tuple(r) for r in realized), tuple(e))
         return AuctionOutcome(
-            winner=winner,
-            e_loser=e_loser,
-            price_per_pay_event=ppe,
-            payoffs=tuple(payoffs),
-            platform_payoff=platform,
-            social_welfare=social,
-            draw=draw,
-            rejections=attempt,
-            events=events,
-            reported_conversion=reported,
+            winner,
+            e_loser,
+            ppe,
+            tuple(payoffs),
+            payment,
+            value,
+            AuctionDraw(tuple(realized), tuple(e)),
+            attempt,
+            events,
+            reported,
         )
     raise RuntimeError(f"rejected {_MAX_REJECTIONS} draws in a row; check the rate laws")
 

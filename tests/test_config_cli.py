@@ -119,6 +119,10 @@ def test_config_hash_ignores_out_and_threads(tmp_path):
             "game.advertisers[1].m", id="m-squares-overflow",
         ),
         pytest.param(
+            lambda d: d["game"].__setitem__("strategies", [{"bid": 10.0}, {"bid": 1e100}]),
+            "game.strategies[1].bid", id="bid-totals-overflow",
+        ),
+        pytest.param(
             lambda d: d["game"]["advertisers"][0]["rates"].__setitem__(
                 "click", {"kind": "discrete", "atoms": 5}),
             "game.advertisers[0].rates.click", id="atoms-not-a-list",
@@ -411,6 +415,14 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     wide = _write(tmp_path, raw, "wide.yaml")
     assert cli.main(["--config", wide, "--out", str(out)]) == 2
     assert "game.advertisers[0].rates.click" in capsys.readouterr().err
+
+    # unbounded posted bids once ran to totals of -inf, -inf, inf
+    raw = _small_dict(rounds=50, mode="realized")
+    raw["game"]["model"] = "CPC"
+    raw["game"]["strategies"] = [{"bid": 1e308}, {"bid": 1e308}]
+    huge = _write(tmp_path, raw, "huge-bids.yaml")
+    assert cli.main(["--config", huge, "--out", str(out)]) == 2
+    assert "game.strategies[0].bid" in capsys.readouterr().err
 
     # repeated advertiser ids would share a payoff column and a winner name
     for game in ("game", "cart_game"):

@@ -169,9 +169,33 @@ def test_run_repeated_streams_its_rounds():
 
 def test_run_auction_rejects_bad_mode():
     game = make_game(point_specs())
-    with pytest.raises(ValueError):
-        run_auction(game, (Strategy(1.0), Strategy(1.0)), None,
-                    batch_rng(0, 0, 0, 0), mode="fancy")
+    rng = batch_rng(0, 0, 0, 0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="unknown mode"):
+        run_auction(game, (Strategy(1.0), Strategy(1.0)), None, rng, mode="fancy")
+    assert rng.bit_generator.state == state  # nothing drawn before the check
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_run_auction_rejects_a_wrong_strategy_count(count):
+    game = make_game(default_specs())
+    rng = batch_rng(0, 0, 0, 0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"need 2 strategies, got {count}"):
+        run_auction(game, [Strategy(1.0)] * count, None, rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("mode", ["analytic", "realized"])
+def test_run_auction_takes_any_iterable_of_strategies(mode):
+    game = make_game(default_specs(), scenario="out_site")
+    posted = (Strategy(10.0, alpha=0.6), Strategy(11.0, alpha=0.8))
+    belief = PlatformBelief((0.5, 0.9))
+    outcomes = [
+        run_auction(game, given, belief, batch_rng(4, STREAM_ROUNDS, 0), mode)
+        for given in (list(posted), posted, (s for s in posted))
+    ]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 def _zero_click_specs():

@@ -52,8 +52,9 @@ Every replication count, top-level or per study, lies in
 [1, MAX_REPLICATIONS]: estimators run their batches serially, so an
 unbounded count would mean a run that never ends. An advertiser's m and
 a posted bid are below MAX_VALUE, so no sum of squared payoffs and no
-simulate total overflows, and the dominance multipliers (fixtures, grid_max_multiplier) are below
-MAX_MULTIPLIER, so neither do the scan's sums.
+simulate total overflows, and the dominance multipliers (fixtures,
+grid_max_multiplier) are below MAX_MULTIPLIER, so neither do the scan's
+sums.
 """
 
 from __future__ import annotations

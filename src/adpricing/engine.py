@@ -84,13 +84,17 @@ def run_auction(
     rng: np.random.Generator,
     mode: str = "analytic",
 ) -> AuctionOutcome:
-    """Execute one auction. strategies: one Strategy per advertiser."""
+    """Execute one auction. strategies: any iterable of one Strategy per
+    advertiser; belief: one alpha_hat per advertiser, or None for a
+    platform that believes every report."""
     if mode not in ("analytic", "realized"):
         raise ValueError(f"unknown mode {mode!r}")
     strategies = list(strategies)
     n = game.n
     if len(strategies) != n:
         raise ValueError(f"need {n} strategies, got {len(strategies)}")
+    if belief is not None and len(belief.alpha_hat) != n:
+        raise ValueError(f"need {n} belief factors, got {len(belief.alpha_hat)}")
     bd, pd = game.model.bid_depth, game.model.pay_depth
     conv = game.chain.conversion_depth
     # out-site, a rate product that reaches the conversion depth carries a

@@ -416,7 +416,7 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     assert cli.main(["--config", wide, "--out", str(out)]) == 2
     assert "game.advertisers[0].rates.click" in capsys.readouterr().err
 
-    # unbounded posted bids once ran to totals of -inf, -inf, inf
+    # bids of 1e308 would run a realized simulate to totals of -inf, -inf, inf
     raw = _small_dict(rounds=50, mode="realized")
     raw["game"]["model"] = "CPC"
     raw["game"]["strategies"] = [{"bid": 1e308}, {"bid": 1e308}]

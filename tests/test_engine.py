@@ -176,13 +176,19 @@ def test_run_auction_rejects_bad_mode():
     assert rng.bit_generator.state == state  # nothing drawn before the check
 
 
-@pytest.mark.parametrize("count", [1, 3])
-def test_run_auction_rejects_a_wrong_strategy_count(count):
-    game = make_game(default_specs())
+@pytest.mark.parametrize("scenario", ["in_site", "out_site"])
+@pytest.mark.parametrize("strategies, factors, message", [
+    (1, 2, "need 2 strategies, got 1"),
+    (3, 2, "need 2 strategies, got 3"),
+    (2, 1, "need 2 belief factors, got 1"),
+    (2, 3, "need 2 belief factors, got 3"),
+])
+def test_run_auction_rejects_wrong_counts(scenario, strategies, factors, message):
+    game = make_game(default_specs(), model="CPC", scenario=scenario)
     rng = batch_rng(0, 0, 0, 0)
     state = rng.bit_generator.state
-    with pytest.raises(ValueError, match=f"need 2 strategies, got {count}"):
-        run_auction(game, [Strategy(1.0)] * count, None, rng)
+    with pytest.raises(ValueError, match=message):
+        run_auction(game, [Strategy(1.0)] * strategies, PlatformBelief((1.0,) * factors), rng)
     assert rng.bit_generator.state == state
 
 

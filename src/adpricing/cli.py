@@ -1,10 +1,14 @@
 """Command-line front door: load a config, run a named study, write
 CSV artifacts plus a hashed JSON manifest.
 
-Each study returns its tables and verdicts and writes nothing; run
-writes every CSV and then the manifest once the last study has
-returned, so a config error or a crash leaves the output directory as
-it was.
+Each study is a generator: it yields its tables one at a time as
+(csv name, header, rows), where rows may be lazy, and returns its
+verdicts. run writes each table as it is yielded into a .partial-*
+directory inside the output directory, so no study's rows are held
+after they are written and memory does not grow with simulate's
+rounds. Only once the manifest is written does every file move into
+place, the manifest last, so a config error or a crash leaves the
+output directory as it was.
 
 Studies
     simulate      per-round auction trace under theoretical play
@@ -30,7 +34,10 @@ import ctypes
 import csv
 import hashlib
 import json
+import os
+import shutil
 import sys
+import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -130,8 +137,8 @@ class Artifacts:
         self.files.append(relpath)
 
     def hashes(self) -> dict[str, str]:
-        """sha256 of every written file, read in blocks: the tables are
-        still in memory when the manifest is made."""
+        """sha256 of every written file, read back in blocks: no table is
+        held in memory once it is written."""
         out = {}
         for rel in sorted(self.files):
             digest = hashlib.sha256()
@@ -168,32 +175,38 @@ def _study_simulate(cfg: ExperimentConfig):
         + [f"payoff_{a}" for a in ids]
         + ["platform_payoff", "social_welfare", "conservation"]
     )
-    rows = []
-    # totals are the plain sums of the rounds, in round order
-    payoffs = [0.0] * game.n
-    platform = social = 0.0
-    all_zero = True
-    outcomes = run_repeated(game, strategies, belief, rounds, seed=cfg.seed, mode=mode)
-    for t, oc in enumerate(outcomes):
-        resid = oc.social_welfare - oc.platform_payoff - sum(oc.payoffs)
-        all_zero &= resid == 0.0
-        rows.append(
-            [t, ids[oc.winner], oc.e_loser, oc.price_per_pay_event]
-            + list(oc.payoffs)
-            + [oc.platform_payoff, oc.social_welfare, resid]
-        )
-        for i, p in enumerate(oc.payoffs):
-            payoffs[i] += p
-        platform += oc.platform_payoff
-        social += oc.social_welfare
-    tables = {
-        "trace.csv": (header, rows),
-        "totals.csv": (
-            ["rounds", "mode"] + [f"payoff_{a}" for a in ids] + ["platform_payoff", "social_welfare"],
-            [[rounds, mode, *payoffs, platform, social]],
-        ),
-    }
-    return tables, {"conservation_zero": bool(all_zero)}
+    sums = []  # (payoffs, platform, social, all_zero) once the trace is drained
+
+    def trace():
+        # totals are the plain sums of the rounds, in round order
+        payoffs = [0.0] * game.n
+        platform = social = 0.0
+        all_zero = True
+        outcomes = run_repeated(game, strategies, belief, rounds, seed=cfg.seed, mode=mode)
+        for t, oc in enumerate(outcomes):
+            resid = oc.social_welfare - oc.platform_payoff - sum(oc.payoffs)
+            all_zero &= resid == 0.0
+            yield (
+                [t, ids[oc.winner], oc.e_loser, oc.price_per_pay_event]
+                + list(oc.payoffs)
+                + [oc.platform_payoff, oc.social_welfare, resid]
+            )
+            for i, p in enumerate(oc.payoffs):
+                payoffs[i] += p
+            platform += oc.platform_payoff
+            social += oc.social_welfare
+        sums.append((payoffs, platform, social, all_zero))
+
+    yield "trace.csv", header, trace()
+    if not sums:
+        raise RuntimeError("simulate's totals follow only a fully written trace")
+    payoffs, platform, social, all_zero = sums[0]
+    yield (
+        "totals.csv",
+        ["rounds", "mode"] + [f"payoff_{a}" for a in ids] + ["platform_payoff", "social_welfare"],
+        [[rounds, mode, *payoffs, platform, social]],
+    )
+    return {"conservation_zero": bool(all_zero)}
 
 
 def _study_dominance(cfg: ExperimentConfig):
@@ -249,10 +262,8 @@ def _study_dominance(cfg: ExperimentConfig):
                 None, None, rep.argmax_index, rep.theory_index,
                 rep.passed and localized, False,
             ])
-    return {"dominance.csv": (header, rows)}, {
-        "scans_pass": bool(all_pass),
-        "cpa_out_flagged": flagged,
-    }
+    yield "dominance.csv", header, rows
+    return {"scans_pass": bool(all_pass), "cpa_out_flagged": flagged}
 
 
 def _map_laws(game, fn):
@@ -313,20 +324,19 @@ def _study_lemmas(cfg: ExperimentConfig):
         and exact.platform.mean == 91.0 / 36.0
         and all(row[3] < 0.01 for row in dice_rows)
     )
-    tables = {
-        "orderings.csv": (orderings_header, _ordering_rows(suite)),
-        "decomposition.csv": (
-            ["advertiser", *_pair("direct"), *_pair("gain"), *_pair("loss"),
-             *_pair("residual"), "consistent"],
-            [
-                [ids[d.advertiser], d.direct, d.gain_term, d.loss_term, d.residual, d.consistent]
-                for d in suite.decomposition
-            ],
-        ),
-        "degenerate_control.csv": (orderings_header, _ordering_rows(degen)),
-        "dice_oracle.csv": (["statistic", "exact", "monte_carlo", "abs_error"], dice_rows),
-    }
-    return tables, {
+    yield "orderings.csv", orderings_header, _ordering_rows(suite)
+    yield (
+        "decomposition.csv",
+        ["advertiser", *_pair("direct"), *_pair("gain"), *_pair("loss"),
+         *_pair("residual"), "consistent"],
+        [
+            [ids[d.advertiser], d.direct, d.gain_term, d.loss_term, d.residual, d.consistent]
+            for d in suite.decomposition
+        ],
+    )
+    yield "degenerate_control.csv", orderings_header, _ordering_rows(degen)
+    yield "dice_oracle.csv", ["statistic", "exact", "monte_carlo", "abs_error"], dice_rows
+    return {
         "orderings_hold": suite.passed,
         "decomposition_consistent": all(d.consistent for d in suite.decomposition),
         "degenerate_exact_zero": bool(degen_zero),
@@ -357,7 +367,8 @@ def _study_collapse(cfg: ExperimentConfig):
     utils_ok = bool(post) and all(
         u.within(targets[i]) for r in post for i, u in enumerate(r.utilities)
     )
-    return {"collapse.csv": (header, rows)}, {
+    yield "collapse.csv", header, rows
+    return {
         "revenue_collapse": last.revenue.mean < 0.01 * first.revenue.mean,
         "collapsed_platform_zero": bool(post) and all(r.revenue.mean == 0.0 for r in post),
         "collapsed_shares": shares_ok,
@@ -398,13 +409,13 @@ def _study_sweep(cfg: ExperimentConfig):
     observed = {row.chosen for row in res.rows}
     regions_ok = observed >= set(res.models) | {None}
     inno = [row for row in res.rows if row.innovation]
-    tables = {
-        "sweep.csv": (header, rows),
-        "boundaries.csv": (
-            ["model", *_pair("entry_threshold")], [[m, b] for m, b in res.boundaries.items()]
-        ),
-    }
-    return tables, {
+    yield "sweep.csv", header, rows
+    yield (
+        "boundaries.csv",
+        ["model", *_pair("entry_threshold")],
+        [[m, b] for m, b in res.boundaries.items()],
+    )
+    return {
         "region_pattern": bool(pattern_ok),
         "three_regions": bool(regions_ok),
         "innovation_platform_positive": bool(inno)
@@ -472,23 +483,20 @@ def _study_cpsc(cfg: ExperimentConfig):
         < exact["CPSC"].platform.mean
         < exact["CPC"].platform.mean
     )
-    tables = {
-        "orderings.csv": (
-            ["comparison", *_pair("delta"), "z", "holds"],
-            [[d.name, d.delta, d.delta.z(), d.holds] for d in rep.deltas],
-        ),
-        "payoffs.csv": (
-            ["model"]
-            + [x for a in ids for x in _pair(f"payoff_{a}")]
-            + [*_pair("platform"), *_pair("social")],
-            [[name, *r.advertisers, r.platform, r.social] for name, r in rep.table.items()],
-        ),
-        "enumeration.csv": (
-            ["model", "quantity", "exact", *_pair("mc"), "z", "agree"],
-            enum_rows,
-        ),
-    }
-    return tables, {
+    yield (
+        "orderings.csv",
+        ["comparison", *_pair("delta"), "z", "holds"],
+        [[d.name, d.delta, d.delta.z(), d.holds] for d in rep.deltas],
+    )
+    yield (
+        "payoffs.csv",
+        ["model"]
+        + [x for a in ids for x in _pair(f"payoff_{a}")]
+        + [*_pair("platform"), *_pair("social")],
+        [[name, *r.advertisers, r.platform, r.social] for name, r in rep.table.items()],
+    )
+    yield "enumeration.csv", ["model", "quantity", "exact", *_pair("mc"), "z", "agree"], enum_rows
+    return {
         "orderings_hold": rep.passed,
         "enumeration_orderings": bool(exact_orderings),
         "enumeration_mc_agree": bool(agree),
@@ -505,9 +513,28 @@ STUDY_FUNCS = {
 }
 
 
+def _write_study(art: Artifacts, name: str, study) -> dict[str, bool]:
+    """Write each table the study generator yields, as it is yielded, and
+    return the verdicts it returns."""
+    while True:
+        try:
+            csv_name, header, rows = next(study)
+        except StopIteration as done:
+            return done.value
+        art.write_csv(f"{name}/{csv_name}", header, rows)
+
+
 def run(cfg: ExperimentConfig) -> int:
     """Execute the configured study, write artifacts + manifest, return
-    the exit code. Nothing is written until every study has returned."""
+    the exit code.
+
+    Each study's tables are written as the study yields them, into a
+    .partial-* directory inside the output directory. Once the manifest
+    is written there, every file moves into place, the manifest last, by
+    a rename on the same filesystem; the .partial-* directory is removed
+    however the run ends. So a run that raises leaves the output
+    directory as it was, and a manifest there names only files that are
+    in place."""
     if cfg.out is None:
         raise ConfigError("out", "no output directory given (set 'out' in the config or pass --out)")
     outdir = Path(cfg.out)
@@ -527,43 +554,51 @@ def run(cfg: ExperimentConfig) -> int:
         )
     if "cpsc" in studies:
         _cpsc_games(cfg)
-    results = {}
-    for name in studies:
-        t0 = time.perf_counter()
-        results[name] = STUDY_FUNCS[name](cfg)
-        times[name] = round(time.perf_counter() - t0, 3)
 
-    art = Artifacts(outdir)
-    verdicts: dict[str, bool] = {}
-    per_study = []
-    for name, (tables, study_verdicts) in results.items():
-        for csv_name, (header, rows) in tables.items():
-            art.write_csv(f"{name}/{csv_name}", header, rows)
-        vs = {f"{name}.{key}": bool(ok) for key, ok in study_verdicts.items()}
-        per_study.append([name, all(vs.values()), len(vs), sum(vs.values())])
-        verdicts.update(vs)
-    if cfg.study == "reproduce-all":
-        art.write_csv("summary.csv", ["study", "passed", "checks", "checks_passed"], per_study)
-    times["total"] = round(time.perf_counter() - t_start, 3)
+    staging = Path(tempfile.mkdtemp(dir=outdir, prefix=".partial-"))
+    try:
+        art = Artifacts(staging)
+        verdicts: dict[str, bool] = {}
+        per_study = []
+        for name in studies:
+            t0 = time.perf_counter()
+            study_verdicts = _write_study(art, name, STUDY_FUNCS[name](cfg))
+            times[name] = round(time.perf_counter() - t0, 3)
+            vs = {f"{name}.{key}": bool(ok) for key, ok in study_verdicts.items()}
+            per_study.append([name, all(vs.values()), len(vs), sum(vs.values())])
+            verdicts.update(vs)
+        if cfg.study == "reproduce-all":
+            art.write_csv("summary.csv", ["study", "passed", "checks", "checks_passed"], per_study)
+        times["total"] = round(time.perf_counter() - t_start, 3)
 
-    manifest = {
-        "tool": "adpricing",
-        "version": __version__,
-        "study": cfg.study,
-        "seed": cfg.seed,
-        "replications": cfg.replications,
-        "threads": cfg.threads,
-        "config_sha256": cfg.config_hash(),
-        "config": cfg.canonical(),  # feed back through parse_config to rerun
-        "files": art.hashes(),
-        "verdicts": verdicts,
-        "passed": all(verdicts.values()),
-        "wall_time_s": times,
-    }
-    manifest_path = outdir / "manifest.json"
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        manifest = {
+            "tool": "adpricing",
+            "version": __version__,
+            "study": cfg.study,
+            "seed": cfg.seed,
+            "replications": cfg.replications,
+            "threads": cfg.threads,
+            "config_sha256": cfg.config_hash(),
+            "config": cfg.canonical(),  # feed back through parse_config to rerun
+            "files": art.hashes(),
+            "verdicts": verdicts,
+            "passed": all(verdicts.values()),
+            "wall_time_s": times,
+        }
+        with open(staging / "manifest.json", "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+        # an earlier run's manifest goes first: it may name a file about
+        # to be replaced
+        manifest_path = outdir / "manifest.json"
+        manifest_path.unlink(missing_ok=True)
+        for rel in art.files:
+            (outdir / rel).parent.mkdir(parents=True, exist_ok=True)
+            os.replace(staging / rel, outdir / rel)
+        os.replace(staging / "manifest.json", manifest_path)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
     for key in sorted(verdicts):
         print(f"[{'pass' if verdicts[key] else 'FAIL'}] {key}")

@@ -48,6 +48,15 @@ def select_winner(equivalent_bids, rng: np.random.Generator) -> tuple[int, float
     if not e:
         raise ValueError("select_winner needs at least one participant")
     u = rng.random()
+    if len(e) == 2:
+        # the general rule below for two bids; a tie's rank int(2u) is 0
+        # exactly when u < 0.5, and the rival's own value comes back, so a
+        # -0.0 against 0.0 keeps its sign. A NaN falls through
+        a, b = e
+        if a > b or (a == b and u < 0.5):
+            return 0, b
+        if b >= a:
+            return 1, a
     top = max(e)
     ties = [j for j, v in enumerate(e) if v == top]
     winner = ties[int(u * len(ties))]

@@ -79,6 +79,61 @@ def test_select_winner_tie_frequencies():
     assert e_l == 3.0
 
 
+def _select_winner_reference(equivalent_bids, rng):
+    """select_winner's general rule for any n, as it was before its n = 2
+    closed form: the first maximum's ties, one uniform, the rival max."""
+    e = list(equivalent_bids)
+    if not e:
+        raise ValueError("select_winner needs at least one participant")
+    u = rng.random()
+    top = max(e)
+    ties = [j for j, v in enumerate(e) if v == top]
+    winner = ties[int(u * len(ties))]
+    if len(e) == 1:
+        return winner, 0.0
+    return winner, max(v for j, v in enumerate(e) if j != winner)
+
+
+class _CountedUniform:
+    """Stand-in rng that returns a given uniform and counts its draws."""
+
+    def __init__(self, u):
+        self.u, self.draws = u, 0
+
+    def random(self):
+        self.draws += 1
+        return self.u
+
+
+def _outcome(fn, bids, u):
+    """(result or exception type, draws taken), the floats as bit patterns
+    so that -0.0 and NaN payloads compare exactly."""
+    rng = _CountedUniform(u)
+    try:
+        w, e_loser = fn(bids, rng)
+    except Exception as exc:  # the reference raises IndexError on a NaN top
+        return type(exc), rng.draws
+    return (w, type(w), type(e_loser), np.float64(e_loser).tobytes()), rng.draws
+
+
+def test_select_winner_pairs_match_the_general_rule():
+    nan, inf = float("nan"), float("inf")
+    special = [0.0, -0.0, inf, -inf, nan, 1.0, 5e-324, 1.7976931348623157e308]
+    uniforms = [0.0, 0.5 - 2**-53, 0.5, 1 - 2**-53]
+    rng = np.random.default_rng(20)
+    cases = [(a, b) for a in special for b in special]
+    for _ in range(3000):
+        a, b = (float(rng.choice(special)) if rng.random() < 0.5 else float(rng.integers(-3, 4))
+                for _ in range(2))
+        cases.append((a, b))
+        cases.append((np.float64(a), np.float64(b)))  # a numpy score column's cells
+    for a, b in cases:
+        for u in uniforms + [rng.random()]:
+            got = _outcome(select_winner, [a, b], u)
+            assert got == _outcome(_select_winner_reference, [a, b], u), (a, b, u)
+            assert got[1] == 1  # one uniform per call, tie or not
+
+
 def test_run_auction_symmetric_point_game():
     game = make_game(point_specs(), model="OCPC")
     rng = batch_rng(1, 0, 0, 0)

@@ -55,6 +55,10 @@ a posted bid are below MAX_VALUE, so no sum of squared payoffs and no
 simulate total overflows, and the dominance multipliers (fixtures,
 grid_max_multiplier) are below MAX_MULTIPLIER, so neither do the scan's
 sums.
+
+ExperimentConfig is an immutable typing.NamedTuple: besides its named
+fields it can be unpacked and indexed, and it compares equal to the
+plain tuple of its fields.
 """
 
 from __future__ import annotations
@@ -62,9 +66,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
 from functools import partial
-from typing import Any
+from typing import Any, NamedTuple
 
 import yaml
 
@@ -215,7 +218,8 @@ _REPLICATIONS = partial(_integer, minimum=1, maximum=MAX_REPLICATIONS)
 # a None default is the top-level replications
 STUDY_KNOBS = {
     "simulate": {
-        # the trace holds one row per round in memory until every study returns
+        # trace rows stream to disk one round at a time, so memory stays flat;
+        # the maximum bounds the run time and the trace file's size
         "rounds": (partial(_integer, minimum=1, maximum=1_000_000), 1000),
         "mode": (partial(_choice, options=("analytic", "realized")), "analytic"),
     },
@@ -369,8 +373,7 @@ def _parse_game(
     return game, tuple(models), strategies
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     study: str
     seed: int
     replications: int
@@ -467,9 +470,16 @@ def parse_config(raw: Any, overrides: dict | None = None) -> ExperimentConfig:
 
 
 def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
+    """Read a YAML config file and parse it with parse_config.
+
+    The file is read by libyaml's CSafeLoader where PyYAML was built with
+    libyaml, else by the pure-Python SafeLoader. Both resolve scalars with
+    the same resolver and build the same mapping, so the config hash does
+    not depend on the platform; the C parser is several times faster."""
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=loader)
     except OSError as exc:
         raise ConfigError("<file>", f"cannot read {path}: {exc}") from None
     except yaml.YAMLError as exc:

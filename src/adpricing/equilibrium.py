@@ -19,12 +19,16 @@ against the lone-bidder counterfactual.
 cpsc_comparison does the same payoff accounting on a four-stage funnel
 where bidding per add-to-cart (CPSC) sits strictly between CPC and
 OCPC for both parties.
+
+The result records (SweepRow, SweepResult, CpscReport) are immutable
+typing.NamedTuples: besides their named fields they can be unpacked and
+indexed, and each compares equal to the plain tuple of its fields.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import Game, MODEL_TIE_ORDER
 from .payoffs import (
@@ -75,8 +79,7 @@ def _choose(table: dict[str, PayoffReport], feasible: dict[str, bool]) -> str | 
     return best
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     r: float
     feasible: dict[str, bool]
     chosen: str | None
@@ -87,8 +90,7 @@ class SweepRow:
     adv1_drop: MeanSE  # payoff of the unconstrained advertiser vs CPC-only world
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     rows: tuple[SweepRow, ...]
     boundaries: dict[str, MeanSE]  # estimated entry thresholds per model
     table: dict[str, PayoffReport]
@@ -186,8 +188,7 @@ _CPSC_DELTAS = (
 )
 
 
-@dataclass(frozen=True)
-class CpscReport:
+class CpscReport(NamedTuple):
     table: dict[str, PayoffReport]
     deltas: tuple[OrderingResult, ...]
     advertiser: int

@@ -22,7 +22,7 @@ factor alpha_hat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .distributions import Distribution
 from .sampling import ADVERTISER_LIMIT
@@ -188,10 +188,6 @@ class PlatformBelief:
         for a in self.alpha_hat:
             if not (0.0 <= a <= 1.0):
                 raise GameValidationError([f"alpha_hat must lie in [0, 1], got {a}"])
-
-    @staticmethod
-    def truthful(n: int) -> "PlatformBelief":
-        return PlatformBelief(tuple(1.0 for _ in range(n)))
 
 
 @dataclass(frozen=True)

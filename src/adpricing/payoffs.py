@@ -19,13 +19,17 @@ platform payoff and higher advertiser payoffs than CPC.
 Every Monte-Carlo estimate here has an independent exhaustive
 enumeration twin for finite-discrete rate laws, used as the oracle in
 tests.
+
+The result records (PayoffReport, OrderingResult, DecompositionCheck,
+OrderingSuite) are immutable typing.NamedTuples: besides their named
+fields they can be unpacked and indexed, and each compares equal to the
+plain tuple of its fields.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -54,8 +58,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PayoffReport:
+class PayoffReport(NamedTuple):
     advertisers: tuple[MeanSE, ...]
     platform: MeanSE
     social: MeanSE
@@ -245,8 +248,7 @@ def exact_equilibrium_payoffs(game: Game) -> PayoffReport:
     )
 
 
-@dataclass(frozen=True)
-class OrderingResult:
+class OrderingResult(NamedTuple):
     name: str
     delta: MeanSE  # paired per-draw difference
     holds: bool  # right sign with the SE margin
@@ -260,8 +262,7 @@ def _ordering(name: str, delta: MeanSE, positive: bool = True) -> OrderingResult
     return OrderingResult(name, delta, holds)
 
 
-@dataclass(frozen=True)
-class DecompositionCheck:
+class DecompositionCheck(NamedTuple):
     """Advertiser payoff gain split into the two win-flip terms: draws
     the advertiser takes under OCPC but not CPC, and vice versa. Their
     sum matches the direct paired difference up to a mean-zero residual."""
@@ -274,8 +275,7 @@ class DecompositionCheck:
     consistent: bool
 
 
-@dataclass(frozen=True)
-class OrderingSuite:
+class OrderingSuite(NamedTuple):
     social: OrderingResult
     platform: OrderingResult
     advertisers: tuple[OrderingResult, ...]

@@ -11,13 +11,16 @@ become means with standard errors.
 Roles separate the random inputs inside one batch (one stream per
 advertiser/depth rate law, one for tie-breaking), so changing one
 advertiser's law cannot perturb anybody else's draws.
+
+MeanSE is a typing.NamedTuple, which costs less to define at import
+than a frozen dataclass: besides its named fields it can be unpacked
+and indexed, and it compares equal to the plain tuple (mean, se).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -172,8 +175,7 @@ def settle(scores: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
 SE_FACTOR = 3.0
 
 
-@dataclass(frozen=True)
-class MeanSE:
+class MeanSE(NamedTuple):
     """A mean and its standard error: floats, or arrays of one per cell,
     which the two rules then decide cell by cell."""
 

@@ -27,12 +27,17 @@ monotone in x for b >= 0, so every bid wins on an upper tail of a
 batch's sorted draws. One sort, one win boundary per bid and suffix sums
 of the utility then give every grid bid's moments, at a cost that does
 not grow with the product of draws and grid size.
+
+The result records (FixtureScan, DominanceReport, CollapseRound,
+CollapseTrace) are immutable typing.NamedTuples: besides their named
+fields they can be unpacked and indexed, and each compares equal to the
+plain tuple of its fields.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,8 +133,7 @@ def equilibrium_fixture_bids(
     return tuple([m * base for m in multipliers] for base in bases)
 
 
-@dataclass(frozen=True)
-class FixtureScan:
+class FixtureScan(NamedTuple):
     """Grid scan against one fixed rival equivalent bid."""
 
     rival_e: float
@@ -142,8 +146,7 @@ class FixtureScan:
     passed: bool
 
 
-@dataclass(frozen=True)
-class DominanceReport:
+class DominanceReport(NamedTuple):
     theory_bid: float
     theory_index: int  # nearest grid index to the theoretical bid
     fixtures: tuple[FixtureScan, ...]
@@ -286,8 +289,7 @@ def best_response_scan(
     )
 
 
-@dataclass(frozen=True)
-class CollapseRound:
+class CollapseRound(NamedTuple):
     round: int
     alpha: float
     alpha_hat: float
@@ -297,8 +299,7 @@ class CollapseRound:
     winner_share: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class CollapseTrace:
+class CollapseTrace(NamedTuple):
     rounds: tuple[CollapseRound, ...]
 
 

@@ -99,34 +99,45 @@ def point_game():
 _PROB_SETS = ((1.0,), (0.5, 0.5), (0.25, 0.75), (0.2, 0.3, 0.5))
 
 
+def _atoms(k):
+    """k distinct ascending atoms in [0.05, 0.95]."""
+    return st.lists(st.floats(0.05, 0.95), min_size=k, max_size=k, unique=True).map(
+        lambda v: tuple(sorted(v))
+    )
+
+
+# strategies are built once, not per example; a uniform law's bounds are
+# one tuple draw
+_KINDS = st.sampled_from(("point", "uniform", "discrete"))
+_POINT = st.floats(0.05, 0.95)
+_UNIFORM = st.tuples(st.floats(0.05, 0.5), st.floats(0.01, 0.4))  # lo, width
+_PROBS = st.sampled_from(_PROB_SETS)
+_ATOMS = {len(probs): _atoms(len(probs)) for probs in _PROB_SETS}
+_ADVERTISERS = st.integers(2, 3)
+_M = st.floats(1.0, 500.0)
+
+
 @st.composite
 def rate_laws(draw):
-    kind = draw(st.sampled_from(("point", "uniform", "discrete")))
+    kind = draw(_KINDS)
     if kind == "point":
-        return Point(draw(st.floats(0.05, 0.95)))
+        return Point(draw(_POINT))
     if kind == "uniform":
-        lo = draw(st.floats(0.05, 0.5))
-        width = draw(st.floats(0.01, 0.4))
+        lo, width = draw(_UNIFORM)
         return Uniform(lo, lo + width)
-    probs = draw(st.sampled_from(_PROB_SETS))
-    values = draw(
-        st.lists(
-            st.floats(0.05, 0.95), min_size=len(probs), max_size=len(probs), unique=True
-        )
-    )
-    return Discrete(tuple(sorted(values)), probs)
+    probs = draw(_PROBS)
+    return Discrete(draw(_ATOMS[len(probs)]), probs)
+
+
+_RATE_LAW = rate_laws()
 
 
 @st.composite
 def small_games(draw, models=("CPM", "CPC", "CPA", "OCPC"), scenario="in_site", n=None):
     chain = EventChain(CHAIN_3)
-    n_adv = n if n is not None else draw(st.integers(2, 3))
+    n_adv = n if n is not None else draw(_ADVERTISERS)
     specs = [
-        AdvertiserSpec(
-            id=i + 1,
-            m=draw(st.floats(1.0, 500.0)),
-            rates=(draw(rate_laws()), draw(rate_laws())),
-        )
+        AdvertiserSpec(id=i + 1, m=draw(_M), rates=(draw(_RATE_LAW), draw(_RATE_LAW)))
         for i in range(n_adv)
     ]
     sc = in_site() if scenario == "in_site" else out_site()

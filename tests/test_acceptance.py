@@ -143,7 +143,7 @@ def _underreported_rounds(model, alpha, mode, T=2000):
     reporting at rate alpha, against a platform that believes alpha = 1."""
     game = _variant(_cfg().game, model, "out_site")
     strats = [Strategy(bid=spec.m, alpha=alpha) for spec in game.specs]
-    return game, list(run_repeated(game, strats, PlatformBelief.truthful(game.n), T, seed=3, mode=mode))
+    return game, list(run_repeated(game, strats, PlatformBelief((1.0,) * game.n), T, seed=3, mode=mode))
 
 
 def _settlements(rounds):

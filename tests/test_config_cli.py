@@ -4,7 +4,11 @@ temporary output directories."""
 import csv
 import hashlib
 import json
+import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -247,7 +251,21 @@ def test_dotless_exponent_string_gets_a_yaml_hint(tmp_path):
     assert "1.0e-3" not in str(exc.value)
 
 
-def test_missing_and_malformed_files(tmp_path):
+needs_libyaml = pytest.mark.skipif(
+    not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml"
+)
+
+
+@pytest.mark.parametrize(
+    "libyaml",
+    [
+        pytest.param(True, marks=needs_libyaml, id="CSafeLoader"),
+        pytest.param(False, id="SafeLoader"),
+    ],
+)
+def test_missing_and_malformed_files(tmp_path, monkeypatch, libyaml):
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "absent.yaml"))
     bad = tmp_path / "bad.yaml"
@@ -255,6 +273,69 @@ def test_missing_and_malformed_files(tmp_path):
     with pytest.raises(ConfigError) as exc:
         load_config(str(bad))
     assert "line" in str(exc.value)
+    bad.write_text("study: simulate\nseed: 1\ngame: {a: [1, 2}\n")
+    with pytest.raises(ConfigError) as exc:
+        load_config(str(bad))
+    assert exc.value.field == "<yaml>"
+    assert "parse error at line 3:" in str(exc.value)
+
+
+# scalars whose YAML 1.1 resolution is easy to get wrong, and flow nesting
+_EDGE_DOCUMENTS = {
+    "x: 1e-3\n": {"x": "1e-3"},  # no dot: a string, not a float
+    "x: [.inf, -.inf]\n": {"x": [math.inf, -math.inf]},
+    "x: 0x10\n": {"x": 16},
+    "x: [yes, no, on, off]\n": {"x": [True, False, True, False]},
+    "x: 1_000\n": {"x": 1000},
+    "x: [[1, [2.5, {a: [3]}]], [], {}]\n": {"x": [[1, [2.5, {"a": [3]}]], [], {}]},
+}
+
+
+def _typed(node):
+    """node with every scalar's type spelled out, so 1, 1.0 and True differ."""
+    if isinstance(node, dict):
+        return {_typed(k): _typed(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_typed(v) for v in node]
+    return type(node).__name__, node
+
+
+@needs_libyaml
+@pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.yaml")), ids=lambda p: p.name)
+def test_both_yaml_loaders_build_the_same_config(path, monkeypatch):
+    text = path.read_text()
+    by_c = _typed(yaml.load(text, Loader=yaml.CSafeLoader))
+    assert by_c == _typed(yaml.load(text, Loader=yaml.SafeLoader))
+    fast = load_config(str(path)).config_hash()
+    monkeypatch.delattr(yaml, "CSafeLoader")
+    assert load_config(str(path)).config_hash() == fast
+
+
+@needs_libyaml
+@pytest.mark.parametrize("text", _EDGE_DOCUMENTS)
+def test_both_yaml_loaders_resolve_edge_scalars_alike(text):
+    want = _typed(_EDGE_DOCUMENTS[text])
+    assert _typed(yaml.load(text, Loader=yaml.CSafeLoader)) == want
+    assert _typed(yaml.load(text, Loader=yaml.SafeLoader)) == want
+
+
+def test_startup_does_not_import_numpy_random():
+    # importing numpy.random takes about 15 ms; set-up (importing the CLI
+    # and loading a config) never draws, so it must not pay that
+    code = (
+        "import sys\n"
+        "import adpricing.cli\n"
+        "from adpricing.config import load_config\n"
+        "load_config(sys.argv[1])\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(DEFAULT_YAML)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_simulate_end_to_end(tmp_path):

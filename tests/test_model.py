@@ -82,7 +82,7 @@ def test_strategy_and_belief_bounds():
         Strategy(bid=-1.0)
     with pytest.raises(GameValidationError):
         Strategy(bid=1.0, alpha=1.5)
-    assert PlatformBelief.truthful(3).alpha_hat == (1.0, 1.0, 1.0)
+    assert PlatformBelief((1.0,) * 3).alpha_hat == (1.0, 1.0, 1.0)
     with pytest.raises(GameValidationError):
         PlatformBelief((0.5, -0.1))
 

@@ -138,6 +138,7 @@ class Discrete(Distribution):
     values: tuple[float, ...]
     probs: tuple[float, ...]
     _cum: np.ndarray = field(init=False, repr=False, compare=False)
+    _values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.values) == 0:
@@ -150,6 +151,7 @@ class Discrete(Distribution):
         if abs(total - 1.0) > _PROB_TOL:
             raise ValueError(f"discrete probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "_cum", np.cumsum(np.asarray(self.probs, dtype=np.float64)))
+        object.__setattr__(self, "_values", np.asarray(self.values, dtype=np.float64))
 
     def mean(self) -> float:
         return math.fsum(v * p for v, p in zip(self.values, self.probs))
@@ -166,10 +168,9 @@ class Discrete(Distribution):
         u = rng.random(size=size)
         idx = np.searchsorted(self._cum, u, side="right")
         idx = np.minimum(idx, len(self.values) - 1)
-        vals = np.asarray(self.values, dtype=np.float64)
         if size is None:
-            return float(vals[idx])
-        return vals[idx]
+            return float(self._values[idx])
+        return self._values[idx]
 
     def is_finite_discrete(self) -> bool:
         return True

@@ -24,6 +24,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from .distributions import Discrete, Point, Uniform
 from .model import Game, PlatformBelief
 from .sampling import STREAM_ROUNDS, batch_rng
 
@@ -36,6 +37,9 @@ __all__ = [
 ]
 
 _MAX_REJECTIONS = 1000
+_BLOCK = 1024  # doubles a round generator's block source draws at once
+# laws whose scalar draw reads at most one rng.random() and nothing else
+_ONE_DOUBLE_LAWS = (Uniform, Point, Discrete)
 
 
 def select_winner(equivalent_bids, rng: np.random.Generator) -> tuple[int, float]:
@@ -43,7 +47,8 @@ def select_winner(equivalent_bids, rng: np.random.Generator) -> tuple[int, float
     Returns (winner index, highest losing e); a lone participant faces 0.
 
     One uniform is consumed per call whether or not a tie occurs, so rng
-    consumption does not depend on the draw."""
+    consumption does not depend on the draw. rng needs only a scalar
+    random(): run_repeated passes its block source."""
     e = list(equivalent_bids)
     if not e:
         raise ValueError("select_winner needs at least one participant")
@@ -95,7 +100,10 @@ def run_auction(
 ) -> AuctionOutcome:
     """Execute one auction. strategies: any iterable of one Strategy per
     advertiser; belief: one alpha_hat per advertiser, or None for a
-    platform that believes every report."""
+    platform that believes every report. rng is read only through the
+    laws' sample(rng) and scalar rng.random() calls, so a game whose laws
+    draw scalar doubles only may pass any source of them: run_repeated
+    passes its block source."""
     if mode not in ("analytic", "realized"):
         raise ValueError(f"unknown mode {mode!r}")
     strategies = list(strategies)
@@ -176,6 +184,26 @@ def run_auction(
     raise RuntimeError(f"rejected {_MAX_REJECTIONS} draws in a row; check the rate laws")
 
 
+class _BlockDoubles:
+    """A generator's doubles drawn _BLOCK at a time and handed out one per
+    scalar random() call, in the generator's own order: PCG64's stream is
+    sequential, so each equals the double a scalar call would have read,
+    without numpy's per-call cost."""
+
+    __slots__ = ("_rng", "_buf")
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng, self._buf = rng, []
+
+    def random(self, size=None) -> float:
+        if size is not None:
+            raise TypeError("a block source draws one double at a time")
+        if not self._buf:
+            # reversed, so that pop() hands the doubles out as drawn
+            self._buf = self._rng.random(_BLOCK)[::-1].tolist()
+        return self._buf.pop()
+
+
 def run_repeated(
     game: Game,
     strategies,
@@ -187,8 +215,18 @@ def run_repeated(
     """T independent auctions, yielded lazily one outcome at a time. The
     rounds draw in order from one generator, batch_rng(seed,
     STREAM_ROUNDS, 0), so a shorter run's outcomes are a prefix of a
-    longer one's. A T below 1 raises here, at the call."""
+    longer one's. A T below 1 raises here, at the call.
+
+    When every rate law is a Uniform, Point or Discrete, each of the
+    round's draws reads one scalar double, and the rounds read the
+    generator through a _BlockDoubles source: the same doubles in the
+    same order. A Beta law reads a variable number of doubles through
+    rng.beta, so such a game keeps the generator itself. The doubles the
+    source draws ahead of the last round are never read, since the
+    generator is private to this call, so the prefix property holds."""
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     rng = batch_rng(seed, STREAM_ROUNDS, 0)
+    if all(type(law) in _ONE_DOUBLE_LAWS for spec in game.specs for law in spec.rates):
+        rng = _BlockDoubles(rng)
     return (run_auction(game, strategies, belief, rng, mode) for _ in range(T))

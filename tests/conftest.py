@@ -152,3 +152,30 @@ def games_with_bids(draw, **kwargs):
         Strategy(bid=draw(st.floats(0.01, 2.0 * spec.m))) for spec in game.specs
     )
     return game, strategies
+
+
+@st.composite
+def _finite_laws(draw):
+    probs = draw(_PROBS)
+    if len(probs) == 1:
+        return Point(draw(_POINT))
+    return Discrete(draw(_ATOMS[len(probs)]), probs)
+
+
+_FINITE_LAW = _finite_laws()
+_TWIN_MODELS = st.sampled_from(("CPM", "CPC", "CPA", "OCPC"))
+
+
+@st.composite
+def twin_games_with_bids(draw):
+    """Two advertisers with the same m, the same point or discrete laws
+    and the same bid, so their scores tie exactly, at whatever score the
+    rates drawn give, whenever both draw the same atoms."""
+    chain = EventChain(CHAIN_3)
+    m = draw(_M)
+    rates = (draw(_FINITE_LAW), draw(_FINITE_LAW))
+    specs = [AdvertiserSpec(id=i + 1, m=m, rates=rates) for i in range(2)]
+    model = pricing_model(draw(_TWIN_MODELS), chain)
+    game = validate_game(specs, chain, model, in_site())
+    strategy = Strategy(bid=draw(st.floats(0.01, 2.0 * m)))
+    return game, (strategy, strategy)

@@ -39,7 +39,13 @@ from adpricing.strategy import (
     theoretical_strategy,
 )
 
-from conftest import games_with_bids, make_game, mean_rate_equivalent_bids, point_specs
+from conftest import (
+    games_with_bids,
+    make_game,
+    mean_rate_equivalent_bids,
+    point_specs,
+    twin_games_with_bids,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -401,9 +407,11 @@ def _prop_charge_ignores_the_winning_bid(gb, seed, factor):
     assert out.platform_payoff == base.platform_payoff
 
 
+# about half the examples are twin advertisers, whose exact ties fall at
+# scores of every size, so a tie rule that depends on the score is caught
 @settings(max_examples=_CASES, deadline=None)
 @given(
-    gb=games_with_bids(),
+    gb=st.one_of(games_with_bids(), twin_games_with_bids()),
     seed=st.integers(0, 2**32 - 1),
     log2k=st.integers(-3, 6),
 )

@@ -8,8 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from adpricing.distributions import Discrete
-from adpricing.engine import run_auction, run_repeated, select_winner
+from adpricing.distributions import Beta, Discrete
+from adpricing.engine import _BLOCK, run_auction, run_repeated, select_winner
 from adpricing.model import PlatformBelief, Strategy
 from adpricing.sampling import STREAM_ROUNDS, batch_rng
 
@@ -266,12 +266,22 @@ def _zero_click_specs():
     return tuple(replace(s, rates=(zero_or_not, s.rates[1])) for s in default_specs())
 
 
+def _beta_click_specs():
+    """The default game with a Beta(2, 5) click law, whose draw reads a
+    variable number of the generator's doubles."""
+    return tuple(replace(s, rates=(Beta(2.0, 5.0), s.rates[1])) for s in default_specs())
+
+
+_PINNED_SPECS = {"default": default_specs, "zero_click": _zero_click_specs, "beta": _beta_click_specs}
+
 # sha256 of the repr of every outcome's field tuple over 200 rounds of
 # run_repeated at seed 19, posted bids (10, 11), alphas (0.6, 0.8) and a
 # belief (0.5, 0.9) that differs from them; the field tuple, not the
 # outcome object, so the outcome's container type does not enter it.
-# Recorded before run_auction's body was rewritten for speed: every draw
-# and float operation keeps its order, so no digest may move
+# The default and zero-click digests were recorded before run_auction's
+# body was rewritten for speed, the beta ones before run_repeated read
+# its doubles a block at a time: every draw and float operation keeps
+# its order, so no digest may move
 RUN_REPEATED_SHA256 = {
     "default/CPC/in_site/analytic": "0b4e693d3b72a88343bd898d79f00a97c4d431e9b17dc7ad0c5a05c6d49f1f63",
     "default/CPC/in_site/realized": "e127214323a5655e6bf989a68d1d9662a903505f1a3d2f0e2737af9a45753326",
@@ -305,14 +315,29 @@ RUN_REPEATED_SHA256 = {
     "zero_click/CPM/in_site/realized": "691a21c8b55a091419fee8c7059deb778d028e4c7ffca02049c511e37f9b9dce",
     "zero_click/CPM/out_site/analytic": "6286b411ffd3c23d32b5d8a2262e1fc32162a95aeb901923f6f427428350f6df",
     "zero_click/CPM/out_site/realized": "e7a3acf4be423ea04412d99e10bb5cf95861ee2d0e4f28ebe674d20ae5d02797",
+    "beta/CPC/in_site/analytic": "33eda440d11258cc66ed65f380af71d84a3f705824b5d7938bf1d9d18b24256c",
+    "beta/CPC/in_site/realized": "5041e3acd944a26c8a75ffdd144a891c562b33334a1aeeea62045ce7507f1c0f",
+    "beta/CPC/out_site/analytic": "33eda440d11258cc66ed65f380af71d84a3f705824b5d7938bf1d9d18b24256c",
+    "beta/CPC/out_site/realized": "74b108626733360192bb0808af93b3372d0f6133acc7cdb5f2ba8d18e2523bee",
+    "beta/OCPC/in_site/analytic": "cd7dc2e06f7cd9c63ffe90dafec198d3da375a24922eec1cb0d889beb2ff9a52",
+    "beta/OCPC/in_site/realized": "2b8213f91b727fcd74dd217de949812f7ac1de4477ea18a46c9ffdba60a8636e",
+    "beta/OCPC/out_site/analytic": "79249a6a8b13a34b2ee6e64b5bf7943532307d6c45fee83e9117ac55e125d894",
+    "beta/OCPC/out_site/realized": "766294c853c7ea22f269d2a475221450c1c60d80b31b427cfb0a2d89aeeeb7b8",
+    "beta/CPA/in_site/analytic": "79f561bca9ba786070ac6e3552ffda66b168c6124a6e3482fedccf70a1e252a2",
+    "beta/CPA/in_site/realized": "5d70f67d6b59d8dc7083ea27fa698dda48713405ef5bc5e4183982261fdd42f5",
+    "beta/CPA/out_site/analytic": "361e00da0e73931264e9cfc8712cce2c85fc399771ceac5d8e359032932c85e6",
+    "beta/CPA/out_site/realized": "b1b4cf300dc433c5800c4acb303f1a60b62080af1d7dc11707c4ccf8f25ec4c3",
+    "beta/CPM/in_site/analytic": "f6ec9f6f57015b92e7bd1ec3f1ca3afb1c8d34efda8dc5fabfd92ae77afc9092",
+    "beta/CPM/in_site/realized": "d76f102d28e8a1f88f041d45ee29c2aba14bd9a9626a1bce5c01119960518696",
+    "beta/CPM/out_site/analytic": "f6ec9f6f57015b92e7bd1ec3f1ca3afb1c8d34efda8dc5fabfd92ae77afc9092",
+    "beta/CPM/out_site/realized": "933f7d171a50bed8a5525e18c4d65279ba2699e761e416c9819850c96af003d4",
 }
 
 
 @pytest.mark.parametrize("case", sorted(RUN_REPEATED_SHA256))
 def test_run_repeated_outcomes_are_pinned(case):
     specs, model, scenario, mode = case.split("/")
-    specs = default_specs() if specs == "default" else _zero_click_specs()
-    game = make_game(specs, model=model, scenario=scenario)
+    game = make_game(_PINNED_SPECS[specs](), model=model, scenario=scenario)
     strategies = (Strategy(10.0, alpha=0.6), Strategy(11.0, alpha=0.8))
     belief = PlatformBelief((0.5, 0.9))
     digest = hashlib.sha256()
@@ -328,3 +353,26 @@ def test_run_repeated_outcomes_are_pinned(case):
     assert digest.hexdigest() == RUN_REPEATED_SHA256[case]
     # the zero-click game pins the redraw path wherever a click is charged
     assert (rejections > 0) == (case.startswith("zero_click") and model != "CPM")
+
+
+def test_a_block_draw_reads_the_scalar_draws_doubles():
+    k = 3 * _BLOCK + 7
+    block, scalar = batch_rng(19, STREAM_ROUNDS, 0), batch_rng(19, STREAM_ROUNDS, 0)
+    assert block.random(k).tolist() == [scalar.random() for _ in range(k)]
+    assert block.bit_generator.state == scalar.bit_generator.state
+
+
+@pytest.mark.parametrize("specs", sorted(_PINNED_SPECS))
+@pytest.mark.parametrize("scenario", ["in_site", "out_site"])
+@pytest.mark.parametrize("mode", ["analytic", "realized"])
+def test_run_repeated_reads_the_plain_generators_doubles(specs, scenario, mode):
+    # every round reads at least 5 doubles (4 rates and the tie uniform),
+    # so T rounds cross at least 3 of run_repeated's block boundaries
+    T = 1000
+    assert 5 * T > 3 * _BLOCK
+    game = make_game(_PINNED_SPECS[specs](), model="CPA", scenario=scenario)
+    strategies = (Strategy(10.0, alpha=0.6), Strategy(11.0, alpha=0.8))
+    belief = PlatformBelief((0.5, 0.9))
+    rng = batch_rng(23, STREAM_ROUNDS, 0)
+    plain = [run_auction(game, strategies, belief, rng, mode) for _ in range(T)]
+    assert list(run_repeated(game, strategies, belief, T=T, seed=23, mode=mode)) == plain

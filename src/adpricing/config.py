@@ -50,11 +50,12 @@ bool or a string is rejected, also where float() would take it.
 
 Every replication count, top-level or per study, lies in
 [1, MAX_REPLICATIONS]: estimators run their batches serially, so an
-unbounded count would mean a run that never ends. An advertiser's m and
-a posted bid are below MAX_VALUE, so no sum of squared payoffs and no
-simulate total overflows, and the dominance multipliers (fixtures,
-grid_max_multiplier) are below MAX_MULTIPLIER, so neither do the scan's
-sums.
+unbounded count would mean a run that never ends. A game has at most
+MAX_ADVERTISERS advertisers, so one batch's rate draws fit in
+BATCH_RATE_BYTES. An advertiser's m and a posted bid are below
+MAX_VALUE, so no sum of squared payoffs and no simulate total
+overflows, and the dominance multipliers (fixtures, grid_max_multiplier)
+are below MAX_MULTIPLIER, so neither do the scan's sums.
 
 ExperimentConfig is an immutable typing.NamedTuple: besides its named
 fields it can be unpacked and indexed, and it compares equal to the
@@ -73,6 +74,7 @@ import yaml
 
 from .distributions import Beta, Discrete, Distribution, Point, Uniform
 from .model import (
+    CHAIN_4,
     AdvertiserSpec,
     EventChain,
     Game,
@@ -84,11 +86,13 @@ from .model import (
     pricing_model,
     validate_game,
 )
+from .sampling import BATCH_SIZE
 
 __all__ = [
     "STUDIES",
     "STUDY_KNOBS",
     "MAX_REPLICATIONS",
+    "MAX_ADVERTISERS",
     "ConfigError",
     "ExperimentConfig",
     "load_config",
@@ -111,6 +115,12 @@ TOP_LEVEL_KEYS = (
 )
 
 MAX_REPLICATIONS = 10**10
+
+# bytes one batch's rate draws may take. They are advertisers x rate depths
+# x BATCH_SIZE float64s, and the 4-stage chain has 3 rate depths, so this
+# budget admits 64 advertisers to a game
+BATCH_RATE_BYTES = 24 << 20
+MAX_ADVERTISERS = BATCH_RATE_BYTES // ((len(CHAIN_4) - 1) * BATCH_SIZE * 8)
 
 # rates are probabilities, so every per-draw payoff is within a few m of 0;
 # below this m the sums of squares of MAX_REPLICATIONS of them stay finite.
@@ -320,6 +330,12 @@ def _parse_game(
     adv_nodes = _require(node, "advertisers", where)
     if not isinstance(adv_nodes, list) or len(adv_nodes) < 2:
         raise ConfigError(f"{where}.advertisers", "expected a list of at least 2 advertisers")
+    if len(adv_nodes) > MAX_ADVERTISERS:
+        raise ConfigError(
+            f"{where}.advertisers",
+            f"{len(adv_nodes)} advertisers: at most {MAX_ADVERTISERS}, so one batch's"
+            f" rate draws stay within {BATCH_RATE_BYTES >> 20} MiB",
+        )
     specs = []
     first_with_id: dict[int, int] = {}
     for i, adv in enumerate(adv_nodes):

@@ -39,7 +39,13 @@ class Distribution:
         """(lo, hi) bounds; samples always land inside."""
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
+    def sample(
+        self, rng: np.random.Generator, size: int | None = None, out: np.ndarray | None = None
+    ):
+        """Draw from rng: one float when size is None, else a float64 array
+        of size draws. out, a float64 array of shape (size,), receives the
+        draws in place and is returned; the draws and the generator's state
+        after them are those of the same call without it."""
         raise NotImplementedError
 
     def is_finite_discrete(self) -> bool:
@@ -72,10 +78,10 @@ class Uniform(Distribution):
     def support(self) -> tuple[float, float]:
         return (self.lo, self.hi)
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size=None, out=None):
         # numpy's own uniform, lo + (hi - lo) * one double per draw, without
         # its per-call argument handling
-        x = rng.random(size)
+        x = rng.random(size) if out is None else rng.random(out=out)
         x *= self.hi - self.lo
         x += self.lo
         return x
@@ -100,8 +106,12 @@ class Beta(Distribution):
     def support(self) -> tuple[float, float]:
         return (0.0, 1.0)
 
-    def sample(self, rng, size=None):
-        return rng.beta(self.a, self.b, size=size)
+    def sample(self, rng, size=None, out=None):
+        x = rng.beta(self.a, self.b, size=size)
+        if out is None:
+            return x
+        out[...] = x
+        return out
 
 
 @dataclass(frozen=True)
@@ -121,10 +131,13 @@ class Point(Distribution):
     def support(self) -> tuple[float, float]:
         return (self.v, self.v)
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size=None, out=None):
         if size is None:
             return self.v
-        return np.full(size, self.v, dtype=np.float64)
+        if out is None:
+            return np.full(size, self.v, dtype=np.float64)
+        out.fill(self.v)
+        return out
 
     def is_finite_discrete(self) -> bool:
         return True
@@ -163,14 +176,15 @@ class Discrete(Distribution):
     def support(self) -> tuple[float, float]:
         return (min(self.values), max(self.values))
 
-    def sample(self, rng, size=None):
-        # inverse-CDF on a uniform draw; keeps one rng draw per sample
-        u = rng.random(size=size)
+    def sample(self, rng, size=None, out=None):
+        # inverse-CDF on a uniform draw; keeps one rng draw per sample. With
+        # out, the uniforms land there and the values overwrite them
+        u = rng.random(size=size) if out is None else rng.random(out=out)
         idx = np.searchsorted(self._cum, u, side="right")
         idx = np.minimum(idx, len(self.values) - 1)
         if size is None:
             return float(self._values[idx])
-        return self._values[idx]
+        return np.take(self._values, idx, out=out)
 
     def is_finite_discrete(self) -> bool:
         return True

@@ -44,6 +44,7 @@ from .sampling import (
     estimate,
     settle,
     tie_uniforms,
+    winner_utilities,
 )
 
 __all__ = [
@@ -78,17 +79,15 @@ def _score_factors(game: Game, model_name: str, i: int):
 def _score_stack(game: Game, model_name: str, rates: np.ndarray) -> np.ndarray:
     """Scores for all advertisers, shape (n, size). Factors multiply in
     depth order for every model, so models that differ only in depths
-    with degenerate laws produce bitwise identical scores."""
+    with degenerate laws produce bitwise identical scores. Each row
+    starts at m and takes every factor in place."""
     n, _, size = rates.shape
     out = np.empty((n, size), dtype=np.float64)
     for i in range(n):
-        v = np.full(size, game.specs[i].m, dtype=np.float64)
+        v = out[i]
+        v.fill(game.specs[i].m)
         for kind, x in _score_factors(game, model_name, i):
-            if kind == "realized":
-                v = v * rates[i, x - 1, :]
-            else:
-                v = v * x
-        out[i] = v
+            v *= rates[i, x - 1] if kind == "realized" else x
     return out
 
 
@@ -122,8 +121,7 @@ def _settle_models(
             social = utils.sum(axis=0)
         else:
             winner, social, platform = settle(_score_stack(game, name, rates), u)
-            utils = np.zeros((n, size))
-            utils[winner, np.arange(size)] = social - platform
+            utils = winner_utilities(winner, social - platform, n)
         out[name] = Settlement(winner, utils, platform, social)
     return out
 

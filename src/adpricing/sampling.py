@@ -33,6 +33,7 @@ __all__ = [
     "batch_layout",
     "run_batched",
     "settle",
+    "winner_utilities",
     "estimate",
     "mean_se",
     "SE_FACTOR",
@@ -109,13 +110,14 @@ def draw_rates(game, seed: int, stream: int, batch: int, size: int) -> np.ndarra
     Shape (n_advertisers, n_rate_depths, size). Each (advertiser, depth)
     cell draws from its own child generator, so swapping one law leaves
     every other cell's draws untouched (the basis of the exact
-    common-random-number comparisons)."""
+    common-random-number comparisons). Each law samples straight into
+    its own row."""
     L = game.chain.n_rate_depths
     out = np.empty((game.n, L, size), dtype=np.float64)
     for i, spec in enumerate(game.specs):
         for d in range(1, L + 1):
             rng = batch_rng(seed, stream, batch, rate_role(i, d))
-            out[i, d - 1, :] = spec.rate(d).sample(rng, size)
+            spec.rate(d).sample(rng, size, out=out[i, d - 1])
     return out
 
 
@@ -168,6 +170,27 @@ def settle(scores: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     rest = scores.copy()
     rest.reshape(-1)[cell] = -np.inf
     return winner, top, rest.max(axis=0)
+
+
+def winner_utilities(winner: np.ndarray, gap: np.ndarray, n: int) -> np.ndarray:
+    """Shape (n, size): column j holds gap[j] in row winner[j] and +0.0 in
+    every other row, bit for bit what zeros plus a scatter of gap at the
+    winners give. Row i is gap's float64 bits ANDed with a 0/-1 mask of
+    winner == i, so every value, NaN, +-inf and -0.0 included, is kept."""
+    bits = gap.view(np.int64)
+    out = np.empty((n, gap.size), dtype=np.float64)
+    rows = out.view(np.int64)
+    if n == 2:
+        # settle's masks: winner - 1 is -1 where row 0 won, -winner where row 1 did
+        np.bitwise_and(bits, winner - 1, out=rows[0])
+        np.bitwise_and(bits, -winner, out=rows[1])
+        return out
+    mask = np.empty(gap.size, dtype=np.int64)
+    for i in range(n):
+        np.equal(winner, i, out=mask, casting="unsafe")
+        np.negative(mask, out=mask)
+        np.bitwise_and(bits, mask, out=rows[i])
+    return out
 
 
 # the standard-error multiple every Monte-Carlo verdict's margin uses,

@@ -55,6 +55,7 @@ from .sampling import (
     run_batched,
     settle,
     tie_uniforms,
+    winner_utilities,
 )
 
 __all__ = [
@@ -125,8 +126,16 @@ def equilibrium_fixture_bids(
     else:
         def batch_fn(b_idx: int, size: int) -> dict:
             rates = draw_rates(game, seed, STREAM_FIXTURES, b_idx, size)
-            e = np.stack([bids[k] * np.prod(rates[k, :bd, :], axis=0) for k in range(game.n)])
-            return {i: np.delete(e, i, axis=0).max(axis=0) for i in range(game.n)}
+            e = [bids[k] * np.prod(rates[k, :bd, :], axis=0) for k in range(game.n)]
+            out = {}
+            for i in range(game.n):
+                # a running maximum over the rival rows, in row order
+                rivals = [row for k, row in enumerate(e) if k != i]
+                top = np.maximum(rivals[0], rivals[1])
+                for row in rivals[2:]:
+                    np.maximum(top, row, out=top)
+                out[i] = top
+            return out
 
         est = estimate(replications, batch_fn)
         bases = [est[i].mean for i in range(game.n)]
@@ -181,8 +190,14 @@ def _win_starts(x: np.ndarray, bids: np.ndarray, e: float) -> np.ndarray:
 
 
 def _suffix_sums(v: np.ndarray) -> np.ndarray:
-    """out[k] = v[k:].sum() for k = 0..len(v); out[len(v)] = 0."""
-    return np.append(np.cumsum(v[::-1])[::-1], 0.0)
+    """out[k] = v[k:].sum() for k = 0..len(v); out[len(v)] = 0. The
+    running sum of reversed v is written straight into out[:n] read
+    backwards."""
+    n = v.size
+    out = np.empty(n + 1, dtype=np.float64)
+    np.cumsum(v[::-1], out=out[:n][::-1])
+    out[n] = 0.0
+    return out
 
 
 def best_response_scan(
@@ -356,9 +371,8 @@ def cpa_collapse(
                 )
                 winner, _, e_loser = settle(e, u)
                 payment = e_loser * (_a / _ah)
-                cols = np.arange(size)
-                util = np.zeros((game.n, size))
-                util[winner, cols] = values[winner, cols] - payment
+                won = values[winner, np.arange(size)]
+                util = winner_utilities(winner, won - payment, game.n)
             else:
                 # nothing is attributable: all scores tie at 0, so the winner
                 # is uniform and the price is 0

@@ -20,7 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adpricing import cli
-from adpricing.config import STUDY_KNOBS, ConfigError, load_config, parse_config
+from adpricing.config import (
+    MAX_ADVERTISERS,
+    STUDY_KNOBS,
+    ConfigError,
+    load_config,
+    parse_config,
+)
 from adpricing.distributions import Beta, Point, Uniform
 from adpricing.model import in_site, out_site
 from adpricing.sampling import MeanSE
@@ -586,6 +592,24 @@ def test_cli_reproduce_all_with_three_advertisers_exits_two(tmp_path, capsys):
     assert cli.main(["--config", cfg, "--out", str(out)]) == 2
     assert "cart_game.advertisers" in capsys.readouterr().err
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("node", ["game", "cart_game"])
+def test_cli_advertisers_above_the_bound_exit_two(tmp_path, capsys, node):
+    # one more advertiser than the bound; only parsing runs, no batch
+    raw = _small_dict("dominance")
+    advs = raw[node]["advertisers"]
+    advs.extend(dict(advs[0], m=90.0) for _ in range(MAX_ADVERTISERS + 1 - len(advs)))
+    out = tmp_path / "results"
+    out.mkdir()
+    assert cli.main(["--config", _write(tmp_path, raw), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config field '{node}.advertisers'" in err and f"at most {MAX_ADVERTISERS}" in err
+    assert not any(out.iterdir())
+
+    del advs[MAX_ADVERTISERS:]  # at the bound: parses
+    cfg = parse_config(raw)
+    assert (cfg.game if node == "game" else cfg.cart_game).n == MAX_ADVERTISERS
 
 
 @pytest.mark.parametrize(

@@ -108,6 +108,30 @@ def test_sample_mean_matches_declared_moments(dist):
     assert abs(x.mean() - dist.mean()) <= max(5.0 * se, 1e-12)
 
 
+@pytest.mark.parametrize(
+    "dist",
+    [
+        Uniform(0.2, 0.4),
+        Uniform(-2.5, 7.0),
+        Beta(2.0, 5.0),
+        Point(0.125),
+        Discrete((0.1, 0.4, 0.7), (0.2, 0.3, 0.5)),
+        FAIR_DIE,
+    ],
+)
+def test_sample_into_out_is_the_fresh_draw_bit_for_bit(dist):
+    # out is one row of a larger array, as draw_rates passes it; the rows
+    # around it must keep their sentinel
+    size = 1000
+    ours, theirs = np.random.default_rng(13), np.random.default_rng(13)
+    buf = np.full((3, size), np.nan)
+    row = buf[1]
+    assert dist.sample(ours, size, out=row) is row
+    assert row.tobytes() == dist.sample(theirs, size).tobytes()
+    assert np.isnan(buf[[0, 2]]).all()
+    assert ours.random() == theirs.random()  # the same doubles were consumed
+
+
 @settings(max_examples=100, deadline=None)
 @given(dist=rate_laws())
 def test_random_law_samples_stay_in_support(dist):

@@ -13,15 +13,19 @@ from hypothesis import given, settings
 from adpricing import cli
 from adpricing.distributions import Discrete, Point
 from adpricing.model import AdvertiserSpec
+from adpricing.model import CHAIN_4, MODEL_NAMES
 from adpricing.payoffs import (
     estimate_equilibrium_payoffs,
     exact_equilibrium_payoffs,
     payoff_ordering_suite,
+    _score_factors,
+    _score_stack,
     _settle_models,
 )
-from adpricing.sampling import BATCH_SIZE, STREAM_PAYOFFS
+from adpricing.sampling import BATCH_SIZE, STREAM_PAYOFFS, draw_rates
+from adpricing.strategy import best_response_scan
 
-from conftest import default_specs, make_game, point_specs, rate_laws
+from conftest import cart_specs, default_specs, make_game, point_specs, rate_laws
 
 
 def test_dice_enumeration_oracle():
@@ -68,6 +72,43 @@ def _tied_specs(n):
     # identical two-atom laws: a quarter of the draws tie every score
     laws = (Discrete((0.2, 0.4), (0.5, 0.5)), Discrete((0.1, 0.3), (0.5, 0.5)))
     return tuple(replace(default_specs()[0], id=k + 1, rates=laws) for k in range(n))
+
+
+def _score_stack_by_temporaries(game, model_name, rates):
+    """_score_stack as it was: a fresh full array of m per advertiser and a
+    fresh product per factor, in depth order."""
+    n, _, size = rates.shape
+    out = np.empty((n, size), dtype=np.float64)
+    for i in range(n):
+        v = np.full(size, game.specs[i].m, dtype=np.float64)
+        for kind, x in _score_factors(game, model_name, i):
+            if kind == "realized":
+                v = v * rates[i, x - 1, :]
+            else:
+                v = v * x
+        out[i] = v
+    return out
+
+
+@pytest.mark.parametrize(
+    "specs, chain",
+    [
+        pytest.param(default_specs(), None, id="default"),
+        pytest.param(point_specs(), None, id="point"),
+        pytest.param(
+            (default_specs()[0], replace(point_specs()[1], m=37.0)), None, id="point-and-uniform"
+        ),
+        pytest.param(cart_specs(), CHAIN_4, id="cart"),
+    ],
+)
+def test_score_stack_is_the_temporaries_form_bit_for_bit(specs, chain):
+    game = make_game(specs) if chain is None else make_game(specs, "CPSC", chain_events=chain)
+    rates = draw_rates(game, 6, STREAM_PAYOFFS, 0, 4096)
+    names = [name for name in MODEL_NAMES if chain is not None or name != "CPSC"]
+    assert {"CPM", "CPC", "CPA"} <= set(names)
+    for name in names:
+        want = _score_stack_by_temporaries(game, name, rates)
+        assert _score_stack(game, name, rates).tobytes() == want.tobytes(), name
 
 
 @pytest.mark.parametrize(
@@ -215,12 +256,24 @@ def test_max_of_independent_pair_dominates_mean(law):
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's mallopt thresholds")
 def test_settlement_batches_reuse_freed_memory():
     # without the CLI's allocator setting, every batch after the first
-    # faults about 680 pages of its 128 KiB temporaries in again
+    # faults about 680 pages of its 128 KiB temporaries in again. The rate
+    # draws and a dominance scan batch are held to the same rule
     cli._keep_batch_memory()
     game = make_game(default_specs())
-    faults = []
-    for b_idx in range(4):
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        _settle_models(game, ("CPC", "OCPC", "CPA"), 1, STREAM_PAYOFFS, b_idx, BATCH_SIZE)
-        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-    assert max(faults[1:]) < 50, faults
+    grid = np.linspace(0.0, 200.0, 101)
+    batches = {
+        "settle": lambda b: _settle_models(
+            game, ("CPC", "OCPC", "CPA"), 1, STREAM_PAYOFFS, b, BATCH_SIZE
+        ),
+        "draw_rates": lambda b: draw_rates(game, 1, STREAM_PAYOFFS, b, BATCH_SIZE),
+        "scan": lambda b: best_response_scan(
+            0, grid, (2.5, 5.0, 10.0, 20.0), game, 100.0, BATCH_SIZE, seed=b
+        ),
+    }
+    for name, batch in batches.items():
+        faults = []
+        for b_idx in range(4):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            batch(b_idx)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert max(faults[1:]) < 50, (name, faults)

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from adpricing import sampling
+from adpricing.distributions import Beta, Discrete, Point, Uniform
 from adpricing.engine import select_winner
+from adpricing.model import CHAIN_4, AdvertiserSpec
 from adpricing.sampling import (
     BATCH_SIZE,
     SE_FACTOR,
@@ -23,6 +25,7 @@ from adpricing.sampling import (
     settle,
     tie_uniforms,
     winner_tiebreak,
+    winner_utilities,
 )
 
 from conftest import default_specs, make_game
@@ -118,6 +121,30 @@ def test_draw_rates_shape_and_determinism():
     assert not np.array_equal(r1[0, 0], r1[1, 0])  # advertisers get own streams
     assert not np.array_equal(r1, draw_rates(game, seed=4, stream=1, batch=0, size=64))
     assert (r1 >= 0).all() and (r1 <= 1).all()
+
+
+def _draw_rates_by_copy(game, seed, stream, batch, size):
+    """draw_rates as it was: every law draws a fresh array that is then
+    copied into its row."""
+    L = game.chain.n_rate_depths
+    out = np.empty((game.n, L, size), dtype=np.float64)
+    for i, spec in enumerate(game.specs):
+        for d in range(1, L + 1):
+            rng = batch_rng(seed, stream, batch, rate_role(i, d))
+            out[i, d - 1, :] = spec.rate(d).sample(rng, size)
+    return out
+
+
+def test_draw_rates_is_the_copied_draws_bit_for_bit():
+    laws = (Uniform(0.2, 0.4), Beta(2.0, 5.0), Point(0.5), Discrete((0.1, 0.6), (0.3, 0.7)))
+    specs = [
+        AdvertiserSpec(id=i + 1, m=10.0, rates=tuple(laws[(i + d) % 4] for d in range(3)))
+        for i in range(4)
+    ]
+    game = make_game(specs, model="CPSC", chain_events=CHAIN_4)
+    for batch, size in ((0, BATCH_SIZE), (3, 17)):
+        got = draw_rates(game, 5, 1, batch, size)
+        assert got.tobytes() == _draw_rates_by_copy(game, 5, 1, batch, size).tobytes()
 
 
 def test_tie_uniforms_deterministic():
@@ -304,3 +331,29 @@ def test_settle_matches_scalar_engine_with_ties(n):
     for j in range(size):
         w, e_loser = select_winner(scores[:, j], _FixedUniform(u[j]))
         assert (w, e_loser) == (winner[j], price[j]), j
+
+
+def _utilities_by_scatter(winner, gap, n):
+    """The winner's utilities as they were built: zeros, then gap scattered
+    to each column's winner."""
+    utils = np.zeros((n, gap.size))
+    utils[winner, np.arange(gap.size)] = gap
+    return utils
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_winner_utilities_are_the_scatter_bit_for_bit(n):
+    rng = np.random.default_rng(200 + n)
+    size = 3000
+    # tie-broken winners of integer scores, so many columns are ties
+    scores = rng.integers(0, 3, size=(n, size)).astype(np.float64)
+    winner = winner_tiebreak(scores, rng.random(size))
+    # every kind of float in the gaps: signed zeros and NaNs, a NaN with a
+    # payload, infinities, subnormals and ordinary values of both signs
+    payload_nan = np.array([0x7FF8_0000_0000_0123], dtype=np.int64).view(np.float64)[0]
+    special = [0.0, -0.0, np.nan, -np.nan, payload_nan, np.inf, -np.inf, 5e-324, -5e-324]
+    gap = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+    gap[: 10 * len(special)] = np.repeat(special, 10)
+    got = winner_utilities(winner, gap, n)
+    assert got.dtype == np.float64 and got.shape == (n, size)
+    assert got.tobytes() == _utilities_by_scatter(winner, gap, n).tobytes()

@@ -24,6 +24,7 @@ from adpricing.sampling import (
 )
 from adpricing.strategy import (
     NO_EQUILIBRIUM,
+    _suffix_sums,
     _win_starts,
     best_response_scan,
     cpa_collapse,
@@ -121,14 +122,18 @@ def test_fixture_bids_three_player_between_rivals():
     assert fixtures[0] <= sum(es)
 
 
-def test_fixture_pass_matches_per_advertiser_rival_max():
+@pytest.mark.parametrize("n_advertisers", [3, 4])
+def test_fixture_pass_matches_per_advertiser_rival_max(n_advertisers):
     # oracle: each advertiser's own batch loop over the same draws, the max
     # over its rivals summed per batch, then in batch order
-    third = replace(point_specs()[0], id=3, m=90.0)
+    extra = (
+        replace(point_specs()[0], id=3, m=90.0),
+        replace(default_specs()[1], id=4, m=95.0),
+    )[: n_advertisers - 2]
     n = 2 * BATCH_SIZE + 5
     mults = (0.5, 1.0, 3.0)
     for model in ("CPC", "OCPC"):
-        game = make_game(default_specs() + (third,), model=model)
+        game = make_game(default_specs() + extra, model=model)
         bd = game.model.bid_depth
         bids = [_theory(game, k).bid for k in range(game.n)]
         fixture_sets = equilibrium_fixture_bids(game, multipliers=mults, replications=n, seed=9)
@@ -209,6 +214,16 @@ def test_cpa_collapse_rejects_aliasing_round_keys():
     game = make_game(default_specs(), model="CPA", scenario="out_site")
     with pytest.raises(ValueError, match="batches per round"):
         cpa_collapse(game, 5, 0.5, replications=(1 << 20) * BATCH_SIZE + 1)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 7, 5000])
+def test_suffix_sums_are_the_appended_form_bit_for_bit(size):
+    rng = np.random.default_rng(size)
+    v = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
+    want = np.append(np.cumsum(v[::-1])[::-1], 0.0)
+    got = _suffix_sums(v)
+    assert got.shape == (size + 1,)
+    assert got.tobytes() == want.tobytes()
 
 
 def _scan_draws(game, seed, size):

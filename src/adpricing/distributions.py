@@ -9,6 +9,7 @@ validation, not here.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,7 +151,7 @@ class Point(Distribution):
 class Discrete(Distribution):
     values: tuple[float, ...]
     probs: tuple[float, ...]
-    _cum: np.ndarray = field(init=False, repr=False, compare=False)
+    _cum: list[float] = field(init=False, repr=False, compare=False)
     _values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -163,7 +164,8 @@ class Discrete(Distribution):
         total = math.fsum(self.probs)
         if abs(total - 1.0) > _PROB_TOL:
             raise ValueError(f"discrete probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "_cum", np.cumsum(np.asarray(self.probs, dtype=np.float64)))
+        cum = np.cumsum(np.asarray(self.probs, dtype=np.float64)).tolist()
+        object.__setattr__(self, "_cum", cum)
         object.__setattr__(self, "_values", np.asarray(self.values, dtype=np.float64))
 
     def mean(self) -> float:
@@ -177,13 +179,18 @@ class Discrete(Distribution):
         return (min(self.values), max(self.values))
 
     def sample(self, rng, size=None, out=None):
-        # inverse-CDF on a uniform draw; keeps one rng draw per sample. With
-        # out, the uniforms land there and the values overwrite them
-        u = rng.random(size=size) if out is None else rng.random(out=out)
-        idx = np.searchsorted(self._cum, u, side="right")
-        idx = np.minimum(idx, len(self.values) - 1)
+        # inverse-CDF on a uniform draw; keeps one rng draw per sample. The
+        # atom index is the number of cumulative probabilities at or below
+        # u, capped at the last atom. With out, the uniforms land there and
+        # the values overwrite them
+        cum = self._cum
         if size is None:
-            return float(self._values[idx])
+            return float(self._values[min(bisect_right(cum, rng.random()), len(cum) - 1)])
+        u = rng.random(size=size) if out is None else rng.random(out=out)
+        # kept in the smallest dtype that holds the last atom's index
+        idx = np.zeros(u.shape, dtype=np.min_scalar_type(len(cum) - 1))
+        for c in cum[:-1]:
+            idx += u >= c
         return np.take(self._values, idx, out=out)
 
     def is_finite_discrete(self) -> bool:

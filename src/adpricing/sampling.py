@@ -104,15 +104,19 @@ def run_batched(
     return totals
 
 
-def draw_rates(game, seed: int, stream: int, batch: int, size: int) -> np.ndarray:
+def draw_rates(
+    game, seed: int, stream: int, batch: int, size: int, depths: int | None = None
+) -> np.ndarray:
     """Sample realized funnel rates for every advertiser and depth.
 
-    Shape (n_advertisers, n_rate_depths, size). Each (advertiser, depth)
-    cell draws from its own child generator, so swapping one law leaves
-    every other cell's draws untouched (the basis of the exact
-    common-random-number comparisons). Each law samples straight into
+    Shape (n_advertisers, n_rate_depths, size); with depths given, only
+    depths 1..depths are drawn, shape (n_advertisers, depths, size). Each
+    (advertiser, depth) cell draws from its own child generator, so
+    swapping one law leaves every other cell's draws untouched (the basis
+    of the exact common-random-number comparisons) and a shallower draw
+    is the leading rows of the full one. Each law samples straight into
     its own row."""
-    L = game.chain.n_rate_depths
+    L = game.chain.n_rate_depths if depths is None else depths
     out = np.empty((game.n, L, size), dtype=np.float64)
     for i, spec in enumerate(game.specs):
         for d in range(1, L + 1):
@@ -135,9 +139,22 @@ def winner_tiebreak(scores: np.ndarray, u: np.ndarray) -> np.ndarray:
         # with k = 2 the rank int(2u) is 1 exactly when u >= 0.5
         a, b = scores
         return ((b > a) | ((b == a) & (u >= 0.5))).astype(np.int64)
-    top = scores.max(axis=0)
+    # a running maximum over the rows, then each row's equality with it;
+    # the count of top rows per column is kept in a dtype that holds n
+    top = scores[0].copy()
+    for row in scores[1:]:
+        np.maximum(top, row, out=top)
     is_max = scores == top
-    k = is_max.sum(axis=0)
+    count_type = np.min_scalar_type(n)
+    k = is_max.sum(axis=0, dtype=count_type)
+    if (k == 1).all():
+        # one top row in every column (no tie, no NaN): it wins, and no
+        # rank is drawn
+        winner = np.zeros(size, dtype=count_type)
+        for j in range(1, n):
+            winner += is_max[j] * count_type.type(j)
+        return winner.astype(np.int64)
+    k = k.astype(np.int64)
     rank = np.minimum((u * k).astype(np.int64), k - 1) + 1
     # one pass over the rows counts the tied rows seen so far; exactly one
     # tied row reaches the rank, and row 0 wins when no later row does
@@ -163,6 +180,19 @@ def settle(scores: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
         a, b = scores.view(np.int64)
         swap = (a ^ b) & -winner
         return winner, (a ^ swap).view(np.float64), (b ^ swap).view(np.float64)
+    if n > 2:
+        # a running top two. Where every column's top lies strictly above
+        # its runner-up, the top is the winner's own score and the
+        # runner-up the price, bit for bit: equal values have equal bits
+        # except +0 and -0, so a zero runner-up takes the general path, as
+        # does any tie or NaN
+        top = np.maximum(scores[0], scores[1])
+        second = np.minimum(scores[0], scores[1])
+        for row in scores[2:]:
+            np.maximum(second, np.minimum(top, row), out=second)
+            np.maximum(top, row, out=top)
+        if (second < top).all() and second.all():
+            return winner, top, second
     cell = winner * size + np.arange(size)  # flat index of each column's winner
     top = scores.take(cell)
     if n == 1:

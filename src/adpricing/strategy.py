@@ -125,8 +125,9 @@ def equilibrium_fixture_bids(
         bases = [bids[k] * math.prod(game.specs[k].rate_means()[:bd]) for k in (1, 0)]
     else:
         def batch_fn(b_idx: int, size: int) -> dict:
-            rates = draw_rates(game, seed, STREAM_FIXTURES, b_idx, size)
-            e = [bids[k] * np.prod(rates[k, :bd, :], axis=0) for k in range(game.n)]
+            # only the rates up to the bid depth enter an equivalent bid
+            rates = draw_rates(game, seed, STREAM_FIXTURES, b_idx, size, depths=bd)
+            e = [bids[k] * np.prod(rates[k], axis=0) for k in range(game.n)]
             out = {}
             for i in range(game.n):
                 # a running maximum over the rival rows, in row order
@@ -360,15 +361,11 @@ def cpa_collapse(
             # fold the round into the batch index so rounds never share draws
             key = _t * round_stride + b_idx
             rates = draw_rates(game, seed, STREAM_COLLAPSE, key, size)
-            values = np.stack(
-                [ms[i] * np.prod(rates[i], axis=0) for i in range(game.n)], axis=0
-            )
+            prods = [np.prod(rates[i], axis=0) for i in range(game.n)]
+            values = np.stack([ms[i] * prods[i] for i in range(game.n)], axis=0)
             u = tie_uniforms(seed, STREAM_COLLAPSE, key, size)
             if not _c:
-                e = np.stack(
-                    [(ms[i] / _a * _ah) * np.prod(rates[i], axis=0) for i in range(game.n)],
-                    axis=0,
-                )
+                e = np.stack([(ms[i] / _a * _ah) * prods[i] for i in range(game.n)], axis=0)
                 winner, _, e_loser = settle(e, u)
                 payment = e_loser * (_a / _ah)
                 won = values[winner, np.arange(size)]

@@ -132,6 +132,56 @@ def test_sample_into_out_is_the_fresh_draw_bit_for_bit(dist):
     assert ours.random() == theirs.random()  # the same doubles were consumed
 
 
+class _GivenUniforms:
+    """Stand-in rng whose draws are the given uniforms, in order."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+        self.i = 0
+
+    def random(self, size=None, out=None):
+        k = out.size if out is not None else 1 if size is None else size
+        u, self.i = self.u[self.i : self.i + k], self.i + k
+        if out is not None:
+            out[...] = u
+            return out
+        return float(u[0]) if size is None else u.copy()
+
+
+@pytest.mark.parametrize(
+    "values, probs",
+    [
+        ((0.25,), (1.0,)),
+        ((0.1, 0.3), (0.5, 0.5)),
+        ((0.1, 0.3), (0.0, 1.0)),  # a zero-probability atom first
+        ((0.1, 0.4, 0.7), (0.2, 0.0, 0.8)),  # and in the middle
+        # the cumulative probabilities end at 0.9999999999999, below 1, so
+        # a u above that is capped to the last atom
+        ((0.1, 0.4, 0.7, 0.9), (0.1, 0.2, 0.7 - 1e-13, 0.0)),
+        ((0.1, 0.4, 0.7, 0.9, 0.95), (0.2, 0.2, 0.2, 0.2, 0.2)),
+        (tuple(float(k) for k in range(1, 7)), (1.0 / 6.0,) * 6),
+    ],
+)
+def test_discrete_sample_is_the_searchsorted_draw_bit_for_bit(values, probs):
+    d = Discrete(values, probs)
+    cum = np.cumsum(np.asarray(probs, dtype=np.float64))
+    # u on, just below and just above every cumulative probability, the
+    # ends of [0, 1) and some plain draws
+    edges = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0)])
+    plain = np.random.default_rng(1).random(50)
+    u = np.concatenate([[0.0, 1.0 - 2.0**-53], edges[edges < 1.0], plain])
+    idx = np.minimum(np.searchsorted(cum, u, side="right"), len(values) - 1)
+    want = np.asarray(values, dtype=np.float64)[idx]
+    assert d.sample(_GivenUniforms(u), u.size).tobytes() == want.tobytes()
+    buf = np.full(u.size, np.nan)
+    assert d.sample(_GivenUniforms(u), u.size, out=buf) is buf
+    assert buf.tobytes() == want.tobytes()
+    rng = _GivenUniforms(u)
+    scalars = [d.sample(rng) for _ in u]
+    assert all(type(x) is float for x in scalars)
+    assert np.array(scalars).tobytes() == want.tobytes()
+
+
 @settings(max_examples=100, deadline=None)
 @given(dist=rate_laws())
 def test_random_law_samples_stay_in_support(dist):

@@ -28,7 +28,7 @@ from adpricing.sampling import (
     winner_utilities,
 )
 
-from conftest import default_specs, make_game
+from conftest import cart_specs, default_specs, make_game
 
 
 def test_batch_layout_partitions():
@@ -145,6 +145,16 @@ def test_draw_rates_is_the_copied_draws_bit_for_bit():
     for batch, size in ((0, BATCH_SIZE), (3, 17)):
         got = draw_rates(game, 5, 1, batch, size)
         assert got.tobytes() == _draw_rates_by_copy(game, 5, 1, batch, size).tobytes()
+
+
+def test_draw_rates_to_a_depth_is_the_full_draws_leading_rows():
+    game = make_game(cart_specs(), chain_events=CHAIN_4, model="CPSC")
+    full = draw_rates(game, 5, 1, 2, 300)
+    assert draw_rates(game, 5, 1, 2, 300, depths=None).tobytes() == full.tobytes()
+    for depths in range(full.shape[1] + 1):
+        got = draw_rates(game, 5, 1, 2, 300, depths=depths)
+        assert got.shape == (game.n, depths, 300)
+        assert got.tobytes() == np.ascontiguousarray(full[:, :depths]).tobytes()
 
 
 def test_tie_uniforms_deterministic():
@@ -292,6 +302,116 @@ def test_settle_matches_brute_force_with_ties(n):
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
         assert g.tobytes() == w.tobytes()
+
+
+def _settle_by_scatter(scores, u):
+    """The general path's reference: the tie rule on numpy's column
+    maximum (row 0 wins a NaN column, where no row equals it), the
+    winner's score taken from its cell, and the price as the maximum over
+    a copy of the scores with the winner's cell set to -inf."""
+    n, size = scores.shape
+    best = scores.max(axis=0)
+    winner = np.zeros(size, dtype=np.int64)
+    for j in range(size):
+        tied = np.flatnonzero(scores[:, j] == best[j])
+        if tied.size:
+            winner[j] = tied[min(int(u[j] * tied.size), tied.size - 1)]
+    top = scores[winner, np.arange(size)]
+    if n == 1:
+        return winner, top, np.zeros(size)
+    rest = scores.copy()
+    rest[winner, np.arange(size)] = -np.inf
+    return winner, top, rest.max(axis=0)
+
+
+class _TakeSpy(np.ndarray):
+    """Scores that record every take, which only settle's general path
+    makes on them."""
+
+    takes = 0
+
+    def take(self, *args, **kwargs):
+        _TakeSpy.takes += 1
+        return super().take(*args, **kwargs)
+
+
+def _assert_settles_as(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7])
+def test_settle_tie_free_blocks_take_the_fast_path(n):
+    # distinct scores in every column, run alone: the winner needs no rank
+    # (a NaN uniform would raise on the cast) and settle makes no take
+    rng = np.random.default_rng(300 + n)
+    blocks = [
+        rng.random((n, 500)),
+        -rng.random((n, 500)),
+        rng.standard_normal((n, 500)) * 10.0 ** rng.integers(-300, 300, (n, 500)),
+        np.array([[5e-324, 1e-320, -5e-324], [1e-320, 5e-324, -1e-320]] + [[-1.0] * 3] * (n - 2)),
+    ]
+    for scores in blocks:
+        u = rng.random(scores.shape[1])
+        want = _settle_by_hand(scores, u)
+        assert winner_tiebreak(scores, np.full(u.size, np.nan)).tobytes() == want[0].tobytes()
+        _TakeSpy.takes = 0
+        _assert_settles_as(settle(scores.view(_TakeSpy), u), want)
+        assert _TakeSpy.takes == 0
+
+
+_BOUNDARY_BLOCKS = {
+    # +0 and -0 tied at the top, in either order
+    "signed-zero-top": [[0.0, -0.0, 0.0], [-0.0, 0.0, 0.0], [-1.0, -1.0, -0.0]],
+    # a unique top over runner-ups +0 and -0, in either row order
+    "signed-zero-second": [[5.0, 5.0, 0.0, -0.0], [0.0, -0.0, 5.0, 5.0], [-0.0, 0.0, -0.0, 0.0]],
+    "zero-second": [[2.0, -0.0], [0.0, 3.0], [-1.0, -2.0]],
+    "minus-inf-second": [
+        [1.0, -np.inf, -np.inf], [-np.inf, 2.0, -np.inf], [-np.inf, -np.inf, -0.5]
+    ],
+    "plus-inf-top": [[np.inf, 1.0, -np.inf], [1.0, np.inf, np.inf], [0.5, -np.inf, 2.0]],
+    "nan-below-top": [[3.0, 1.0, np.nan], [np.nan, 2.0, 1.0], [1.0, np.nan, 3.0]],
+    "subnormal": [[5e-324, 1e-310, -5e-324], [1e-310, 5e-324, -1e-320], [-1e-320, 2e-310, 4e-324]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BOUNDARY_BLOCKS))
+@pytest.mark.parametrize("extra_rows", [0, 1])
+def test_settle_boundary_blocks_are_the_general_path_bit_for_bit(name, extra_rows):
+    scores = np.array(_BOUNDARY_BLOCKS[name])
+    # a -inf row appended moves no winner and no price
+    scores = np.vstack([scores, np.full((extra_rows, scores.shape[1]), -np.inf)])
+    for u in (0.0, 0.5, 1.0 - 2.0**-53):
+        u = np.full(scores.shape[1], u)
+        _assert_settles_as(settle(scores, u), _settle_by_scatter(scores, u))
+
+
+def test_settle_all_tied_block_counts_past_a_byte():
+    # 257 tied rows: a count kept in 8 bits would wrap to one top row
+    n, size = 257, 9
+    scores = np.full((n, size), 2.5)
+    u = np.linspace(0.0, 1.0 - 2.0**-53, size)
+    got = settle(scores, u)
+    _assert_settles_as(got, _settle_by_scatter(scores, u))
+    assert got[0].tolist() == [min(int(x * n), n - 1) for x in u]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_settle_matches_brute_force_on_random_blocks(seed):
+    # blocks of mixed columns: distinct, tied and infinite scores, but no
+    # zero or NaN, whose signs and order the hand oracle does not pin
+    rng = np.random.default_rng(400 + seed)
+    pool = np.array([-np.inf, np.inf, -2.0, -1.0, 1.0, 2.0, 5e-324, -5e-324])
+    for n in (3, 4, 5, 7):
+        size = 300
+        scores = rng.random((n, size)) + 0.5
+        tied = rng.random(size) < 0.3
+        scores[:, tied] = rng.integers(1, 3, (n, tied.sum()))
+        special = rng.random((n, size)) < 0.05
+        scores[special] = rng.choice(pool, special.sum())
+        u = rng.random(size)
+        _assert_settles_as(settle(scores, u), _settle_by_hand(scores, u))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -1,11 +1,14 @@
 """Theoretical strategies, utility estimation, dominance scans and the
 underreporting spiral."""
 
+import hashlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from adpricing.config import load_config
 from adpricing.distributions import Discrete
 from adpricing.model import (
     CHAIN_4,
@@ -39,6 +42,9 @@ from conftest import (
     mean_rate_equivalent_bids,
     point_specs,
 )
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _theory(game, i=0):
@@ -150,6 +156,55 @@ def test_fixture_pass_matches_per_advertiser_rival_max(n_advertisers):
 
     with pytest.raises(ValueError, match="at least one rival"):
         equilibrium_fixture_bids(make_game(default_specs()[:1], model="CPC"))
+
+
+# sha256 of the repr of equilibrium_fixture_bids (default multipliers,
+# 2 * BATCH_SIZE + 5 replications, seed 9) and of cpa_collapse (12 rounds,
+# decay 0.5, BATCH_SIZE + 7 replications, seed 4), pinned when the fixture
+# pass drew every depth and the collapse took each product twice
+FIXTURES_SHA256 = {
+    "three_player/CPC": "f94eb841eac4bfbc870953f8a34464b8b23b45104bc50ed870ec316041c01663",
+    "three_player/OCPC": "fa7fe448828c3b58fc5166d0ab082060111d9364a02732d02375a76e69df81b7",
+    "four/CPC": "6aea14423520e2ddaae222cb6abffcfff4453e89e948cb3f98a8cf0eb9df9e48",
+    "four/OCPC": "557f4399e265313aa1e6325a654196067f481169dccfb7acff27a748bb29caf1",
+}
+COLLAPSE_SHA256 = {
+    2: "25ac1f7e59abaee7ce8e86d941118a1ac9f8c458a54acb5946efcf390b43c6bb",
+    3: "ca56367fec6f9e00dbd27263c05f4841fb3cb0d9f69d57b1e8b211e13f29d716",
+}
+
+
+def _repr_sha256(x):
+    return hashlib.sha256(repr(x).encode()).hexdigest()
+
+
+def _four_specs():
+    return default_specs() + (
+        replace(point_specs()[0], id=3, m=90.0),
+        replace(default_specs()[1], id=4, m=95.0),
+    )
+
+
+@pytest.mark.parametrize("case", sorted(FIXTURES_SHA256))
+def test_fixture_bids_are_pinned(case):
+    # CPC bids at the click, OCPC at the conversion: the pass draws rates
+    # only to the bid depth, and the shallower draw moves no bit
+    name, model = case.split("/")
+    if name == "three_player":
+        game = load_config(str(ROOT / "configs" / "three_player.yaml")).game
+    else:
+        game = make_game(_four_specs())
+    game = game.with_model(model, in_site())
+    fixtures = equilibrium_fixture_bids(game, replications=2 * BATCH_SIZE + 5, seed=9)
+    assert _repr_sha256(fixtures) == FIXTURES_SHA256[case]
+
+
+@pytest.mark.parametrize("n_advertisers", sorted(COLLAPSE_SHA256))
+def test_cpa_collapse_is_pinned(n_advertisers):
+    specs = default_specs() + (replace(point_specs()[0], id=3, m=90.0),)
+    game = make_game(specs[:n_advertisers], model="CPA", scenario="out_site")
+    trace = cpa_collapse(game, rounds=12, decay=0.5, replications=BATCH_SIZE + 7, seed=4)
+    assert _repr_sha256(trace) == COLLAPSE_SHA256[n_advertisers]
 
 
 def test_best_response_scan_passes_for_theory():

@@ -40,6 +40,7 @@ import sys
 import tempfile
 import time
 from dataclasses import replace
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,10 @@ def _cell(v) -> str:
 # cell types the csv writer already spells as _cell does: a float with
 # repr, an int with str (bool, an int subclass, is not one of them)
 _PLAIN = frozenset((float, int, str))
+# of those, the types the writer never quotes: a row of only these is
+# written as its cells' reprs joined by commas, _LINE_BLOCK lines a write
+_NUMERIC = frozenset((float, int))
+_LINE_BLOCK = 1024
 
 
 def _pair(name: str) -> list[str]:
@@ -118,13 +123,33 @@ class Artifacts:
         self.files: list[str] = []
 
     def write_csv(self, relpath: str, header, rows) -> None:
-        """One CSV; a MeanSE cell fills two columns, its mean and its SE."""
+        """One CSV; a MeanSE cell fills two columns, its mean and its SE.
+
+        A row of exact floats and ints only is spelled as the csv writer
+        would spell it, its cells' reprs joined by commas, and such lines
+        are written _LINE_BLOCK at a time; any other row goes through the
+        csv writer, after the lines before it, so the rows keep their order."""
         path = self.outdir / relpath
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
+            eol = writer.dialect.lineterminator
             writer.writerow(header)
+            lines = []
+
+            def flush():
+                lines.append("")  # so that the last line is terminated too
+                fh.write(eol.join(lines))
+                lines.clear()
+
             for row in rows:
+                if _NUMERIC.issuperset(map(type, row)):
+                    lines.append(",".join(map(repr, row)))
+                    if len(lines) == _LINE_BLOCK:
+                        flush()
+                    continue
+                if lines:
+                    flush()
                 if not _PLAIN.issuperset(map(type, row)):
                     cells = []
                     for v in row:
@@ -134,6 +159,8 @@ class Artifacts:
                             cells.append(_cell(v))
                     row = cells
                 writer.writerow(row)
+            if lines:
+                flush()
         self.files.append(relpath)
 
     def hashes(self) -> dict[str, str]:
@@ -183,18 +210,13 @@ def _study_simulate(cfg: ExperimentConfig):
         platform = social = 0.0
         all_zero = True
         outcomes = run_repeated(game, strategies, belief, rounds, seed=cfg.seed, mode=mode)
-        for t, oc in enumerate(outcomes):
-            resid = oc.social_welfare - oc.platform_payoff - sum(oc.payoffs)
+        for t, (winner, e_loser, ppe, pays, paid, welfare, *_) in enumerate(outcomes):
+            resid = welfare - paid - sum(pays)
             all_zero &= resid == 0.0
-            yield (
-                [t, ids[oc.winner], oc.e_loser, oc.price_per_pay_event]
-                + list(oc.payoffs)
-                + [oc.platform_payoff, oc.social_welfare, resid]
-            )
-            for i, p in enumerate(oc.payoffs):
-                payoffs[i] += p
-            platform += oc.platform_payoff
-            social += oc.social_welfare
+            yield [t, ids[winner], e_loser, ppe, *pays, paid, welfare, resid]
+            payoffs = list(map(add, payoffs, pays))
+            platform += paid
+            social += welfare
         sums.append((payoffs, platform, social, all_zero))
 
     yield "trace.csv", header, trace()

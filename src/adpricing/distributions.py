@@ -81,7 +81,10 @@ class Uniform(Distribution):
 
     def sample(self, rng, size=None, out=None):
         # numpy's own uniform, lo + (hi - lo) * one double per draw, without
-        # its per-call argument handling
+        # its per-call argument handling; the scalar draw does the array
+        # draw's two steps on one double
+        if size is None:
+            return rng.random() * (self.hi - self.lo) + self.lo
         x = rng.random(size) if out is None else rng.random(out=out)
         x *= self.hi - self.lo
         x += self.lo

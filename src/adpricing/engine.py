@@ -19,7 +19,8 @@ realized (reported, when charging on conversions out-site) pay event.
 
 from __future__ import annotations
 
-import math
+from itertools import chain, repeat
+from math import prod
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -40,6 +41,9 @@ _MAX_REJECTIONS = 1000
 _BLOCK = 1024  # doubles a round generator's block source draws at once
 # laws whose scalar draw reads at most one rng.random() and nothing else
 _ONE_DOUBLE_LAWS = (Uniform, Point, Discrete)
+# builds a NamedTuple from a tuple of every field, as its __new__ does,
+# without that Python-level call
+_pack = tuple.__new__
 
 
 def select_winner(equivalent_bids, rng: np.random.Generator) -> tuple[int, float]:
@@ -49,7 +53,7 @@ def select_winner(equivalent_bids, rng: np.random.Generator) -> tuple[int, float
     One uniform is consumed per call whether or not a tie occurs, so rng
     consumption does not depend on the draw. rng needs only a scalar
     random(): run_repeated passes its block source."""
-    e = list(equivalent_bids)
+    e = tuple(equivalent_bids)
     if not e:
         raise ValueError("select_winner needs at least one participant")
     u = rng.random()
@@ -106,8 +110,9 @@ def run_auction(
     passes its block source."""
     if mode not in ("analytic", "realized"):
         raise ValueError(f"unknown mode {mode!r}")
-    strategies = list(strategies)
-    n = game.n
+    strategies = tuple(strategies)
+    specs = game.specs
+    n = len(specs)
     if len(strategies) != n:
         raise ValueError(f"need {n} strategies, got {len(strategies)}")
     if belief is not None and len(belief.alpha_hat) != n:
@@ -124,17 +129,17 @@ def run_auction(
         factors = belief.alpha_hat
     else:
         factors = (1.0,) * n
-    bids = [s.bid * factors[i] for i, s in enumerate(strategies)]
-    specs = game.specs
+    random = rng.random
 
     for attempt in range(_MAX_REJECTIONS + 1):
-        # rates drawn advertiser-major, depth-minor; one tie uniform after
-        realized = [tuple([law.sample(rng) for law in spec.rates]) for spec in specs]
-        e = [bid * math.prod(r[:bd]) for bid, r in zip(bids, realized)]
+        # rates drawn advertiser-major, depth-minor; one tie uniform after.
+        # An equivalent bid is (bid x factor) x the rates' product
+        realized = tuple([tuple([law.sample(rng) for law in spec.rates]) for spec in specs])
+        e = tuple([s.bid * f * prod(r[:bd]) for s, f, r in zip(strategies, factors, realized)])
         winner, e_loser = select_winner(e, rng)
 
         rates_w = realized[winner]
-        pay_rate = math.prod(rates_w[:pd])
+        pay_rate = prod(rates_w[:pd])
         pred_pay = factors[winner] * pay_rate if scaled_pay else pay_rate
         if pd >= 1 and pred_pay == 0.0:
             continue  # rejected draw: platform would never charge this winner
@@ -145,7 +150,7 @@ def run_auction(
         if mode == "analytic":
             charged_pay = strategies[winner].alpha * pay_rate if scaled_pay else pay_rate
             payment = e_loser * (charged_pay / pred_pay) if pd >= 1 else e_loser
-            value = m * math.prod(rates_w)
+            value = m * prod(rates_w)
             events = reported = None
         else:
             # one event uniform per depth, drawn whether or not the funnel
@@ -153,12 +158,12 @@ def run_auction(
             events = []
             reached = True
             for r in rates_w:
-                reached = rng.random() < r and reached
+                reached = random() < r and reached
                 events.append(reached)
             events = tuple(events)
             reported = None
             if out_site:
-                reported = rng.random() < strategies[winner].alpha and reached
+                reported = random() < strategies[winner].alpha and reached
             if pd == 0:
                 paid = True
             elif scaled_pay:
@@ -168,19 +173,19 @@ def run_auction(
             payment = ppe if paid else 0.0
             value = m if reached else 0.0
         payoffs[winner] = value - payment
-
-        return AuctionOutcome(
+        outcome = (
             winner,
             e_loser,
             ppe,
             tuple(payoffs),
             payment,
             value,
-            AuctionDraw(tuple(realized), tuple(e)),
+            _pack(AuctionDraw, (realized, e)),
             attempt,
             events,
             reported,
         )
+        return _pack(AuctionOutcome, outcome)
     raise RuntimeError(f"rejected {_MAX_REJECTIONS} draws in a row; check the rate laws")
 
 
@@ -188,20 +193,15 @@ class _BlockDoubles:
     """A generator's doubles drawn _BLOCK at a time and handed out one per
     scalar random() call, in the generator's own order: PCG64's stream is
     sequential, so each equals the double a scalar call would have read,
-    without numpy's per-call cost."""
+    without numpy's per-call cost. random is the __next__ of a C-level
+    itertools.chain over the blocks' lists, so a draw runs no Python
+    code; it takes no argument, so a call with a size raises TypeError."""
 
-    __slots__ = ("_rng", "_buf")
+    __slots__ = ("random",)
 
     def __init__(self, rng: np.random.Generator):
-        self._rng, self._buf = rng, []
-
-    def random(self, size=None) -> float:
-        if size is not None:
-            raise TypeError("a block source draws one double at a time")
-        if not self._buf:
-            # reversed, so that pop() hands the doubles out as drawn
-            self._buf = self._rng.random(_BLOCK)[::-1].tolist()
-        return self._buf.pop()
+        blocks = map(np.ndarray.tolist, map(rng.random, repeat(_BLOCK)))
+        self.random = chain.from_iterable(blocks).__next__
 
 
 def run_repeated(
@@ -217,15 +217,19 @@ def run_repeated(
     STREAM_ROUNDS, 0), so a shorter run's outcomes are a prefix of a
     longer one's. A T below 1 raises here, at the call.
 
+    strategies is read once, so a one-shot iterable serves every round.
     When every rate law is a Uniform, Point or Discrete, each of the
     round's draws reads one scalar double, and the rounds read the
-    generator through a _BlockDoubles source: the same doubles in the
-    same order. A Beta law reads a variable number of doubles through
-    rng.beta, so such a game keeps the generator itself. The doubles the
-    source draws ahead of the last round are never read, since the
-    generator is private to this call, so the prefix property holds."""
+    generator through a _BlockDoubles source, whose random() is a C-level
+    iterator's __next__: the same doubles in the same order. A Beta law
+    reads a variable number of doubles through rng.beta, so such a game
+    keeps the generator itself. The doubles the source draws ahead of the
+    last round are never read, since the generator is private to this
+    call, so the prefix property holds. Each round is one run_auction
+    call."""
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
+    strategies = tuple(strategies)
     rng = batch_rng(seed, STREAM_ROUNDS, 0)
     if all(type(law) in _ONE_DOUBLE_LAWS for spec in game.specs for law in spec.rates):
         rng = _BlockDoubles(rng)

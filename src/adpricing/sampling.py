@@ -129,11 +129,13 @@ def tie_uniforms(seed: int, stream: int, batch: int, size: int) -> np.ndarray:
     return batch_rng(seed, stream, batch, TIE_ROLE).random(size)
 
 
-def winner_tiebreak(scores: np.ndarray, u: np.ndarray) -> np.ndarray:
+def winner_tiebreak(scores: np.ndarray, u: np.ndarray, top: np.ndarray | None = None) -> np.ndarray:
     """Column-wise argmax of scores (shape (n, size)) with ties broken
     uniformly by u in [0,1): the winner is the tied row of rank
     min(int(u * k), k - 1) among the k tied rows; mirrors the scalar
-    engine's tie rule."""
+    engine's tie rule. top, when given, is the running np.maximum over
+    the rows in row order that the call would otherwise take itself; it
+    is read, not written."""
     n, size = scores.shape
     if n == 2:
         # with k = 2 the rank int(2u) is 1 exactly when u >= 0.5
@@ -141,9 +143,10 @@ def winner_tiebreak(scores: np.ndarray, u: np.ndarray) -> np.ndarray:
         return ((b > a) | ((b == a) & (u >= 0.5))).astype(np.int64)
     # a running maximum over the rows, then each row's equality with it;
     # the count of top rows per column is kept in a dtype that holds n
-    top = scores[0].copy()
-    for row in scores[1:]:
-        np.maximum(top, row, out=top)
+    if top is None:
+        top = scores[0].copy()
+        for row in scores[1:]:
+            np.maximum(top, row, out=top)
     is_max = scores == top
     count_type = np.min_scalar_type(n)
     k = is_max.sum(axis=0, dtype=count_type)
@@ -171,8 +174,24 @@ def settle(scores: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     (n, size)): the tie-broken winner, its score, and the highest other
     score, which is the price (0 when n = 1). With a tie at the top the
     price equals the top score."""
-    winner = winner_tiebreak(scores, u)
     n, size = scores.shape
+    if n > 2:
+        # a running top two, whose top is the running maximum
+        # winner_tiebreak would take. Where every column's top lies
+        # strictly above its runner-up, the top is the winner's own score
+        # and the runner-up the price, bit for bit: equal values have equal
+        # bits except +0 and -0, so a zero runner-up takes the general path,
+        # as does any tie or NaN
+        top = np.maximum(scores[0], scores[1])
+        second = np.minimum(scores[0], scores[1])
+        for row in scores[2:]:
+            np.maximum(second, np.minimum(top, row), out=second)
+            np.maximum(top, row, out=top)
+        winner = winner_tiebreak(scores, u, top=top)
+        if (second < top).all() and second.all():
+            return winner, top, second
+    else:
+        winner = winner_tiebreak(scores, u)
     if n == 2:
         # top and price are the two rows' own values, swapped where row 1
         # won: a branch-free select on the float bits, which keeps the
@@ -180,19 +199,6 @@ def settle(scores: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
         a, b = scores.view(np.int64)
         swap = (a ^ b) & -winner
         return winner, (a ^ swap).view(np.float64), (b ^ swap).view(np.float64)
-    if n > 2:
-        # a running top two. Where every column's top lies strictly above
-        # its runner-up, the top is the winner's own score and the
-        # runner-up the price, bit for bit: equal values have equal bits
-        # except +0 and -0, so a zero runner-up takes the general path, as
-        # does any tie or NaN
-        top = np.maximum(scores[0], scores[1])
-        second = np.minimum(scores[0], scores[1])
-        for row in scores[2:]:
-            np.maximum(second, np.minimum(top, row), out=second)
-            np.maximum(top, row, out=top)
-        if (second < top).all() and second.all():
-            return winner, top, second
     cell = winner * size + np.arange(size)  # flat index of each column's winner
     top = scores.take(cell)
     if n == 1:

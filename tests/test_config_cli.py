@@ -1130,6 +1130,19 @@ README_HEADERS = {
 }
 
 
+def _per_cell_csv(path, header, rows):
+    """The reference: every row through the csv writer, cell by cell."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            cells = []
+            for v in row:
+                cells += [v.mean, v.se] if isinstance(v, MeanSE) else [v]
+            writer.writerow([cli._cell(v) for v in cells])
+    return path.read_bytes()
+
+
 def test_write_csv_plain_rows_match_the_per_cell_path(tmp_path):
     nan, inf = float("nan"), float("inf")
     rows = [
@@ -1143,18 +1156,52 @@ def test_write_csv_plain_rows_match_the_per_cell_path(tmp_path):
     ]
     art = cli.Artifacts(tmp_path)
     art.write_csv("fast.csv", ["h"], rows)
-    with open(tmp_path / "cells.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["h"])
-        for row in rows:
-            cells = []
-            for v in row:
-                cells += [v.mean, v.se] if isinstance(v, MeanSE) else [v]
-            writer.writerow([cli._cell(v) for v in cells])
     fast = (tmp_path / "fast.csv").read_bytes()
-    assert fast == (tmp_path / "cells.csv").read_bytes()
+    assert fast == _per_cell_csv(tmp_path / "cells.csv", ["h"], rows)
     assert fast.splitlines()[1] == b'0,1.5,-0.0,nan,inf,-inf,"say ""hi"", bye",100000000000000000000,1e-300,'
     assert fast.splitlines()[2] == b"true,,0.1,-7,false,0.25,0.001"
+
+
+_NUMERIC_ROWS = [
+    [0, 1.5, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, -5e-324],
+    [1e16, 1e-5, 10**20, -(10**20), -7, 0.1, 2.0, -1.0],
+    [123456789, -0.30000000000000004, 1e300, 1e-300, 0, -1, 3, 1e22],
+    [],
+]
+_OTHER_ROWS = [
+    [1, "a,b", 2.0],
+    [True, 1, 0.5],
+    [None, 0.0],
+    [np.float64(0.1), 1],
+    [np.int64(-3), 2.5],
+    [MeanSE(0.25, 1e-3), 1.0],
+    [""],
+]
+
+
+def test_write_csv_numeric_rows_match_the_csv_writer(tmp_path):
+    art = cli.Artifacts(tmp_path)
+    header = ["h1", "h2"]
+    mixed = [r for pair in zip(_NUMERIC_ROWS * 2, _OTHER_ROWS) for r in pair] + _NUMERIC_ROWS
+    block = cli._LINE_BLOCK
+    tables = {
+        "numeric": _NUMERIC_ROWS,
+        "mixed": mixed,
+        "empty": [],
+        "one_block": [[i, i / 7] for i in range(block)],
+        "block_minus_one": [[i, -i / 3] for i in range(block - 1)],
+        "block_plus_one": [[i, i * 0.1] for i in range(block + 1)],
+        "block_then_other": [[i, 0.5] for i in range(block)] + [["x", 1]] + [[1, 2.0]] * 3,
+    }
+    for name, rows in tables.items():
+        art.write_csv(f"{name}.csv", header, iter(rows))
+        fast = (tmp_path / f"{name}.csv").read_bytes()
+        assert fast == _per_cell_csv(tmp_path / f"{name}.ref.csv", header, rows), name
+    lines = (tmp_path / "numeric.csv").read_bytes().split(b"\r\n")
+    assert lines[1] == b"0,1.5,-0.0,nan,inf,-inf,5e-324,-5e-324"
+    assert lines[2] == b"1e+16,1e-05,100000000000000000000,-100000000000000000000,-7,0.1,2.0,-1.0"
+    assert lines[4] == b"" and lines[5] == b""  # the empty row, then the end
+    assert len((tmp_path / "one_block.csv").read_bytes().splitlines()) == block + 1
 
 
 def test_cli_csv_headers_match_readme(tmp_path):

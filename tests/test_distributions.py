@@ -37,6 +37,23 @@ def test_uniform_sample_is_numpy_uniform_bit_for_bit(lo, hi, size):
     assert ours.random() == theirs.random()  # one double consumed per draw
 
 
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(0.2, 0.4), (0.3, 0.3), (0.0, 0.0), (0.0, 1.0), (0.0, 1e-3), (-2.5, 7.0), (0.0, 5e-324),
+     (1e-320, 3e-320), (-1e-310, 1e-310)],
+)
+def test_uniform_scalar_draw_is_the_one_element_array_draw(lo, hi):
+    # the scalar path computes u * (hi - lo) + lo on a Python float, the
+    # array path the same two steps in place on a float64 array
+    law = Uniform(lo, hi)
+    scalar_rng, array_rng = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(500):
+        x, y = law.sample(scalar_rng), law.sample(array_rng, 1)[0]
+        assert type(x) is float
+        assert np.float64(x).tobytes() == y.tobytes()
+    assert scalar_rng.bit_generator.state == array_rng.bit_generator.state
+
+
 def test_uniform_range_must_be_finite():
     # numpy's uniform raises OverflowError on such a range; the law rejects it first
     with pytest.raises(ValueError, match="finite"):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from adpricing.distributions import Beta, Discrete
-from adpricing.engine import _BLOCK, run_auction, run_repeated, select_winner
+from adpricing.engine import _BLOCK, _BlockDoubles, run_auction, run_repeated, select_winner
 from adpricing.model import PlatformBelief, Strategy
 from adpricing.sampling import STREAM_ROUNDS, batch_rng
 
@@ -257,6 +257,12 @@ def test_run_auction_takes_any_iterable_of_strategies(mode):
         for given in (list(posted), posted, (s for s in posted))
     ]
     assert outcomes[0] == outcomes[1] == outcomes[2]
+    # run_repeated reads a one-shot iterable once, not once per round
+    repeated = [
+        list(run_repeated(game, given, belief, T=5, seed=4, mode=mode))
+        for given in (posted, (s for s in posted))
+    ]
+    assert repeated[0] == repeated[1]
 
 
 def _zero_click_specs():
@@ -360,6 +366,21 @@ def test_a_block_draw_reads_the_scalar_draws_doubles():
     block, scalar = batch_rng(19, STREAM_ROUNDS, 0), batch_rng(19, STREAM_ROUNDS, 0)
     assert block.random(k).tolist() == [scalar.random() for _ in range(k)]
     assert block.bit_generator.state == scalar.bit_generator.state
+
+
+def test_the_block_source_hands_out_the_generators_doubles_one_at_a_time():
+    k = 2 * _BLOCK + 3
+    source = _BlockDoubles(batch_rng(19, STREAM_ROUNDS, 0))
+    plain = batch_rng(19, STREAM_ROUNDS, 0)
+    assert [source.random() for _ in range(k)] == [plain.random() for _ in range(k)]
+    # a size would ask for an array the source does not draw
+    with pytest.raises(TypeError):
+        source.random(3)
+    with pytest.raises(TypeError):
+        source.random(size=3)
+    with pytest.raises(TypeError):
+        source.random(None)
+    assert source.random() == plain.random()  # a refused call reads nothing
 
 
 @pytest.mark.parametrize("specs", sorted(_PINNED_SPECS))

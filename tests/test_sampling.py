@@ -414,15 +414,39 @@ def test_settle_matches_brute_force_on_random_blocks(seed):
         _assert_settles_as(settle(scores, u), _settle_by_hand(scores, u))
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 7])
+def test_winner_tiebreak_given_the_running_top_is_the_plain_call(n):
+    # settle hands winner_tiebreak the top of its running top two; blocks
+    # with ties, +-0, +-inf, subnormals and NaN, one with a payload
+    rng = np.random.default_rng(500 + n)
+    payload = np.array([0x7FF8000000000123]).view(np.float64)[0]
+    pool = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, payload, 5e-324, 1.0, 2.0])
+    for kind in range(3):
+        scores = rng.random((n, 400))
+        if kind == 1:
+            scores = rng.integers(0, 3, (n, 400)).astype(np.float64)
+        if kind == 2:
+            scores = rng.choice(pool, (n, 400))
+        u = rng.random(400)
+        top = scores[0].copy()
+        for row in scores[1:]:
+            np.maximum(top, row, out=top)
+        kept = top.copy()
+        got = winner_tiebreak(scores, u, top=top)
+        assert got.tobytes() == winner_tiebreak(scores, u).tobytes()
+        assert top.tobytes() == kept.tobytes()  # read, not written
+        _assert_settles_as(settle(scores, u), _settle_by_scatter(scores, u))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_settle_calls_winner_tiebreak_through_the_module(monkeypatch, n):
     # perfbench's per-layer trace wraps sampling.winner_tiebreak, so every
     # settlement must reach it through the module attribute
     calls = []
 
-    def recording(scores, u):
+    def recording(scores, u, **kwargs):
         calls.append(scores.shape)
-        return winner_tiebreak(scores, u)
+        return winner_tiebreak(scores, u, **kwargs)
 
     monkeypatch.setattr(sampling, "winner_tiebreak", recording)
     settle(np.random.default_rng(n).random((n, 16)), np.full(16, 0.5))

@@ -241,49 +241,61 @@ def _study_dominance(cfg: ExperimentConfig):
         "margin", "se_margin", "argmax_index", "theory_index", "passed",
         "no_equilibrium",
     ]
+    games = {
+        (model_name, kind): cfg.game.with_model(
+            model_name, in_site() if kind == "in_site" else out_site()
+        )
+        for model_name, kind in DOMINANCE_COMBOS
+    }
+    theories = {
+        combo: [theoretical_strategy(g.model, g.scenario, s, g.chain) for s in g.specs]
+        for combo, g in games.items()
+    }
+    # the first combo of each bid depth with an equilibrium is scanned, and
+    # one fixture pass, in-site where every model has one, serves them all
+    scanned = {}  # bid depth -> combo
+    for combo, g in games.items():
+        if theories[combo][0] is not NO_EQUILIBRIUM:
+            scanned.setdefault(g.model.bid_depth, combo)
+    names = [model_name for model_name, _ in scanned.values()]
+    fixture_sets = equilibrium_fixture_bids(
+        cfg.game.with_model(names[0], in_site()), multipliers=fixtures,
+        replications=p["fixture_replications"], seed=cfg.seed, models=names,
+    )
+    # bid depth -> per advertiser: its verdict and its rows' cells after the
+    # advertiser id; a report is dropped once its cells are read
+    by_depth = {}
+    for bd, combo in scanned.items():
+        by_depth[bd] = []
+        for i, (theory, rival_es) in enumerate(zip(theories[combo], fixture_sets[combo[0]])):
+            rep = best_response_scan(
+                i, np.linspace(0.0, grid_max * theory.bid, p["grid_points"]), rival_es,
+                games[combo], theory.bid, replications=p["replications"], seed=cfg.seed,
+            )
+            ok = rep.passed and abs(rep.argmax_index - rep.theory_index) <= 1
+            cells = [
+                [mult, scan.rival_e, rep.theory_bid, scan.utility_theory, scan.se_theory,
+                 float(np.max(scan.utilities)), scan.margin, scan.se_margin,
+                 scan.argmax_index, rep.theory_index, scan.passed, False]
+                for mult, scan in zip(fixtures, rep.fixtures)
+            ]
+            cells.append([
+                "mean", None, rep.theory_bid, None, None, float(np.max(rep.mean_curve)),
+                None, None, rep.argmax_index, rep.theory_index, ok, False,
+            ])
+            by_depth[bd].append((ok, cells))
+
     rows = []
     all_pass = True
     flagged = False
-    by_depth = {}  # bid depth -> per-advertiser scans
-    for model_name, kind in DOMINANCE_COMBOS:
-        scenario = in_site() if kind == "in_site" else out_site()
-        game = cfg.game.with_model(model_name, scenario)
-        theories = [
-            theoretical_strategy(game.model, game.scenario, s, game.chain) for s in game.specs
-        ]
-        if theories[0] is NO_EQUILIBRIUM:
+    for (model_name, kind), game in games.items():
+        if theories[model_name, kind][0] is NO_EQUILIBRIUM:
             flagged = True
             rows.extend([model_name, kind, spec.id] + [None] * 11 + [True] for spec in game.specs)
             continue
-        bd = game.model.bid_depth
-        if bd not in by_depth:
-            fixture_sets = equilibrium_fixture_bids(
-                game, multipliers=fixtures, replications=p["fixture_replications"], seed=cfg.seed
-            )
-            by_depth[bd] = [
-                best_response_scan(
-                    i, np.linspace(0.0, grid_max * theory.bid, p["grid_points"]), rival_es,
-                    game, theory.bid, replications=p["replications"], seed=cfg.seed,
-                )
-                for i, (theory, rival_es) in enumerate(zip(theories, fixture_sets))
-            ]
-        for spec, rep in zip(game.specs, by_depth[bd]):
-            localized = abs(rep.argmax_index - rep.theory_index) <= 1
-            all_pass &= rep.passed and localized
-            for mult, scan in zip(fixtures, rep.fixtures):
-                best = float(np.max(scan.utilities))
-                rows.append([
-                    model_name, kind, spec.id, mult, scan.rival_e,
-                    rep.theory_bid, scan.utility_theory, scan.se_theory, best,
-                    scan.margin, scan.se_margin, scan.argmax_index,
-                    rep.theory_index, scan.passed, False,
-                ])
-            rows.append([
-                model_name, kind, spec.id, "mean", None,
-                rep.theory_bid, None, None, float(np.max(rep.mean_curve)),
-                None, None, rep.argmax_index, rep.theory_index,
-                rep.passed and localized, False,
-            ])
+        for spec, (ok, cells) in zip(game.specs, by_depth[game.model.bid_depth]):
+            all_pass &= ok
+            rows.extend([model_name, kind, spec.id, *c] for c in cells)
     yield "dominance.csv", header, rows
     return {"scans_pass": bool(all_pass), "cpa_out_flagged": flagged}
 
@@ -682,9 +694,9 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, overrides)
         _keep_batch_memory()
         return run(cfg)
-    except (ConfigError, ValueError, RuntimeError, OSError) as exc:
-        # ValueError covers GameValidationError
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, ValueError, RuntimeError, OSError, MemoryError) as exc:
+        # ValueError covers GameValidationError; a bare MemoryError has no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -52,7 +52,9 @@ Every replication count, top-level or per study, lies in
 [1, MAX_REPLICATIONS]: estimators run their batches serially, so an
 unbounded count would mean a run that never ends. A game has at most
 MAX_ADVERTISERS advertisers, so one batch's rate draws fit in
-BATCH_RATE_BYTES. An advertiser's m and a posted bid are below
+BATCH_RATE_BYTES, and a dominance scan has at most MAX_SCAN_COLUMNS
+columns (fixtures x (grid_points + 1)), so its sums fit in SCAN_BYTES.
+An advertiser's m and a posted bid are below
 MAX_VALUE, so no sum of squared payoffs and no simulate total
 overflows, and the dominance multipliers (fixtures, grid_max_multiplier)
 are below MAX_MULTIPLIER, so neither do the scan's sums.
@@ -93,6 +95,7 @@ __all__ = [
     "STUDY_KNOBS",
     "MAX_REPLICATIONS",
     "MAX_ADVERTISERS",
+    "MAX_SCAN_COLUMNS",
     "ConfigError",
     "ExperimentConfig",
     "load_config",
@@ -121,6 +124,14 @@ MAX_REPLICATIONS = 10**10
 # budget admits 64 advertisers to a game
 BATCH_RATE_BYTES = 24 << 20
 MAX_ADVERTISERS = BATCH_RATE_BYTES // ((len(CHAIN_4) - 1) * BATCH_SIZE * 8)
+
+# bytes the dominance scan's per-column arrays may take. A scan has one
+# column per fixture and evaluated bid (the grid plus the theoretical
+# bid), and each column holds three 8-byte totals (the win count and the
+# two sums), as many in a batch's partial and an int64 win start, so this
+# budget admits the default four fixtures at the largest grid
+SCAN_BYTES = 24 << 20
+MAX_SCAN_COLUMNS = SCAN_BYTES // ((3 + 3 + 1) * 8)
 
 # rates are probabilities, so every per-draw payoff is within a few m of 0;
 # below this m the sums of squares of MAX_REPLICATIONS of them stay finite.
@@ -457,7 +468,15 @@ def parse_config(raw: Any, overrides: dict | None = None) -> ExperimentConfig:
         }
         if overrides.get("replications") is not None and "replications" in knobs:
             params[name]["replications"] = replications
-    sweep, collapse = params["sweep"], params["collapse"]
+    sweep, collapse, dominance = params["sweep"], params["collapse"], params["dominance"]
+    columns = len(dominance["fixtures"]) * (dominance["grid_points"] + 1)
+    if columns > MAX_SCAN_COLUMNS:
+        raise ConfigError(
+            "study_params.dominance.fixtures",
+            f"{len(dominance['fixtures'])} fixtures x {dominance['grid_points'] + 1} bids"
+            f" (grid_points + 1) is {columns} scan columns: at most {MAX_SCAN_COLUMNS},"
+            f" so the scan's sums stay within {SCAN_BYTES >> 20} MiB",
+        )
     if sweep["r_max"] < sweep["r_min"]:
         raise ConfigError(
             "study_params.sweep.r_max", f"must be >= r_min {sweep['r_min']}, got {sweep['r_max']}"

@@ -24,9 +24,11 @@ random numbers and checks that the theoretical bid is within 3
 standard errors of the grid maximum everywhere. Bid b wins a draw when x * b beats the
 rival, x being the draw's product of rates up to the bid depth; that is
 monotone in x for b >= 0, so every bid wins on an upper tail of a
-batch's sorted draws. One sort, one win boundary per bid and suffix sums
-of the utility then give every grid bid's moments, at a cost that does
-not grow with the product of draws and grid size.
+batch's sorted draws. One sort and one win start per bid, then sums of
+the utility, shifted by its value at the mean rates, read only at those
+few starts give every grid bid's moments, at a cost that does not grow
+with the product of draws and grid size. The rival fixtures the scans
+run against come from one pass per game that serves every bid depth.
 
 The result records (FixtureScan, DominanceReport, CollapseRound,
 CollapseTrace) are immutable typing.NamedTuples: besides their named
@@ -41,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import Game, PricingModel, Scenario, Strategy, EventChain
+from .model import Game, PricingModel, Scenario, Strategy, EventChain, pricing_model
 from .sampling import (
     BATCH_SIZE,
     STREAM_COLLAPSE,
@@ -106,41 +108,73 @@ def equilibrium_fixture_bids(
     multipliers=(0.25, 0.5, 1.0, 2.0),
     replications: int = 200_000,
     seed: int = 0,
-) -> tuple[list[float], ...]:
-    """Rival equivalent-bid fixtures, one list per advertiser i: multiples
-    of E[e^{-i}], the mean of the highest rival equivalent bid when
-    rivals play theoretically. Closed form from moments for one rival;
-    otherwise one Monte-Carlo pass whose draws serve every advertiser."""
+    models=None,
+) -> dict[str, tuple[list[float], ...]]:
+    """Rival equivalent-bid fixtures per model in models (default: the
+    game's posted model) under the game's scenario: one list per
+    advertiser i of multiples of E[e^{-i}], the mean of the highest rival
+    equivalent bid when rivals play theoretically.
+
+    Closed form from moments for one rival. Otherwise one Monte-Carlo
+    pass, drawn to the deepest bid depth asked for, serves every
+    advertiser and every model: a model's equivalent bids read only the
+    leading rows of the draw, so its fixtures have the same bits whichever
+    other models share the pass, and models of equal bid depth share
+    their fixtures. Each batch hands run_batched the per-advertiser sums
+    of the rival maximum, and a fixture is the total over replications."""
     if game.n < 2:
         raise ValueError("fixtures need at least one rival")
-    bd = game.model.bid_depth
-    strats = [theoretical_strategy(game.model, game.scenario, s, game.chain) for s in game.specs]
-    if any(s is NO_EQUILIBRIUM for s in strats):
-        raise ValueError(f"{game.model.name}/{game.scenario.kind} has no equilibrium bid")
-    bids = [s.bid for s in strats]
+    names = [game.model.name] if models is None else list(models)
+    depth_of = {}  # model name -> bid depth
+    bids_at = {}  # bid depth -> every advertiser's theoretical bid
+    for name in names:
+        model = pricing_model(name, game.chain)
+        strats = [theoretical_strategy(model, game.scenario, s, game.chain) for s in game.specs]
+        if any(s is NO_EQUILIBRIUM for s in strats):
+            raise ValueError(f"{name}/{game.scenario.kind} has no equilibrium bid")
+        depth_of[name] = model.bid_depth
+        bids_at[model.bid_depth] = [s.bid for s in strats]
 
     if game.n == 2:
         # same operation order as the engine's per-impression conversion,
         # so the reduction reproduces its output bitwise
-        bases = [bids[k] * math.prod(game.specs[k].rate_means()[:bd]) for k in (1, 0)]
+        bases_at = {
+            bd: [bids[k] * math.prod(game.specs[k].rate_means()[:bd]) for k in (1, 0)]
+            for bd, bids in bids_at.items()
+        }
     else:
+        deepest = max(bids_at)
+
         def batch_fn(b_idx: int, size: int) -> dict:
-            # only the rates up to the bid depth enter an equivalent bid
-            rates = draw_rates(game, seed, STREAM_FIXTURES, b_idx, size, depths=bd)
-            e = [bids[k] * np.prod(rates[k], axis=0) for k in range(game.n)]
+            # every depth's equivalent bids in turn, and each advertiser's
+            # rival maximum, fill the same two buffers
+            e = np.empty((game.n, size))
+            top = np.empty(size)
+            # only the rates up to the bid depth enter an equivalent bid,
+            # and a shallower depth reads the leading rows of the draw
+            rates = draw_rates(game, seed, STREAM_FIXTURES, b_idx, size, depths=deepest)
             out = {}
-            for i in range(game.n):
-                # a running maximum over the rival rows, in row order
-                rivals = [row for k, row in enumerate(e) if k != i]
-                top = np.maximum(rivals[0], rivals[1])
-                for row in rivals[2:]:
-                    np.maximum(top, row, out=top)
-                out[i] = top
+            for bd, bids in bids_at.items():
+                for k in range(game.n):
+                    np.prod(rates[k, :bd], axis=0, out=e[k])
+                    e[k] *= bids[k]
+                for i in range(game.n):
+                    # a running maximum over the rival rows, in row order
+                    rivals = [row for k, row in enumerate(e) if k != i]
+                    np.maximum(rivals[0], rivals[1], out=top)
+                    for row in rivals[2:]:
+                        np.maximum(top, row, out=top)
+                    out[bd, i] = top.sum()
             return out
 
-        est = estimate(replications, batch_fn)
-        bases = [est[i].mean for i in range(game.n)]
-    return tuple([m * base for m in multipliers] for base in bases)
+        tot = run_batched(replications, batch_fn)
+        bases_at = {
+            bd: [float(tot[bd, i]) / replications for i in range(game.n)] for bd in bids_at
+        }
+    return {
+        name: tuple([m * base for m in multipliers] for base in bases_at[depth_of[name]])
+        for name in names
+    }
 
 
 class FixtureScan(NamedTuple):
@@ -190,15 +224,45 @@ def _win_starts(x: np.ndarray, bids: np.ndarray, e: float) -> np.ndarray:
         k[up] = np.searchsorted(x, x[k[up]], side="right")
 
 
-def _suffix_sums(v: np.ndarray) -> np.ndarray:
-    """out[k] = v[k:].sum() for k = 0..len(v); out[len(v)] = 0. The
-    running sum of reversed v is written straight into out[:n] read
-    backwards."""
-    n = v.size
-    out = np.empty(n + 1, dtype=np.float64)
-    np.cumsum(v[::-1], out=out[:n][::-1])
-    out[n] = 0.0
+def _tail_sums(k: np.ndarray, *vs: np.ndarray) -> list[np.ndarray]:
+    """Per array v of vs (all of one length n), out[j] = v[k[j]:].sum()
+    for descending starts n >= k[0] >= k[1] >= ... >= 0, as ascending
+    bids' win starts are; a start at n sums nothing, to 0.
+
+    Comparing neighbours de-duplicates the starts, which read backwards
+    ascend, so np.add.reduceat sums each segment between consecutive
+    starts once; a running sum over those few segment sums, from the
+    top, gives each distinct start its tail. Draws below the lowest start
+    are never read."""
+    n = vs[0].size
+    first = np.empty(k.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(k[1:], k[:-1], out=first[1:])
+    starts = k[first][::-1]
+    if starts.size and starts[-1] == n:
+        starts = starts[:-1]
+    at = np.searchsorted(starts, k)  # each start's segment; n maps past the last
+    out = []
+    for v in vs:
+        tail = np.zeros(starts.size + 1)
+        if starts.size:
+            np.cumsum(np.add.reduceat(v, starts)[::-1], out=tail[:-1][::-1])
+        out.append(tail[at])
     return out
+
+
+def _set_variance(cnt, s, q, c: float, n: int):
+    """Per-draw variance of a utility that is w on a set of cnt of the n
+    draws and 0 elsewhere, from the set's sums of the shifted utility,
+    s = sum(w - c) and q = sum((w - c)^2): the spread inside the set plus
+    the Bernoulli spread of the set's mean. So a set on which w is c
+    throughout, and a set that is empty or every draw while w is constant
+    on it, give exactly 0."""
+    # an empty set's sums are 0, or NaN from overflowed sums, which is kept
+    per = np.maximum(cnt, 1)
+    mean = c + s / per
+    p = cnt / n
+    return np.maximum((q - s * s / per) / n, 0.0) + p * (1.0 - p) * (mean * mean)
 
 
 def best_response_scan(
@@ -221,11 +285,20 @@ def best_response_scan(
     (extreme fixtures produce flat always-win or never-win stretches
     where a per-fixture argmax is meaningless).
 
-    Each batch sorts its bid-depth rate products x once. Bid b wins
-    against fixture e on an upper tail x[k:] (see _win_starts), so
-    suffix sums of the utility w and of w^2 give every bid's sums, and
-    the draws on which a grid bid and the theoretical bid disagree form
-    the contiguous range between their win starts.
+    A won draw pays w = value x x - e against fixture e, x being the
+    draw's product of rates up to the bid depth. Each batch sorts x once;
+    bid b wins against e on an upper tail x[k:] (see _win_starts), so the
+    grid, which must ascend, and the theoretical bid in its place have
+    descending win starts. Every sum is taken of the shifted utility
+    w - c, with c = value x mu - e the utility at the mean rates mu, so
+    the batch's partial is, per bid and fixture, the win count and the
+    tail sums of w - c and (w - c)^2 read at the win starts (_tail_sums).
+    The draws on which a grid bid and the theoretical bid disagree form
+    the contiguous band between their win starts, whose sums are the
+    differences of the two columns' sums. Each SE is the spread inside
+    its set plus the Bernoulli spread of the set's mean (_set_variance):
+    a point law or bid depth 0 reports SEs of exactly 0, and a bid that
+    always wins the per-draw utility exactly.
 
     The game enters only through advertiser i's rate laws and the bid
     depth, so models of equal bid depth give equal reports."""
@@ -239,12 +312,26 @@ def best_response_scan(
     # depth, so the deeper rates enter the value at their means: the
     # expectation is unchanged and their sampling noise is gone
     value = _bid_event_value(spec, bd, game.chain)
+    # the rates' mean product, multiplied in the depth order x is
+    mu = math.prod(spec.rate_means()[:bd])
 
-    # last evaluation column holds the theoretical bid
-    bids = np.append(grid, theoretical)
-    if not np.all(bids >= 0.0):
+    if not (np.all(grid >= 0.0) and theoretical >= 0.0):
         raise ValueError("bids must be >= 0")
-    th = bids.size - 1
+    if np.any(grid[1:] < grid[:-1]):
+        raise ValueError("grid must ascend")
+    # the theoretical bid takes its place in the ascending grid, so the
+    # evaluated bids ascend and every batch's win starts descend
+    th = int(np.searchsorted(grid, theoretical))
+    bids = np.concatenate((grid[:th], [theoretical], grid[th:]))
+    on_grid = np.arange(bids.size) != th
+    # a lower bid wins on a subset of the theoretical bid's draws, so its
+    # band's sums are the theory column's minus its own: negated together,
+    # which leaves every term of the band's variance unchanged
+    side = 1.0 - 2.0 * (grid < theoretical)
+
+    # per fixture e, the shift c = value x mu - e: a won draw's utility at
+    # the mean rates
+    shifts = [value * mu - e_k for e_k in rival_es]
 
     def batch_fn(b_idx: int, size: int) -> dict:
         x = np.ones(size, dtype=np.float64)
@@ -252,16 +339,14 @@ def best_response_scan(
             rng = batch_rng(seed, STREAM_UTILITY, b_idx, rate_role(i, d))
             x *= spec.rate(d).sample(rng, size)
         x.sort()
-        out: dict = {}
-        for f_idx, e_k in enumerate(rival_es):
+        vx = value * x
+        out = {}
+        for f_idx, (e_k, c_k) in enumerate(zip(rival_es, shifts)):
             k = _win_starts(x, bids, e_k)
-            w = value * x - e_k
-            s1, s2 = _suffix_sums(w), _suffix_sums(w * w)
-            out[f"s{f_idx}"] = s1[k]
-            out[f"q{f_idx}"] = s2[k[th]]  # only the theoretical bid's SE is read
-            # paired squared differences against the theory column: the
-            # draws between the two win starts
-            out[f"d{f_idx}"] = np.abs(s2[k] - s2[k[th]])
+            out["n", f_idx] = size - k
+            y = vx - e_k
+            y -= c_k
+            out["s", f_idx], out["q", f_idx] = _tail_sums(k, y, y * y)
         return out
 
     tot = run_batched(replications, batch_fn)
@@ -269,14 +354,15 @@ def best_response_scan(
     n = replications
     fixtures = []
     for f_idx, e_k in enumerate(rival_es):
-        s, q, dsq = tot[f"s{f_idx}"], tot[f"q{f_idx}"], tot[f"d{f_idx}"]
-        means = s / n
+        cnt, s, q = tot["n", f_idx], tot["s", f_idx], tot["q", f_idx]
+        c = shifts[f_idx]
+        means = c * (cnt / n) + s / n
         u_th = means[th]
-        se_th = np.sqrt(max(q / n - u_th**2, 0.0) / max(n - 1, 1))
-        u_grid = means[:-1]
+        se_th = np.sqrt(_set_variance(cnt[th], s[th], q[th], c, n) / max(n - 1, 1))
+        u_grid = means[on_grid]
         diff = u_th - u_grid
-        var_d = np.maximum(dsq[:-1] / n - diff**2, 0.0)
-        se_d = np.sqrt(var_d / max(n - 1, 1))
+        band = [side * (a[on_grid] - a[th]) for a in (cnt, s, q)]
+        se_d = np.sqrt(_set_variance(*band, c, n) / max(n - 1, 1))
         # a NaN in the sums makes se_d NaN, which fails the fixture as >= did
         beaten = MeanSE(diff, se_d).beyond(positive=False) | np.isnan(se_d)
         ok = not beaten.any()

@@ -22,6 +22,8 @@ from hypothesis import strategies as st
 from adpricing import cli
 from adpricing.config import (
     MAX_ADVERTISERS,
+    MAX_SCAN_COLUMNS,
+    SCAN_BYTES,
     STUDY_KNOBS,
     ConfigError,
     load_config,
@@ -29,7 +31,7 @@ from adpricing.config import (
 )
 from adpricing.distributions import Beta, Point, Uniform
 from adpricing.model import in_site, out_site
-from adpricing.sampling import MeanSE
+from adpricing.sampling import BATCH_SIZE, MeanSE
 from adpricing.strategy import best_response_scan, equilibrium_fixture_bids, theoretical_strategy
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -342,6 +344,45 @@ def test_startup_does_not_import_numpy_random():
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "[]"
+
+
+# modules a first study call may import: numpy.random's, with what it
+# pulls in, once the first generator is built
+_LAZY_IMPORTS_ALLOWED = ("numpy.random", "_cython_", "locale", "_locale", "secrets", "hmac")
+
+
+def test_studies_import_nothing_new_on_first_call(tmp_path):
+    # a module imported by a study's first call (numpy.ma, say, which costs
+    # about 20 ms and 8 MB) is paid by every process; every study runs once
+    # here, the n >= 3 and the realized paths included
+    realized = _base_dict()
+    realized["study_params"] = {"simulate": {"rounds": 200, "mode": "realized"}}
+    runs = [
+        ["--config", str(DEFAULT_YAML), "--study", "reproduce-all"],
+        ["--config", _write(tmp_path, realized), "--study", "simulate"],
+        ["--config", str(ROOT / "configs" / "three_player.yaml"), "--study", "dominance"],
+        ["--config", str(ROOT / "configs" / "three_player.yaml"), "--study", "sweep"],
+    ]
+    for k, argv in enumerate(runs):
+        (tmp_path / f"out{k}").mkdir()
+        argv += ["--replications", "2000", "--out", str(tmp_path / f"out{k}")]
+    code = (
+        "import json, sys\n"
+        "import adpricing.cli\n"
+        "before = set(sys.modules)\n"
+        "rcs = [adpricing.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([rcs, sorted(set(sys.modules) - before)]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(runs)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    rcs, imported = json.loads(proc.stdout.splitlines()[-1])
+    assert all(rc in (0, 1) for rc in rcs), (rcs, proc.stderr[-2000:])
+    unexpected = [m for m in imported if not m.startswith(_LAZY_IMPORTS_ALLOWED)]
+    assert not unexpected, unexpected
 
 
 def test_cli_simulate_end_to_end(tmp_path):
@@ -932,8 +973,9 @@ def test_dominance_scans_each_bid_depth_once(monkeypatch, name):
         cli, "equilibrium_fixture_bids", counted(cli.equilibrium_fixture_bids, "fixtures")
     )
     tables, verdicts = _drain(cli._study_dominance(cfg))
-    # CPC bids per click; CPA and OCPC per conversion
-    assert calls == {"scan": 2 * cfg.game.n, "fixtures": 2}
+    # CPC bids per click; CPA and OCPC per conversion, and one fixture
+    # pass serves both bid depths
+    assert calls == {"scan": 2 * cfg.game.n, "fixtures": 1}
     assert verdicts == {"scans_pass": True, "cpa_out_flagged": True}
 
     _, rows = tables["dominance.csv"]
@@ -950,7 +992,7 @@ def test_dominance_scans_each_bid_depth_once(monkeypatch, name):
         fixtures = equilibrium_fixture_bids(
             game, multipliers=p["fixtures"], replications=p["fixture_replications"],
             seed=cfg.seed,
-        )[0]
+        )[model][0]
         rep = best_response_scan(
             0, np.linspace(0.0, p["grid_max_multiplier"] * theory.bid, p["grid_points"]),
             fixtures, game, theory.bid, replications=p["replications"], seed=cfg.seed,
@@ -978,6 +1020,58 @@ def test_cli_crashing_study_writes_nothing(tmp_path, monkeypatch):
     monkeypatch.setitem(cli.STUDY_FUNCS, "cpsc", crash)
     with pytest.raises(RuntimeError, match="study crashed"):
         cli.run(cfg)
+    assert not any(out.iterdir())
+
+
+def test_cli_memory_error_exits_two(tmp_path, capsys, monkeypatch):
+    def exhaust(cfg):
+        raise MemoryError
+
+    monkeypatch.setitem(cli.STUDY_FUNCS, "simulate", exhaust)
+    out = tmp_path / "results"
+    out.mkdir()
+    assert cli.main(["--config", _write(tmp_path, _small_dict()), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: MemoryError\n"
+    assert not any(out.iterdir())
+
+
+# the largest scan footprint at five fixtures: five x (grid_points + 1)
+# columns, at most MAX_SCAN_COLUMNS
+_CAP_FIXTURES = [0.25, 0.5, 1.0, 1.5, 2.0]
+_CAP_GRID_POINTS = MAX_SCAN_COLUMNS // len(_CAP_FIXTURES) - 1
+
+
+def test_dominance_scan_at_the_column_cap_parses_and_fits_its_budget():
+    raw = _small_dict("dominance", fixtures=_CAP_FIXTURES, grid_points=_CAP_GRID_POINTS)
+    cfg = parse_config(raw)
+    p = cfg.params["dominance"]
+    columns = len(p["fixtures"]) * (p["grid_points"] + 1)
+    assert columns <= MAX_SCAN_COLUMNS < columns + len(p["fixtures"])
+    game = cfg.game.with_model("CPC")
+    theory = theoretical_strategy(game.model, game.scenario, game.specs[0], game.chain).bid
+    grid = np.linspace(0.0, 2.0 * theory, p["grid_points"])
+    rival_es = [0.3 * m * theory for m in p["fixtures"]]
+    best_response_scan(0, grid[:3], rival_es[:1], game, theory, replications=10)  # warm-up
+    # two batches, so the totals and a batch's partial are both held; the
+    # allowance beyond the budget covers the grid, a batch's draws and one
+    # fixture's temporaries
+    tracemalloc.start()
+    try:
+        best_response_scan(0, grid, rival_es, game, theory, replications=BATCH_SIZE + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < SCAN_BYTES + (2 << 20), peak
+
+
+def test_dominance_scan_one_column_step_over_the_cap_exits_two(tmp_path, capsys):
+    raw = _small_dict("dominance", fixtures=_CAP_FIXTURES, grid_points=_CAP_GRID_POINTS + 1)
+    out = tmp_path / "results"
+    out.mkdir()
+    assert cli.main(["--config", _write(tmp_path, raw), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config field 'study_params.dominance.fixtures'" in err
+    assert f"at most {MAX_SCAN_COLUMNS}" in err
     assert not any(out.iterdir())
 
 

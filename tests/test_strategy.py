@@ -2,6 +2,7 @@
 underreporting spiral."""
 
 import hashlib
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from adpricing.sampling import (
 )
 from adpricing.strategy import (
     NO_EQUILIBRIUM,
-    _suffix_sums,
+    _tail_sums,
     _win_starts,
     best_response_scan,
     cpa_collapse,
@@ -99,6 +100,54 @@ def test_one_bid_scan_exact_point_game():
     assert (tie.utility_theory, tie.se_theory) == (0.0, 0.0)
 
 
+def _exact_scan(game, replications):
+    """A scan whose every draw has the same rate product x, over a grid
+    around the theoretical bid and fixtures the theoretical bid beats and
+    loses to, with each fixture's per-draw utility of a won draw."""
+    spec = game.specs[0]
+    theory = _theory(game).bid
+    grid = np.linspace(0.0, 2.0 * theory, 21)
+    bd = game.model.bid_depth
+    x = 1.0
+    for d in range(1, bd + 1):
+        x *= spec.rate(d).mean()
+    value = spec.m
+    for d in range(bd + 1, game.chain.conversion_depth + 1):
+        value *= spec.rate(d).mean()
+    rival_es = [0.3 * x * theory, 0.7 * x * theory, 1.3 * x * theory]
+    rep = best_response_scan(0, grid, rival_es, game, theory, replications, seed=5)
+    return rep, [value * x - e for e in rival_es]
+
+
+@pytest.mark.parametrize(
+    "game_fn",
+    [
+        # a point law: every rate is sure
+        lambda: make_game(point_specs(p1=0.1), model="CPC"),
+        # bid depth 0: nothing before the impression is drawn, x = 1
+        lambda: make_game(default_specs(), model="CPM"),
+    ],
+    ids=["point-law", "bid-depth-0"],
+)
+def test_scan_ses_are_exactly_zero_where_x_is_sure(game_fn):
+    # every column wins all draws or none, so no SE has anything to measure;
+    # the sums merge over three batches
+    rep, utility = _exact_scan(game_fn(), 2 * BATCH_SIZE + 7)
+    won, lost = rep.fixtures[:2], rep.fixtures[2:]
+    for scan in rep.fixtures:
+        assert scan.se_theory == 0.0 and scan.se_margin == 0.0
+        assert math.copysign(1.0, scan.se_theory) == math.copysign(1.0, scan.se_margin) == 1.0
+    # the theoretical bid beats the first two fixtures on every draw and
+    # reports the per-draw utility exactly; it loses every draw to the last
+    assert [scan.utility_theory for scan in won] == utility[:2]
+    assert all(scan.utility_theory == 0.0 for scan in lost)
+    for scan, u in zip(rep.fixtures, utility):
+        # a grid bid that always wins (the top of the grid does) reports the
+        # same exact utility
+        assert scan.utilities[-1] == u
+    assert rep.passed
+
+
 def test_one_bid_scan_is_seed_deterministic():
     game = make_game(default_specs(), model="CPC")
     (a,) = _one_bid(game, 8.0, [2.0], replications=4000, seed=3)
@@ -110,7 +159,7 @@ def test_one_bid_scan_is_seed_deterministic():
 
 def test_fixture_bids_two_player_reduction_exact():
     game = make_game(default_specs(), model="CPC")
-    fixtures = equilibrium_fixture_bids(game, multipliers=(0.25, 0.5, 1.0, 2.0))[0]
+    fixtures = equilibrium_fixture_bids(game, multipliers=(0.25, 0.5, 1.0, 2.0))["CPC"][0]
     engine_e = mean_rate_equivalent_bids(game)[1]
     assert fixtures[2] == engine_e
     assert fixtures == [m * engine_e for m in (0.25, 0.5, 1.0, 2.0)]
@@ -121,7 +170,7 @@ def test_fixture_bids_three_player_between_rivals():
 
     third = replace(point_specs()[0], id=3, m=90.0)
     game = make_game(default_specs() + (third,), model="CPC")
-    fixtures = equilibrium_fixture_bids(game, multipliers=(1.0,), replications=50_000)[0]
+    fixtures = equilibrium_fixture_bids(game, multipliers=(1.0,), replications=50_000)["CPC"][0]
     es = mean_rate_equivalent_bids(game)[1:]
     # the mean of the max of rival scores sits at or above every single one
     assert fixtures[0] >= max(es) - 0.05
@@ -142,7 +191,9 @@ def test_fixture_pass_matches_per_advertiser_rival_max(n_advertisers):
         game = make_game(default_specs() + extra, model=model)
         bd = game.model.bid_depth
         bids = [_theory(game, k).bid for k in range(game.n)]
-        fixture_sets = equilibrium_fixture_bids(game, multipliers=mults, replications=n, seed=9)
+        fixture_sets = equilibrium_fixture_bids(
+            game, multipliers=mults, replications=n, seed=9
+        )[model]
         assert len(fixture_sets) == game.n
         for i in range(game.n):
             total = 0.0
@@ -156,6 +207,25 @@ def test_fixture_pass_matches_per_advertiser_rival_max(n_advertisers):
 
     with pytest.raises(ValueError, match="at least one rival"):
         equilibrium_fixture_bids(make_game(default_specs()[:1], model="CPC"))
+
+
+@pytest.mark.parametrize("n_advertisers", [2, 3])
+def test_one_fixture_pass_serves_every_model_bit_for_bit(n_advertisers):
+    # CPC bids at the click, CPA and OCPC at the conversion: one pass drawn
+    # to the conversion gives each model the fixtures of its own pass
+    specs = _four_specs()[:n_advertisers]
+    game = make_game(specs, model="CPC")
+    n = 2 * BATCH_SIZE + 5
+    shared = equilibrium_fixture_bids(game, replications=n, seed=9, models=["OCPC", "CPC", "CPA"])
+    assert list(shared) == ["OCPC", "CPC", "CPA"]
+    for model in ("CPC", "OCPC"):
+        alone = equilibrium_fixture_bids(game.with_model(model), replications=n, seed=9)
+        assert list(alone) == [model]
+        assert repr(shared[model]) == repr(alone[model])
+    assert shared["CPA"] == shared["OCPC"]
+    out = make_game(specs, model="OCPC", scenario="out_site")
+    with pytest.raises(ValueError, match="CPA/out_site has no equilibrium bid"):
+        equilibrium_fixture_bids(out, replications=n, models=["OCPC", "CPA"])
 
 
 # sha256 of the repr of equilibrium_fixture_bids (default multipliers,
@@ -195,7 +265,7 @@ def test_fixture_bids_are_pinned(case):
     else:
         game = make_game(_four_specs())
     game = game.with_model(model, in_site())
-    fixtures = equilibrium_fixture_bids(game, replications=2 * BATCH_SIZE + 5, seed=9)
+    fixtures = equilibrium_fixture_bids(game, replications=2 * BATCH_SIZE + 5, seed=9)[model]
     assert _repr_sha256(fixtures) == FIXTURES_SHA256[case]
 
 
@@ -211,7 +281,7 @@ def test_best_response_scan_passes_for_theory():
     game = make_game(default_specs(), model="CPC")
     theory = _theory(game)
     grid = np.linspace(0.0, 2.0 * theory.bid, 41)
-    fixtures = equilibrium_fixture_bids(game)[0]
+    fixtures = equilibrium_fixture_bids(game)["CPC"][0]
     rep = best_response_scan(0, grid, fixtures, game, theory.bid, replications=20_000, seed=2)
     assert rep.passed
     assert abs(rep.argmax_index - rep.theory_index) <= 1
@@ -222,7 +292,7 @@ def test_best_response_scan_flags_wrong_bid():
     game = make_game(default_specs(), model="CPC")
     theory = _theory(game)
     grid = np.linspace(0.0, 2.0 * theory.bid, 41)
-    fixtures = equilibrium_fixture_bids(game)[0]
+    fixtures = equilibrium_fixture_bids(game)["CPC"][0]
     rep = best_response_scan(0, grid, fixtures, game, 2.0 * theory.bid, replications=20_000, seed=2)
     assert not rep.passed
 
@@ -234,6 +304,13 @@ def test_scan_rejects_negative_bids():
         best_response_scan(0, [0.0, -1.0], [1.0], game, 1.0, replications=10)
     with pytest.raises(ValueError, match="bids must be >= 0"):
         best_response_scan(0, [1.0], [1.0], game, -1.0, replications=10)
+
+
+def test_scan_rejects_a_grid_that_does_not_ascend():
+    # the tail sums read the win starts of ascending bids, which descend
+    game = make_game(default_specs(), model="CPC")
+    with pytest.raises(ValueError, match="grid must ascend"):
+        best_response_scan(0, [0.0, 2.0, 1.0], [1.0], game, 1.0, replications=10)
 
 
 def test_cpa_collapse_schedule_and_regimes():
@@ -272,13 +349,26 @@ def test_cpa_collapse_rejects_aliasing_round_keys():
 
 
 @pytest.mark.parametrize("size", [0, 1, 2, 7, 5000])
-def test_suffix_sums_are_the_appended_form_bit_for_bit(size):
+def test_tail_sums_match_fsum_at_every_start(size):
     rng = np.random.default_rng(size)
     v = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
-    want = np.append(np.cumsum(v[::-1])[::-1], 0.0)
-    got = _suffix_sums(v)
-    assert got.shape == (size + 1,)
-    assert got.tobytes() == want.tobytes()
+    # descending starts, as ascending bids' win starts are: ties, both ends,
+    # and starts at size (never-winning columns, whose tails are empty)
+    k = np.concatenate([rng.integers(0, size + 1, 40), [size, 0, size], rng.integers(0, size + 1, 3)])
+    k = np.sort(np.concatenate([k, k[::3]]))[::-1]
+    got_v, got_sq = _tail_sums(k, v, v * v)
+    assert got_v.shape == got_sq.shape == k.shape
+    for got, arr in ((got_v, v), (got_sq, v * v)):
+        for j, start in enumerate(k):
+            tail = arr[start:]
+            want = math.fsum(tail)
+            # a running sum's error is at most its length x eps x sum |terms|
+            bound = tail.size * 2.0**-52 * math.fsum(np.abs(tail))
+            assert abs(got[j] - want) <= bound, (start, got[j], want)
+    assert np.all(got_v[k == size] == 0.0) and np.all(got_sq[k == size] == 0.0)
+    # a start repeated anywhere reads the same tail, bit for bit
+    for start in np.unique(k):
+        assert len(set(got_v[k == start].tolist())) == 1
 
 
 def _scan_draws(game, seed, size):
@@ -294,20 +384,43 @@ def _scan_draws(game, seed, size):
 def _dense_scan_sums(game, x, bids, rival_es):
     """Per fixture, the scan's sums by the dense rule: every draw's product
     with every bid is compared with the fixture; the last bid is the
-    theory column."""
+    theory column. Besides the win mask, the utility w and each column's
+    sum of won utility, it gives every column's per-draw variance from the
+    sums of w - c, c the utility at the mean rates, over the win set, and
+    every grid column's paired variance from the same sums taken directly
+    over the draws where it and the theory column disagree."""
     spec = game.specs[0]
+    bd = game.model.bid_depth
     value_mul = spec.m
-    for d in range(game.model.bid_depth + 1, game.chain.conversion_depth + 1):
+    for d in range(bd + 1, game.chain.conversion_depth + 1):
         value_mul *= spec.rate_means()[d - 1]
+    mu = 1.0
+    for d in range(1, bd + 1):
+        mu *= spec.rate_means()[d - 1]
+    n = x.size
     sums = []
     for e in rival_es:
         win = x[:, None] * bids[None, :] > e
         w = value_mul * x - e
-        uw = win * w[:, None]
+        c = value_mul * mu - e
+        y = (w - c)[:, None]
         flip = win != win[:, -1:]
-        sums.append((win, w, uw.sum(axis=0), (uw * w[:, None]).sum(axis=0),
-                     (flip * (w * w)[:, None]).sum(axis=0)))
+        var, var_d = (
+            _shifted_variance(m.sum(axis=0), (m * y).sum(axis=0), (m * y * y).sum(axis=0), c, n)
+            for m in (win, flip)
+        )
+        sums.append((win, w, (win * w[:, None]).sum(axis=0), var, var_d[:-1]))
     return sums
+
+
+def _shifted_variance(cnt, s, q, c, n):
+    """Variance of a draw's w on a set of cnt of n draws (0 off it) from the
+    set's sums s and q of w - c and (w - c)^2: the spread inside the set
+    plus the Bernoulli spread of its mean."""
+    safe = np.maximum(cnt, 1)
+    inside = np.where(cnt > 0, q - s * s / safe, 0.0) / n
+    mean = c + np.where(cnt > 0, s / safe, 0.0)
+    return np.maximum(inside, 0.0) + (cnt / n) * (1.0 - cnt / n) * mean * mean
 
 
 def _atom_game():
@@ -372,16 +485,16 @@ def test_scan_matches_dense_oracle(game_fn, n_misguessed):
         best_response_scan(0, [b], rival_es, game, theory, replications=n, seed=seed).fixtures
         for b in grid
     ]
-    for f, (scan, (win, w, s, q, dsq)) in enumerate(zip(rep.fixtures, dense)):
+    for f, (scan, (win, w, s, var, var_d)) in enumerate(zip(rep.fixtures, dense)):
         # a sum's rounding scales with the magnitude of its terms
         u_tol = 1e-12 * np.abs(w).mean()
         means = s / n
         np.testing.assert_allclose(scan.utilities, means[:-1], rtol=1e-12, atol=u_tol)
         np.testing.assert_allclose(scan.utility_theory, means[-1], rtol=1e-12, atol=u_tol)
-        se_th = np.sqrt(max(q[-1] / n - means[-1] ** 2, 0.0) / (n - 1))
+        se_th = np.sqrt(var[-1] / (n - 1))
         np.testing.assert_allclose(scan.se_theory, se_th, rtol=1e-12)
         diff = means[-1] - means[:-1]
-        se_d = np.sqrt(np.maximum(dsq[:-1] / n - diff**2, 0.0) / (n - 1))
+        se_d = np.sqrt(var_d / (n - 1))
         np.testing.assert_allclose([one[f].margin for one in singles], diff,
                                    rtol=1e-12, atol=u_tol)
         np.testing.assert_allclose([one[f].se_margin for one in singles], se_d, rtol=1e-12)

@@ -39,7 +39,6 @@ import shutil
 import sys
 import tempfile
 import time
-from dataclasses import replace
 from operator import add
 from pathlib import Path
 
@@ -304,7 +303,7 @@ def _map_laws(game, fn):
     """The game with every advertiser's rate law at depth index d
     replaced by fn(d, law)."""
     specs = [
-        replace(spec, rates=tuple(fn(d, r) for d, r in enumerate(spec.rates)))
+        spec._replace(rates=tuple(fn(d, r) for d, r in enumerate(spec.rates)))
         for spec in game.specs
     ]
     return validate_game(specs, game.chain, game.model, game.scenario)

@@ -59,9 +59,9 @@ MAX_VALUE, so no sum of squared payoffs and no simulate total
 overflows, and the dominance multipliers (fixtures, grid_max_multiplier)
 are below MAX_MULTIPLIER, so neither do the scan's sums.
 
-ExperimentConfig is an immutable typing.NamedTuple: besides its named
-fields it can be unpacked and indexed, and it compares equal to the
-plain tuple of its fields.
+ExperimentConfig is an immutable collections.namedtuple subclass:
+besides its named fields it can be unpacked and indexed, and it
+compares equal to the plain tuple of its fields.
 """
 
 from __future__ import annotations
@@ -69,8 +69,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import namedtuple
 from functools import partial
-from typing import Any, NamedTuple
+from typing import Any
 
 import yaml
 
@@ -400,18 +401,19 @@ def _parse_game(
     return game, tuple(models), strategies
 
 
-class ExperimentConfig(NamedTuple):
-    study: str
-    seed: int
-    replications: int
-    threads: int
-    out: str | None
-    game: Game
-    models: tuple[str, ...]
-    cart_game: Game | None
-    params: dict  # params[study][knob]: every knob of STUDY_KNOBS, parsed
-    effective: dict  # mapping after overrides, knobs resolved: the hash input
-    strategies: tuple[Strategy, ...] | None = None  # posted play, else theoretical
+class ExperimentConfig(namedtuple(
+    "ExperimentConfig",
+    "study seed replications threads out game models cart_game params effective strategies",
+    defaults=(None,),
+)):
+    """A parsed config. study: str; seed, replications, threads: int; out:
+    str or None; game: Game; models: tuple[str, ...]; cart_game: Game or
+    None; params: dict, params[study][knob] for every knob of STUDY_KNOBS,
+    parsed; effective: dict, the mapping after overrides with knobs
+    resolved, the hash input; strategies: tuple[Strategy, ...] of posted
+    play, or None (the default) for theoretical play."""
+
+    __slots__ = ()
 
     def canonical(self) -> dict:
         """Result-determining fields only. The output directory and

@@ -19,9 +19,10 @@ realized (reported, when charging on conversions out-site) pay event.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import chain, repeat
 from math import prod
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -41,7 +42,7 @@ _MAX_REJECTIONS = 1000
 _BLOCK = 1024  # doubles a round generator's block source draws at once
 # laws whose scalar draw reads at most one rng.random() and nothing else
 _ONE_DOUBLE_LAWS = (Uniform, Point, Discrete)
-# builds a NamedTuple from a tuple of every field, as its __new__ does,
+# builds a namedtuple from a tuple of every field, as its __new__ does,
 # without that Python-level call
 _pack = tuple.__new__
 
@@ -74,25 +75,27 @@ def select_winner(equivalent_bids, rng: np.random.Generator) -> tuple[int, float
     return winner, max(v for j, v in enumerate(e) if j != winner)
 
 
-class AuctionDraw(NamedTuple):
-    """One sampled market: realized rates and equivalent bids."""
+class AuctionDraw(namedtuple("AuctionDraw", "realized equivalent_bids")):
+    """One sampled market: realized rates (tuple[tuple[float, ...], ...])
+    and equivalent bids (tuple[float, ...])."""
 
-    realized: tuple[tuple[float, ...], ...]
-    equivalent_bids: tuple[float, ...]
+    __slots__ = ()
 
 
-class AuctionOutcome(NamedTuple):
-    winner: int
-    e_loser: float
-    price_per_pay_event: float
-    payoffs: tuple[float, ...]  # per advertiser, losers exactly 0
-    platform_payoff: float
-    social_welfare: float
-    draw: AuctionDraw
-    rejections: int = 0
-    # realized mode only
-    events: tuple[bool, ...] | None = None  # winner's funnel, index d-1 = depth d
-    reported_conversion: bool | None = None
+class AuctionOutcome(namedtuple(
+    "AuctionOutcome",
+    "winner e_loser price_per_pay_event payoffs platform_payoff social_welfare draw"
+    " rejections events reported_conversion",
+    defaults=(0, None, None),
+)):
+    """One auction's result. winner: int; e_loser, price_per_pay_event:
+    float; payoffs: tuple[float, ...], per advertiser, losers exactly 0;
+    platform_payoff, social_welfare: float; draw: AuctionDraw; rejections:
+    int, default 0. Realized mode only, else None: events, tuple[bool,
+    ...], the winner's funnel with index d-1 for depth d;
+    reported_conversion, bool."""
+
+    __slots__ = ()
 
 
 def run_auction(

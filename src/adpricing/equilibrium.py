@@ -21,19 +21,19 @@ where bidding per add-to-cart (CPSC) sits strictly between CPC and
 OCPC for both parties.
 
 The result records (SweepRow, SweepResult, CpscReport) are immutable
-typing.NamedTuples: besides their named fields they can be unpacked and
-indexed, and each compares equal to the plain tuple of its fields.
+collections.namedtuple subclasses: besides their named fields they can
+be unpacked and indexed, and each compares equal to the plain tuple of
+its fields.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .model import Game, MODEL_TIE_ORDER
 from .payoffs import (
-    OrderingResult, PayoffReport, _ordering, _payoff_pass, estimate_equilibrium_payoffs,
-    expected_value,
+    PayoffReport, _ordering, _payoff_pass, estimate_equilibrium_payoffs, expected_value,
 )
 from .sampling import MeanSE
 
@@ -79,22 +79,23 @@ def _choose(table: dict[str, PayoffReport], feasible: dict[str, bool]) -> str | 
     return best
 
 
-class SweepRow(NamedTuple):
-    r: float
-    feasible: dict[str, bool]
-    chosen: str | None
-    platform: MeanSE
-    social: MeanSE
-    advertisers: tuple[MeanSE, ...]
-    innovation: bool  # platform earns here although CPC alone would not
-    adv1_drop: MeanSE  # payoff of the unconstrained advertiser vs CPC-only world
+class SweepRow(namedtuple(
+    "SweepRow", "r feasible chosen platform social advertisers innovation adv1_drop"
+)):
+    """r: float; feasible: dict[str, bool]; chosen: str or None; platform,
+    social: MeanSE; advertisers: tuple[MeanSE, ...]; innovation: bool,
+    the platform earns here although CPC alone would not; adv1_drop:
+    MeanSE, payoff of the unconstrained advertiser vs the CPC-only world."""
+
+    __slots__ = ()
 
 
-class SweepResult(NamedTuple):
-    rows: tuple[SweepRow, ...]
-    boundaries: dict[str, MeanSE]  # estimated entry thresholds per model
-    table: dict[str, PayoffReport]
-    models: tuple[str, ...]
+class SweepResult(namedtuple("SweepResult", "rows boundaries table models")):
+    """rows: tuple[SweepRow, ...]; boundaries: dict[str, MeanSE],
+    estimated entry thresholds per model; table: dict[str, PayoffReport];
+    models: tuple[str, ...]."""
+
+    __slots__ = ()
 
 
 def sweep_outside_option(
@@ -188,11 +189,11 @@ _CPSC_DELTAS = (
 )
 
 
-class CpscReport(NamedTuple):
-    table: dict[str, PayoffReport]
-    deltas: tuple[OrderingResult, ...]
-    advertiser: int
-    passed: bool
+class CpscReport(namedtuple("CpscReport", "table deltas advertiser passed")):
+    """table: dict[str, PayoffReport]; deltas: tuple[OrderingResult, ...];
+    advertiser: int; passed: bool."""
+
+    __slots__ = ()
 
 
 def cpsc_comparison(

@@ -22,9 +22,7 @@ factor alpha_hat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .distributions import Distribution
+from .distributions import Distribution, Frozen
 from .sampling import ADVERTISER_LIMIT
 
 __all__ = [
@@ -70,21 +68,21 @@ class GameValidationError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-@dataclass(frozen=True)
-class EventChain:
+class EventChain(Frozen):
     """Ordered funnel events. Depth 0 (impression) has no rate."""
 
-    events: tuple[str, ...] = CHAIN_3
+    __slots__ = _fields = ("events",)
 
-    def __post_init__(self):
-        if len(self.events) not in (3, 4):
+    def __init__(self, events: tuple[str, ...] = CHAIN_3):
+        if len(events) not in (3, 4):
             raise GameValidationError(
-                [f"chain length must be 3 or 4, got {len(self.events)}"]
+                [f"chain length must be 3 or 4, got {len(events)}"]
             )
-        if self.events[0] != "impression" or self.events[-1] != "conversion":
+        if events[0] != "impression" or events[-1] != "conversion":
             raise GameValidationError(
                 ["chain must start at impression and end at conversion"]
             )
+        self._init(events)
 
     @property
     def n_rate_depths(self) -> int:
@@ -99,15 +97,21 @@ class EventChain:
         return "cart" in self.events
 
 
-@dataclass(frozen=True)
-class AdvertiserSpec:
-    """One advertiser: marginal gain per conversion, rate laws per depth,
-    optional outside option r (absent means the advertiser always enters)."""
+class AdvertiserSpec(Frozen):
+    """One advertiser: marginal gain per conversion, rate laws per depth
+    (rates[d-1] holds the depth-d law), optional outside option r (absent
+    means the advertiser always enters)."""
 
-    id: int
-    m: float
-    rates: tuple[Distribution, ...]  # index d-1 holds the depth-d law
-    outside_option: float | None = None
+    __slots__ = _fields = ("id", "m", "rates", "outside_option")
+
+    def __init__(
+        self,
+        id: int,
+        m: float,
+        rates: tuple[Distribution, ...],
+        outside_option: float | None = None,
+    ):
+        self._init(id, m, rates, outside_option)
 
     def rate(self, depth: int) -> Distribution:
         return self.rates[depth - 1]
@@ -116,17 +120,15 @@ class AdvertiserSpec:
         return tuple(d.mean() for d in self.rates)
 
 
-@dataclass(frozen=True)
-class PricingModel:
-    name: str
-    bid_depth: int
-    pay_depth: int
+class PricingModel(Frozen):
+    __slots__ = _fields = ("name", "bid_depth", "pay_depth")
 
-    def __post_init__(self):
-        if self.pay_depth > self.bid_depth:
+    def __init__(self, name: str, bid_depth: int, pay_depth: int):
+        if pay_depth > bid_depth:
             raise GameValidationError(
-                [f"{self.name}: pay_depth {self.pay_depth} exceeds bid_depth {self.bid_depth}"]
+                [f"{name}: pay_depth {pay_depth} exceeds bid_depth {bid_depth}"]
             )
+        self._init(name, bid_depth, pay_depth)
 
 
 def pricing_model(name: str, chain: EventChain) -> PricingModel:
@@ -142,12 +144,14 @@ def pricing_model(name: str, chain: EventChain) -> PricingModel:
     return PricingModel(name, bid, pay)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Frozen):
     """in_site or out_site; out-site, advertisers can manipulate only
     conversion reporting."""
 
-    kind: str
+    __slots__ = _fields = ("kind",)
+
+    def __init__(self, kind: str):
+        self._init(kind)
 
     @property
     def is_out_site(self) -> bool:
@@ -162,42 +166,46 @@ def out_site() -> Scenario:
     return Scenario("out_site")
 
 
-@dataclass(frozen=True)
-class Strategy:
+class Strategy(Frozen):
     """One advertiser's play: bid per bid-depth event, reporting prob alpha.
 
     alpha is meaningful only out-site; in-site it is fixed at 1."""
 
-    bid: float
-    alpha: float = 1.0
+    __slots__ = _fields = ("bid", "alpha")
 
-    def __post_init__(self):
-        if self.bid < 0:
-            raise GameValidationError([f"bid must be >= 0, got {self.bid}"])
-        if not (0.0 <= self.alpha <= 1.0):
-            raise GameValidationError([f"alpha must lie in [0, 1], got {self.alpha}"])
+    def __init__(self, bid: float, alpha: float = 1.0):
+        if bid < 0:
+            raise GameValidationError([f"bid must be >= 0, got {bid}"])
+        if not (0.0 <= alpha <= 1.0):
+            raise GameValidationError([f"alpha must lie in [0, 1], got {alpha}"])
+        self._init(bid, alpha)
 
 
-@dataclass(frozen=True)
-class PlatformBelief:
+class PlatformBelief(Frozen):
     """Per-advertiser learned reporting factors alpha_hat."""
 
-    alpha_hat: tuple[float, ...]
+    __slots__ = _fields = ("alpha_hat",)
 
-    def __post_init__(self):
-        for a in self.alpha_hat:
+    def __init__(self, alpha_hat: tuple[float, ...]):
+        for a in alpha_hat:
             if not (0.0 <= a <= 1.0):
                 raise GameValidationError([f"alpha_hat must lie in [0, 1], got {a}"])
+        self._init(alpha_hat)
 
 
-@dataclass(frozen=True)
-class Game:
+class Game(Frozen):
     """Validated immutable game description."""
 
-    specs: tuple[AdvertiserSpec, ...]
-    chain: EventChain
-    model: PricingModel
-    scenario: Scenario
+    __slots__ = _fields = ("specs", "chain", "model", "scenario")
+
+    def __init__(
+        self,
+        specs: tuple[AdvertiserSpec, ...],
+        chain: EventChain,
+        model: PricingModel,
+        scenario: Scenario,
+    ):
+        self._init(specs, chain, model, scenario)
 
     @property
     def n(self) -> int:

@@ -21,16 +21,16 @@ enumeration twin for finite-discrete rate laws, used as the oracle in
 tests.
 
 The result records (PayoffReport, OrderingResult, DecompositionCheck,
-OrderingSuite) are immutable typing.NamedTuples: besides their named
-fields they can be unpacked and indexed, and each compares equal to the
-plain tuple of its fields.
+OrderingSuite) are immutable collections.namedtuple subclasses: besides
+their named fields they can be unpacked and indexed, and each compares
+equal to the plain tuple of its fields.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -59,10 +59,11 @@ __all__ = [
 ]
 
 
-class PayoffReport(NamedTuple):
-    advertisers: tuple[MeanSE, ...]
-    platform: MeanSE
-    social: MeanSE
+class PayoffReport(namedtuple("PayoffReport", "advertisers platform social")):
+    """Per-advertiser payoffs (tuple[MeanSE, ...]), the platform's and
+    social welfare (MeanSE each)."""
+
+    __slots__ = ()
 
 
 def _score_factors(game: Game, model_name: str, i: int):
@@ -91,13 +92,12 @@ def _score_stack(game: Game, model_name: str, rates: np.ndarray) -> np.ndarray:
     return out
 
 
-class Settlement(NamedTuple):
-    """One model's batch under theoretical play, per draw."""
+class Settlement(namedtuple("Settlement", "winner utils platform social")):
+    """One model's batch under theoretical play, per draw: winner
+    (np.ndarray or None), utils (np.ndarray of shape (n, size)), platform
+    and social (np.ndarray)."""
 
-    winner: np.ndarray | None
-    utils: np.ndarray  # shape (n, size)
-    platform: np.ndarray
-    social: np.ndarray
+    __slots__ = ()
 
 
 def _settle_models(
@@ -246,10 +246,11 @@ def exact_equilibrium_payoffs(game: Game) -> PayoffReport:
     )
 
 
-class OrderingResult(NamedTuple):
-    name: str
-    delta: MeanSE  # paired per-draw difference
-    holds: bool  # right sign with the SE margin
+class OrderingResult(namedtuple("OrderingResult", "name delta holds")):
+    """An ordering's name (str), its paired per-draw difference delta
+    (MeanSE) and whether it holds (bool: right sign with the SE margin)."""
+
+    __slots__ = ()
 
 
 def _ordering(name: str, delta: MeanSE, positive: bool = True) -> OrderingResult:
@@ -260,25 +261,26 @@ def _ordering(name: str, delta: MeanSE, positive: bool = True) -> OrderingResult
     return OrderingResult(name, delta, holds)
 
 
-class DecompositionCheck(NamedTuple):
+class DecompositionCheck(namedtuple(
+    "DecompositionCheck", "advertiser direct gain_term loss_term residual consistent"
+)):
     """Advertiser payoff gain split into the two win-flip terms: draws
     the advertiser takes under OCPC but not CPC, and vice versa. Their
-    sum matches the direct paired difference up to a mean-zero residual."""
+    sum matches the direct paired difference up to a mean-zero residual.
+    advertiser: int; direct, gain_term, loss_term, residual: MeanSE;
+    consistent: bool."""
 
-    advertiser: int
-    direct: MeanSE
-    gain_term: MeanSE
-    loss_term: MeanSE
-    residual: MeanSE
-    consistent: bool
+    __slots__ = ()
 
 
-class OrderingSuite(NamedTuple):
-    social: OrderingResult
-    platform: OrderingResult
-    advertisers: tuple[OrderingResult, ...]
-    decomposition: tuple[DecompositionCheck, ...]
-    passed: bool  # the four orderings hold; the decomposition reports its own
+class OrderingSuite(namedtuple(
+    "OrderingSuite", "social platform advertisers decomposition passed"
+)):
+    """social, platform: OrderingResult; advertisers: tuple[OrderingResult,
+    ...]; decomposition: tuple[DecompositionCheck, ...]; passed: bool, the
+    four orderings hold (the decomposition reports its own)."""
+
+    __slots__ = ()
 
 
 def payoff_ordering_suite(

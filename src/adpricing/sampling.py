@@ -12,15 +12,17 @@ Roles separate the random inputs inside one batch (one stream per
 advertiser/depth rate law, one for tie-breaking), so changing one
 advertiser's law cannot perturb anybody else's draws.
 
-MeanSE is a typing.NamedTuple, which costs less to define at import
-than a frozen dataclass: besides its named fields it can be unpacked
-and indexed, and it compares equal to the plain tuple (mean, se).
+MeanSE is a collections.namedtuple subclass, which costs less to
+define at import than a frozen dataclass or a typing.NamedTuple:
+besides its named fields it can be unpacked and indexed, and it
+compares equal to the plain tuple (mean, se).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator, NamedTuple
+from collections import namedtuple
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -234,12 +236,11 @@ def winner_utilities(winner: np.ndarray, gap: np.ndarray, n: int) -> np.ndarray:
 SE_FACTOR = 3.0
 
 
-class MeanSE(NamedTuple):
+class MeanSE(namedtuple("MeanSE", "mean se")):
     """A mean and its standard error: floats, or arrays of one per cell,
     which the two rules then decide cell by cell."""
 
-    mean: float
-    se: float
+    __slots__ = ()
 
     def z(self, target: float = 0.0) -> float:
         """Distance of the mean from target in standard errors (0 when the

@@ -31,15 +31,15 @@ with the product of draws and grid size. The rival fixtures the scans
 run against come from one pass per game that serves every bid depth.
 
 The result records (FixtureScan, DominanceReport, CollapseRound,
-CollapseTrace) are immutable typing.NamedTuples: besides their named
-fields they can be unpacked and indexed, and each compares equal to the
-plain tuple of its fields.
+CollapseTrace) are immutable collections.namedtuple subclasses: besides
+their named fields they can be unpacked and indexed, and each compares
+equal to the plain tuple of its fields.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -177,26 +177,27 @@ def equilibrium_fixture_bids(
     }
 
 
-class FixtureScan(NamedTuple):
-    """Grid scan against one fixed rival equivalent bid."""
+class FixtureScan(namedtuple(
+    "FixtureScan",
+    "rival_e utility_theory se_theory utilities argmax_index margin se_margin passed",
+)):
+    """Grid scan against one fixed rival equivalent bid. rival_e,
+    utility_theory, se_theory: float; utilities: np.ndarray, per grid bid;
+    argmax_index: int; margin: float, utility_theory - max grid utility;
+    se_margin: float, paired SE of that difference; passed: bool."""
 
-    rival_e: float
-    utility_theory: float
-    se_theory: float
-    utilities: np.ndarray  # per grid bid
-    argmax_index: int
-    margin: float  # utility_theory - max grid utility
-    se_margin: float  # paired SE of that difference
-    passed: bool
+    __slots__ = ()
 
 
-class DominanceReport(NamedTuple):
-    theory_bid: float
-    theory_index: int  # nearest grid index to the theoretical bid
-    fixtures: tuple[FixtureScan, ...]
-    mean_curve: np.ndarray  # across-fixture average utility per grid bid
-    argmax_index: int  # argmax of mean_curve (localization check)
-    passed: bool
+class DominanceReport(namedtuple(
+    "DominanceReport", "theory_bid theory_index fixtures mean_curve argmax_index passed"
+)):
+    """theory_bid: float; theory_index: int, nearest grid index to the
+    theoretical bid; fixtures: tuple[FixtureScan, ...]; mean_curve:
+    np.ndarray, across-fixture average utility per grid bid; argmax_index:
+    int, argmax of mean_curve (localization check); passed: bool."""
+
+    __slots__ = ()
 
 
 def _win_starts(x: np.ndarray, bids: np.ndarray, e: float) -> np.ndarray:
@@ -391,18 +392,20 @@ def best_response_scan(
     )
 
 
-class CollapseRound(NamedTuple):
-    round: int
-    alpha: float
-    alpha_hat: float
-    collapsed: bool
-    revenue: MeanSE
-    utilities: tuple[MeanSE, ...]
-    winner_share: tuple[float, ...]
+class CollapseRound(namedtuple(
+    "CollapseRound", "round alpha alpha_hat collapsed revenue utilities winner_share"
+)):
+    """round: int; alpha, alpha_hat: float; collapsed: bool; revenue:
+    MeanSE; utilities: tuple[MeanSE, ...]; winner_share: tuple[float,
+    ...]."""
+
+    __slots__ = ()
 
 
-class CollapseTrace(NamedTuple):
-    rounds: tuple[CollapseRound, ...]
+class CollapseTrace(namedtuple("CollapseTrace", "rounds")):
+    """rounds: tuple[CollapseRound, ...]."""
+
+    __slots__ = ()
 
 
 def cpa_collapse(

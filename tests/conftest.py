@@ -1,6 +1,5 @@
 """Shared fixtures and hypothesis strategies for small random games."""
 
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,7 +70,7 @@ def mean_rate_equivalent_bids(game):
     """Every advertiser's equivalent bid under theoretical play with each
     rate at its mean, read off one scalar-engine auction on a copy of the
     game whose laws are point masses at their means."""
-    specs = [replace(s, rates=tuple(Point(r.mean()) for r in s.rates)) for s in game.specs]
+    specs = [s._replace(rates=tuple(Point(r.mean()) for r in s.rates)) for s in game.specs]
     means = validate_game(specs, game.chain, game.model, game.scenario)
     strategies = [
         theoretical_strategy(means.model, means.scenario, s, means.chain) for s in means.specs

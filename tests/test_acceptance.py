@@ -11,7 +11,6 @@ constants so a regression surfaces as a hard failure, not a drift."""
 
 import math
 import time
-from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -219,7 +218,7 @@ def test_bid_granularity_payoff_orderings():
 
     # degenerate conversion laws: the orderings flatten to exact zero
     specs = tuple(
-        replace(s, rates=(s.rates[0], Point(s.rates[1].mean())))
+        s._replace(rates=(s.rates[0], Point(s.rates[1].mean())))
         for s in _cfg().game.specs
     )
     flat = payoff_ordering_suite(make_game(specs), replications=100_000, seed=SEED)
@@ -268,7 +267,7 @@ def test_repeated_totals_match_per_round_values():
         belief = None
         if scenario == "out_site":
             # underreporting, so realized rounds draw and use the report uniform
-            strats = [replace(s, alpha=a) for s, a in zip(strats, (0.6, 0.8))]
+            strats = [s._replace(alpha=a) for s, a in zip(strats, (0.6, 0.8))]
             belief = PlatformBelief(tuple(s.alpha for s in strats))
         for mode in ("analytic", "realized"):
             trace = list(run_repeated(game, strats, belief, T, seed=SEED, mode=mode))
@@ -360,7 +359,7 @@ def test_cart_granularity_sits_between_click_and_conversion():
 
     # enumeration oracle on a two-point discretization of the same funnel
     specs = tuple(
-        replace(s, rates=tuple(two_point_surrogate(law) for law in s.rates))
+        s._replace(rates=tuple(two_point_surrogate(law) for law in s.rates))
         for s in cart.specs
     )
     exact = {
@@ -400,7 +399,7 @@ def _prop_charge_ignores_the_winning_bid(gb, seed, factor):
     w = base.winner
     assume(base.draw.equivalent_bids[w] > base.e_loser)  # skip exact top ties
     bumped = list(strategies)
-    bumped[w] = replace(strategies[w], bid=strategies[w].bid * factor)
+    bumped[w] = strategies[w]._replace(bid=strategies[w].bid * factor)
     out = run_auction(game, bumped, None, np.random.default_rng(seed))
     assert out.winner == w
     assert out.price_per_pay_event == base.price_per_pay_event
@@ -419,7 +418,7 @@ def _prop_common_bid_scale_preserves_the_winner(gb, seed, log2k):
     game, strategies = gb
     k = 2.0 ** log2k  # power of two: scores scale without rounding
     base = run_auction(game, strategies, None, np.random.default_rng(seed))
-    scaled = [replace(s, bid=s.bid * k) for s in strategies]
+    scaled = [s._replace(bid=s.bid * k) for s in strategies]
     out = run_auction(game, scaled, None, np.random.default_rng(seed))
     assert out.winner == base.winner
     assert out.e_loser == base.e_loser * k

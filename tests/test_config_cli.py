@@ -229,6 +229,7 @@ _BAD_LAWS = [
     ({"kind": "uniform", "lo": 0.2}, "click.hi", "missing"),
     ({"lo": 0.2, "hi": 0.4}, "click.kind", "missing"),
     ({"kind": "uniform", "lo": -1e308, "hi": 1e308}, "click", "finite"),
+    ({"kind": "beta", "a": 1e308, "b": 1e308}, "click", "finite"),
     ({"kind": "uniform", "lo": 0.2, "hi": 0.4, "hj": 0.5}, "click.hj", "unknown key"),
     ({"kind": "uniform", "lo": 0.2, "hi": True}, "click.hi", "expected a number"),
     ({"kind": "point", "v": "0.3"}, "click.v", "expected a number"),
@@ -327,15 +328,15 @@ def test_both_yaml_loaders_resolve_edge_scalars_alike(text):
     assert _typed(yaml.load(text, Loader=yaml.SafeLoader)) == want
 
 
-def test_startup_does_not_import_numpy_random():
-    # importing numpy.random takes about 15 ms; set-up (importing the CLI
-    # and loading a config) never draws, so it must not pay that
+def _after_startup(probe: str) -> str:
+    """What the Python statement probe prints in a fresh process that has
+    imported the CLI and loaded the default config."""
     code = (
         "import sys\n"
         "import adpricing.cli\n"
         "from adpricing.config import load_config\n"
         "load_config(sys.argv[1])\n"
-        "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n"
+        + probe
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run(
@@ -343,7 +344,28 @@ def test_startup_does_not_import_numpy_random():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_startup_does_not_import_numpy_random():
+    # importing numpy.random takes about 15 ms; set-up (importing the CLI
+    # and loading a config) never draws, so it must not pay that
+    probe = "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n"
+    assert _after_startup(probe) == "[]"
+
+
+def test_startup_defines_no_dataclass_or_typing_namedtuple():
+    # a frozen dataclass costs about 1 ms to define and a typing.NamedTuple
+    # checks its annotations; neither numpy nor PyYAML imports dataclasses
+    probe = (
+        "import typing\n"
+        "built = sorted(f'{name}.{k}' for name, mod in list(sys.modules.items())\n"
+        "               if name.split('.')[0] == 'adpricing'\n"
+        "               for k, cls in vars(mod).items() if isinstance(cls, type)\n"
+        "               and typing.NamedTuple in getattr(cls, '__orig_bases__', ()))\n"
+        "print('dataclasses' in sys.modules, built)\n"
+    )
+    assert _after_startup(probe) == "False []"
 
 
 # modules a first study call may import: numpy.random's, with what it
@@ -1168,6 +1190,20 @@ def test_cli_runtime_error_exits_two(tmp_path, capsys):
     assert err.startswith("error: ") and "rejected" in err
     assert "Traceback" not in err and err.count("\n") == 1
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("a, codes", [(1e-300, (0, 1)), (1e200, (0, 1)), (1e308, (2,))])
+def test_cli_extreme_beta_click_law_exits_without_a_traceback(tmp_path, capsys, a, codes):
+    # at a = b = 1e-300 the variance a*b/(s^2 (s+1)) once divided by an
+    # underflowed s^2; at 1e308 a + b overflows, which the law rejects
+    out = tmp_path / "results"
+    out.mkdir()
+    raw = _small_dict("cpsc")
+    raw["cart_game"]["advertisers"][0]["rates"]["click"] = {"kind": "beta", "a": a, "b": a}
+    assert cli.main(["--config", _write(tmp_path, raw), "--out", str(out)]) in codes
+    if codes == (2,):
+        err = capsys.readouterr().err
+        assert "cart_game.advertisers[0].rates.click" in err and "finite" in err
 
 
 def _no_libc(name):

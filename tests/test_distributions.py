@@ -1,6 +1,7 @@
 """Moment exactness and sampling consistency for the rate laws."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -66,6 +67,26 @@ def test_beta_moments_exact():
     assert d.mean() == 0.4
     assert d.variance() == 0.04
     assert d.support() == (0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(2.0, 5.0), (1e-300, 1e-300), (1e-300, 2.0), (1e200, 1e200), (1e200, 3e200), (1e-5, 1e150)],
+)
+def test_beta_moments_match_exact_rationals_at_extreme_parameters(a, b):
+    # a*b/(s^2 (s+1)) divided by zero at a = b = 1e-300 (s^2 underflows)
+    # and read NaN past about 1e154 (a*b and s^2 overflow)
+    fa, fb = Fraction(a), Fraction(b)
+    s = fa + fb
+    d = Beta(a, b)
+    assert d.mean() == pytest.approx(float(fa / s), rel=1e-15)
+    assert d.variance() == pytest.approx(float(fa * fb / (s * s * (s + 1))), rel=1e-15)
+
+
+def test_beta_sum_must_be_finite():
+    with pytest.raises(ValueError, match="finite"):
+        Beta(1e308, 1e308)
+    assert Beta(1e308, 1.0).mean() == 1.0
 
 
 def test_point_moments():
@@ -221,3 +242,9 @@ def test_two_point_surrogate_preserves_mean():
     assert two_point_surrogate(d) is d
     p = Point(0.3)
     assert two_point_surrogate(p) is p
+
+
+def test_two_point_surrogate_of_a_near_point_beta_is_its_mean():
+    # sd ~ 3.5e-101 vanishes beside the mean 0.5; the old variance was NaN
+    # here and the surrogate the two atoms 0 and 1
+    assert two_point_surrogate(Beta(1e200, 1e200)) == Point(0.5)

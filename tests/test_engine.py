@@ -3,7 +3,6 @@ draws, and the single/repeated auction paths."""
 
 import hashlib
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,7 +54,7 @@ def test_price_per_pay_event_zero_rate():
 
 def test_run_auction_counts_rejected_draws():
     zero_or_not = Discrete((0.0, 0.3), (0.5, 0.5))
-    specs = tuple(replace(s, rates=(zero_or_not, s.rates[1])) for s in point_specs())
+    specs = tuple(s._replace(rates=(zero_or_not, s.rates[1])) for s in point_specs())
     game = make_game(specs, model="CPC")
     # at this seed the first draw gives both advertisers a zero click rate
     out = run_auction(game, (Strategy(10.0), Strategy(5.0)), None, batch_rng(2, 0, 0, 0))
@@ -269,13 +268,13 @@ def _zero_click_specs():
     """The default game with a click law that is 0 half the time, so a
     round whose winner has no click is redrawn."""
     zero_or_not = Discrete((0.0, 0.3), (0.5, 0.5))
-    return tuple(replace(s, rates=(zero_or_not, s.rates[1])) for s in default_specs())
+    return tuple(s._replace(rates=(zero_or_not, s.rates[1])) for s in default_specs())
 
 
 def _beta_click_specs():
     """The default game with a Beta(2, 5) click law, whose draw reads a
     variable number of the generator's doubles."""
-    return tuple(replace(s, rates=(Beta(2.0, 5.0), s.rates[1])) for s in default_specs())
+    return tuple(s._replace(rates=(Beta(2.0, 5.0), s.rates[1])) for s in default_specs())
 
 
 _PINNED_SPECS = {"default": default_specs, "zero_click": _zero_click_specs, "beta": _beta_click_specs}

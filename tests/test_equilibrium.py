@@ -1,7 +1,6 @@
 """Platform model choice, outside-option sweeps, and the four-stage
 CPC/CPSC/OCPC comparison."""
 
-from dataclasses import replace
 
 import pytest
 
@@ -69,7 +68,7 @@ def test_sweep_tie_breaks_by_fixed_order():
     # degenerate laws: both models give identical scores, so identical
     # platform payoffs; advertiser 2 wins every draw, keeps 2.0 and enters
     specs = point_specs(c2=0.4)
-    specs = (specs[0], replace(specs[1], outside_option=1.0))
+    specs = (specs[0], specs[1]._replace(outside_option=1.0))
     res = sweep_outside_option([0.0], ["OCPC", "CPC"], make_game(specs), 2000, seed=1)
     assert res.table["CPC"].platform.mean == res.table["OCPC"].platform.mean
     assert res.rows[0].feasible == {"OCPC": True, "CPC": True}
@@ -113,7 +112,7 @@ def test_cpsc_table_is_the_payoff_estimate():
 def test_cpsc_requires_cart_chain_and_duopoly():
     with pytest.raises(ValueError):
         cpsc_comparison(make_game(default_specs()), replications=100)
-    third = replace(cart_specs()[0], id=3, outside_option=None)
+    third = cart_specs()[0]._replace(id=3, outside_option=None)
     game3 = make_game(cart_specs() + (third,), model="CPSC", chain_events=CHAIN_4)
     with pytest.raises(ValueError):
         cpsc_comparison(game3, replications=100)
@@ -121,7 +120,7 @@ def test_cpsc_requires_cart_chain_and_duopoly():
 
 def test_cpsc_degenerate_funnel_collapses_deltas():
     specs = tuple(
-        replace(s, rates=tuple(Point(law.mean()) for law in s.rates))
+        s._replace(rates=tuple(Point(law.mean()) for law in s.rates))
         for s in cart_specs()
     )
     game = make_game(specs, model="CPSC", chain_events=CHAIN_4)
@@ -135,7 +134,7 @@ def test_cpsc_degenerate_funnel_collapses_deltas():
 def test_cpsc_orderings_by_exhaustive_enumeration():
     # two-point marginals keep the game enumerable without losing the effect
     specs = tuple(
-        replace(s, rates=tuple(two_point_surrogate(law) for law in s.rates))
+        s._replace(rates=tuple(two_point_surrogate(law) for law in s.rates))
         for s in cart_specs()
     )
     pi2, plat = {}, {}

@@ -1,14 +1,19 @@
 """Domain-type construction and validation."""
 
+import copy
+import pickle
+
 import pytest
 
-from adpricing.distributions import Point, Uniform
+from adpricing.distributions import Beta, Discrete, Distribution, Point, Uniform
 from adpricing.model import (
     CHAIN_3,
     CHAIN_4,
     AdvertiserSpec,
     EventChain,
+    Game,
     GameValidationError,
+    Scenario,
     PlatformBelief,
     PricingModel,
     Strategy,
@@ -146,3 +151,101 @@ def test_point_specs_build():
     game = make_game(point_specs(), model="CPM")
     assert game.model.bid_depth == 0
     assert game.specs[1].rate_means() == (0.3, 0.2)
+
+
+def _game():
+    return validate_game(
+        [AdvertiserSpec(1, 100.0, (Uniform(0.2, 0.4), Point(0.5))),
+         AdvertiserSpec(2, 80.0, (Point(0.3), Beta(2.0, 5.0)), 1.5)],
+        EventChain(), pricing_model("CPC", EventChain()), in_site(),
+    )
+
+
+# one maker per value class, each with the repr a frozen dataclass gave it
+_VALUES = [
+    (Distribution, "Distribution()"),
+    (lambda: Uniform(0.2, 0.4), "Uniform(lo=0.2, hi=0.4)"),
+    (lambda: Beta(2.0, 5.0), "Beta(a=2.0, b=5.0)"),
+    (lambda: Point(0.5), "Point(v=0.5)"),
+    (lambda: Discrete((0.25, 0.75), (0.5, 0.5)), "Discrete(values=(0.25, 0.75), probs=(0.5, 0.5))"),
+    (EventChain, "EventChain(events=('impression', 'click', 'conversion'))"),
+    (lambda: AdvertiserSpec(2, 80.0, (Point(0.3), Beta(2.0, 5.0)), 1.5),
+     "AdvertiserSpec(id=2, m=80.0, rates=(Point(v=0.3), Beta(a=2.0, b=5.0)), outside_option=1.5)"),
+    (lambda: PricingModel("OCPC", 2, 1), "PricingModel(name='OCPC', bid_depth=2, pay_depth=1)"),
+    (lambda: Scenario("out_site"), "Scenario(kind='out_site')"),
+    (lambda: Strategy(2.5, 0.5), "Strategy(bid=2.5, alpha=0.5)"),
+    (lambda: PlatformBelief((1.0, 0.5)), "PlatformBelief(alpha_hat=(1.0, 0.5))"),
+    (_game,
+     "Game(specs=(AdvertiserSpec(id=1, m=100.0, rates=(Uniform(lo=0.2, hi=0.4), Point(v=0.5)), "
+     "outside_option=None), AdvertiserSpec(id=2, m=80.0, rates=(Point(v=0.3), Beta(a=2.0, b=5.0)), "
+     "outside_option=1.5)), chain=EventChain(events=('impression', 'click', 'conversion')), "
+     "model=PricingModel(name='CPC', bid_depth=1, pay_depth=1), scenario=Scenario(kind='in_site'))"),
+]
+_IDS = [text.split("(")[0] for _, text in _VALUES]
+
+
+def test_every_value_class_is_covered():
+    assert {type(make()) for make, _ in _VALUES} == {
+        Distribution, Uniform, Beta, Point, Discrete, EventChain, AdvertiserSpec,
+        PricingModel, Scenario, Strategy, PlatformBelief, Game,
+    }
+
+
+@pytest.mark.parametrize("make, text", _VALUES, ids=_IDS)
+def test_value_equality_hash_and_repr(make, text):
+    value, twin = make(), make()
+    assert value is not twin
+    assert value == twin and not value != twin
+    assert hash(value) == hash(twin)
+    assert repr(value) == text
+    assert value != tuple(getattr(value, name) for name in value._fields)
+
+
+def test_values_of_different_classes_differ():
+    assert Uniform(0.2, 0.4) != Beta(0.2, 0.4)
+    assert Scenario("in_site") != ("in_site",)
+    assert Scenario("in_site") != Scenario("out_site")
+
+
+@pytest.mark.parametrize("make, text", _VALUES, ids=_IDS)
+def test_values_refuse_assignment_and_deletion(make, text):
+    value = make()
+    name = value._fields[0] if value._fields else "mean"
+    with pytest.raises(AttributeError):
+        setattr(value, name, 1.0)
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1.0
+    assert value == make()
+
+
+@pytest.mark.parametrize("make, text", _VALUES, ids=_IDS)
+@pytest.mark.parametrize(
+    "clone", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_value_copies_are_equal(make, text, clone):
+    value = make()
+    again = clone(value)
+    assert type(again) is type(value)
+    assert again == value and repr(again) == text
+
+
+def test_discrete_copy_rebuilds_its_sampler():
+    law = Discrete((0.25, 0.75), (0.5, 0.5))
+    again = pickle.loads(pickle.dumps(law))
+    assert again._cum == law._cum and again._values.tolist() == [0.25, 0.75]
+
+
+def test_replace_reruns_the_checks():
+    assert Strategy(1.0)._replace(alpha=0.5) == Strategy(1.0, 0.5)
+    assert Uniform(0.2, 0.4)._replace() == Uniform(0.2, 0.4)
+    with pytest.raises(GameValidationError, match="alpha"):
+        Strategy(1.0)._replace(alpha=2.0)
+    with pytest.raises(ValueError, match="lo <= hi"):
+        Uniform(0.2, 0.4)._replace(lo=0.5)
+    with pytest.raises(TypeError):
+        Strategy(1.0)._replace(beta=0.5)
+    with pytest.raises(TypeError):
+        Discrete((0.25, 0.75), (0.5, 0.5))._replace(_cum=[1.0])

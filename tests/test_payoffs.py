@@ -4,7 +4,6 @@ billing-model equivalences, and the paired payoff orderings."""
 import math
 import platform
 import resource
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,9 +47,9 @@ def test_bid_depth_sets_which_laws_enter_the_score():
     conv = Discrete((0.05, 0.15), (0.5, 0.5))
     clicks = (Discrete((0.2, 0.4), (0.5, 0.5)), Discrete((0.15, 0.45), (0.25, 0.75)))
     spread = tuple(
-        replace(s, rates=(c, conv)) for s, c in zip(default_specs(), clicks)
+        s._replace(rates=(c, conv)) for s, c in zip(default_specs(), clicks)
     )
-    at_mean = tuple(replace(s, rates=(s.rates[0], Point(conv.mean()))) for s in spread)
+    at_mean = tuple(s._replace(rates=(s.rates[0], Point(conv.mean()))) for s in spread)
     for model, same in (("CPC", True), ("OCPC", False)):
         a = exact_equilibrium_payoffs(make_game(spread, model=model))
         b = exact_equilibrium_payoffs(make_game(at_mean, model=model))
@@ -71,7 +70,7 @@ def test_symmetric_point_game_payoffs_exact():
 def _tied_specs(n):
     # identical two-atom laws: a quarter of the draws tie every score
     laws = (Discrete((0.2, 0.4), (0.5, 0.5)), Discrete((0.1, 0.3), (0.5, 0.5)))
-    return tuple(replace(default_specs()[0], id=k + 1, rates=laws) for k in range(n))
+    return tuple(default_specs()[0]._replace(id=k + 1, rates=laws) for k in range(n))
 
 
 def _score_stack_by_temporaries(game, model_name, rates):
@@ -96,7 +95,7 @@ def _score_stack_by_temporaries(game, model_name, rates):
         pytest.param(default_specs(), None, id="default"),
         pytest.param(point_specs(), None, id="point"),
         pytest.param(
-            (default_specs()[0], replace(point_specs()[1], m=37.0)), None, id="point-and-uniform"
+            (default_specs()[0], point_specs()[1]._replace(m=37.0)), None, id="point-and-uniform"
         ),
         pytest.param(cart_specs(), CHAIN_4, id="cart"),
     ],
@@ -119,7 +118,7 @@ def test_score_stack_is_the_temporaries_form_bit_for_bit(specs, chain):
             default_specs(), "out_site", ("CPC", "OCPC", "CPA"), id="out-site-collapsed-cpa"
         ),
         pytest.param(
-            default_specs() + (replace(default_specs()[0], id=3),), "in_site",
+            default_specs() + (default_specs()[0]._replace(id=3),), "in_site",
             ("CPC", "OCPC", "CPA"), id="three-advertisers",
         ),
         pytest.param(_tied_specs(2), "in_site", ("CPC", "OCPC", "CPA"), id="tied-discrete"),
@@ -177,9 +176,7 @@ def test_ocpc_equals_cpa_in_site():
 
 @pytest.mark.parametrize("scenario", ["in_site", "out_site"])
 def test_multi_model_pass_equals_single_model_calls(scenario):
-    from dataclasses import replace
-
-    third = replace(default_specs()[0], id=3)
+    third = default_specs()[0]._replace(id=3)
     names = ["CPC", "OCPC", "CPA", "CPM"]
     for specs in (default_specs(), default_specs() + (third,)):
         game = make_game(specs, scenario=scenario)
@@ -217,12 +214,11 @@ def test_ordering_suite_holds_on_default_game():
 
 def test_ordering_suite_degenerate_control_exact_zero():
     specs = point_specs(c1=0.3, p1=0.2, c2=0.35, p2=0.1)
-    from dataclasses import replace
     from adpricing.distributions import Uniform
 
     # stochastic clicks, degenerate conversions: CPC and OCPC scores coincide
     specs = tuple(
-        replace(s, rates=(Uniform(0.2, 0.5), s.rates[1])) for s in specs
+        s._replace(rates=(Uniform(0.2, 0.5), s.rates[1])) for s in specs
     )
     suite = payoff_ordering_suite(make_game(specs), replications=50_000, seed=5)
     for res in (suite.social, suite.platform, *suite.advertisers):
@@ -232,9 +228,7 @@ def test_ordering_suite_degenerate_control_exact_zero():
 
 
 def test_ordering_suite_requires_two_advertisers():
-    from dataclasses import replace
-
-    third = replace(point_specs()[0], id=3)
+    third = point_specs()[0]._replace(id=3)
     with pytest.raises(ValueError):
         payoff_ordering_suite(make_game(default_specs() + (third,)))
 

@@ -3,7 +3,6 @@ underreporting spiral."""
 
 import hashlib
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -166,9 +165,7 @@ def test_fixture_bids_two_player_reduction_exact():
 
 
 def test_fixture_bids_three_player_between_rivals():
-    from dataclasses import replace
-
-    third = replace(point_specs()[0], id=3, m=90.0)
+    third = point_specs()[0]._replace(id=3, m=90.0)
     game = make_game(default_specs() + (third,), model="CPC")
     fixtures = equilibrium_fixture_bids(game, multipliers=(1.0,), replications=50_000)["CPC"][0]
     es = mean_rate_equivalent_bids(game)[1:]
@@ -182,8 +179,8 @@ def test_fixture_pass_matches_per_advertiser_rival_max(n_advertisers):
     # oracle: each advertiser's own batch loop over the same draws, the max
     # over its rivals summed per batch, then in batch order
     extra = (
-        replace(point_specs()[0], id=3, m=90.0),
-        replace(default_specs()[1], id=4, m=95.0),
+        point_specs()[0]._replace(id=3, m=90.0),
+        default_specs()[1]._replace(id=4, m=95.0),
     )[: n_advertisers - 2]
     n = 2 * BATCH_SIZE + 5
     mults = (0.5, 1.0, 3.0)
@@ -250,8 +247,8 @@ def _repr_sha256(x):
 
 def _four_specs():
     return default_specs() + (
-        replace(point_specs()[0], id=3, m=90.0),
-        replace(default_specs()[1], id=4, m=95.0),
+        point_specs()[0]._replace(id=3, m=90.0),
+        default_specs()[1]._replace(id=4, m=95.0),
     )
 
 
@@ -271,7 +268,7 @@ def test_fixture_bids_are_pinned(case):
 
 @pytest.mark.parametrize("n_advertisers", sorted(COLLAPSE_SHA256))
 def test_cpa_collapse_is_pinned(n_advertisers):
-    specs = default_specs() + (replace(point_specs()[0], id=3, m=90.0),)
+    specs = default_specs() + (point_specs()[0]._replace(id=3, m=90.0),)
     game = make_game(specs[:n_advertisers], model="CPA", scenario="out_site")
     trace = cpa_collapse(game, rounds=12, decay=0.5, replications=BATCH_SIZE + 7, seed=4)
     assert _repr_sha256(trace) == COLLAPSE_SHA256[n_advertisers]
@@ -426,7 +423,7 @@ def _shifted_variance(cnt, s, q, c, n):
 def _atom_game():
     # click rates on three atoms: many draws tie on every threshold
     (spec, rival) = default_specs()
-    spec = replace(spec, rates=(Discrete((0.25, 0.35, 0.45), (0.3, 0.4, 0.3)), spec.rates[1]))
+    spec = spec._replace(rates=(Discrete((0.25, 0.35, 0.45), (0.3, 0.4, 0.3)), spec.rates[1]))
     return make_game((spec, rival), model="CPC")
 
 

@@ -379,7 +379,7 @@ def _study_lemmas(cfg: ExperimentConfig):
 
 def _study_collapse(cfg: ExperimentConfig):
     game = cfg.game.with_model("CPA", out_site())
-    trace = cpa_collapse(game, seed=cfg.seed, **cfg.params["collapse"])
+    rounds = cpa_collapse(game, seed=cfg.seed, **cfg.params["collapse"])
     ids = [spec.id for spec in game.specs]
     header = (
         ["round", "alpha", "alpha_hat", "collapsed", *_pair("revenue")]
@@ -388,11 +388,11 @@ def _study_collapse(cfg: ExperimentConfig):
     )
     rows = [
         [r.round, r.alpha, r.alpha_hat, r.collapsed, r.revenue, *r.winner_share, *r.utilities]
-        for r in trace.rounds
+        for r in rounds
     ]
 
-    first, last = trace.rounds[0], trace.rounds[-1]
-    post = [r for r in trace.rounds if r.collapsed]
+    first, last = rounds[0], rounds[-1]
+    post = [r for r in rounds if r.collapsed]
     targets = [u.mean for u in exact_equilibrium_payoffs(game).advertisers]
     shares_ok = bool(post) and all(
         abs(s - 1.0 / game.n) <= 0.02 for r in post for s in r.winner_share

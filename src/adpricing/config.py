@@ -181,7 +181,11 @@ def _number(
             except ValueError:
                 pass
         raise ConfigError(where, f"expected a number, got {value!r}{hint}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        raise ConfigError(where, "expected a finite number, got an int beyond float range") from None
+    if not finite:
         raise ConfigError(where, f"expected a finite number, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(where, f"must be >= {minimum}, got {value}")

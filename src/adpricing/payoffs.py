@@ -44,6 +44,7 @@ from .sampling import (
     estimate,
     settle,
     tie_uniforms,
+    winner_tiebreak,
     winner_utilities,
 )
 
@@ -93,9 +94,8 @@ def _score_stack(game: Game, model_name: str, rates: np.ndarray) -> np.ndarray:
 
 
 class Settlement(namedtuple("Settlement", "winner utils platform social")):
-    """One model's batch under theoretical play, per draw: winner
-    (np.ndarray or None), utils (np.ndarray of shape (n, size)), platform
-    and social (np.ndarray)."""
+    """One model's batch under theoretical play, per draw: winner, utils
+    (shape (n, size)), platform and social, all np.ndarray."""
 
     __slots__ = ()
 
@@ -107,16 +107,17 @@ def _settle_models(
     on the same rate draws and tie uniforms.
 
     CPA out-site has no equilibrium; it is settled as the collapsed
-    regime: nothing is charged, the winner is uniform (winner None, it
-    moves no payoff), and each of the N advertisers keeps value/N."""
+    regime: nothing is charged, the winner is the tie rule's uniform pick
+    among all-zero scores (it moves no payoff), and each of the N
+    advertisers keeps value/N."""
     rates = draw_rates(game, seed, stream, b_idx, size)
     u = tie_uniforms(seed, stream, b_idx, size)
     n = game.n
     out = {}
     for name in names:
         if name == "CPA" and game.scenario.is_out_site:
-            winner = None
             utils = _score_stack(game, "CPA", rates) / n  # full realized product
+            winner = winner_tiebreak(np.zeros_like(utils), u)
             platform = np.zeros(size)
             social = utils.sum(axis=0)
         else:

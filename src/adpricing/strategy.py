@@ -15,8 +15,12 @@ every advertiser gains by underreporting a bit more than the
 platform's learned reporting factor while inflating the bid to
 compensate, so no equilibrium exists; cpa_collapse simulates that
 spiral with a one-round belief lag until reporting effectively stops
-and the platform's revenue hits zero. The reporting claim is checked
-on the scalar engine, not here.
+and the platform's revenue hits zero. Along the spiral every equivalent
+bid is the in-site CPA score times one common factor alpha_hat/alpha,
+which the charge e_loser x alpha/alpha_hat takes back out, so every
+round goes through payoffs._settle_models: as in-site CPA before the
+collapse, in its collapsed CPA out-site regime after. The reporting
+claim is checked on the scalar engine, not here.
 
 best_response_scan verifies dominance numerically at truthful play: it
 sweeps a bid grid against fixed rival equivalent bids with common
@@ -30,10 +34,10 @@ few starts give every grid bid's moments, at a cost that does not grow
 with the product of draws and grid size. The rival fixtures the scans
 run against come from one pass per game that serves every bid depth.
 
-The result records (FixtureScan, DominanceReport, CollapseRound,
-CollapseTrace) are immutable collections.namedtuple subclasses: besides
-their named fields they can be unpacked and indexed, and each compares
-equal to the plain tuple of its fields.
+The result records (FixtureScan, DominanceReport, CollapseRound) are
+immutable collections.namedtuple subclasses: besides their named fields
+they can be unpacked and indexed, and each compares equal to the plain
+tuple of its fields.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .model import Game, PricingModel, Scenario, Strategy, EventChain, pricing_model
+from .model import Game, PricingModel, Scenario, Strategy, EventChain, in_site, pricing_model
+from .payoffs import _settle_models
 from .sampling import (
     BATCH_SIZE,
     STREAM_COLLAPSE,
@@ -55,9 +60,6 @@ from .sampling import (
     MeanSE,
     rate_role,
     run_batched,
-    settle,
-    tie_uniforms,
-    winner_utilities,
 )
 
 __all__ = [
@@ -66,7 +68,6 @@ __all__ = [
     "DominanceReport",
     "FixtureScan",
     "CollapseRound",
-    "CollapseTrace",
     "theoretical_strategy",
     "equilibrium_fixture_bids",
     "best_response_scan",
@@ -402,12 +403,6 @@ class CollapseRound(namedtuple(
     __slots__ = ()
 
 
-class CollapseTrace(namedtuple("CollapseTrace", "rounds")):
-    """rounds: tuple[CollapseRound, ...]."""
-
-    __slots__ = ()
-
-
 def cpa_collapse(
     game: Game,
     rounds: int,
@@ -415,15 +410,21 @@ def cpa_collapse(
     replications: int = 10_000,
     seed: int = 0,
     threshold: float = 1e-3,
-) -> CollapseTrace:
-    """Out-site CPA reporting spiral with a one-round belief lag.
+) -> tuple[CollapseRound, ...]:
+    """Out-site CPA reporting spiral with a one-round belief lag, one
+    CollapseRound per round.
 
     Round t: the platform believes last round's observed reporting rate
     (alpha_hat=1 at t=0); every advertiser underreports to alpha =
-    decay x alpha_hat and inflates its bid to m/alpha. Once alpha falls
-    below the collapse threshold the platform can no longer attribute
-    conversions: the winner is drawn uniformly, nothing is charged, and
-    each of the N advertisers captures value/N per impression."""
+    decay x alpha_hat and inflates its bid to m/alpha. Every equivalent
+    bid is then alpha_hat/alpha times the advertiser's in-site CPA score,
+    and the charge e_loser x alpha/alpha_hat takes that common factor back
+    out, so a round is settled as in-site CPA on its draws. Once alpha
+    falls below the collapse threshold the platform can no longer
+    attribute conversions: the round is settled in _settle_models'
+    collapsed CPA out-site regime, where the winner is drawn uniformly,
+    nothing is charged, and each of the N advertisers captures value/N
+    per impression."""
     if game.model.name != "CPA" or not game.scenario.is_out_site:
         raise ValueError("cpa_collapse requires the CPA model out-site")
     if rounds < 2:
@@ -438,7 +439,7 @@ def cpa_collapse(
             f"replications={replications} needs more than {round_stride} batches per round; "
             "the rounds' draw keys would alias"
         )
-    ms = [spec.m for spec in game.specs]
+    in_site_cpa = game.with_model("CPA", in_site())
 
     rows = []
     alpha_hat = 1.0
@@ -446,33 +447,17 @@ def cpa_collapse(
         alpha = decay * alpha_hat
         collapsed = alpha < threshold
 
-        def batch_fn(b_idx: int, size: int, _t=t, _ah=alpha_hat, _a=alpha, _c=collapsed):
+        def batch_fn(b_idx: int, size: int, _t=t, _g=game if collapsed else in_site_cpa):
             # fold the round into the batch index so rounds never share draws
             key = _t * round_stride + b_idx
-            rates = draw_rates(game, seed, STREAM_COLLAPSE, key, size)
-            prods = [np.prod(rates[i], axis=0) for i in range(game.n)]
-            values = np.stack([ms[i] * prods[i] for i in range(game.n)], axis=0)
-            u = tie_uniforms(seed, STREAM_COLLAPSE, key, size)
-            if not _c:
-                e = np.stack([(ms[i] / _a * _ah) * prods[i] for i in range(game.n)], axis=0)
-                winner, _, e_loser = settle(e, u)
-                payment = e_loser * (_a / _ah)
-                won = values[winner, np.arange(size)]
-                util = winner_utilities(winner, won - payment, game.n)
-            else:
-                # nothing is attributable: all scores tie at 0, so the winner
-                # is uniform and the price is 0
-                winner, _, payment = settle(np.zeros_like(values), u)
-                util = values / game.n
-            out = {"rev": payment}
+            arm = _settle_models(_g, ("CPA",), seed, STREAM_COLLAPSE, key, size)["CPA"]
+            out = {"rev": arm.platform}
             for i in range(game.n):
-                out["u", i] = util[i]
-                out["w", i] = winner == i
+                out["u", i] = arm.utils[i]
+                out["w", i] = arm.winner == i
             return out
 
         est = estimate(replications, batch_fn)
-        utils = tuple(est["u", i] for i in range(game.n))
-        shares = tuple(est["w", i].mean for i in range(game.n))
         rows.append(
             CollapseRound(
                 round=t,
@@ -480,9 +465,9 @@ def cpa_collapse(
                 alpha_hat=alpha_hat,
                 collapsed=collapsed,
                 revenue=est["rev"],
-                utilities=utils,
-                winner_share=shares,
+                utilities=tuple(est["u", i] for i in range(game.n)),
+                winner_share=tuple(est["w", i].mean for i in range(game.n)),
             )
         )
         alpha_hat = alpha
-    return CollapseTrace(tuple(rows))
+    return tuple(rows)

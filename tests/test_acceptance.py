@@ -186,12 +186,12 @@ def test_cpa_out_site_take_falls_with_underreporting():
 
 def test_reporting_spiral_starves_platform_revenue():
     game = _variant(_cfg().game, "CPA", "out_site")
-    trace = cpa_collapse(
+    rounds = cpa_collapse(
         game, rounds=21, decay=0.5, replications=10_000, seed=SEED, threshold=1e-3
     )
-    first, last = trace.rounds[0], trace.rounds[20]
+    first, last = rounds[0], rounds[20]
     assert last.revenue.mean < 0.01 * first.revenue.mean
-    collapsed = [r for r in trace.rounds if r.collapsed]
+    collapsed = [r for r in rounds if r.collapsed]
     assert collapsed
     for rnd in collapsed:
         assert rnd.revenue.mean == 0.0 and rnd.revenue.se == 0.0

@@ -835,7 +835,7 @@ def _key_paths(node, path=()):
 _SHRUNK = _base_dict()
 _SHRUNK["study_params"]["simulate"]["rounds"] = 50
 _RETYPED = ("x", [1], {"k": 1}, None, True)
-_OUT_OF_RANGE = (-1, 0, 10**30, 1e308, -1e308, float("inf"), float("nan"))
+_OUT_OF_RANGE = (-1, 0, 10**30, 10**400, 1e308, -1e308, float("inf"), float("nan"))
 
 
 @settings(max_examples=50, deadline=None)
@@ -906,6 +906,21 @@ def test_cli_retyped_number_or_unknown_key_exits_two(tmp_path, capsys, path, val
     out.mkdir()
     assert cli.main(["--config", _write(tmp_path, raw), "--out", str(out)]) == 2
     assert f"config field '{_field(path)}': " in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in _NUMBER_PATHS if type(_at(_SHRUNK, p)) is float], ids=_field
+)
+def test_cli_int_beyond_float_range_exits_two(tmp_path, capsys, path):
+    # every float of the shrunk default config as an int float() cannot
+    # hold: not finite, so the field is named, not an OverflowError raised
+    raw = json.loads(json.dumps(_SHRUNK))
+    _at(raw, path[:-1])[path[-1]] = 10**400
+    out = tmp_path / "results"
+    out.mkdir()
+    assert cli.main(["--config", _write(tmp_path, raw), "--out", str(out)]) == 2
+    assert f"config field '{_field(path)}': expected a finite number" in capsys.readouterr().err
     assert not any(out.iterdir())
 
 

@@ -10,8 +10,10 @@ import pytest
 
 from adpricing.config import load_config
 from adpricing.distributions import Discrete
+from adpricing.engine import run_auction
 from adpricing.model import (
     CHAIN_4,
+    PlatformBelief,
     Strategy,
     in_site,
     out_site,
@@ -19,6 +21,7 @@ from adpricing.model import (
 from adpricing.sampling import (
     BATCH_SIZE,
     STREAM_FIXTURES,
+    STREAM_ROUNDS,
     STREAM_UTILITY,
     batch_layout,
     batch_rng,
@@ -226,9 +229,10 @@ def test_one_fixture_pass_serves_every_model_bit_for_bit(n_advertisers):
 
 
 # sha256 of the repr of equilibrium_fixture_bids (default multipliers,
-# 2 * BATCH_SIZE + 5 replications, seed 9) and of cpa_collapse (12 rounds,
-# decay 0.5, BATCH_SIZE + 7 replications, seed 4), pinned when the fixture
-# pass drew every depth and the collapse took each product twice
+# 2 * BATCH_SIZE + 5 replications, seed 9), pinned when the fixture pass
+# drew every depth, and of cpa_collapse (12 rounds, decay 0.5,
+# BATCH_SIZE + 7 replications, seed 4), pinned when its rounds were
+# first settled by payoffs._settle_models
 FIXTURES_SHA256 = {
     "three_player/CPC": "f94eb841eac4bfbc870953f8a34464b8b23b45104bc50ed870ec316041c01663",
     "three_player/OCPC": "fa7fe448828c3b58fc5166d0ab082060111d9364a02732d02375a76e69df81b7",
@@ -236,8 +240,8 @@ FIXTURES_SHA256 = {
     "four/OCPC": "557f4399e265313aa1e6325a654196067f481169dccfb7acff27a748bb29caf1",
 }
 COLLAPSE_SHA256 = {
-    2: "25ac1f7e59abaee7ce8e86d941118a1ac9f8c458a54acb5946efcf390b43c6bb",
-    3: "ca56367fec6f9e00dbd27263c05f4841fb3cb0d9f69d57b1e8b211e13f29d716",
+    2: "a26107b7fcb1346219ad80bde269875b041892f2511f8922a05c2cbbd2b20ab3",
+    3: "4450186b5c034c383749bb35aa689504a78bd3582afb109a656a9905a0352753",
 }
 
 
@@ -270,8 +274,8 @@ def test_fixture_bids_are_pinned(case):
 def test_cpa_collapse_is_pinned(n_advertisers):
     specs = default_specs() + (point_specs()[0]._replace(id=3, m=90.0),)
     game = make_game(specs[:n_advertisers], model="CPA", scenario="out_site")
-    trace = cpa_collapse(game, rounds=12, decay=0.5, replications=BATCH_SIZE + 7, seed=4)
-    assert _repr_sha256(trace) == COLLAPSE_SHA256[n_advertisers]
+    rounds = cpa_collapse(game, rounds=12, decay=0.5, replications=BATCH_SIZE + 7, seed=4)
+    assert _repr_sha256(rounds) == COLLAPSE_SHA256[n_advertisers]
 
 
 def test_best_response_scan_passes_for_theory():
@@ -312,19 +316,47 @@ def test_scan_rejects_a_grid_that_does_not_ascend():
 
 def test_cpa_collapse_schedule_and_regimes():
     game = make_game(default_specs(), model="CPA", scenario="out_site")
-    trace = cpa_collapse(game, rounds=12, decay=0.5, replications=2000, seed=4)
-    assert len(trace.rounds) == 12
-    for t, row in enumerate(trace.rounds):
+    rounds = cpa_collapse(game, rounds=12, decay=0.5, replications=2000, seed=4)
+    assert len(rounds) == 12
+    for t, row in enumerate(rounds):
         assert row.alpha == pytest.approx(0.5 ** (t + 1), rel=1e-12)
         assert row.alpha_hat == pytest.approx(0.5**t, rel=1e-12)
         assert row.collapsed == (row.alpha < 1e-3)
-    pre = [r for r in trace.rounds if not r.collapsed]
-    post = [r for r in trace.rounds if r.collapsed]
+    pre = [r for r in rounds if not r.collapsed]
+    post = [r for r in rounds if r.collapsed]
     assert len(pre) == 9 and len(post) == 3
     # bid inflation cancels the underreporting: charged revenue stays flat
     assert pre[-1].revenue.mean == pytest.approx(pre[0].revenue.mean, abs=6.0 * (pre[0].revenue.se + pre[-1].revenue.se))
     assert all(r.revenue.mean == 0.0 and r.revenue.se == 0.0 for r in post)
     assert all(abs(s - 0.5) < 0.05 for r in post for s in r.winner_share)
+
+
+@pytest.mark.parametrize("config", ["default.yaml", "three_player.yaml"])
+@pytest.mark.parametrize("decay", [0.3, 0.5, 0.7, 0.9])
+@pytest.mark.parametrize("alpha_hat", [1.0, 0.37, 0.01])
+def test_a_collapse_round_is_in_site_cpa_on_the_scalar_engine(config, decay, alpha_hat):
+    # the identity cpa_collapse settles its rounds by: with bid m/alpha and
+    # report alpha for all under one belief alpha_hat, every equivalent bid
+    # is alpha_hat/alpha times the in-site CPA one, and the charged/predicted
+    # ratio alpha/alpha_hat takes that factor back out of the take. Payoffs
+    # are a difference of the value and the take, so they are compared at
+    # the value's scale
+    game = load_config(str(ROOT / "configs" / config)).game
+    alpha = decay * alpha_hat
+    spiral = (
+        game.with_model("CPA", out_site()),
+        [Strategy(s.m / alpha, alpha) for s in game.specs],
+        PlatformBelief((alpha_hat,) * game.n),
+    )
+    truthful = (game.with_model("CPA", in_site()), [Strategy(s.m, 1.0) for s in game.specs], None)
+    rngs = [batch_rng(3, STREAM_ROUNDS, 0) for _ in range(2)]
+    for _ in range(1000):
+        a, b = (run_auction(*play, rng) for play, rng in zip((spiral, truthful), rngs))
+        assert a.draw.realized == b.draw.realized
+        assert a.winner == b.winner and a.social_welfare == b.social_welfare
+        assert a.platform_payoff == pytest.approx(b.platform_payoff, rel=1e-14, abs=0.0)
+        gaps = [abs(x - y) for x, y in zip(a.payoffs, b.payoffs)]
+        assert max(gaps) <= 1e-14 * b.social_welfare
 
 
 def test_cpa_collapse_validation():

@@ -23,7 +23,6 @@ from .model import (
     in_site,
     out_site,
     pricing_model,
-    validate_game,
 )
 from .engine import (
     AuctionOutcome,
@@ -32,10 +31,9 @@ from .engine import (
     select_winner,
 )
 from .strategy import (
-    NO_EQUILIBRIUM,
     best_response_scan,
     cpa_collapse,
-    theoretical_strategy,
+    theoretical_play,
 )
 from .payoffs import (
     estimate_equilibrium_payoffs,

@@ -49,9 +49,7 @@ from .config import ConfigError, ExperimentConfig, STUDIES, load_config
 from .distributions import Discrete, Point, two_point_surrogate
 from .engine import run_repeated
 from .equilibrium import CPSC_MODELS, cpsc_comparison, sweep_outside_option
-from .model import (
-    AdvertiserSpec, EventChain, PlatformBelief, in_site, out_site, pricing_model, validate_game,
-)
+from .model import AdvertiserSpec, EventChain, Game, PlatformBelief, in_site, out_site, pricing_model
 from .payoffs import (
     enumeration_size,
     estimate_equilibrium_payoffs,
@@ -59,13 +57,7 @@ from .payoffs import (
     payoff_ordering_suite,
 )
 from .sampling import MeanSE
-from .strategy import (
-    NO_EQUILIBRIUM,
-    best_response_scan,
-    cpa_collapse,
-    equilibrium_fixture_bids,
-    theoretical_strategy,
-)
+from .strategy import best_response_scan, cpa_collapse, equilibrium_fixture_bids, theoretical_play
 
 __all__ = ["main", "run"]
 
@@ -100,11 +92,9 @@ def _cell(v) -> str:
     return str(v)
 
 
-# cell types the csv writer already spells as _cell does: a float with
-# repr, an int with str (bool, an int subclass, is not one of them)
-_PLAIN = frozenset((float, int, str))
-# of those, the types the writer never quotes: a row of only these is
-# written as its cells' reprs joined by commas, _LINE_BLOCK lines a write
+# cell types the csv writer spells as _cell does and never quotes (bool,
+# an int subclass, is not one of them): a row of only these is written as
+# its cells' reprs joined by commas, _LINE_BLOCK lines a write
 _NUMERIC = frozenset((float, int))
 _LINE_BLOCK = 1024
 
@@ -126,8 +116,9 @@ class Artifacts:
 
         A row of exact floats and ints only is spelled as the csv writer
         would spell it, its cells' reprs joined by commas, and such lines
-        are written _LINE_BLOCK at a time; any other row goes through the
-        csv writer, after the lines before it, so the rows keep their order."""
+        are written _LINE_BLOCK at a time; any other row is spelled cell by
+        cell by _cell and goes through the csv writer, after the lines
+        before it, so the rows keep their order."""
         path = self.outdir / relpath
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -149,15 +140,13 @@ class Artifacts:
                     continue
                 if lines:
                     flush()
-                if not _PLAIN.issuperset(map(type, row)):
-                    cells = []
-                    for v in row:
-                        if isinstance(v, MeanSE):
-                            cells += (_cell(v.mean), _cell(v.se))
-                        else:
-                            cells.append(_cell(v))
-                    row = cells
-                writer.writerow(row)
+                cells = []
+                for v in row:
+                    if isinstance(v, MeanSE):
+                        cells += (_cell(v.mean), _cell(v.se))
+                    else:
+                        cells.append(_cell(v))
+                writer.writerow(cells)
             if lines:
                 flush()
         self.files.append(relpath)
@@ -175,24 +164,15 @@ class Artifacts:
         return out
 
 
-def _theoretical_profile(game):
-    strategies = []
-    for spec in game.specs:
-        s = theoretical_strategy(game.model, game.scenario, spec, game.chain)
-        if s is NO_EQUILIBRIUM:
-            raise ConfigError(
-                "game.model",
-                "CPA out-site has no dominant strategy; run the collapse study instead",
-            )
-        strategies.append(s)
-    return tuple(strategies)
-
-
 def _study_simulate(cfg: ExperimentConfig):
     rounds, mode = cfg.params["simulate"]["rounds"], cfg.params["simulate"]["mode"]
     game = cfg.game
     # posted play from the config wins; default is equilibrium play
-    strategies = cfg.strategies or _theoretical_profile(game)
+    strategies = cfg.strategies or theoretical_play(game)
+    if strategies is None:
+        raise ConfigError(
+            "game.model", "CPA out-site has no dominant strategy; run the collapse study instead"
+        )
     belief = PlatformBelief(tuple(s.alpha for s in strategies))
 
     ids = [spec.id for spec in game.specs]
@@ -246,15 +226,12 @@ def _study_dominance(cfg: ExperimentConfig):
         )
         for model_name, kind in DOMINANCE_COMBOS
     }
-    theories = {
-        combo: [theoretical_strategy(g.model, g.scenario, s, g.chain) for s in g.specs]
-        for combo, g in games.items()
-    }
+    theories = {combo: theoretical_play(g) for combo, g in games.items()}
     # the first combo of each bid depth with an equilibrium is scanned, and
     # one fixture pass, in-site where every model has one, serves them all
     scanned = {}  # bid depth -> combo
     for combo, g in games.items():
-        if theories[combo][0] is not NO_EQUILIBRIUM:
+        if theories[combo] is not None:
             scanned.setdefault(g.model.bid_depth, combo)
     names = [model_name for model_name, _ in scanned.values()]
     fixture_sets = equilibrium_fixture_bids(
@@ -288,7 +265,7 @@ def _study_dominance(cfg: ExperimentConfig):
     all_pass = True
     flagged = False
     for (model_name, kind), game in games.items():
-        if theories[model_name, kind][0] is NO_EQUILIBRIUM:
+        if theories[model_name, kind] is None:
             flagged = True
             rows.extend([model_name, kind, spec.id] + [None] * 11 + [True] for spec in game.specs)
             continue
@@ -302,11 +279,10 @@ def _study_dominance(cfg: ExperimentConfig):
 def _map_laws(game, fn):
     """The game with every advertiser's rate law at depth index d
     replaced by fn(d, law)."""
-    specs = [
+    return game._replace(specs=[
         spec._replace(rates=tuple(fn(d, r) for d, r in enumerate(spec.rates)))
         for spec in game.specs
-    ]
-    return validate_game(specs, game.chain, game.model, game.scenario)
+    ])
 
 
 def _dice_game():
@@ -317,7 +293,7 @@ def _dice_game():
     face = Discrete(tuple(k / 6 for k in range(1, 7)), (1 / 6,) * 6)
     specs = [AdvertiserSpec(id=i, m=6.0, rates=(face, Point(1.0))) for i in (1, 2)]
     chain = EventChain()
-    return validate_game(specs, chain, pricing_model("CPC", chain), in_site())
+    return Game(specs, chain, pricing_model("CPC", chain), in_site())
 
 
 def _study_lemmas(cfg: ExperimentConfig):

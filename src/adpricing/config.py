@@ -69,6 +69,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from collections import namedtuple
 from functools import partial
 from typing import Any
@@ -87,7 +88,6 @@ from .model import (
     Scenario,
     Strategy,
     pricing_model,
-    validate_game,
 )
 from .sampling import BATCH_SIZE
 
@@ -379,7 +379,7 @@ def _parse_game(
             AdvertiserSpec(id=adv_id, m=m, rates=tuple(rates), outside_option=outside)
         )
     try:
-        game = validate_game(specs, chain, model, scenario)
+        game = Game(specs, chain, model, scenario)
     except GameValidationError as exc:
         raise ConfigError(where, "; ".join(exc.violations)) from None
 
@@ -527,4 +527,28 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
         mark = getattr(exc, "problem_mark", None)
         at = f" at line {mark.line + 1}" if mark is not None else ""
         raise ConfigError("<yaml>", f"parse error{at}: {exc}") from None
+    except ValueError as exc:  # a scalar PyYAML parsed but could not convert
+        raise ConfigError("<yaml>", _long_int(path, loader) or f"cannot convert a scalar: {exc}") from None
     return parse_config(raw, overrides)
+
+
+def _long_int(path: str, loader) -> str | None:
+    """Names the line of the file's first decimal int scalar with more
+    digits than int() converts (sys.get_int_max_str_digits(), 0 for no
+    limit), or None. yaml.compose converts no scalar, so it reads such a
+    file; PyYAML reads a leading 0 as octal, which has no digit limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    with open(path, "r", encoding="utf-8") as fh:
+        nodes = [yaml.compose(fh, Loader=loader)]
+    while nodes:  # depth first, in document order
+        node = nodes.pop()
+        if isinstance(node, yaml.MappingNode):
+            nodes.extend(x for pair in reversed(node.value) for x in reversed(pair))
+        elif isinstance(node, yaml.SequenceNode):
+            nodes.extend(reversed(node.value))
+        elif node.tag == "tag:yaml.org,2002:int":
+            digits = node.value.replace("_", "").lstrip("+-")
+            if limit and digits.isdigit() and digits[0] != "0" and len(digits) > limit:
+                return (f"parse error at line {node.start_mark.line + 1}: an integer of"
+                        f" {len(digits)} digits, more than the {limit} that can be read")
+    return None

@@ -37,7 +37,6 @@ __all__ = [
     "pricing_model",
     "in_site",
     "out_site",
-    "validate_game",
     "MODEL_NAMES",
     "MODEL_TIE_ORDER",
 ]
@@ -151,6 +150,8 @@ class Scenario(Frozen):
     __slots__ = _fields = ("kind",)
 
     def __init__(self, kind: str):
+        if kind not in ("in_site", "out_site"):
+            raise GameValidationError([f"scenario must be in_site or out_site, got {kind!r}"])
         self._init(kind)
 
     @property
@@ -194,17 +195,51 @@ class PlatformBelief(Frozen):
 
 
 class Game(Frozen):
-    """Validated immutable game description."""
+    """Immutable game description, specs stored as a tuple. __init__ checks
+    the cross-type constraints; GameValidationError lists every violation."""
 
     __slots__ = _fields = ("specs", "chain", "model", "scenario")
 
     def __init__(
         self,
-        specs: tuple[AdvertiserSpec, ...],
+        specs: tuple[AdvertiserSpec, ...] | list[AdvertiserSpec],
         chain: EventChain,
         model: PricingModel,
         scenario: Scenario,
     ):
+        specs = tuple(specs)
+        violations: list[str] = []
+        if len(specs) == 0:
+            violations.append("advertiser list is empty")
+        if len(specs) >= ADVERTISER_LIMIT:
+            violations.append(
+                f"{len(specs)} advertisers: at most {ADVERTISER_LIMIT - 1}, "
+                "so rate draw keys stay apart from tie-break keys"
+            )
+        if model.name == "CPSC" and not chain.has_cart:
+            violations.append("CPSC: missing cart depth")
+        if model.bid_depth > chain.conversion_depth:
+            violations.append(
+                f"{model.name}: bid_depth {model.bid_depth} exceeds chain depth {chain.conversion_depth}"
+            )
+        for spec in specs:
+            tag = f"advertiser {spec.id}"
+            if not spec.m > 0:
+                violations.append(f"{tag}: m must be > 0, got {spec.m}")
+            if spec.outside_option is not None and spec.outside_option < 0:
+                violations.append(f"{tag}: outside_option must be >= 0, got {spec.outside_option}")
+            if len(spec.rates) != chain.n_rate_depths:
+                violations.append(
+                    f"{tag}: expected {chain.n_rate_depths} rate laws for this chain, got {len(spec.rates)}"
+                )
+            for d, dist in enumerate(spec.rates, start=1):
+                lo, hi = dist.support()
+                if lo < 0.0 or hi > 1.0:
+                    violations.append(
+                        f"{tag}: depth-{d} rate support [{lo}, {hi}] exceeds 1 or dips below 0"
+                    )
+        if violations:
+            raise GameValidationError(violations)
         self._init(specs, chain, model, scenario)
 
     @property
@@ -213,47 +248,4 @@ class Game(Frozen):
 
     def with_model(self, name: str, scenario: Scenario | None = None) -> "Game":
         sc = self.scenario if scenario is None else scenario
-        return validate_game(list(self.specs), self.chain, pricing_model(name, self.chain), sc)
-
-
-def validate_game(
-    specs: list[AdvertiserSpec] | tuple[AdvertiserSpec, ...],
-    chain: EventChain,
-    model: PricingModel,
-    scenario: Scenario,
-) -> Game:
-    """Check cross-type constraints and freeze the game. Raises
-    GameValidationError with every violation found."""
-    violations: list[str] = []
-    if len(specs) == 0:
-        violations.append("advertiser list is empty")
-    if len(specs) >= ADVERTISER_LIMIT:
-        violations.append(
-            f"{len(specs)} advertisers: at most {ADVERTISER_LIMIT - 1}, "
-            "so rate draw keys stay apart from tie-break keys"
-        )
-    if model.name == "CPSC" and not chain.has_cart:
-        violations.append("CPSC: missing cart depth")
-    if model.bid_depth > chain.conversion_depth:
-        violations.append(
-            f"{model.name}: bid_depth {model.bid_depth} exceeds chain depth {chain.conversion_depth}"
-        )
-    for spec in specs:
-        tag = f"advertiser {spec.id}"
-        if not spec.m > 0:
-            violations.append(f"{tag}: m must be > 0, got {spec.m}")
-        if spec.outside_option is not None and spec.outside_option < 0:
-            violations.append(f"{tag}: outside_option must be >= 0, got {spec.outside_option}")
-        if len(spec.rates) != chain.n_rate_depths:
-            violations.append(
-                f"{tag}: expected {chain.n_rate_depths} rate laws for this chain, got {len(spec.rates)}"
-            )
-        for d, dist in enumerate(spec.rates, start=1):
-            lo, hi = dist.support()
-            if lo < 0.0 or hi > 1.0:
-                violations.append(
-                    f"{tag}: depth-{d} rate support [{lo}, {hi}] exceeds 1 or dips below 0"
-                )
-    if violations:
-        raise GameValidationError(violations)
-    return Game(tuple(specs), chain, model, scenario)
+        return Game(self.specs, self.chain, pricing_model(name, self.chain), sc)

@@ -47,8 +47,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .model import Game, PricingModel, Scenario, Strategy, EventChain, in_site, pricing_model
-from .payoffs import _settle_models
+from .model import Game, Strategy, EventChain, in_site
+from .payoffs import _payoff_pass
 from .sampling import (
     BATCH_SIZE,
     STREAM_COLLAPSE,
@@ -56,33 +56,20 @@ from .sampling import (
     STREAM_UTILITY,
     batch_rng,
     draw_rates,
-    estimate,
     MeanSE,
     rate_role,
     run_batched,
 )
 
 __all__ = [
-    "NoEquilibrium",
-    "NO_EQUILIBRIUM",
     "DominanceReport",
     "FixtureScan",
     "CollapseRound",
-    "theoretical_strategy",
+    "theoretical_play",
     "equilibrium_fixture_bids",
     "best_response_scan",
     "cpa_collapse",
 ]
-
-
-class NoEquilibrium:
-    """Marker: the model/scenario pair admits no equilibrium strategy."""
-
-    def __repr__(self):
-        return "NoEquilibrium"
-
-
-NO_EQUILIBRIUM = NoEquilibrium()
 
 
 def _bid_event_value(spec, bid_depth: int, chain: EventChain) -> float:
@@ -95,13 +82,14 @@ def _bid_event_value(spec, bid_depth: int, chain: EventChain) -> float:
     return b
 
 
-def theoretical_strategy(
-    model: PricingModel, scenario: Scenario, spec, chain: EventChain
-) -> Strategy | NoEquilibrium:
-    """Equilibrium play for one advertiser, or NO_EQUILIBRIUM (CPA out-site)."""
-    if scenario.is_out_site and model.name == "CPA":
-        return NO_EQUILIBRIUM
-    return Strategy(bid=_bid_event_value(spec, model.bid_depth, chain), alpha=1.0)
+def theoretical_play(game: Game) -> tuple[Strategy, ...] | None:
+    """Every advertiser's equilibrium play under the game's model and
+    scenario, truthful reporting at the value of one bid-depth event, or
+    None for CPA out-site, which has no equilibrium."""
+    if game.scenario.is_out_site and game.model.name == "CPA":
+        return None
+    bd = game.model.bid_depth
+    return tuple(Strategy(bid=_bid_event_value(s, bd, game.chain), alpha=1.0) for s in game.specs)
 
 
 def equilibrium_fixture_bids(
@@ -117,24 +105,25 @@ def equilibrium_fixture_bids(
     equivalent bid when rivals play theoretically.
 
     Closed form from moments for one rival. Otherwise one Monte-Carlo
-    pass, drawn to the deepest bid depth asked for, serves every
-    advertiser and every model: a model's equivalent bids read only the
-    leading rows of the draw, so its fixtures have the same bits whichever
-    other models share the pass, and models of equal bid depth share
-    their fixtures. Each batch hands run_batched the per-advertiser sums
-    of the rival maximum, and a fixture is the total over replications."""
+    pass over the full chain's draws serves every advertiser and every
+    model: a model's equivalent bids read only the rows up to its bid
+    depth, each drawn from its own generator, so its fixtures have the
+    same bits whichever other models share the pass, and models of equal
+    bid depth share their fixtures. Each batch hands run_batched the
+    per-advertiser sums of the rival maximum, and a fixture is the total
+    over replications."""
     if game.n < 2:
         raise ValueError("fixtures need at least one rival")
     names = [game.model.name] if models is None else list(models)
     depth_of = {}  # model name -> bid depth
     bids_at = {}  # bid depth -> every advertiser's theoretical bid
     for name in names:
-        model = pricing_model(name, game.chain)
-        strats = [theoretical_strategy(model, game.scenario, s, game.chain) for s in game.specs]
-        if any(s is NO_EQUILIBRIUM for s in strats):
+        g = game.with_model(name)
+        play = theoretical_play(g)
+        if play is None:
             raise ValueError(f"{name}/{game.scenario.kind} has no equilibrium bid")
-        depth_of[name] = model.bid_depth
-        bids_at[model.bid_depth] = [s.bid for s in strats]
+        depth_of[name] = g.model.bid_depth
+        bids_at[g.model.bid_depth] = [s.bid for s in play]
 
     if game.n == 2:
         # same operation order as the engine's per-impression conversion,
@@ -144,16 +133,14 @@ def equilibrium_fixture_bids(
             for bd, bids in bids_at.items()
         }
     else:
-        deepest = max(bids_at)
 
         def batch_fn(b_idx: int, size: int) -> dict:
             # every depth's equivalent bids in turn, and each advertiser's
             # rival maximum, fill the same two buffers
             e = np.empty((game.n, size))
             top = np.empty(size)
-            # only the rates up to the bid depth enter an equivalent bid,
-            # and a shallower depth reads the leading rows of the draw
-            rates = draw_rates(game, seed, STREAM_FIXTURES, b_idx, size, depths=deepest)
+            # only the rates up to the bid depth enter an equivalent bid
+            rates = draw_rates(game, seed, STREAM_FIXTURES, b_idx, size)
             out = {}
             for bd, bids in bids_at.items():
                 for k in range(game.n):
@@ -446,26 +433,20 @@ def cpa_collapse(
     for t in range(rounds):
         alpha = decay * alpha_hat
         collapsed = alpha < threshold
-
-        def batch_fn(b_idx: int, size: int, _t=t, _g=game if collapsed else in_site_cpa):
-            # fold the round into the batch index so rounds never share draws
-            key = _t * round_stride + b_idx
-            arm = _settle_models(_g, ("CPA",), seed, STREAM_COLLAPSE, key, size)["CPA"]
-            out = {"rev": arm.platform}
-            for i in range(game.n):
-                out["u", i] = arm.utils[i]
-                out["w", i] = arm.winner == i
-            return out
-
-        est = estimate(replications, batch_fn)
+        # the round is folded into the batch index, so rounds never share draws
+        reports, est = _payoff_pass(
+            game if collapsed else in_site_cpa, ("CPA",), replications, seed,
+            lambda settled: {("w", i): settled["CPA"].winner == i for i in range(game.n)},
+            STREAM_COLLAPSE, t * round_stride,
+        )
         rows.append(
             CollapseRound(
                 round=t,
                 alpha=alpha,
                 alpha_hat=alpha_hat,
                 collapsed=collapsed,
-                revenue=est["rev"],
-                utilities=tuple(est["u", i] for i in range(game.n)),
+                revenue=reports["CPA"].platform,
+                utilities=reports["CPA"].advertisers,
                 winner_share=tuple(est["w", i].mean for i in range(game.n)),
             )
         )

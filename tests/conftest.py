@@ -13,13 +13,13 @@ from adpricing.model import (
     CHAIN_3,
     CHAIN_4,
     EventChain,
+    Game,
     Strategy,
     in_site,
     out_site,
     pricing_model,
-    validate_game,
 )
-from adpricing.strategy import theoretical_strategy
+from adpricing.strategy import theoretical_play
 
 # every property draws the same examples on every run; each test keeps
 # its own max_examples
@@ -30,7 +30,7 @@ settings.load_profile("deterministic")
 def make_game(specs, model="OCPC", scenario="in_site", chain_events=CHAIN_3):
     chain = EventChain(tuple(chain_events))
     sc = in_site() if scenario == "in_site" else out_site()
-    return validate_game(list(specs), chain, pricing_model(model, chain), sc)
+    return Game(specs, chain, pricing_model(model, chain), sc)
 
 
 def default_specs():
@@ -70,12 +70,10 @@ def mean_rate_equivalent_bids(game):
     """Every advertiser's equivalent bid under theoretical play with each
     rate at its mean, read off one scalar-engine auction on a copy of the
     game whose laws are point masses at their means."""
-    specs = [s._replace(rates=tuple(Point(r.mean()) for r in s.rates)) for s in game.specs]
-    means = validate_game(specs, game.chain, game.model, game.scenario)
-    strategies = [
-        theoretical_strategy(means.model, means.scenario, s, means.chain) for s in means.specs
-    ]
-    return run_auction(means, strategies, None, np.random.default_rng(0)).draw.equivalent_bids
+    means = game._replace(
+        specs=[s._replace(rates=tuple(Point(r.mean()) for r in s.rates)) for s in game.specs]
+    )
+    return run_auction(means, theoretical_play(means), None, np.random.default_rng(0)).draw.equivalent_bids
 
 
 @pytest.fixture
@@ -141,7 +139,7 @@ def small_games(draw, models=("CPM", "CPC", "CPA", "OCPC"), scenario="in_site", 
     ]
     sc = in_site() if scenario == "in_site" else out_site()
     model = pricing_model(draw(st.sampled_from(models)), chain)
-    return validate_game(specs, chain, model, sc)
+    return Game(specs, chain, model, sc)
 
 
 @st.composite
@@ -175,6 +173,6 @@ def twin_games_with_bids(draw):
     rates = (draw(_FINITE_LAW), draw(_FINITE_LAW))
     specs = [AdvertiserSpec(id=i + 1, m=m, rates=rates) for i in range(2)]
     model = pricing_model(draw(_TWIN_MODELS), chain)
-    game = validate_game(specs, chain, model, in_site())
+    game = Game(specs, chain, model, in_site())
     strategy = Strategy(bid=draw(st.floats(0.01, 2.0 * m)))
     return game, (strategy, strategy)

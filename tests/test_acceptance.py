@@ -35,7 +35,7 @@ from adpricing.strategy import (
     best_response_scan,
     cpa_collapse,
     equilibrium_fixture_bids,
-    theoretical_strategy,
+    theoretical_play,
 )
 
 from conftest import (
@@ -85,8 +85,7 @@ def _variant(game, model, scenario):
 def _scan_all_advertisers(game, replications):
     reports = []
     fixture_sets = equilibrium_fixture_bids(game, seed=SEED)[game.model.name]
-    for i, fixtures in enumerate(fixture_sets):
-        th = theoretical_strategy(game.model, game.scenario, game.specs[i], game.chain)
+    for i, (th, fixtures) in enumerate(zip(theoretical_play(game), fixture_sets)):
         grid = np.linspace(0.0, 2.0 * th.bid, 101)
         reports.append(
             best_response_scan(i, grid, fixtures, game, th.bid, replications=replications, seed=SEED)
@@ -260,10 +259,7 @@ def test_repeated_totals_match_per_round_values():
     tol = REL_EXACT * T
     for scenario in ("in_site", "out_site"):
         game = _variant(_cfg().game, "OCPC", scenario)
-        strats = [
-            theoretical_strategy(game.model, game.scenario, s, game.chain)
-            for s in game.specs
-        ]
+        strats = theoretical_play(game)
         belief = None
         if scenario == "out_site":
             # underreporting, so realized rounds draw and use the report uniform
@@ -291,9 +287,7 @@ def test_repeated_totals_match_per_round_values():
 
     # degenerate laws pin every round to the same value: total is T times it
     pg = make_game(point_specs(c1=0.3, p1=0.2, c2=0.25, p2=0.1))
-    pstrats = [
-        theoretical_strategy(pg.model, pg.scenario, s, pg.chain) for s in pg.specs
-    ]
+    pstrats = theoretical_play(pg)
     _, platform, social = _plain_totals(run_repeated(pg, pstrats, None, T, seed=SEED), pg.n)
     one = run_auction(pg, pstrats, None, batch_rng(SEED, STREAM_ROUNDS, 0))
     assert platform == pytest.approx(T * one.platform_payoff, rel=tol)

@@ -32,7 +32,7 @@ from adpricing.config import (
 from adpricing.distributions import Beta, Point, Uniform
 from adpricing.model import in_site, out_site
 from adpricing.sampling import BATCH_SIZE, MeanSE
-from adpricing.strategy import best_response_scan, equilibrium_fixture_bids, theoretical_strategy
+from adpricing.strategy import best_response_scan, equilibrium_fixture_bids, theoretical_play
 
 ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_YAML = ROOT / "configs" / "default.yaml"
@@ -272,7 +272,7 @@ needs_libyaml = pytest.mark.skipif(
         pytest.param(False, id="SafeLoader"),
     ],
 )
-def test_missing_and_malformed_files(tmp_path, monkeypatch, libyaml):
+def test_missing_and_malformed_files(tmp_path, monkeypatch, capsys, libyaml):
     if not libyaml:
         monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
     with pytest.raises(ConfigError):
@@ -287,6 +287,25 @@ def test_missing_and_malformed_files(tmp_path, monkeypatch, libyaml):
         load_config(str(bad))
     assert exc.value.field == "<yaml>"
     assert "parse error at line 3:" in str(exc.value)
+    # scalars PyYAML parses but cannot convert: a decimal int of more digits
+    # than int() reads is named with its line (an octal one, which has no
+    # limit, is passed over), not with a Python call the user cannot make
+    long_ints = "a: [{m: 1}, {m: 2}]\nb:\n  - 0" + "0" * 5000 + "\n  - [-1_" + "0" * 5000 + "]\n"
+    for text, message in (
+        ("study: simulate\nseed: 1\ngame:\n  m: 1" + "0" * 5000 + "\n",
+         "parse error at line 4: an integer of 5001 digits"),
+        (long_ints, "parse error at line 4: an integer of 5001 digits"),
+        ("seed: 2020-13-45\n", "cannot convert a scalar: month must be in 1..12"),
+    ):
+        bad.write_text(text)
+        with pytest.raises(ConfigError) as exc:
+            load_config(str(bad))
+        assert exc.value.field == "<yaml>"
+        assert message in str(exc.value)
+        assert cli.main(["--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"config field '<yaml>': {message}" in err
+        assert "set_int_max_str_digits" not in err
 
 
 # scalars whose YAML 1.1 resolution is easy to get wrong, and flow nesting
@@ -1025,7 +1044,7 @@ def test_dominance_scans_each_bid_depth_once(monkeypatch, name):
     for model, kind in scanned:
         game = cfg.game.with_model(model, in_site() if kind == "in_site" else out_site())
         # the rows equal a scan of this combo's own game
-        theory = theoretical_strategy(game.model, game.scenario, game.specs[0], game.chain)
+        theory = theoretical_play(game)[0]
         fixtures = equilibrium_fixture_bids(
             game, multipliers=p["fixtures"], replications=p["fixture_replications"],
             seed=cfg.seed,
@@ -1085,7 +1104,7 @@ def test_dominance_scan_at_the_column_cap_parses_and_fits_its_budget():
     columns = len(p["fixtures"]) * (p["grid_points"] + 1)
     assert columns <= MAX_SCAN_COLUMNS < columns + len(p["fixtures"])
     game = cfg.game.with_model("CPC")
-    theory = theoretical_strategy(game.model, game.scenario, game.specs[0], game.chain).bid
+    theory = theoretical_play(game)[0].bid
     grid = np.linspace(0.0, 2.0 * theory, p["grid_points"])
     rival_es = [0.3 * m * theory for m in p["fixtures"]]
     best_response_scan(0, grid[:3], rival_es[:1], game, theory, replications=10)  # warm-up

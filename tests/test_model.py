@@ -20,7 +20,6 @@ from adpricing.model import (
     in_site,
     out_site,
     pricing_model,
-    validate_game,
 )
 
 from adpricing.sampling import TIE_ROLE, rate_role
@@ -95,9 +94,12 @@ def test_strategy_and_belief_bounds():
 def test_scenarios():
     assert not in_site().is_out_site
     assert out_site().is_out_site
+    for kind in ("outsite", "In_site", ""):
+        with pytest.raises(GameValidationError, match="in_site or out_site"):
+            Scenario(kind)
 
 
-def test_validate_game_collects_all_violations():
+def test_game_collects_all_violations():
     chain = EventChain(CHAIN_3)
     specs = [
         AdvertiserSpec(id=1, m=-5.0, rates=(Uniform(0.2, 0.4), Point(0.1))),
@@ -106,7 +108,7 @@ def test_validate_game_collects_all_violations():
         AdvertiserSpec(id=3, m=100.0, rates=(Point(0.3),)),
     ]
     with pytest.raises(GameValidationError) as err:
-        validate_game(specs, chain, pricing_model("CPC", chain), in_site())
+        Game(specs, chain, pricing_model("CPC", chain), in_site())
     msg = str(err.value)
     assert "m must be > 0" in msg
     assert "outside_option must be >= 0" in msg
@@ -115,7 +117,7 @@ def test_validate_game_collects_all_violations():
     assert len(err.value.violations) == 4
 
 
-def test_validate_game_keeps_rate_keys_below_the_tie_key():
+def test_game_keeps_rate_keys_below_the_tie_key():
     # rate draws are keyed 64 x advertiser + depth; the tie-break key is
     # TIE_ROLE, so the advertiser count is capped below TIE_ROLE // 64
     chain = EventChain(CHAIN_3)
@@ -123,9 +125,9 @@ def test_validate_game_keeps_rate_keys_below_the_tie_key():
     spec = default_specs()[0]
     limit = TIE_ROLE // 64
     assert rate_role(limit - 2, chain.n_rate_depths) < TIE_ROLE
-    validate_game([spec] * (limit - 1), chain, model, in_site())
+    Game([spec] * (limit - 1), chain, model, in_site())
     with pytest.raises(GameValidationError) as err:
-        validate_game([spec] * limit, chain, model, in_site())
+        Game([spec] * limit, chain, model, in_site())
     assert err.value.violations == [
         f"{limit} advertisers: at most {limit - 1}, so rate draw keys stay apart from tie-break keys"
     ]
@@ -154,7 +156,7 @@ def test_point_specs_build():
 
 
 def _game():
-    return validate_game(
+    return Game(
         [AdvertiserSpec(1, 100.0, (Uniform(0.2, 0.4), Point(0.5))),
          AdvertiserSpec(2, 80.0, (Point(0.3), Beta(2.0, 5.0)), 1.5)],
         EventChain(), pricing_model("CPC", EventChain()), in_site(),
@@ -249,3 +251,12 @@ def test_replace_reruns_the_checks():
         Strategy(1.0)._replace(beta=0.5)
     with pytest.raises(TypeError):
         Discrete((0.25, 0.75), (0.5, 0.5))._replace(_cum=[1.0])
+    game = make_game(default_specs())
+    assert game._replace(specs=list(game.specs)) == game
+    assert game._replace(model=pricing_model("CPA", game.chain)) == game.with_model("CPA")
+    with pytest.raises(GameValidationError, match="advertiser list is empty"):
+        game._replace(specs=())
+    with pytest.raises(GameValidationError, match="CPSC: missing cart depth"):
+        game._replace(model=pricing_model("CPSC", EventChain(CHAIN_4)))
+    with pytest.raises(GameValidationError, match="expected 3 rate laws"):
+        game._replace(chain=EventChain(CHAIN_4))

@@ -28,7 +28,7 @@ from adpricing.sampling import (
     winner_utilities,
 )
 
-from conftest import cart_specs, default_specs, make_game
+from conftest import default_specs, make_game
 
 
 def test_batch_layout_partitions():
@@ -145,16 +145,6 @@ def test_draw_rates_is_the_copied_draws_bit_for_bit():
     for batch, size in ((0, BATCH_SIZE), (3, 17)):
         got = draw_rates(game, 5, 1, batch, size)
         assert got.tobytes() == _draw_rates_by_copy(game, 5, 1, batch, size).tobytes()
-
-
-def test_draw_rates_to_a_depth_is_the_full_draws_leading_rows():
-    game = make_game(cart_specs(), chain_events=CHAIN_4, model="CPSC")
-    full = draw_rates(game, 5, 1, 2, 300)
-    assert draw_rates(game, 5, 1, 2, 300, depths=None).tobytes() == full.tobytes()
-    for depths in range(full.shape[1] + 1):
-        got = draw_rates(game, 5, 1, 2, 300, depths=depths)
-        assert got.shape == (game.n, depths, 300)
-        assert got.tobytes() == np.ascontiguousarray(full[:, :depths]).tobytes()
 
 
 def test_tie_uniforms_deterministic():

@@ -29,13 +29,12 @@ from adpricing.sampling import (
     rate_role,
 )
 from adpricing.strategy import (
-    NO_EQUILIBRIUM,
     _tail_sums,
     _win_starts,
     best_response_scan,
     cpa_collapse,
     equilibrium_fixture_bids,
-    theoretical_strategy,
+    theoretical_play,
 )
 
 from conftest import (
@@ -51,7 +50,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def _theory(game, i=0):
-    return theoretical_strategy(game.model, game.scenario, game.specs[i], game.chain)
+    return theoretical_play(game)[i]
 
 
 @pytest.mark.parametrize(
@@ -79,11 +78,9 @@ def test_theoretical_bid_cpsc():
 def test_theoretical_out_site():
     game = make_game(default_specs(), model="OCPC", scenario="out_site")
     assert _theory(game) == Strategy(bid=100.0, alpha=1.0)
-    cpa = game.with_model("CPA")
-    assert theoretical_strategy(cpa.model, cpa.scenario, cpa.specs[0], cpa.chain) is NO_EQUILIBRIUM
-    cpc = game.with_model("CPC")
+    assert theoretical_play(game.with_model("CPA")) is None
     in_variant = make_game(default_specs(), model="CPC")
-    assert theoretical_strategy(cpc.model, cpc.scenario, cpc.specs[0], cpc.chain) == _theory(in_variant)
+    assert theoretical_play(game.with_model("CPC")) == theoretical_play(in_variant)
 
 
 def _one_bid(game, bid, rival_es, replications=500, seed=1):
@@ -258,8 +255,8 @@ def _four_specs():
 
 @pytest.mark.parametrize("case", sorted(FIXTURES_SHA256))
 def test_fixture_bids_are_pinned(case):
-    # CPC bids at the click, OCPC at the conversion: the pass draws rates
-    # only to the bid depth, and the shallower draw moves no bit
+    # CPC bids at the click, OCPC at the conversion: the pass draws the
+    # full chain, and a model reads only the rows up to its bid depth
     name, model = case.split("/")
     if name == "three_player":
         game = load_config(str(ROOT / "configs" / "three_player.yaml")).game

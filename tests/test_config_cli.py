@@ -272,7 +272,7 @@ needs_libyaml = pytest.mark.skipif(
         pytest.param(False, id="SafeLoader"),
     ],
 )
-def test_missing_and_malformed_files(tmp_path, monkeypatch, capsys, libyaml):
+def test_missing_and_malformed_files(tmp_path, monkeypatch, libyaml):
     if not libyaml:
         monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
     with pytest.raises(ConfigError):
@@ -287,6 +287,19 @@ def test_missing_and_malformed_files(tmp_path, monkeypatch, capsys, libyaml):
         load_config(str(bad))
     assert exc.value.field == "<yaml>"
     assert "parse error at line 3:" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "libyaml",
+    [
+        pytest.param(True, marks=needs_libyaml, id="CSafeLoader"),
+        pytest.param(False, id="SafeLoader"),
+    ],
+)
+def test_unconvertible_yaml_scalars_are_config_errors(tmp_path, monkeypatch, capsys, libyaml):
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    bad = tmp_path / "bad.yaml"
     # scalars PyYAML parses but cannot convert: a decimal int of more digits
     # than int() reads is named with its line (an octal one, which has no
     # limit, is passed over), not with a Python call the user cannot make

@@ -94,6 +94,9 @@ def test_strategy_and_belief_bounds():
 def test_scenarios():
     assert not in_site().is_out_site
     assert out_site().is_out_site
+
+
+def test_scenario_rejects_unknown_kinds():
     for kind in ("outsite", "In_site", ""):
         with pytest.raises(GameValidationError, match="in_site or out_site"):
             Scenario(kind)

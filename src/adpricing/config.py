@@ -46,7 +46,9 @@ than those above (at the root, in a game, an advertiser, a strategy or
 a law node), a study_params entry that is not a study, and a knob that
 is not in that study's STUDY_KNOBS are rejected, so a misspelled key
 cannot silently keep its default. Numbers must be YAML numbers: a
-bool or a string is rejected, also where float() would take it.
+bool or a string is rejected, also where float() would take it, and
+so is any YAML type JSON lacks (a date, a set, bytes). load_config
+rejects a repeated key and a merge key (<<), naming the line.
 
 Every replication count, top-level or per study, lies in
 [1, MAX_REPLICATIONS]: estimators run their batches serially, so an
@@ -69,6 +71,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import reprlib
 import sys
 from collections import namedtuple
 from functools import partial
@@ -148,6 +151,9 @@ MAX_VALUE = 1e100
 # for multipliers below about 1e49; 1e40 leaves room to spare
 MAX_MULTIPLIER = 1e40
 
+_brief = reprlib.Repr()  # values in error messages, cut short however large
+_brief.maxlevel = 2
+
 
 class ConfigError(Exception):
     """Invalid configuration; .field names the offending entry."""
@@ -180,13 +186,13 @@ def _number(
                 hint = "; YAML reads a number without a dot, such as 1e-3, as a string: write 1.0e-3"
             except ValueError:
                 pass
-        raise ConfigError(where, f"expected a number, got {value!r}{hint}")
+        raise ConfigError(where, f"expected a number, got {_brief.repr(value)}{hint}")
     try:
         finite = math.isfinite(value)
     except OverflowError:  # an int beyond float range
         raise ConfigError(where, "expected a finite number, got an int beyond float range") from None
     if not finite:
-        raise ConfigError(where, f"expected a finite number, got {value!r}")
+        raise ConfigError(where, f"expected a finite number, got {_brief.repr(value)}")
     if minimum is not None and value < minimum:
         raise ConfigError(where, f"must be >= {minimum}, got {value}")
     if above is not None and value <= above:
@@ -200,7 +206,7 @@ def _integer(
     value: Any, where: str, minimum: int | None = None, maximum: int | None = None
 ) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(where, f"expected an integer, got {value!r}")
+        raise ConfigError(where, f"expected an integer, got {_brief.repr(value)}")
     if minimum is not None and value < minimum:
         raise ConfigError(where, f"must be >= {minimum}, got {value}")
     if maximum is not None and value > maximum:
@@ -211,13 +217,13 @@ def _integer(
 def _numbers(value: Any, where: str, **bounds) -> list[float]:
     """A non-empty list of numbers, each within the bounds (_number's)."""
     if not isinstance(value, list) or not value:
-        raise ConfigError(where, f"expected a non-empty list of numbers, got {value!r}")
+        raise ConfigError(where, f"expected a non-empty list of numbers, got {_brief.repr(value)}")
     return [_number(v, f"{where}[{k}]", **bounds) for k, v in enumerate(value)]
 
 
 def _choice(value: Any, where: str, options: tuple) -> Any:
     if value not in options:
-        raise ConfigError(where, f"expected one of {list(options)}, got {value!r}")
+        raise ConfigError(where, f"expected one of {list(options)}, got {_brief.repr(value)}")
     return value
 
 
@@ -295,7 +301,7 @@ def _parse_law(node: Any, where: str) -> Distribution:
     if kind == "discrete":
         atoms = args[0]
         if not isinstance(atoms, list) or not all(isinstance(a, list) and len(a) == 2 for a in atoms):
-            raise ConfigError(f"{where}.atoms", f"expected a list of [value, prob] pairs, got {atoms!r}")
+            raise ConfigError(f"{where}.atoms", f"expected a list of [value, prob] pairs, got {_brief.repr(atoms)}")
         args = [
             tuple(_number(a[j], f"{where}.atoms[{k}][{j}]") for k, a in enumerate(atoms))
             for j in (0, 1)
@@ -439,21 +445,19 @@ def parse_config(raw: Any, overrides: dict | None = None) -> ExperimentConfig:
     replications override also replaces every study's replications knob,
     once the written one has parsed, so one flag controls every estimate."""
     raw = _known(_mapping(raw, "<root>"), TOP_LEVEL_KEYS, "")
-    effective = json.loads(json.dumps(raw))  # deep copy, JSON-typed
+    effective = dict(raw)  # only root keys are written; every leaf is type-checked below
     overrides = overrides or {}
     for key in ("study", "seed", "replications", "out", "threads"):
         if overrides.get(key) is not None:
             effective[key] = overrides[key]
 
-    study = _require(effective, "study", "<root>")
-    if study not in STUDIES:
-        raise ConfigError("study", f"unknown study {study!r}; expected one of {list(STUDIES)}")
+    study = _choice(_require(effective, "study", "<root>"), "study", STUDIES)
     seed = _integer(_require(effective, "seed", "<root>"), "seed", minimum=0)
     replications = _REPLICATIONS(effective.get("replications", 1_000_000), "replications")
     threads = _integer(effective.get("threads", 1), "threads", minimum=1)
     out = effective.get("out")
     if out is not None and not isinstance(out, str):
-        raise ConfigError("out", f"expected a path string, got {out!r}")
+        raise ConfigError("out", f"expected a path string, got {_brief.repr(out)}")
 
     game, models, strategies = _parse_game(_require(effective, "game", "<root>"), "game")
     cart_game = None
@@ -517,38 +521,49 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     libyaml, else by the pure-Python SafeLoader. Both resolve scalars with
     the same resolver and build the same mapping, so the config hash does
     not depend on the platform; the C parser is several times faster."""
-    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.load(fh, Loader=loader)
-    except OSError as exc:
+            loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)(fh)
+            node = loader.get_single_node()
+        raw = None if node is None else loader.construct_document(_check_nodes(node))
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("<file>", f"cannot read {path}: {exc}") from None
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         at = f" at line {mark.line + 1}" if mark is not None else ""
         raise ConfigError("<yaml>", f"parse error{at}: {exc}") from None
     except ValueError as exc:  # a scalar PyYAML parsed but could not convert
-        raise ConfigError("<yaml>", _long_int(path, loader) or f"cannot convert a scalar: {exc}") from None
+        raise ConfigError("<yaml>", f"cannot convert a scalar: {exc}") from None
     return parse_config(raw, overrides)
 
 
-def _long_int(path: str, loader) -> str | None:
-    """Names the line of the file's first decimal int scalar with more
-    digits than int() converts (sys.get_int_max_str_digits(), 0 for no
-    limit), or None. yaml.compose converts no scalar, so it reads such a
-    file; PyYAML reads a leading 0 as octal, which has no digit limit."""
+def _check_nodes(root: yaml.Node) -> yaml.Node:
+    """root, once each node under it is visited once and none is a repeated
+    mapping key, a merge key (<<) or a decimal int of more digits than
+    int() reads (a leading 0 reads as octal, which has no digit limit)."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    with open(path, "r", encoding="utf-8") as fh:
-        nodes = [yaml.compose(fh, Loader=loader)]
-    while nodes:  # depth first, in document order
+    nodes, seen = [root], set()
+    while nodes:
         node = nodes.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
         if isinstance(node, yaml.MappingNode):
+            keys = set()
+            for key, _ in node.value:
+                at = f"parse error at line {key.start_mark.line + 1}"
+                if key.tag == "tag:yaml.org,2002:merge":
+                    raise ConfigError("<yaml>", f"{at}: a merge key (<<); write its keys out")
+                if isinstance(key, yaml.ScalarNode):  # any other key is unhashable
+                    if (key.tag, key.value) in keys:
+                        raise ConfigError("<yaml>", f"{at}: key {_brief.repr(key.value)} repeats")
+                    keys.add((key.tag, key.value))
             nodes.extend(x for pair in reversed(node.value) for x in reversed(pair))
         elif isinstance(node, yaml.SequenceNode):
             nodes.extend(reversed(node.value))
         elif node.tag == "tag:yaml.org,2002:int":
             digits = node.value.replace("_", "").lstrip("+-")
             if limit and digits.isdigit() and digits[0] != "0" and len(digits) > limit:
-                return (f"parse error at line {node.start_mark.line + 1}: an integer of"
-                        f" {len(digits)} digits, more than the {limit} that can be read")
-    return None
+                raise ConfigError("<yaml>", f"parse error at line {node.start_mark.line + 1}: an integer"
+                                            f" of {len(digits)} digits, more than the {limit} that can be read")
+    return root

@@ -1,8 +1,12 @@
 """YAML config parsing, override semantics, and end-to-end CLI runs on
 temporary output directories."""
 
+import contextlib
+import copy
 import csv
+import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -16,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from adpricing import cli
@@ -341,15 +345,23 @@ def _typed(node):
     return type(node).__name__, node
 
 
+# config_sha256 of each committed config, read by load_config
+CONFIG_SHA256 = {
+    "cart.yaml": "ebc474b04038593a34fc8186fe6dc74317eff27f4e82e7527cd322dd65167d9e",
+    "default.yaml": "d45fb7c125cbae2b21dd8c4de76eb90eacd8e0de44b5b38a6ecc3610dfc9ffd4",
+    "three_player.yaml": "0bfd4e1aa384e6ea98317dff9b9b000d9da0949d148ed6daf84400fbeba4915d",
+}
+
+
 @needs_libyaml
 @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.yaml")), ids=lambda p: p.name)
 def test_both_yaml_loaders_build_the_same_config(path, monkeypatch):
     text = path.read_text()
     by_c = _typed(yaml.load(text, Loader=yaml.CSafeLoader))
     assert by_c == _typed(yaml.load(text, Loader=yaml.SafeLoader))
-    fast = load_config(str(path)).config_hash()
+    assert load_config(str(path)).config_hash() == CONFIG_SHA256[path.name]
     monkeypatch.delattr(yaml, "CSafeLoader")
-    assert load_config(str(path)).config_hash() == fast
+    assert load_config(str(path)).config_hash() == CONFIG_SHA256[path.name]
 
 
 @needs_libyaml
@@ -956,6 +968,203 @@ def test_cli_int_beyond_float_range_exits_two(tmp_path, capsys, path):
     assert not any(out.iterdir())
 
 
+_TAG = "tag:yaml.org,2002:"
+_SHRUNK_TEXT = yaml.safe_dump(_SHRUNK)
+
+
+def _scalar(tag, value):
+    return yaml.ScalarNode(_TAG + tag, value)
+
+
+def _recursive_list():
+    """[CPC, *itself]: a list that holds itself."""
+    node = yaml.SequenceNode(_TAG + "seq", [_scalar("str", "CPC")])
+    node.value.append(node)
+    return node
+
+
+def _alias_bomb(levels=9, width=9):
+    """Lists levels deep, each holding the one below width times: one
+    anchor and width aliases a level as text, width**levels ints built out."""
+    node = _scalar("int", "1")
+    for _ in range(levels):
+        node = yaml.SequenceNode(_TAG + "seq", [node] * width)
+    return node
+
+
+# nodes of YAML types that JSON lacks, and a list that holds itself
+_NODES = {
+    "timestamp": lambda: _scalar("timestamp", "2020-01-01"),
+    "set": lambda: yaml.MappingNode(_TAG + "set", [(_scalar("str", "a"), _scalar("null", ""))]),
+    "binary": lambda: _scalar("binary", "aGVsbG8="),
+    "omap": lambda: yaml.SequenceNode(
+        _TAG + "omap", [yaml.MappingNode(_TAG + "map", [(_scalar("str", "a"), _scalar("int", "1"))])]
+    ),
+    "recursive": _recursive_list,
+}
+_TEXT_MUTATIONS = (*_NODES, "alias", "duplicate", "merge", "tab", "bom", "not-utf8")
+
+
+def _child(node, key):
+    if isinstance(node, yaml.SequenceNode):
+        return node.value[key]
+    return next(v for k, v in node.value if k.value == key)
+
+
+def _node_at(root, path):
+    return functools.reduce(_child, path, root)
+
+
+def _put(root, path, new):
+    """root, with the node at path replaced by new."""
+    parent = _node_at(root, path[:-1])
+    if isinstance(parent, yaml.SequenceNode):
+        parent.value[path[-1]] = new
+    else:
+        parent.value = [(k, new if k.value == path[-1] else v) for k, v in parent.value]
+    return root
+
+
+def _mutated_text(kind, path, other=()):
+    """_SHRUNK_TEXT with one mutation of _TEXT_MUTATIONS at path: a node of
+    _NODES in its place; the node at other (an alias, recursive where
+    other holds path); the mapping entry nearest path repeated, or a merge
+    key beside it; a tab for the first space of its line (at its start if
+    none); a byte-order mark at the start of the file; or a byte that is
+    not UTF-8 at the start of its line."""
+    root = yaml.compose(_SHRUNK_TEXT)
+    if kind in _NODES:
+        return yaml.serialize(_put(root, path, _NODES[kind]()))
+    if kind == "alias":
+        return yaml.serialize(_put(root, path, _node_at(root, other)))
+    if kind in ("duplicate", "merge"):
+        while isinstance(path[-1], int):
+            path = path[:-1]
+        mapping = _node_at(root, path[:-1])
+        entry = next(e for e in mapping.value if e[0].value == path[-1])
+        mapping.value.append(copy.deepcopy(entry) if kind == "duplicate"
+                             else (_scalar("merge", "<<"), yaml.MappingNode(_TAG + "map", [])))
+        return yaml.serialize(root)
+    if kind == "bom":
+        return "﻿" + _SHRUNK_TEXT
+    lines = _SHRUNK_TEXT.splitlines(keepends=True)
+    k = _node_at(root, path).start_mark.line
+    if kind == "tab":
+        lines[k] = lines[k].replace(" ", "\t", 1) if " " in lines[k] else "\t" + lines[k]
+        return "".join(lines)
+    return "".join(lines[:k]).encode() + b"\xff" + "".join(lines[k:]).encode()
+
+
+def _main_on_text(tmp, text):
+    """cli.main's exit code and stderr on a config file holding text (str
+    or bytes), and the out dir it ran on."""
+    out = Path(tmp) / "results"
+    out.mkdir()
+    cfg = Path(tmp) / "cfg.yaml"
+    cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["--config", str(cfg), "--out", str(out), "--replications", "2000"])
+    return code, err.getvalue(), out
+
+
+def _assert_exit_contract(code, err, out):
+    """Exit 0 or 1 with a manifest that agrees, or exit 2 naming a field,
+    <yaml> or <file> and leaving the out dir empty; no traceback."""
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 2:
+        assert re.search(r"config field '[^']+': ", err), err[-500:]
+        assert not any(out.iterdir())
+    else:
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["passed"] == (code == 0) == all(manifest["verdicts"].values())
+
+
+# without shrinking, a failing case is reported as drawn: its path is
+# already as plain as any other
+@pytest.mark.parametrize("kind", _TEXT_MUTATIONS)
+@settings(max_examples=4, deadline=None, phases=(Phase.explicit, Phase.generate))
+@given(
+    path=st.sampled_from(list(_key_paths(_SHRUNK))),
+    other=st.sampled_from(list(_key_paths(_SHRUNK))),
+)
+def test_cli_exit_code_contract_under_yaml_text_mutations(kind, path, other):
+    # the shrunk default config written as YAML text with one mutation no
+    # Python value can express (tags, aliases, repeated or merge keys, tabs,
+    # a byte-order mark, bytes that are not UTF-8), each kind at 4 paths
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_exit_contract(*_main_on_text(tmp, _mutated_text(kind, path, other)))
+
+
+@pytest.mark.parametrize(
+    "libyaml",
+    [
+        pytest.param(True, marks=needs_libyaml, id="CSafeLoader"),
+        pytest.param(False, id="SafeLoader"),
+    ],
+)
+@pytest.mark.parametrize("kind, path, field, message", [
+    pytest.param(kind, path, field, message, id=kind) for kind, path, field, message in (
+        ("timestamp", ("seed",), "seed", "expected an integer, got datetime.date(2020, 1, 1)"),
+        ("set", ("cart_game",), "cart_game", "expected a mapping, got set"),
+        ("binary", ("game", "scenario"), "game.scenario", "got b'hello'"),
+        ("recursive", ("game", "models"), "game.models[1]", "got ['CPC', ['CPC', [...]]]"),
+        ("duplicate", ("seed",), "<yaml>", "key 'seed' repeats"),
+        ("merge", ("game", "advertisers", 1, "m"), "<yaml>", "a merge key (<<)"),
+        ("not-utf8", ("seed",), "<file>", "'utf-8' codec can't decode byte 0xff"),
+    )
+])
+def test_cli_yaml_text_mutation_exits_two_naming_the_field(
+    tmp_path, monkeypatch, libyaml, kind, path, field, message
+):
+    # a date, a set or bytes ended in a TypeError traceback; a repeated or a
+    # merge key ran on values the file does not say; bytes that are not
+    # UTF-8 named no field
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    code, err, out = _main_on_text(tmp_path, _mutated_text(kind, path))
+    _assert_exit_contract(code, err, out)
+    assert code == 2 and f"config field '{field}': " in err and message in err
+    if field == "<yaml>":
+        assert re.search(r"': parse error at line \d+: ", err)
+
+
+_CAPPED_MAIN = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    "from adpricing import cli\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+
+@pytest.mark.parametrize("case", ["alias-bomb", "recursive-alias-and-bad-date"])
+def test_cli_alias_bomb_and_cycle_exit_two_in_a_capped_child(tmp_path, case):
+    # run in a child under a 1 GiB address-space cap and a timeout, so a
+    # reader that builds the bomb's 9**9 ints out, or walks the cycle
+    # without marking the nodes it has seen, fails here instead of taking
+    # the host's memory or hanging
+    root = yaml.compose(_SHRUNK_TEXT)
+    if case == "alias-bomb":
+        _put(root, ("study_params", "lemmas", "replications"), _alias_bomb())
+        field = "study_params.lemmas.replications"
+    else:
+        _put(_put(root, ("game", "models"), _recursive_list()), ("seed",), _scalar("timestamp", "2020-13-45"))
+        field = "<yaml>"
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.serialize(root))
+    out = tmp_path / "results"
+    out.mkdir()
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, "--config", str(cfg), "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, capture_output=True, text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert f"config field '{field}': " in proc.stderr and "Traceback" not in proc.stderr
+    assert len(proc.stderr) < 1000  # the bomb is shown cut short
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("flags", [[], ["--replications", "2000"]])
 def test_cli_bad_knob_of_an_unplanned_study_exits_two(tmp_path, capsys, flags):
     raw = _small_dict("simulate")
@@ -1074,6 +1283,48 @@ def test_dominance_scans_each_bid_depth_once(monkeypatch, name):
         twin = next(c for c in scanned
                     if cfg.game.with_model(c[0]).model.bid_depth == game.model.bid_depth)
         assert by_combo[model, kind] == by_combo[twin]
+
+
+def _planted(monkeypatch, study, estimator, plant):
+    """The verdicts of study (a cli study name) on the small config, with
+    the records of its estimator (a cli attribute) passed through plant."""
+    real = getattr(cli, estimator)
+    monkeypatch.setattr(cli, estimator, lambda *args, **kwargs: plant(real(*args, **kwargs)))
+    return _drain(getattr(cli, f"_study_{study}")(parse_config(_small_dict(study))))[1]
+
+
+# 0.4/0.6 lies 0.1 off an even split: out of the 0.02 tolerance, inside a
+# tenfold one (0.3/0.7 would not tell: |0.3 - 0.5| rounds to exactly 0.2)
+@pytest.mark.parametrize("shares, holds", [((0.5, 0.5), True), ((0.4, 0.6), False)])
+def test_collapsed_shares_verdict_reads_the_collapsed_rounds(monkeypatch, shares, holds):
+    def plant(rounds):
+        return tuple(r._replace(winner_share=shares) if r.collapsed else r for r in rounds)
+
+    assert _planted(monkeypatch, "collapse", "cpa_collapse", plant)["collapsed_shares"] is holds
+
+
+# a last round that has not collapsed, at 0.1 x the first round's revenue,
+# has not starved the platform: it fails the 1% rule, though not a 50% one
+@pytest.mark.parametrize("ratio, holds", [(0.005, True), (0.1, False)])
+def test_revenue_collapse_verdict_reads_the_last_round(monkeypatch, ratio, holds):
+    def plant(rounds):
+        revenue = MeanSE(ratio * rounds[0].revenue.mean, 0.0)
+        return rounds[:-1] + (rounds[-1]._replace(collapsed=False, revenue=revenue),)
+
+    assert _planted(monkeypatch, "collapse", "cpa_collapse", plant)["revenue_collapse"] is holds
+
+
+@pytest.mark.parametrize("closes, holds", [(True, True), (False, False)])
+def test_three_regions_verdict_needs_a_closed_market(monkeypatch, closes, holds):
+    # the sweep without its rows where no model is feasible still shows the
+    # region pattern, but not the region where the market closes
+    def plant(res):
+        assert any(row.chosen is None for row in res.rows)
+        return res if closes else res._replace(
+            rows=tuple(row for row in res.rows if row.chosen is not None))
+
+    verdicts = _planted(monkeypatch, "sweep", "sweep_outside_option", plant)
+    assert verdicts["region_pattern"] and verdicts["three_regions"] is holds
 
 
 def test_cli_crashing_study_writes_nothing(tmp_path, monkeypatch):

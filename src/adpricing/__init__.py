@@ -10,6 +10,18 @@ collapse under CPA billing.
 
 __version__ = "0.1.0"
 
+import os
+import sys
+
+# `import numpy` starts OpenBLAS with a worker thread per extra usable CPU,
+# and each spin-waits for about 0.1 s of CPU. The program calls no BLAS
+# routine (tests/test_sampling.py guards that), so the pool only spins:
+# start it with one thread, unless the caller sized it or numpy is loaded.
+if "numpy" not in sys.modules and not any(
+    k in os.environ for k in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .distributions import Beta, Discrete, Distribution, Point, Uniform
 from .model import (
     AdvertiserSpec,

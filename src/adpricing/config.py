@@ -48,7 +48,8 @@ is not in that study's STUDY_KNOBS are rejected, so a misspelled key
 cannot silently keep its default. Numbers must be YAML numbers: a
 bool or a string is rejected, also where float() would take it, and
 so is any YAML type JSON lacks (a date, a set, bytes). load_config
-rejects a repeated key and a merge key (<<), naming the line.
+rejects a repeated key, a merge key (<<) and an int literal whose value
+Python cannot read or print (see _int_fault), naming the line.
 
 Every replication count, top-level or per study, lies in
 [1, MAX_REPLICATIONS]: estimators run their batches serially, so an
@@ -537,10 +538,44 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     return parse_config(raw, overrides)
 
 
+def _int_fault(text: str, limit: int) -> str | None:
+    """Why the int literal text cannot be read, or printed under the
+    int-string digit limit (0: none), else None. Follows PyYAML's
+    construct_yaml_int: 0b, 0x and a leading 0 read in a power-of-two
+    base, which has no digit limit but can give a value of more digits
+    than str() prints; a colon reads base 60; anything else reads as
+    decimal. A literal none of these reads is left to PyYAML."""
+    body = text.replace("_", "").lstrip("+-")
+    if not body:
+        return "an empty integer"
+    if not limit:
+        return None
+    if body[0] == "0" and len(body) > 1:
+        base, digits = {"b": (2, body[2:]), "x": (16, body[2:])}.get(body[1], (8, body))
+        try:
+            value = int(digits, base)
+        except ValueError:
+            return None
+    else:
+        parts = body.split(":")
+        longest = max(map(len, parts))
+        if longest > limit and all(map(str.isdigit, parts)):
+            return f"an integer of {longest} digits, more than the {limit} that can be read"
+        if len(parts) == 1:
+            return None
+        value = 0  # base 60, most significant part first; stop once past
+        for part in parts:  # 4 * limit bits, which is more than limit digits
+            if value.bit_length() > 4 * limit or not part.isdigit():
+                break
+            value = value * 60 + int(part)
+    if value >= 10**limit:
+        return f"an integer of more than {limit} digits, which cannot be printed"
+    return None
+
+
 def _check_nodes(root: yaml.Node) -> yaml.Node:
     """root, once each node under it is visited once and none is a repeated
-    mapping key, a merge key (<<) or a decimal int of more digits than
-    int() reads (a leading 0 reads as octal, which has no digit limit)."""
+    mapping key, a merge key (<<) or an int literal that _int_fault names."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     nodes, seen = [root], set()
     while nodes:
@@ -562,8 +597,7 @@ def _check_nodes(root: yaml.Node) -> yaml.Node:
         elif isinstance(node, yaml.SequenceNode):
             nodes.extend(reversed(node.value))
         elif node.tag == "tag:yaml.org,2002:int":
-            digits = node.value.replace("_", "").lstrip("+-")
-            if limit and digits.isdigit() and digits[0] != "0" and len(digits) > limit:
-                raise ConfigError("<yaml>", f"parse error at line {node.start_mark.line + 1}: an integer"
-                                            f" of {len(digits)} digits, more than the {limit} that can be read")
+            fault = _int_fault(node.value, limit)
+            if fault:
+                raise ConfigError("<yaml>", f"parse error at line {node.start_mark.line + 1}: {fault}")
     return root

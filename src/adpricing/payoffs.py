@@ -127,17 +127,14 @@ def _settle_models(
     return out
 
 
-def _payoff_pass(
-    game: Game, names, replications: int, seed: int, paired=None,
-    stream: int = STREAM_PAYOFFS, first_batch: int = 0,
-):
-    """One estimate pass settling every named model on the stream's
-    batches first_batch, first_batch + 1, ...; paired(settled) adds the
-    caller's paired per-draw arrays under its own keys. Returns (reports
-    by model, estimates by key)."""
+def _payoff_pass(game: Game, names, replications: int, seed: int, paired=None):
+    """One estimate pass settling every named model on the payoff
+    stream's batches; paired(settled) adds the caller's paired per-draw
+    arrays under its own keys. Returns (reports by model, estimates by
+    key)."""
 
     def batch_fn(b_idx: int, size: int) -> dict:
-        settled = _settle_models(game, names, seed, stream, first_batch + b_idx, size)
+        settled = _settle_models(game, names, seed, STREAM_PAYOFFS, b_idx, size)
         out: dict = {}
         for name, arm in settled.items():
             out[name, "p"] = arm.platform
@@ -302,7 +299,9 @@ def payoff_ordering_suite(
     if game.n != 2:
         raise ValueError("the ordering suite is a two-advertiser comparison")
 
-    def paired(settled) -> dict:
+    def batch_fn(b_idx: int, size: int) -> dict:
+        # only the paired differences are reduced: no arm's report is read
+        settled = _settle_models(game, ("OCPC", "CPC"), seed, STREAM_ORDERINGS, b_idx, size)
         s, t = settled["OCPC"], settled["CPC"]
         out = {"dS": s.social - t.social, "dP": s.platform - t.platform}
         for i in range(2):
@@ -317,7 +316,7 @@ def payoff_ordering_suite(
             out["r", i] = du - gain - loss
         return out
 
-    _, est = _payoff_pass(game, ("OCPC", "CPC"), replications, seed, paired, STREAM_ORDERINGS)
+    est = estimate(replications, batch_fn)
 
     advs, decomps = [], []
     for i in range(2):

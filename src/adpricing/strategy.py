@@ -48,7 +48,7 @@ from collections import namedtuple
 import numpy as np
 
 from .model import Game, Strategy, EventChain, in_site
-from .payoffs import _payoff_pass
+from .payoffs import _settle_models
 from .sampling import (
     BATCH_SIZE,
     STREAM_COLLAPSE,
@@ -56,6 +56,7 @@ from .sampling import (
     STREAM_UTILITY,
     batch_rng,
     draw_rates,
+    estimate,
     MeanSE,
     rate_role,
     run_batched,
@@ -433,20 +434,27 @@ def cpa_collapse(
     for t in range(rounds):
         alpha = decay * alpha_hat
         collapsed = alpha < threshold
-        # the round is folded into the batch index, so rounds never share draws
-        reports, est = _payoff_pass(
-            game if collapsed else in_site_cpa, ("CPA",), replications, seed,
-            lambda settled: {("w", i): settled["CPA"].winner == i for i in range(game.n)},
-            STREAM_COLLAPSE, t * round_stride,
-        )
+        played = game if collapsed else in_site_cpa
+
+        def batch_fn(b_idx: int, size: int) -> dict:
+            # the round is folded into the batch index, so rounds never share draws
+            batch = t * round_stride + b_idx
+            arm = _settle_models(played, ("CPA",), seed, STREAM_COLLAPSE, batch, size)["CPA"]
+            out = {"p": arm.platform}
+            for i in range(game.n):
+                out["u", i] = arm.utils[i]
+                out["w", i] = arm.winner == i
+            return out
+
+        est = estimate(replications, batch_fn)
         rows.append(
             CollapseRound(
                 round=t,
                 alpha=alpha,
                 alpha_hat=alpha_hat,
                 collapsed=collapsed,
-                revenue=reports["CPA"].platform,
-                utilities=reports["CPA"].advertisers,
+                revenue=est["p"],
+                utilities=tuple(est["u", i] for i in range(game.n)),
                 winner_share=tuple(est["w", i].mean for i in range(game.n)),
             )
         )

@@ -305,14 +305,22 @@ def test_unconvertible_yaml_scalars_are_config_errors(tmp_path, monkeypatch, cap
         monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
     bad = tmp_path / "bad.yaml"
     # scalars PyYAML parses but cannot convert: a decimal int of more digits
-    # than int() reads is named with its line (an octal one, which has no
-    # limit, is passed over), not with a Python call the user cannot make
+    # than int() reads, and an octal, hex, binary or base-60 one whose value
+    # has more digits than str() prints, are named with their line (a long
+    # octal of small value is passed over), not with a Python call the user
+    # cannot make
     long_ints = "a: [{m: 1}, {m: 2}]\nb:\n  - 0" + "0" * 5000 + "\n  - [-1_" + "0" * 5000 + "]\n"
+    unprintable = "parse error at line 2: an integer of more than 4300 digits"
     for text, message in (
         ("study: simulate\nseed: 1\ngame:\n  m: 1" + "0" * 5000 + "\n",
          "parse error at line 4: an integer of 5001 digits"),
         (long_ints, "parse error at line 4: an integer of 5001 digits"),
         ("seed: 2020-13-45\n", "cannot convert a scalar: month must be in 1..12"),
+        ("study: sweep\nseed: 0" + "7" * 5000 + "\n", unprintable),
+        ("study: sweep\nseed: 0x" + "f" * 4000 + "\n", unprintable),
+        ("study: sweep\nseed: 0b" + "1" * 15000 + "\n", unprintable),
+        ("study: sweep\nseed: 1" + ":59" * 3000 + "\n", unprintable),
+        ("study: sweep\nseed: !!int ''\n", "parse error at line 2: an empty integer"),
     ):
         bad.write_text(text)
         with pytest.raises(ConfigError) as exc:
@@ -372,9 +380,20 @@ def test_both_yaml_loaders_resolve_edge_scalars_alike(text):
     assert _typed(yaml.load(text, Loader=yaml.SafeLoader)) == want
 
 
-def _after_startup(probe: str) -> str:
+# the variables OpenBLAS sizes its thread pool by, in the order it reads them
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _clean_env(**env: str) -> dict:
+    """os.environ with src importable, no BLAS thread variable, plus env."""
+    base = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    return {**base, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1", **env}
+
+
+def _after_startup(probe: str, **env: str) -> str:
     """What the Python statement probe prints in a fresh process that has
-    imported the CLI and loaded the default config."""
+    imported the CLI and loaded the default config, its environment
+    holding no BLAS thread variable but those in env."""
     code = (
         "import sys\n"
         "import adpricing.cli\n"
@@ -382,10 +401,9 @@ def _after_startup(probe: str) -> str:
         "load_config(sys.argv[1])\n"
         + probe
     )
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run(
         [sys.executable, "-c", code, str(DEFAULT_YAML)],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_clean_env(**env), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     return proc.stdout.strip()
@@ -410,6 +428,65 @@ def test_startup_defines_no_dataclass_or_typing_namedtuple():
         "print('dataclasses' in sys.modules, built)\n"
     )
     assert _after_startup(probe) == "False []"
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+needs_thread_list = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or _usable_cpus() < 2,
+    reason="needs /proc/self/task and at least 2 usable CPUs",
+)
+_THREADS_PROBE = "import os\nprint(len(os.listdir('/proc/self/task')))\n"
+
+
+@needs_thread_list
+def test_startup_runs_one_thread():
+    # numpy's OpenBLAS would start a worker per extra CPU, each spinning
+    # for about 0.1 s of CPU after import; the program calls no BLAS
+    # routine, so importing adpricing sizes the pool at one thread
+    assert _after_startup(_THREADS_PROBE) == "1"
+
+
+@needs_thread_list
+@pytest.mark.skipif("openblas" not in str(getattr(np.__config__, "CONFIG", "")),
+                    reason="numpy is not built on OpenBLAS")
+@pytest.mark.parametrize("var", _BLAS_THREAD_VARS)
+def test_startup_keeps_the_callers_blas_thread_count(var):
+    assert _after_startup(_THREADS_PROBE, **{var: "2"}) == "2"
+
+
+@pytest.mark.skipif(_usable_cpus() < 2, reason="needs at least 2 usable CPUs")
+def test_cpu_set_never_changes_csvs(tmp_path):
+    # the benchmark's reproduce_t2 gate in small: a process pinned to one
+    # CPU before it imports adpricing writes the same files as one that
+    # may use every CPU. The second sizes the BLAS pool to its CPUs, as a
+    # caller may, so a sum handed to BLAS, which splits it across its
+    # threads, would show here
+    code = (
+        "import json, os, sys\n"
+        "cpu = json.loads(sys.argv[1])\n"
+        "if cpu is not None:\n"
+        "    os.sched_setaffinity(0, {cpu})\n"
+        "from adpricing import cli\n"
+        "sys.exit(cli.main(sys.argv[2:]))\n"
+    )
+    files = {}
+    for cpu, env in ((max(os.sched_getaffinity(0)), {}),
+                     (None, {"OPENBLAS_NUM_THREADS": str(_usable_cpus())})):
+        out = tmp_path / f"cpu-{cpu}"
+        out.mkdir()
+        argv = ["--config", str(DEFAULT_YAML), "--study", "sweep",
+                "--replications", "20000", "--out", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(cpu), *argv],
+            env=_clean_env(**env), capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        files[cpu] = json.loads((out / "manifest.json").read_text())["files"]
+    pinned, free = files.values()
+    assert pinned and pinned == free
 
 
 # modules a first study call may import: numpy.random's, with what it

@@ -237,6 +237,56 @@ def test_only_sampling_reads_the_se_factor():
     assert not readers
 
 
+# numpy routines that hand their work to BLAS
+_BLAS_ROUTINES = {"dot", "vdot", "inner", "matmul", "vecdot", "tensordot", "linalg"}
+
+
+def _blas_lines(source: str) -> list[int]:
+    """Lines of source that reach a BLAS-backed numpy routine: one of
+    _BLAS_ROUTINES by attribute or by import from numpy, the @ operator,
+    or einsum with optimize, which may pass its contraction to tensordot."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            hit = node.attr in _BLAS_ROUTINES
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            hit = module.split(".")[0] == "numpy" and (
+                module.startswith("numpy.linalg") or any(a.name in _BLAS_ROUTINES for a in node.names))
+        elif isinstance(node, ast.Import):
+            hit = any(a.name.startswith("numpy.linalg") for a in node.names)
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)):
+            hit = isinstance(node.op, ast.MatMult)
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            hit = name == "einsum" and any(
+                k.arg == "optimize" and not (isinstance(k.value, ast.Constant) and k.value.value is False)
+                for k in node.keywords)
+        else:
+            hit = False
+        if hit:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_no_source_calls_blas():
+    """No module calls a BLAS-backed numpy routine. OpenBLAS splits a
+    16 384-element ddot across its threads, so a batch's sum of squares
+    by np.dot moves in its last bits with the thread count: with that
+    one change, reproduce-all on the default config wrote different files
+    pinned to one CPU than with a two-thread pool. Even with one thread,
+    OpenBLAS picks its kernel by CPU model, so such a sum could also
+    differ between hosts; numpy's own loops do not."""
+    sample = ("import numpy as np\nfrom numpy.linalg import norm\nx = a @ b\n"
+              "y = np.einsum('i,i', a, a, optimize=True)\nz = a.dot(b)\n"
+              "w = np.einsum('i,i', a, a, optimize=False)\n")
+    assert _blas_lines(sample) == [2, 3, 4, 5]
+    src = Path(sampling.__file__).parent
+    calls = [f"{path.name}:{line}" for path in sorted(src.glob("*.py"))
+             for line in _blas_lines(path.read_text(encoding="utf-8"))]
+    assert not calls
+
+
 @pytest.mark.parametrize("n", [1, BATCH_SIZE, 2 * BATCH_SIZE + 5])
 def test_estimate_matches_numpy_and_thread_count(n):
     def draws(b_idx, size):

@@ -1,14 +1,15 @@
 """Command-line front door: load a config, run a named study, write
 CSV artifacts plus a hashed JSON manifest.
 
-Each study is a generator: it yields its tables one at a time as
-(csv name, header, rows), where rows may be lazy, and returns its
-verdicts. run writes each table as it is yielded into a .partial-*
-directory inside the output directory, so no study's rows are held
-after they are written and memory does not grow with simulate's
-rounds. Only once the manifest is written does every file move into
-place, the manifest last, so a config error or a crash leaves the
-output directory as it was.
+Each study takes the config and run's writer, writes its tables
+through write(csv name, header, rows), where rows may be lazy, and
+judges the estimators' estimates into its verdicts (only the dominance
+scan judges its own grid). Each table goes into a .partial-* directory
+inside the output directory, so no study's rows are held after they
+are written and memory does not grow with simulate's rounds. Only once
+the manifest is written does every file move into place, the manifest
+last, so a config error or a crash leaves the output directory as it
+was.
 
 Studies
     simulate      per-round auction trace under theoretical play
@@ -164,7 +165,7 @@ class Artifacts:
         return out
 
 
-def _study_simulate(cfg: ExperimentConfig):
+def _study_simulate(cfg: ExperimentConfig, write) -> dict[str, bool]:
     rounds, mode = cfg.params["simulate"]["rounds"], cfg.params["simulate"]["mode"]
     game = cfg.game
     # posted play from the config wins; default is equilibrium play
@@ -181,7 +182,7 @@ def _study_simulate(cfg: ExperimentConfig):
         + [f"payoff_{a}" for a in ids]
         + ["platform_payoff", "social_welfare", "conservation"]
     )
-    sums = []  # (payoffs, platform, social, all_zero) once the trace is drained
+    totals, verdicts = [], {}  # filled once the trace has run out of rounds
 
     def trace():
         # totals are the plain sums of the rounds, in round order
@@ -196,21 +197,19 @@ def _study_simulate(cfg: ExperimentConfig):
             payoffs = list(map(add, payoffs, pays))
             platform += paid
             social += welfare
-        sums.append((payoffs, platform, social, all_zero))
+        totals.append([rounds, mode, *payoffs, platform, social])
+        verdicts["conservation_zero"] = bool(all_zero)
 
-    yield "trace.csv", header, trace()
-    if not sums:
-        raise RuntimeError("simulate's totals follow only a fully written trace")
-    payoffs, platform, social, all_zero = sums[0]
-    yield (
+    write("trace.csv", header, trace())
+    write(
         "totals.csv",
         ["rounds", "mode"] + [f"payoff_{a}" for a in ids] + ["platform_payoff", "social_welfare"],
-        [[rounds, mode, *payoffs, platform, social]],
+        totals,
     )
-    return {"conservation_zero": bool(all_zero)}
+    return verdicts
 
 
-def _study_dominance(cfg: ExperimentConfig):
+def _study_dominance(cfg: ExperimentConfig, write) -> dict[str, bool]:
     p = cfg.params["dominance"]
     grid_max, fixtures = p["grid_max_multiplier"], p["fixtures"]
 
@@ -272,7 +271,7 @@ def _study_dominance(cfg: ExperimentConfig):
         for spec, (ok, cells) in zip(game.specs, by_depth[game.model.bid_depth]):
             all_pass &= ok
             rows.extend([model_name, kind, spec.id, *c] for c in cells)
-    yield "dominance.csv", header, rows
+    write("dominance.csv", header, rows)
     return {"scans_pass": bool(all_pass), "cpa_out_flagged": flagged}
 
 
@@ -296,17 +295,25 @@ def _dice_game():
     return Game(specs, chain, pricing_model("CPC", chain), in_site())
 
 
-def _study_lemmas(cfg: ExperimentConfig):
+def _ordered(delta: MeanSE, positive: bool = True) -> bool:
+    """The ordering verdict: delta's ordering rule in the wanted direction.
+    Degenerate laws make both arms identical, so an exact zero holds."""
+    return delta.beyond(positive) or delta == (0.0, 0.0)
+
+
+def _study_lemmas(cfg: ExperimentConfig, write) -> dict[str, bool]:
     reps = cfg.params["lemmas"]["replications"]
     suite = payoff_ordering_suite(cfg.game, replications=reps, seed=cfg.seed)
     ids = [spec.id for spec in cfg.game.specs]
     orderings_header = ["quantity", "comparison", *_pair("delta"), "z", "holds"]
 
     def _ordering_rows(s):
-        named = [("social_welfare", s.social), ("platform_payoff", s.platform)] + [
-            (f"advertiser_{a}", res) for a, res in zip(ids, s.advertisers)
+        named = [("social_welfare", "social_welfare_higher", s.social, True),
+                 ("platform_payoff", "platform_payoff_lower", s.platform, False)] + [
+            (f"advertiser_{a}", f"advertiser_{i}_payoff_higher", d, True)
+            for i, (a, d) in enumerate(zip(ids, s.advertisers))
         ]
-        return [[label, res.name, res.delta, res.delta.z(), res.holds] for label, res in named]
+        return [[label, name, d, d.z(), _ordered(d, up)] for label, name, d, up in named]
 
     # point-mass conversion laws at their means; click laws untouched
     conv_idx = cfg.game.chain.n_rate_depths - 1
@@ -315,8 +322,7 @@ def _study_lemmas(cfg: ExperimentConfig):
         replications=min(reps, 100_000),
         seed=cfg.seed,
     )
-    degen_results = [degen.social, degen.platform, *degen.advertisers]
-    degen_zero = all(r.delta.mean == 0.0 and r.delta.se == 0.0 for r in degen_results)
+    degen_zero = all(d == (0.0, 0.0) for d in (degen.social, degen.platform, *degen.advertisers))
 
     dice = _dice_game()
     exact = exact_equilibrium_payoffs(dice)
@@ -333,27 +339,29 @@ def _study_lemmas(cfg: ExperimentConfig):
         and exact.platform.mean == 91.0 / 36.0
         and all(row[3] < 0.01 for row in dice_rows)
     )
-    yield "orderings.csv", orderings_header, _ordering_rows(suite)
-    yield (
+    orderings = _ordering_rows(suite)
+    decomposition = [
+        [ids[d.advertiser], d.direct, d.gain_term, d.loss_term, d.residual, d.residual.within()]
+        for d in suite.decomposition
+    ]
+    write("orderings.csv", orderings_header, orderings)
+    write(
         "decomposition.csv",
         ["advertiser", *_pair("direct"), *_pair("gain"), *_pair("loss"),
          *_pair("residual"), "consistent"],
-        [
-            [ids[d.advertiser], d.direct, d.gain_term, d.loss_term, d.residual, d.consistent]
-            for d in suite.decomposition
-        ],
+        decomposition,
     )
-    yield "degenerate_control.csv", orderings_header, _ordering_rows(degen)
-    yield "dice_oracle.csv", ["statistic", "exact", "monte_carlo", "abs_error"], dice_rows
+    write("degenerate_control.csv", orderings_header, _ordering_rows(degen))
+    write("dice_oracle.csv", ["statistic", "exact", "monte_carlo", "abs_error"], dice_rows)
     return {
-        "orderings_hold": suite.passed,
-        "decomposition_consistent": all(d.consistent for d in suite.decomposition),
+        "orderings_hold": all(row[-1] for row in orderings),
+        "decomposition_consistent": all(row[-1] for row in decomposition),
         "degenerate_exact_zero": bool(degen_zero),
         "dice_oracle": bool(dice_ok),
     }
 
 
-def _study_collapse(cfg: ExperimentConfig):
+def _study_collapse(cfg: ExperimentConfig, write) -> dict[str, bool]:
     game = cfg.game.with_model("CPA", out_site())
     rounds = cpa_collapse(game, seed=cfg.seed, **cfg.params["collapse"])
     ids = [spec.id for spec in game.specs]
@@ -376,7 +384,7 @@ def _study_collapse(cfg: ExperimentConfig):
     utils_ok = bool(post) and all(
         u.within(targets[i]) for r in post for i, u in enumerate(r.utilities)
     )
-    yield "collapse.csv", header, rows
+    write("collapse.csv", header, rows)
     return {
         "revenue_collapse": last.revenue.mean < 0.01 * first.revenue.mean,
         "collapsed_platform_zero": bool(post) and all(r.revenue.mean == 0.0 for r in post),
@@ -385,7 +393,7 @@ def _study_collapse(cfg: ExperimentConfig):
     }
 
 
-def _study_sweep(cfg: ExperimentConfig):
+def _study_sweep(cfg: ExperimentConfig, write) -> dict[str, bool]:
     p = cfg.params["sweep"]
     res = sweep_outside_option(
         np.linspace(p["r_min"], p["r_max"], p["r_points"]), cfg.models, cfg.game,
@@ -418,8 +426,8 @@ def _study_sweep(cfg: ExperimentConfig):
     observed = {row.chosen for row in res.rows}
     regions_ok = observed >= set(res.models) | {None}
     inno = [row for row in res.rows if row.innovation]
-    yield "sweep.csv", header, rows
-    yield (
+    write("sweep.csv", header, rows)
+    write(
         "boundaries.csv",
         ["model", *_pair("entry_threshold")],
         [[m, b] for m, b in res.boundaries.items()],
@@ -463,7 +471,7 @@ def _cpsc_games(cfg: ExperimentConfig):
     return game, surrogate
 
 
-def _study_cpsc(cfg: ExperimentConfig):
+def _study_cpsc(cfg: ExperimentConfig, write) -> dict[str, bool]:
     game, surrogate = _cpsc_games(cfg)
     p = cfg.params["cpsc"]
     rep = cpsc_comparison(game, replications=p["replications"], seed=cfg.seed)
@@ -492,21 +500,18 @@ def _study_cpsc(cfg: ExperimentConfig):
         < exact["CPSC"].platform.mean
         < exact["CPC"].platform.mean
     )
-    yield (
-        "orderings.csv",
-        ["comparison", *_pair("delta"), "z", "holds"],
-        [[d.name, d.delta, d.delta.z(), d.holds] for d in rep.deltas],
-    )
-    yield (
+    orderings = [[label, d, d.z(), _ordered(d)] for label, d in rep.deltas.items()]
+    write("orderings.csv", ["comparison", *_pair("delta"), "z", "holds"], orderings)
+    write(
         "payoffs.csv",
         ["model"]
         + [x for a in ids for x in _pair(f"payoff_{a}")]
         + [*_pair("platform"), *_pair("social")],
         [[name, *r.advertisers, r.platform, r.social] for name, r in rep.table.items()],
     )
-    yield "enumeration.csv", ["model", "quantity", "exact", *_pair("mc"), "z", "agree"], enum_rows
+    write("enumeration.csv", ["model", "quantity", "exact", *_pair("mc"), "z", "agree"], enum_rows)
     return {
-        "orderings_hold": rep.passed,
+        "orderings_hold": all(row[-1] for row in orderings),
         "enumeration_orderings": bool(exact_orderings),
         "enumeration_mc_agree": bool(agree),
     }
@@ -522,22 +527,11 @@ STUDY_FUNCS = {
 }
 
 
-def _write_study(art: Artifacts, name: str, study) -> dict[str, bool]:
-    """Write each table the study generator yields, as it is yielded, and
-    return the verdicts it returns."""
-    while True:
-        try:
-            csv_name, header, rows = next(study)
-        except StopIteration as done:
-            return done.value
-        art.write_csv(f"{name}/{csv_name}", header, rows)
-
-
 def run(cfg: ExperimentConfig) -> int:
     """Execute the configured study, write artifacts + manifest, return
     the exit code.
 
-    Each study's tables are written as the study yields them, into a
+    Each study's tables are written as the study writes them, into a
     .partial-* directory inside the output directory. Once the manifest
     is written there, every file moves into place, the manifest last, by
     a rename on the same filesystem; the .partial-* directory is removed
@@ -571,7 +565,9 @@ def run(cfg: ExperimentConfig) -> int:
         per_study = []
         for name in studies:
             t0 = time.perf_counter()
-            study_verdicts = _write_study(art, name, STUDY_FUNCS[name](cfg))
+            study_verdicts = STUDY_FUNCS[name](
+                cfg, lambda csv_name, *table: art.write_csv(f"{name}/{csv_name}", *table)
+            )
             times[name] = round(time.perf_counter() - t0, 3)
             vs = {f"{name}.{key}": bool(ok) for key, ok in study_verdicts.items()}
             per_study.append([name, all(vs.values()), len(vs), sum(vs.values())])

@@ -48,8 +48,10 @@ is not in that study's STUDY_KNOBS are rejected, so a misspelled key
 cannot silently keep its default. Numbers must be YAML numbers: a
 bool or a string is rejected, also where float() would take it, and
 so is any YAML type JSON lacks (a date, a set, bytes). load_config
-rejects a repeated key, a merge key (<<) and an int literal whose value
-Python cannot read or print (see _int_fault), naming the line.
+rejects collections nested more than MAX_NESTING deep, a repeated key,
+a merge key (<<) and an int literal whose value Python cannot read or
+print (see _int_fault), naming the line, and a tagged scalar PyYAML
+cannot convert (!!bool maybe).
 
 Every replication count, top-level or per study, lies in
 [1, MAX_REPLICATIONS]: estimators run their batches serially, so an
@@ -151,6 +153,10 @@ MAX_VALUE = 1e100
 # that sum to below 1e10 x (1 + multiplier)^2 x 1e200, which stays finite
 # for multipliers below about 1e49; 1e40 leaves room to spare
 MAX_MULTIPLIER = 1e40
+
+# the deepest a config may nest its collections (the shipped ones: 8); libyaml
+# composes by recursion on the C stack, which 30 000 levels overflow
+MAX_NESTING = 100
 
 _brief = reprlib.Repr()  # values in error messages, cut short however large
 _brief.maxlevel = 2
@@ -521,10 +527,14 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     The file is read by libyaml's CSafeLoader where PyYAML was built with
     libyaml, else by the pure-Python SafeLoader. Both resolve scalars with
     the same resolver and build the same mapping, so the config hash does
-    not depend on the platform; the C parser is several times faster."""
+    not depend on the platform; the C parser is several times faster.
+    The nesting is checked on the parser's events before composing."""
+    loader_cls = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)(fh)
+            _check_nesting(yaml.parse(fh, loader_cls))
+            fh.seek(0)
+            loader = loader_cls(fh)
             node = loader.get_single_node()
         raw = None if node is None else loader.construct_document(_check_nodes(node))
     except (OSError, UnicodeDecodeError) as exc:
@@ -533,9 +543,21 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
         mark = getattr(exc, "problem_mark", None)
         at = f" at line {mark.line + 1}" if mark is not None else ""
         raise ConfigError("<yaml>", f"parse error{at}: {exc}") from None
-    except ValueError as exc:  # a scalar PyYAML parsed but could not convert
+    except (ValueError, LookupError, AttributeError) as exc:
+        # a scalar PyYAML parsed but could not convert, e.g. !!bool maybe
         raise ConfigError("<yaml>", f"cannot convert a scalar: {exc}") from None
     return parse_config(raw, overrides)
+
+
+def _check_nesting(events) -> None:
+    """Read the parser's events up to the first collection nested more
+    than MAX_NESTING deep, an error naming its line."""
+    depth = 0
+    for event in events:
+        depth += isinstance(event, yaml.CollectionStartEvent) - isinstance(event, yaml.CollectionEndEvent)
+        if depth > MAX_NESTING:
+            at = f"parse error at line {event.start_mark.line + 1}"
+            raise ConfigError("<yaml>", f"{at}: collections nested more than {MAX_NESTING} deep")
 
 
 def _int_fault(text: str, limit: int) -> str | None:

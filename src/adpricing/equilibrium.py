@@ -32,9 +32,7 @@ import math
 from collections import namedtuple
 
 from .model import Game, MODEL_TIE_ORDER
-from .payoffs import (
-    PayoffReport, _ordering, _payoff_pass, estimate_equilibrium_payoffs, expected_value,
-)
+from .payoffs import PayoffReport, _payoff_pass, estimate_equilibrium_payoffs, expected_value
 from .sampling import MeanSE
 
 __all__ = [
@@ -189,9 +187,9 @@ _CPSC_DELTAS = (
 )
 
 
-class CpscReport(namedtuple("CpscReport", "table deltas advertiser passed")):
-    """table: dict[str, PayoffReport]; deltas: tuple[OrderingResult, ...];
-    advertiser: int; passed: bool."""
+class CpscReport(namedtuple("CpscReport", "table deltas advertiser")):
+    """table: dict[str, PayoffReport]; deltas: dict[str, MeanSE], each
+    paired difference under its _CPSC_DELTAS label; advertiser: int."""
 
     __slots__ = ()
 
@@ -201,11 +199,11 @@ def cpsc_comparison(
     replications: int = 1_000_000,
     seed: int = 0,
 ) -> CpscReport:
-    """Check that bidding per cart sits between CPC and OCPC on a
+    """Estimate whether bidding per cart sits between CPC and OCPC on a
     four-stage funnel: the constrained advertiser's payoff rises with
     bid granularity (CPC < CPSC < OCPC) while the platform's take falls
-    (OCPC < CPSC < CPC). Paired per-draw differences, each held to MeanSE's
-    ordering rule."""
+    (OCPC < CPSC < CPC). Each of the four orderings is a paired per-draw
+    difference that is positive when the ordering holds."""
     if not game.chain.has_cart:
         raise ValueError("cpsc_comparison needs the 4-stage chain (cart depth)")
     if game.n != 2:
@@ -225,10 +223,4 @@ def cpsc_comparison(
         return dict(zip(_CPSC_DELTAS, diffs))
 
     table, est = _payoff_pass(game, CPSC_MODELS, replications, seed, paired)
-    deltas = tuple(_ordering(label, est[label]) for label in _CPSC_DELTAS)
-    return CpscReport(
-        table=table,
-        deltas=deltas,
-        advertiser=advertiser,
-        passed=all(d.holds for d in deltas),
-    )
+    return CpscReport(table, {label: est[label] for label in _CPSC_DELTAS}, advertiser)

@@ -13,17 +13,22 @@ The bid depth controls how much realized information enters the score.
 Bidding per conversion (OCPC/CPA) scores on C x P x m; bidding per
 click (CPC) scores on C x mean(P) x m. Averaging P out of the score
 lowers the max and raises the min, which yields the three orderings
-verified by payoff_ordering_suite: OCPC gives higher welfare, lower
-platform payoff and higher advertiser payoffs than CPC.
+whose paired differences payoff_ordering_suite estimates: OCPC gives
+higher welfare, lower platform payoff and higher advertiser payoffs
+than CPC.
 
 Every Monte-Carlo estimate here has an independent exhaustive
 enumeration twin for finite-discrete rate laws, used as the oracle in
 tests.
 
-The result records (PayoffReport, OrderingResult, DecompositionCheck,
-OrderingSuite) are immutable collections.namedtuple subclasses: besides
-their named fields they can be unpacked and indexed, and each compares
-equal to the plain tuple of its fields.
+The estimators return estimates, not verdicts: whether a paired
+difference is beyond its SE margin is judged by the study that reads it
+(see cli).
+
+The result records (PayoffReport, DecompositionCheck, OrderingSuite) are
+immutable collections.namedtuple subclasses: besides their named fields
+they can be unpacked and indexed, and each compares equal to the plain
+tuple of its fields.
 """
 
 from __future__ import annotations
@@ -50,7 +55,6 @@ from .sampling import (
 
 __all__ = [
     "PayoffReport",
-    "OrderingResult",
     "OrderingSuite",
     "enumeration_size",
     "estimate_equilibrium_payoffs",
@@ -248,39 +252,22 @@ def exact_equilibrium_payoffs(game: Game) -> PayoffReport:
     )
 
 
-class OrderingResult(namedtuple("OrderingResult", "name delta holds")):
-    """An ordering's name (str), its paired per-draw difference delta
-    (MeanSE) and whether it holds (bool: right sign with the SE margin)."""
-
-    __slots__ = ()
-
-
-def _ordering(name: str, delta: MeanSE, positive: bool = True) -> OrderingResult:
-    """The ordering verdict: delta's ordering rule in the wanted direction.
-    Degenerate laws make both arms identical, so an exact zero counts as
-    held."""
-    holds = delta.beyond(positive) or (delta.mean == 0.0 and delta.se == 0.0)
-    return OrderingResult(name, delta, holds)
-
-
 class DecompositionCheck(namedtuple(
-    "DecompositionCheck", "advertiser direct gain_term loss_term residual consistent"
+    "DecompositionCheck", "advertiser direct gain_term loss_term residual"
 )):
     """Advertiser payoff gain split into the two win-flip terms: draws
     the advertiser takes under OCPC but not CPC, and vice versa. Their
     sum matches the direct paired difference up to a mean-zero residual.
-    advertiser: int; direct, gain_term, loss_term, residual: MeanSE;
-    consistent: bool."""
+    advertiser: int; direct, gain_term, loss_term, residual: MeanSE."""
 
     __slots__ = ()
 
 
-class OrderingSuite(namedtuple(
-    "OrderingSuite", "social platform advertisers decomposition passed"
-)):
-    """social, platform: OrderingResult; advertisers: tuple[OrderingResult,
-    ...]; decomposition: tuple[DecompositionCheck, ...]; passed: bool, the
-    four orderings hold (the decomposition reports its own)."""
+class OrderingSuite(namedtuple("OrderingSuite", "social platform advertisers decomposition")):
+    """The paired OCPC - CPC differences of social welfare and of the
+    platform's payoff (MeanSE each), of each advertiser's payoff
+    (tuple[MeanSE, ...]), and each advertiser's decomposition
+    (tuple[DecompositionCheck, ...])."""
 
     __slots__ = ()
 
@@ -317,27 +304,11 @@ def payoff_ordering_suite(
         return out
 
     est = estimate(replications, batch_fn)
-
-    advs, decomps = [], []
-    for i in range(2):
-        du, gain, loss, resid = (est[k, i] for k in ("du", "g", "l", "r"))
-        advs.append(_ordering(f"advertiser_{i}_payoff_higher", du))
-        decomps.append(
-            DecompositionCheck(
-                advertiser=i,
-                direct=du,
-                gain_term=gain,
-                loss_term=loss,
-                residual=resid,
-                consistent=resid.within(),
-            )
-        )
-    social = _ordering("social_welfare_higher", est["dS"])
-    platform = _ordering("platform_payoff_lower", est["dP"], positive=False)
     return OrderingSuite(
-        social=social,
-        platform=platform,
-        advertisers=tuple(advs),
-        decomposition=tuple(decomps),
-        passed=social.holds and platform.holds and all(a.holds for a in advs),
+        social=est["dS"],
+        platform=est["dP"],
+        advertisers=tuple(est["du", i] for i in range(2)),
+        decomposition=tuple(
+            DecompositionCheck(i, *(est[k, i] for k in ("du", "g", "l", "r"))) for i in range(2)
+        ),
     )

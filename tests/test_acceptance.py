@@ -205,13 +205,14 @@ def test_reporting_spiral_starves_platform_revenue():
 
 def test_bid_granularity_payoff_orderings():
     suite = payoff_ordering_suite(_cfg().game, replications=1_000_000, seed=SEED)
-    assert suite.passed
-    assert suite.social.delta.mean > SE_MARGIN * suite.social.delta.se
-    assert suite.platform.delta.mean < -SE_MARGIN * suite.platform.delta.se
-    for res in suite.advertisers:
-        assert res.delta.mean > SE_MARGIN * res.delta.se
+    assert cli._ordered(suite.social) and cli._ordered(suite.platform, positive=False)
+    assert all(map(cli._ordered, suite.advertisers))
+    assert suite.social.mean > SE_MARGIN * suite.social.se
+    assert suite.platform.mean < -SE_MARGIN * suite.platform.se
+    for delta in suite.advertisers:
+        assert delta.mean > SE_MARGIN * delta.se
     for dec in suite.decomposition:
-        assert dec.consistent
+        assert dec.residual.within()
         recon = dec.gain_term.mean + dec.loss_term.mean
         assert abs(dec.direct.mean - recon) <= SE_MARGIN * max(dec.residual.se, 1e-15)
 
@@ -221,8 +222,8 @@ def test_bid_granularity_payoff_orderings():
         for s in _cfg().game.specs
     )
     flat = payoff_ordering_suite(make_game(specs), replications=100_000, seed=SEED)
-    for res in (flat.social, flat.platform, *flat.advertisers):
-        assert abs(res.delta.mean) <= REL_EXACT
+    for delta in (flat.social, flat.platform, *flat.advertisers):
+        assert abs(delta.mean) <= REL_EXACT
 
 
 # --- 7: equivalent billing models ----------------------------------------
@@ -345,9 +346,8 @@ def test_outside_option_sweep_regions_and_innovation():
 def test_cart_granularity_sits_between_click_and_conversion():
     cart = _cfg().cart_game
     rep = cpsc_comparison(cart, replications=1_000_000, seed=SEED)
-    deltas = {d.name: d.delta for d in rep.deltas}
-    adv = deltas["advertiser_payoff_cpsc_minus_cpc"]
-    plat = deltas["platform_payoff_cpsc_minus_ocpc"]
+    adv = rep.deltas["advertiser_payoff_cpsc_minus_cpc"]
+    plat = rep.deltas["platform_payoff_cpsc_minus_ocpc"]
     assert adv.mean > SE_MARGIN * adv.se
     assert plat.mean > SE_MARGIN * plat.se
 

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from adpricing import cli
 from adpricing.config import (
     MAX_ADVERTISERS,
+    MAX_NESTING,
     MAX_SCAN_COLUMNS,
     SCAN_BYTES,
     STUDY_KNOBS,
@@ -321,6 +322,10 @@ def test_unconvertible_yaml_scalars_are_config_errors(tmp_path, monkeypatch, cap
         ("study: sweep\nseed: 0b" + "1" * 15000 + "\n", unprintable),
         ("study: sweep\nseed: 1" + ":59" * 3000 + "\n", unprintable),
         ("study: sweep\nseed: !!int ''\n", "parse error at line 2: an empty integer"),
+        # tagged scalars whose PyYAML constructors fail by IndexError,
+        # KeyError or AttributeError, not ValueError
+        *(("study: sweep\nseed: " + tagged + "\n", "cannot convert a scalar: ")
+          for tagged in ("!!float ''", "!!bool ''", "!!bool maybe", "!!timestamp ''", "!!timestamp x")),
     ):
         bad.write_text(text)
         with pytest.raises(ConfigError) as exc:
@@ -1242,6 +1247,40 @@ def test_cli_alias_bomb_and_cycle_exit_two_in_a_capped_child(tmp_path, case):
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "libyaml",
+    [
+        pytest.param(True, marks=needs_libyaml, id="CSafeLoader"),
+        pytest.param(False, id="SafeLoader"),
+    ],
+)
+@pytest.mark.parametrize("brackets, field", [
+    pytest.param(60_000, "<yaml>", id="deep-nesting"),
+    pytest.param(MAX_NESTING, "<yaml>", id="one-past-the-bound"),
+    pytest.param(MAX_NESTING - 1, "seed", id="at-the-bound"),
+])
+def test_cli_deep_nesting_exits_two_in_a_capped_child(tmp_path, libyaml, brackets, field):
+    # libyaml composes by recursion on the C stack: a seed nested 30 000 or
+    # 60 000 lists deep ended the process by SIGSEGV. Under the root mapping
+    # the seed's lists are one level deeper than their count, so the last
+    # case is nested MAX_NESTING deep and reaches the seed's own check
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("study: sweep\nseed: " + "[" * brackets + "]" * brackets + "\n")
+    out = tmp_path / "results"
+    out.mkdir()
+    main = _CAPPED_MAIN if libyaml else "import yaml\ndel yaml.CSafeLoader\n" + _CAPPED_MAIN
+    proc = subprocess.run(
+        [sys.executable, "-c", main, "--config", str(cfg), "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, capture_output=True, text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert f"config field '{field}': " in proc.stderr and "Traceback" not in proc.stderr
+    if field == "<yaml>":
+        assert f"parse error at line 2: collections nested more than {MAX_NESTING} deep" in proc.stderr
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("flags", [[], ["--replications", "2000"]])
 def test_cli_bad_knob_of_an_unplanned_study_exits_two(tmp_path, capsys, flags):
     raw = _small_dict("simulate")
@@ -1254,7 +1293,7 @@ def test_cli_bad_knob_of_an_unplanned_study_exits_two(tmp_path, capsys, flags):
 
 
 def test_cli_bad_later_study_param_writes_nothing(tmp_path, capsys, monkeypatch):
-    def compute(cfg):
+    def compute(cfg, write):
         raise AssertionError("a study ran before the config was parsed")
 
     for name in cli.STUDY_FUNCS:
@@ -1272,7 +1311,7 @@ def test_cli_bad_later_study_param_writes_nothing(tmp_path, capsys, monkeypatch)
 def test_cli_dominance_overflow_exits_before_any_study(tmp_path, capsys, monkeypatch):
     # the fixture multipliers are bounded where they are parsed, so no
     # study computes before the overflow is rejected
-    def compute(cfg):
+    def compute(cfg, write):
         raise AssertionError("a study ran before the dominance bounds were checked")
 
     for name in cli.STUDY_FUNCS:
@@ -1300,16 +1339,15 @@ def test_cli_lemmas_orderings_verdict_reads_the_orderings_only(tmp_path):
     assert not verdicts["lemmas.decomposition_consistent"]
 
 
-def _drain(study):
-    """The tables a study generator yields, by CSV name, and the verdicts
-    it returns."""
+def _recorded(study, cfg):
+    """The tables a study writes, by CSV name, and the verdicts it
+    returns."""
     tables = {}
-    while True:
-        try:
-            csv_name, header, rows = next(study)
-        except StopIteration as done:
-            return tables, done.value
+
+    def write(csv_name, header, rows):
         tables[csv_name] = (header, list(rows))
+
+    return tables, study(cfg, write)
 
 
 @pytest.mark.parametrize("name", ["default.yaml", "three_player.yaml"])
@@ -1327,7 +1365,7 @@ def test_dominance_scans_each_bid_depth_once(monkeypatch, name):
     monkeypatch.setattr(
         cli, "equilibrium_fixture_bids", counted(cli.equilibrium_fixture_bids, "fixtures")
     )
-    tables, verdicts = _drain(cli._study_dominance(cfg))
+    tables, verdicts = _recorded(cli._study_dominance, cfg)
     # CPC bids per click; CPA and OCPC per conversion, and one fixture
     # pass serves both bid depths
     assert calls == {"scan": 2 * cfg.game.n, "fixtures": 1}
@@ -1367,7 +1405,7 @@ def _planted(monkeypatch, study, estimator, plant):
     the records of its estimator (a cli attribute) passed through plant."""
     real = getattr(cli, estimator)
     monkeypatch.setattr(cli, estimator, lambda *args, **kwargs: plant(real(*args, **kwargs)))
-    return _drain(getattr(cli, f"_study_{study}")(parse_config(_small_dict(study))))[1]
+    return _recorded(getattr(cli, f"_study_{study}"), parse_config(_small_dict(study)))[1]
 
 
 # 0.4/0.6 lies 0.1 off an even split: out of the 0.02 tolerance, inside a
@@ -1404,6 +1442,28 @@ def test_three_regions_verdict_needs_a_closed_market(monkeypatch, closes, holds)
     assert verdicts["region_pattern"] and verdicts["three_regions"] is holds
 
 
+# a paired difference planted against its ordering's direction: beyond
+# 3 SE, an exact zero (degenerate laws: both arms identical, which holds),
+# and a sure 1e-9 (no SE to excuse it). lemmas takes it on the platform's
+# delta, which must fall, so the sign is flipped there; cpsc on a delta
+# that must rise
+@pytest.mark.parametrize("mean, se, holds", [
+    pytest.param(-4.0, 1.0, False, id="wrong-sign"),
+    pytest.param(0.0, 0.0, True, id="exact-zero"),
+    pytest.param(-1e-9, 0.0, False, id="sure-1e-9"),
+])
+def test_orderings_verdicts_read_the_ordering_rule(monkeypatch, mean, se, holds):
+    def plant_suite(suite):
+        return suite._replace(platform=MeanSE(-mean, se))
+
+    def plant_cpsc(rep):
+        return rep._replace(deltas={**rep.deltas, "platform_payoff_cpsc_minus_ocpc": MeanSE(mean, se)})
+
+    lemmas = _planted(monkeypatch, "lemmas", "payoff_ordering_suite", plant_suite)
+    cpsc = _planted(monkeypatch, "cpsc", "cpsc_comparison", plant_cpsc)
+    assert lemmas["orderings_hold"] is holds and cpsc["orderings_hold"] is holds
+
+
 def test_cli_crashing_study_writes_nothing(tmp_path, monkeypatch):
     out = tmp_path / "results"
     out.mkdir()
@@ -1411,7 +1471,7 @@ def test_cli_crashing_study_writes_nothing(tmp_path, monkeypatch):
     raw["out"] = str(out)
     cfg = load_config(_write(tmp_path, raw))
 
-    def crash(cfg):
+    def crash(cfg, write):
         raise RuntimeError("study crashed")
 
     monkeypatch.setitem(cli.STUDY_FUNCS, "cpsc", crash)
@@ -1421,7 +1481,7 @@ def test_cli_crashing_study_writes_nothing(tmp_path, monkeypatch):
 
 
 def test_cli_memory_error_exits_two(tmp_path, capsys, monkeypatch):
-    def exhaust(cfg):
+    def exhaust(cfg, write):
         raise MemoryError
 
     monkeypatch.setitem(cli.STUDY_FUNCS, "simulate", exhaust)

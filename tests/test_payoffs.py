@@ -205,12 +205,13 @@ def test_cpa_out_site_collapsed_regime_report():
 
 def test_ordering_suite_holds_on_default_game():
     suite = payoff_ordering_suite(make_game(default_specs()), replications=100_000, seed=11)
-    assert suite.passed
-    assert suite.social.delta.mean > 0
-    assert suite.platform.delta.mean < 0
-    assert all(r.delta.mean > 0 for r in suite.advertisers)
+    assert cli._ordered(suite.social) and cli._ordered(suite.platform, positive=False)
+    assert all(map(cli._ordered, suite.advertisers))
+    assert suite.social.mean > 0
+    assert suite.platform.mean < 0
+    assert all(r.mean > 0 for r in suite.advertisers)
     for d in suite.decomposition:
-        assert d.consistent
+        assert d.residual.within()
         # gain and loss terms reassemble the direct paired difference
         recon = d.gain_term.mean + d.loss_term.mean
         assert abs(d.direct.mean - recon) <= 3.0 * max(d.residual.se, 1e-15)
@@ -225,10 +226,11 @@ def test_ordering_suite_degenerate_control_exact_zero():
         s._replace(rates=(Uniform(0.2, 0.5), s.rates[1])) for s in specs
     )
     suite = payoff_ordering_suite(make_game(specs), replications=50_000, seed=5)
-    for res in (suite.social, suite.platform, *suite.advertisers):
-        assert res.delta.mean == 0.0
-        assert res.delta.se == 0.0
-        assert res.holds
+    for delta, positive in ((suite.social, True), (suite.platform, False),
+                            *((a, True) for a in suite.advertisers)):
+        assert delta.mean == 0.0
+        assert delta.se == 0.0
+        assert cli._ordered(delta, positive)
 
 
 def test_ordering_suite_requires_two_advertisers():

@@ -287,6 +287,33 @@ def test_no_source_calls_blas():
     assert not calls
 
 
+def _rule_calls(source: str) -> list[tuple[int, str | None]]:
+    """(line, enclosing top-level function or None) of every call of a
+    .beyond or .within attribute in source."""
+    calls = []
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("beyond", "within")):
+                calls.append((node.lineno, owner))
+    return calls
+
+
+def test_only_the_studies_and_the_scan_apply_the_se_rules():
+    """Every verdict is judged in cli, bar the dominance scan's, which
+    judges each grid bid against arrays its report does not keep: so
+    every verdict's margin can be read where it is decided."""
+    sample = ("x = d.beyond()\ndef f():\n    def g():\n        return d.within(0.0, k=5.0)\n"
+              "    return g\ny = d.mean\nclass C:\n    def h(self):\n        return self.beyond\n")
+    assert _rule_calls(sample) == [(1, None), (4, "f")]
+    src = Path(sampling.__file__).parent
+    calls = [f"{path.name}:{line}" for path in sorted(src.glob("*.py"))
+             for line, owner in _rule_calls(path.read_text(encoding="utf-8"))
+             if path.name != "cli.py" and (path.name, owner) != ("strategy.py", "best_response_scan")]
+    assert not calls
+
+
 @pytest.mark.parametrize("n", [1, BATCH_SIZE, 2 * BATCH_SIZE + 5])
 def test_estimate_matches_numpy_and_thread_count(n):
     def draws(b_idx, size):

@@ -3,13 +3,12 @@ CSV artifacts plus a hashed JSON manifest.
 
 Each study takes the config and run's writer, writes its tables
 through write(csv name, header, rows), where rows may be lazy, and
-judges the estimators' estimates into its verdicts (only the dominance
-scan judges its own grid). Each table goes into a .partial-* directory
-inside the output directory, so no study's rows are held after they
-are written and memory does not grow with simulate's rounds. Only once
-the manifest is written does every file move into place, the manifest
-last, so a config error or a crash leaves the output directory as it
-was.
+judges the estimators' estimates into its verdicts. Each table goes
+into a .partial-* directory inside the output directory, so no study's
+rows are held after they are written and memory does not grow with
+simulate's rounds. Only once the manifest is written does every file
+move into place, the manifest last, so a config error or a crash
+leaves the output directory as it was.
 
 Studies
     simulate      per-round auction trace under theoretical play
@@ -209,6 +208,13 @@ def _study_simulate(cfg: ExperimentConfig, write) -> dict[str, bool]:
     return verdicts
 
 
+def _unbeaten(gap: MeanSE) -> bool:
+    """The dominance verdict of one fixture's scan: no grid bid beats the
+    theoretical bid, that is no gap lies below 0 by the ordering rule, and
+    no gap's SE is NaN (from overflowed sums)."""
+    return not (gap.beyond(positive=False) | np.isnan(gap.se)).any()
+
+
 def _study_dominance(cfg: ExperimentConfig, write) -> dict[str, bool]:
     p = cfg.params["dominance"]
     grid_max, fixtures = p["grid_max_multiplier"], p["fixtures"]
@@ -247,13 +253,16 @@ def _study_dominance(cfg: ExperimentConfig, write) -> dict[str, bool]:
                 i, np.linspace(0.0, grid_max * theory.bid, p["grid_points"]), rival_es,
                 games[combo], theory.bid, replications=p["replications"], seed=cfg.seed,
             )
-            ok = rep.passed and abs(rep.argmax_index - rep.theory_index) <= 1
-            cells = [
-                [mult, scan.rival_e, rep.theory_bid, scan.utility_theory, scan.se_theory,
-                 float(np.max(scan.utilities)), scan.margin, scan.se_margin,
-                 scan.argmax_index, rep.theory_index, scan.passed, False]
-                for mult, scan in zip(fixtures, rep.fixtures)
-            ]
+            ok = abs(rep.argmax_index - rep.theory_index) <= 1
+            cells = []
+            for mult, scan in zip(fixtures, rep.fixtures):
+                amax, passed = scan.argmax_index, _unbeaten(scan.gap)
+                ok &= passed
+                cells.append([
+                    mult, scan.rival_e, rep.theory_bid, scan.utility_theory, scan.se_theory,
+                    float(np.max(scan.utilities)), float(scan.gap.mean[amax]),
+                    float(scan.gap.se[amax]), amax, rep.theory_index, passed, False,
+                ])
             cells.append([
                 "mean", None, rep.theory_bid, None, None, float(np.max(rep.mean_curve)),
                 None, None, rep.argmax_index, rep.theory_index, ok, False,

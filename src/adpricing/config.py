@@ -135,8 +135,10 @@ MAX_ADVERTISERS = BATCH_RATE_BYTES // ((len(CHAIN_4) - 1) * BATCH_SIZE * 8)
 # bytes the dominance scan's per-column arrays may take. A scan has one
 # column per fixture and evaluated bid (the grid plus the theoretical
 # bid), and each column holds three 8-byte totals (the win count and the
-# two sums), as many in a batch's partial and an int64 win start, so this
-# budget admits the default four fixtures at the largest grid
+# two sums), as many in a batch's partial and an int64 win start; the
+# report's three per-bid arrays (the utility, the gap and its SE) replace
+# the totals fixture by fixture. So this budget admits the default four
+# fixtures at the largest grid
 SCAN_BYTES = 24 << 20
 MAX_SCAN_COLUMNS = SCAN_BYTES // ((3 + 3 + 1) * 8)
 

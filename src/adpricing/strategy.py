@@ -22,10 +22,11 @@ round goes through payoffs._settle_models: as in-site CPA before the
 collapse, in its collapsed CPA out-site regime after. The reporting
 claim is checked on the scalar engine, not here.
 
-best_response_scan verifies dominance numerically at truthful play: it
+best_response_scan measures dominance numerically at truthful play: it
 sweeps a bid grid against fixed rival equivalent bids with common
-random numbers and checks that the theoretical bid is within 3
-standard errors of the grid maximum everywhere. Bid b wins a draw when x * b beats the
+random numbers and reports, per fixture, the theoretical bid's utility
+minus each grid bid's with the paired SE, which the dominance study
+judges. Bid b wins a draw when x * b beats the
 rival, x being the draw's product of rates up to the bid depth; that is
 monotone in x for b >= 0, so every bid wins on an upper tail of a
 batch's sorted draws. One sort and one win start per bid, then sums of
@@ -167,24 +168,24 @@ def equilibrium_fixture_bids(
 
 
 class FixtureScan(namedtuple(
-    "FixtureScan",
-    "rival_e utility_theory se_theory utilities argmax_index margin se_margin passed",
+    "FixtureScan", "rival_e utility_theory se_theory utilities argmax_index gap"
 )):
     """Grid scan against one fixed rival equivalent bid. rival_e,
     utility_theory, se_theory: float; utilities: np.ndarray, per grid bid;
-    argmax_index: int; margin: float, utility_theory - max grid utility;
-    se_margin: float, paired SE of that difference; passed: bool."""
+    argmax_index: int, argmax of utilities; gap: MeanSE of arrays, per grid
+    bid utility_theory minus its utility and the paired SE of that
+    difference (NaN from overflowed sums)."""
 
     __slots__ = ()
 
 
 class DominanceReport(namedtuple(
-    "DominanceReport", "theory_bid theory_index fixtures mean_curve argmax_index passed"
+    "DominanceReport", "theory_bid theory_index fixtures mean_curve argmax_index"
 )):
     """theory_bid: float; theory_index: int, nearest grid index to the
     theoretical bid; fixtures: tuple[FixtureScan, ...]; mean_curve:
     np.ndarray, across-fixture average utility per grid bid; argmax_index:
-    int, argmax of mean_curve (localization check); passed: bool."""
+    int, argmax of mean_curve (localization check)."""
 
     __slots__ = ()
 
@@ -265,15 +266,11 @@ def best_response_scan(
     seed: int = 0,
 ) -> DominanceReport:
     """Sweep candidate bids of advertiser i, played truthfully, against
-    each rival fixture with common random numbers and test the
-    theoretical bid for dominance.
-
-    Pass rule, per fixture: no grid bid b beats the theoretical bid, that
-    is no paired difference utility(theoretical) - utility(b) lies below 0
-    by MeanSE's ordering rule (a NaN from overflowed sums fails). The
-    localization argmax is reported on the across-fixture mean curve
-    (extreme fixtures produce flat always-win or never-win stretches
-    where a per-fixture argmax is meaningless).
+    each rival fixture with common random numbers, and report per fixture
+    the gap utility(theoretical) - utility(b) of every grid bid b with its
+    paired SE. The localization argmax is reported on the across-fixture
+    mean curve (extreme fixtures produce flat always-win or never-win
+    stretches where a per-fixture argmax is meaningless).
 
     A won draw pays w = value x x - e against fixture e, x being the
     draw's product of rates up to the bid depth. Each batch sorts x once;
@@ -344,29 +341,23 @@ def best_response_scan(
     n = replications
     fixtures = []
     for f_idx, e_k in enumerate(rival_es):
-        cnt, s, q = tot["n", f_idx], tot["s", f_idx], tot["q", f_idx]
+        # each fixture's totals are dropped as its report takes their place
+        cnt, s, q = tot.pop(("n", f_idx)), tot.pop(("s", f_idx)), tot.pop(("q", f_idx))
         c = shifts[f_idx]
         means = c * (cnt / n) + s / n
         u_th = means[th]
         se_th = np.sqrt(_set_variance(cnt[th], s[th], q[th], c, n) / max(n - 1, 1))
         u_grid = means[on_grid]
-        diff = u_th - u_grid
         band = [side * (a[on_grid] - a[th]) for a in (cnt, s, q)]
         se_d = np.sqrt(_set_variance(*band, c, n) / max(n - 1, 1))
-        # a NaN in the sums makes se_d NaN, which fails the fixture as >= did
-        beaten = MeanSE(diff, se_d).beyond(positive=False) | np.isnan(se_d)
-        ok = not beaten.any()
-        amax = int(np.argmax(u_grid))
         fixtures.append(
             FixtureScan(
                 rival_e=e_k,
                 utility_theory=float(u_th),
                 se_theory=float(se_th),
                 utilities=u_grid,
-                argmax_index=amax,
-                margin=float(u_th - u_grid[amax]),
-                se_margin=float(se_d[amax]),
-                passed=ok,
+                argmax_index=int(np.argmax(u_grid)),
+                gap=MeanSE(u_th - u_grid, se_d),
             )
         )
 
@@ -377,7 +368,6 @@ def best_response_scan(
         fixtures=tuple(fixtures),
         mean_curve=mean_curve,
         argmax_index=int(np.argmax(mean_curve)),
-        passed=all(f.passed for f in fixtures),
     )
 
 

@@ -1464,6 +1464,49 @@ def test_orderings_verdicts_read_the_ordering_rule(monkeypatch, mean, se, holds)
     assert lemmas["orderings_hold"] is holds and cpsc["orderings_hold"] is holds
 
 
+def _planted_run(tmp_path, monkeypatch, study, estimator, plant):
+    """The exit code and manifest verdicts of cli.run on study's small
+    config, with the records of its estimator (a cli attribute) passed
+    through plant."""
+    real = getattr(cli, estimator)
+    monkeypatch.setattr(cli, estimator, lambda *args, **kwargs: plant(real(*args, **kwargs)))
+    code = cli.run(parse_config(_small_dict(study), {"out": str(tmp_path)}))
+    return code, json.loads((tmp_path / "manifest.json").read_text())["verdicts"]
+
+
+# one grid bid's gap (the theoretical bid's utility minus the bid's) in
+# each scan's first fixture: beyond 3 SE below 0, below 0 but within
+# 3 SE, a positive gap with a NaN SE (overflowed sums), and the exact zero
+# of a bid whose win set is the theoretical bid's; the other gaps are the
+# scan's own, some of which lie beyond 3 SE above 0
+@pytest.mark.parametrize("mean, se, holds", [
+    pytest.param(-4.0, 1.0, False, id="beaten"),
+    pytest.param(-2.0, 1.0, True, id="within-3-se"),
+    pytest.param(1.0, math.nan, False, id="nan-se"),
+    pytest.param(0.0, 0.0, True, id="exact-zero"),
+])
+def test_scans_pass_verdict_reads_every_gap(tmp_path, monkeypatch, mean, se, holds):
+    def plant(rep):
+        scan = rep.fixtures[0]
+        gap = MeanSE(scan.gap.mean.copy(), scan.gap.se.copy())
+        gap.mean[rep.theory_index], gap.se[rep.theory_index] = mean, se
+        return rep._replace(fixtures=(scan._replace(gap=gap), *rep.fixtures[1:]))
+
+    code, verdicts = _planted_run(tmp_path, monkeypatch, "dominance", "best_response_scan", plant)
+    assert verdicts["dominance.scans_pass"] is holds and code == (0 if holds else 1)
+
+
+@pytest.mark.parametrize("offset, holds", [(1, True), (2, False)])
+def test_scans_pass_verdict_needs_the_mean_argmax_within_one_step(
+    tmp_path, monkeypatch, offset, holds
+):
+    def plant(rep):
+        return rep._replace(argmax_index=rep.theory_index + offset)
+
+    code, verdicts = _planted_run(tmp_path, monkeypatch, "dominance", "best_response_scan", plant)
+    assert verdicts["dominance.scans_pass"] is holds and code == (0 if holds else 1)
+
+
 def test_cli_crashing_study_writes_nothing(tmp_path, monkeypatch):
     out = tmp_path / "results"
     out.mkdir()

@@ -287,30 +287,24 @@ def test_no_source_calls_blas():
     assert not calls
 
 
-def _rule_calls(source: str) -> list[tuple[int, str | None]]:
-    """(line, enclosing top-level function or None) of every call of a
-    .beyond or .within attribute in source."""
-    calls = []
-    for top in ast.parse(source).body:
-        owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
-        for node in ast.walk(top):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("beyond", "within")):
-                calls.append((node.lineno, owner))
-    return calls
+def _rule_calls(source: str) -> list[int]:
+    """The line of every call of a .beyond or .within attribute in source."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("beyond", "within")
+    )
 
 
-def test_only_the_studies_and_the_scan_apply_the_se_rules():
-    """Every verdict is judged in cli, bar the dominance scan's, which
-    judges each grid bid against arrays its report does not keep: so
-    every verdict's margin can be read where it is decided."""
+def test_only_the_studies_apply_the_se_rules():
+    """Every verdict is judged in cli, the estimators return estimates
+    only: so every verdict's margin can be read where it is decided."""
     sample = ("x = d.beyond()\ndef f():\n    def g():\n        return d.within(0.0, k=5.0)\n"
               "    return g\ny = d.mean\nclass C:\n    def h(self):\n        return self.beyond\n")
-    assert _rule_calls(sample) == [(1, None), (4, "f")]
+    assert _rule_calls(sample) == [1, 4]
     src = Path(sampling.__file__).parent
-    calls = [f"{path.name}:{line}" for path in sorted(src.glob("*.py"))
-             for line, owner in _rule_calls(path.read_text(encoding="utf-8"))
-             if path.name != "cli.py" and (path.name, owner) != ("strategy.py", "best_response_scan")]
+    calls = [f"{path.name}:{line}" for path in sorted(src.glob("*.py")) if path.name != "cli.py"
+             for line in _rule_calls(path.read_text(encoding="utf-8"))]
     assert not calls
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from adpricing.cli import _unbeaten
 from adpricing.config import load_config
 from adpricing.distributions import Discrete
 from adpricing.engine import run_auction
@@ -43,6 +44,7 @@ from conftest import (
     make_game,
     mean_rate_equivalent_bids,
     point_specs,
+    scans_pass,
 )
 
 
@@ -134,8 +136,8 @@ def test_scan_ses_are_exactly_zero_where_x_is_sure(game_fn):
     rep, utility = _exact_scan(game_fn(), 2 * BATCH_SIZE + 7)
     won, lost = rep.fixtures[:2], rep.fixtures[2:]
     for scan in rep.fixtures:
-        assert scan.se_theory == 0.0 and scan.se_margin == 0.0
-        assert math.copysign(1.0, scan.se_theory) == math.copysign(1.0, scan.se_margin) == 1.0
+        assert scan.se_theory == 0.0 and np.all(scan.gap.se == 0.0)
+        assert not np.signbit([scan.se_theory, *scan.gap.se]).any()
     # the theoretical bid beats the first two fixtures on every draw and
     # reports the per-draw utility exactly; it loses every draw to the last
     assert [scan.utility_theory for scan in won] == utility[:2]
@@ -144,7 +146,7 @@ def test_scan_ses_are_exactly_zero_where_x_is_sure(game_fn):
         # a grid bid that always wins (the top of the grid does) reports the
         # same exact utility
         assert scan.utilities[-1] == u
-    assert rep.passed
+    assert scans_pass(rep)
 
 
 def test_one_bid_scan_is_seed_deterministic():
@@ -281,7 +283,7 @@ def test_best_response_scan_passes_for_theory():
     grid = np.linspace(0.0, 2.0 * theory.bid, 41)
     fixtures = equilibrium_fixture_bids(game)["CPC"][0]
     rep = best_response_scan(0, grid, fixtures, game, theory.bid, replications=20_000, seed=2)
-    assert rep.passed
+    assert scans_pass(rep)
     assert abs(rep.argmax_index - rep.theory_index) <= 1
     assert rep.theory_bid == theory.bid
 
@@ -292,7 +294,7 @@ def test_best_response_scan_flags_wrong_bid():
     grid = np.linspace(0.0, 2.0 * theory.bid, 41)
     fixtures = equilibrium_fixture_bids(game)["CPC"][0]
     rep = best_response_scan(0, grid, fixtures, game, 2.0 * theory.bid, replications=20_000, seed=2)
-    assert not rep.passed
+    assert not scans_pass(rep)
 
 
 def test_scan_rejects_negative_bids():
@@ -506,7 +508,7 @@ def test_scan_matches_dense_oracle(game_fn, n_misguessed):
 
     n = size
     rep = best_response_scan(0, grid, rival_es, game, theory, replications=n, seed=seed)
-    # one one-bid scan per grid bid reports that bid's paired margin and SE
+    # one one-bid scan per grid bid reports that bid's paired gap and SE
     singles = [
         best_response_scan(0, [b], rival_es, game, theory, replications=n, seed=seed).fixtures
         for b in grid
@@ -521,7 +523,9 @@ def test_scan_matches_dense_oracle(game_fn, n_misguessed):
         np.testing.assert_allclose(scan.se_theory, se_th, rtol=1e-12)
         diff = means[-1] - means[:-1]
         se_d = np.sqrt(var_d / (n - 1))
-        np.testing.assert_allclose([one[f].margin for one in singles], diff,
+        np.testing.assert_allclose(scan.gap.mean, diff, rtol=1e-12, atol=u_tol)
+        np.testing.assert_allclose(scan.gap.se, se_d, rtol=1e-12)
+        np.testing.assert_allclose([one[f].gap.mean[0] for one in singles], diff,
                                    rtol=1e-12, atol=u_tol)
-        np.testing.assert_allclose([one[f].se_margin for one in singles], se_d, rtol=1e-12)
-        assert scan.passed == bool(np.all(diff >= -3.0 * se_d))
+        np.testing.assert_allclose([one[f].gap.se[0] for one in singles], se_d, rtol=1e-12)
+        assert _unbeaten(scan.gap) == bool(np.all(diff >= -3.0 * se_d))

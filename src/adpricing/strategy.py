@@ -277,9 +277,11 @@ def best_response_scan(
     bid b wins against e on an upper tail x[k:] (see _win_starts), so the
     grid, which must ascend, and the theoretical bid in its place have
     descending win starts. Every sum is taken of the shifted utility
-    w - c, with c = value x mu - e the utility at the mean rates mu, so
-    the batch's partial is, per bid and fixture, the win count and the
-    tail sums of w - c and (w - c)^2 read at the win starts (_tail_sums).
+    w - c, with c = value x mu - e the utility at the mean rates mu, and
+    w - c = value x (x - mu) whatever the fixture: so one array and its
+    square per batch serve every fixture, whose partial is, per bid, the
+    win count and those arrays' tail sums read at the win starts
+    (_tail_sums), and c enters only the merge.
     The draws on which a grid bid and the theoretical bid disagree form
     the contiguous band between their win starts, whose sums are the
     differences of the two columns' sums. Each SE is the spread inside
@@ -318,7 +320,8 @@ def best_response_scan(
 
     # per fixture e, the shift c = value x mu - e: a won draw's utility at
     # the mean rates
-    shifts = [value * mu - e_k for e_k in rival_es]
+    value_mu = value * mu
+    shifts = [value_mu - e_k for e_k in rival_es]
 
     def batch_fn(b_idx: int, size: int) -> dict:
         x = np.ones(size, dtype=np.float64)
@@ -326,14 +329,15 @@ def best_response_scan(
             rng = batch_rng(seed, STREAM_UTILITY, b_idx, rate_role(i, d))
             x *= spec.rate(d).sample(rng, size)
         x.sort()
-        vx = value * x
+        # a won draw's shifted utility, the same against every fixture
+        y = value * x
+        y -= value_mu
+        yy = y * y
         out = {}
-        for f_idx, (e_k, c_k) in enumerate(zip(rival_es, shifts)):
+        for f_idx, e_k in enumerate(rival_es):
             k = _win_starts(x, bids, e_k)
             out["n", f_idx] = size - k
-            y = vx - e_k
-            y -= c_k
-            out["s", f_idx], out["q", f_idx] = _tail_sums(k, y, y * y)
+            out["s", f_idx], out["q", f_idx] = _tail_sums(k, y, yy)
         return out
 
     tot = run_batched(replications, batch_fn)

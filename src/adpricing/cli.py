@@ -209,9 +209,8 @@ def _study_simulate(cfg: ExperimentConfig, write) -> dict[str, bool]:
 
 
 def _unbeaten(gap: MeanSE) -> bool:
-    """The dominance verdict of one fixture's scan: no grid bid beats the
-    theoretical bid, that is no gap lies below 0 by the ordering rule, and
-    no gap's SE is NaN (from overflowed sums)."""
+    """One fixture's dominance verdict: no grid bid's gap lies below 0 by
+    the ordering rule, and none has a NaN SE (from overflowed sums)."""
     return not (gap.beyond(positive=False) | np.isnan(gap.se)).any()
 
 
@@ -243,8 +242,8 @@ def _study_dominance(cfg: ExperimentConfig, write) -> dict[str, bool]:
         cfg.game.with_model(names[0], in_site()), multipliers=fixtures,
         replications=p["fixture_replications"], seed=cfg.seed, models=names,
     )
-    # bid depth -> per advertiser: its verdict and its rows' cells after the
-    # advertiser id; a report is dropped once its cells are read
+    # bid depth -> per advertiser: its rows' cells after the advertiser id;
+    # a report is dropped once its cells are read
     by_depth = {}
     for bd, combo in scanned.items():
         by_depth[bd] = []
@@ -253,35 +252,31 @@ def _study_dominance(cfg: ExperimentConfig, write) -> dict[str, bool]:
                 i, np.linspace(0.0, grid_max * theory.bid, p["grid_points"]), rival_es,
                 games[combo], theory.bid, replications=p["replications"], seed=cfg.seed,
             )
-            ok = abs(rep.argmax_index - rep.theory_index) <= 1
-            cells = []
-            for mult, scan in zip(fixtures, rep.fixtures):
-                amax, passed = scan.argmax_index, _unbeaten(scan.gap)
-                ok &= passed
-                cells.append([
-                    mult, scan.rival_e, rep.theory_bid, scan.utility_theory, scan.se_theory,
-                    float(np.max(scan.utilities)), float(scan.gap.mean[amax]),
-                    float(scan.gap.se[amax]), amax, rep.theory_index, passed, False,
-                ])
+            cells = [
+                [mult, scan.rival_e, rep.theory_bid, scan.utility_theory, scan.se_theory,
+                 float(np.max(scan.utilities)), float(scan.gap.mean[scan.argmax_index]),
+                 float(scan.gap.se[scan.argmax_index]), scan.argmax_index, rep.theory_index,
+                 _unbeaten(scan.gap), False]
+                for mult, scan in zip(fixtures, rep.fixtures)
+            ]
+            ok = all(c[-2] for c in cells) and abs(rep.argmax_index - rep.theory_index) <= 1
             cells.append([
                 "mean", None, rep.theory_bid, None, None, float(np.max(rep.mean_curve)),
                 None, None, rep.argmax_index, rep.theory_index, ok, False,
             ])
-            by_depth[bd].append((ok, cells))
+            by_depth[bd].append(cells)
 
     rows = []
-    all_pass = True
-    flagged = False
     for (model_name, kind), game in games.items():
         if theories[model_name, kind] is None:
-            flagged = True
             rows.extend([model_name, kind, spec.id] + [None] * 11 + [True] for spec in game.specs)
             continue
-        for spec, (ok, cells) in zip(game.specs, by_depth[game.model.bid_depth]):
-            all_pass &= ok
+        for spec, cells in zip(game.specs, by_depth[game.model.bid_depth]):
             rows.extend([model_name, kind, spec.id, *c] for c in cells)
     write("dominance.csv", header, rows)
-    return {"scans_pass": bool(all_pass), "cpa_out_flagged": flagged}
+    # the verdicts read the last two columns, passed and no_equilibrium
+    return {"scans_pass": all(row[-2] for row in rows if not row[-1]),
+            "cpa_out_flagged": any(row[-1] for row in rows)}
 
 
 def _map_laws(game, fn):
@@ -325,7 +320,7 @@ def _study_lemmas(cfg: ExperimentConfig, write) -> dict[str, bool]:
         return [[label, name, d, d.z(), _ordered(d, up)] for label, name, d, up in named]
 
     # point-mass conversion laws at their means; click laws untouched
-    conv_idx = cfg.game.chain.n_rate_depths - 1
+    conv_idx = cfg.game.chain.conversion_depth - 1
     degen = payoff_ordering_suite(
         _map_laws(cfg.game, lambda d, r: Point(r.mean()) if d == conv_idx else r),
         replications=min(reps, 100_000),
@@ -444,8 +439,7 @@ def _study_sweep(cfg: ExperimentConfig, write) -> dict[str, bool]:
     return {
         "region_pattern": bool(pattern_ok),
         "three_regions": bool(regions_ok),
-        "innovation_platform_positive": bool(inno)
-        and all(row.platform.mean > 0 for row in inno),
+        "innovation_platform_positive": bool(inno) and all(row.platform.beyond() for row in inno),
         "innovation_drop_negative": bool(inno)
         and all(row.adv1_drop.beyond(positive=False) for row in inno),
     }

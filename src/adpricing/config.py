@@ -49,9 +49,9 @@ cannot silently keep its default. Numbers must be YAML numbers: a
 bool or a string is rejected, also where float() would take it, and
 so is any YAML type JSON lacks (a date, a set, bytes). load_config
 rejects collections nested more than MAX_NESTING deep, a repeated key,
-a merge key (<<) and an int literal whose value Python cannot read or
-print (see _int_fault), naming the line, and a tagged scalar PyYAML
-cannot convert (!!bool maybe).
+a merge key (<<), an int literal whose value Python cannot read or
+print (see _int_fault) and a scalar PyYAML cannot convert (!!bool
+maybe), naming the line.
 
 Every replication count, top-level or per study, lies in
 [1, MAX_REPLICATIONS]: estimators run their batches serially, so an
@@ -135,10 +135,9 @@ MAX_ADVERTISERS = BATCH_RATE_BYTES // ((len(CHAIN_4) - 1) * BATCH_SIZE * 8)
 # bytes the dominance scan's per-column arrays may take. A scan has one
 # column per fixture and evaluated bid (the grid plus the theoretical
 # bid), and each column holds three 8-byte totals (the win count and the
-# two sums), as many in a batch's partial and an int64 win start; the
-# report's three per-bid arrays (the utility, the gap and its SE) replace
-# the totals fixture by fixture. So this budget admits the default four
-# fixtures at the largest grid
+# two sums), as many in a batch's partial and an int64 win start, so this
+# budget admits the default four fixtures at the largest grid; the
+# report's three per-bid arrays take the totals' place fixture by fixture
 SCAN_BYTES = 24 << 20
 MAX_SCAN_COLUMNS = SCAN_BYTES // ((3 + 3 + 1) * 8)
 
@@ -546,8 +545,14 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
         at = f" at line {mark.line + 1}" if mark is not None else ""
         raise ConfigError("<yaml>", f"parse error{at}: {exc}") from None
     except (ValueError, LookupError, AttributeError) as exc:
-        # a scalar PyYAML parsed but could not convert, e.g. !!bool maybe
-        raise ConfigError("<yaml>", f"cannot convert a scalar: {exc}") from None
+        # a scalar PyYAML parsed but could not convert (!!bool maybe): its
+        # failed construction leaves the node in recursive_objects. Only a
+        # ValueError's message (an invalid date's) speaks of the scalar
+        node = next(reversed(loader.recursive_objects))
+        at = f"parse error at line {node.start_mark.line + 1}: cannot convert"
+        why = f": {exc}" if isinstance(exc, ValueError) else ""
+        tag = node.tag.replace("tag:yaml.org,2002:", "!!")
+        raise ConfigError("<yaml>", f"{at} {_brief.repr(node.value)} to {tag}{why}") from None
     return parse_config(raw, overrides)
 
 

@@ -84,11 +84,8 @@ class EventChain(Frozen):
         self._init(events)
 
     @property
-    def n_rate_depths(self) -> int:
-        return len(self.events) - 1
-
-    @property
     def conversion_depth(self) -> int:
+        """The last event's depth, which is also the count of rate laws."""
         return len(self.events) - 1
 
     @property
@@ -228,9 +225,9 @@ class Game(Frozen):
                 violations.append(f"{tag}: m must be > 0, got {spec.m}")
             if spec.outside_option is not None and spec.outside_option < 0:
                 violations.append(f"{tag}: outside_option must be >= 0, got {spec.outside_option}")
-            if len(spec.rates) != chain.n_rate_depths:
+            if len(spec.rates) != chain.conversion_depth:
                 violations.append(
-                    f"{tag}: expected {chain.n_rate_depths} rate laws for this chain, got {len(spec.rates)}"
+                    f"{tag}: expected {chain.conversion_depth} rate laws for this chain, got {len(spec.rates)}"
                 )
             for d, dist in enumerate(spec.rates, start=1):
                 lo, hi = dist.support()

@@ -109,14 +109,14 @@ def run_batched(
 def draw_rates(game, seed: int, stream: int, batch: int, size: int) -> np.ndarray:
     """Sample realized funnel rates for every advertiser and depth.
 
-    Shape (n_advertisers, n_rate_depths, size). Each (advertiser, depth)
+    Shape (n_advertisers, conversion_depth, size). Each (advertiser, depth)
     cell draws from its own child generator, so swapping one law leaves
     every other cell's draws untouched (the basis of the exact
     common-random-number comparisons). Each law samples straight into its
     own row."""
-    out = np.empty((game.n, game.chain.n_rate_depths, size), dtype=np.float64)
+    out = np.empty((game.n, game.chain.conversion_depth, size), dtype=np.float64)
     for i, spec in enumerate(game.specs):
-        for d in range(1, game.chain.n_rate_depths + 1):
+        for d in range(1, game.chain.conversion_depth + 1):
             rng = batch_rng(seed, stream, batch, rate_role(i, d))
             spec.rate(d).sample(rng, size, out=out[i, d - 1])
     return out

@@ -26,14 +26,14 @@ best_response_scan measures dominance numerically at truthful play: it
 sweeps a bid grid against fixed rival equivalent bids with common
 random numbers and reports, per fixture, the theoretical bid's utility
 minus each grid bid's with the paired SE, which the dominance study
-judges. Bid b wins a draw when x * b beats the
-rival, x being the draw's product of rates up to the bid depth; that is
-monotone in x for b >= 0, so every bid wins on an upper tail of a
-batch's sorted draws. One sort and one win start per bid, then sums of
-the utility, shifted by its value at the mean rates, read only at those
-few starts give every grid bid's moments, at a cost that does not grow
-with the product of draws and grid size. The rival fixtures the scans
-run against come from one pass per game that serves every bid depth.
+judges. Bid b wins a draw when x * b beats the rival, x being the
+draw's product of rates up to the bid depth; that is monotone in x for
+b >= 0, so every bid wins on an upper tail of a batch's sorted draws.
+One sort and one win start per bid, then sums of the utility, shifted
+by its value at the mean rates, read only at those few starts give
+every grid bid's moments, at a cost that does not grow with the
+product of draws and grid size. The rival fixtures the scans run
+against come from one pass per game that serves every bid depth.
 
 The result records (FixtureScan, DominanceReport, CollapseRound) are
 immutable collections.namedtuple subclasses: besides their named fields
@@ -301,8 +301,8 @@ def best_response_scan(
     # depth, so the deeper rates enter the value at their means: the
     # expectation is unchanged and their sampling noise is gone
     value = _bid_event_value(spec, bd, game.chain)
-    # the rates' mean product, multiplied in the depth order x is
-    mu = math.prod(spec.rate_means()[:bd])
+    # value x the rates' mean product mu, multiplied in the depth order x is
+    value_mu = value * math.prod(spec.rate_means()[:bd])
 
     if not (np.all(grid >= 0.0) and theoretical >= 0.0):
         raise ValueError("bids must be >= 0")
@@ -317,11 +317,6 @@ def best_response_scan(
     # band's sums are the theory column's minus its own: negated together,
     # which leaves every term of the band's variance unchanged
     side = 1.0 - 2.0 * (grid < theoretical)
-
-    # per fixture e, the shift c = value x mu - e: a won draw's utility at
-    # the mean rates
-    value_mu = value * mu
-    shifts = [value_mu - e_k for e_k in rival_es]
 
     def batch_fn(b_idx: int, size: int) -> dict:
         x = np.ones(size, dtype=np.float64)
@@ -347,7 +342,8 @@ def best_response_scan(
     for f_idx, e_k in enumerate(rival_es):
         # each fixture's totals are dropped as its report takes their place
         cnt, s, q = tot.pop(("n", f_idx)), tot.pop(("s", f_idx)), tot.pop(("q", f_idx))
-        c = shifts[f_idx]
+        # the fixture's shift, a won draw's utility at the mean rates
+        c = value_mu - e_k
         means = c * (cnt / n) + s / n
         u_th = means[th]
         se_th = np.sqrt(_set_variance(cnt[th], s[th], q[th], c, n) / max(n - 1, 1))

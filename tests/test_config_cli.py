@@ -316,16 +316,23 @@ def test_unconvertible_yaml_scalars_are_config_errors(tmp_path, monkeypatch, cap
         ("study: simulate\nseed: 1\ngame:\n  m: 1" + "0" * 5000 + "\n",
          "parse error at line 4: an integer of 5001 digits"),
         (long_ints, "parse error at line 4: an integer of 5001 digits"),
-        ("seed: 2020-13-45\n", "cannot convert a scalar: month must be in 1..12"),
+        ("seed: 2020-13-45\n",
+         "parse error at line 1: cannot convert '2020-13-45' to !!timestamp: month must be in 1..12"),
         ("study: sweep\nseed: 0" + "7" * 5000 + "\n", unprintable),
         ("study: sweep\nseed: 0x" + "f" * 4000 + "\n", unprintable),
         ("study: sweep\nseed: 0b" + "1" * 15000 + "\n", unprintable),
         ("study: sweep\nseed: 1" + ":59" * 3000 + "\n", unprintable),
         ("study: sweep\nseed: !!int ''\n", "parse error at line 2: an empty integer"),
         # tagged scalars whose PyYAML constructors fail by IndexError,
-        # KeyError or AttributeError, not ValueError
-        *(("study: sweep\nseed: " + tagged + "\n", "cannot convert a scalar: ")
-          for tagged in ("!!float ''", "!!bool ''", "!!bool maybe", "!!timestamp ''", "!!timestamp x")),
+        # KeyError or AttributeError, not ValueError, whose messages name
+        # Python internals: the scalar and its tag are named instead
+        *(("study: sweep\nseed: " + tagged + "\n", f"parse error at line 2: cannot convert {value} to {tag}")
+          for tagged, value, tag in (
+              ("!!float ''", "''", "!!float"), ("!!bool ''", "''", "!!bool"),
+              ("!!bool maybe", "'maybe'", "!!bool"), ("!!timestamp ''", "''", "!!timestamp"),
+              ("!!timestamp x", "'x'", "!!timestamp"),
+          )),
+        ("study: sweep\nseed: [1,\n  !!bool maybe]\n", "parse error at line 3: cannot convert 'maybe' to !!bool"),
     ):
         bad.write_text(text)
         with pytest.raises(ConfigError) as exc:
@@ -336,6 +343,7 @@ def test_unconvertible_yaml_scalars_are_config_errors(tmp_path, monkeypatch, cap
         err = capsys.readouterr().err
         assert f"config field '<yaml>': {message}" in err
         assert "set_int_max_str_digits" not in err
+        assert "groupdict" not in err and "out of range" not in err
 
 
 # scalars whose YAML 1.1 resolution is easy to get wrong, and flow nesting
@@ -1440,6 +1448,22 @@ def test_three_regions_verdict_needs_a_closed_market(monkeypatch, closes, holds)
 
     verdicts = _planted(monkeypatch, "sweep", "sweep_outside_option", plant)
     assert verdicts["region_pattern"] and verdicts["three_regions"] is holds
+
+
+# the sweep flags a row as innovation only where its platform mean is
+# positive, so the verdict asks for more: the mean beyond 3 SE above 0.
+# Planted at z = 2 on every innovation row it fails, at z = 4 it holds
+@pytest.mark.parametrize("z, holds", [(4.0, True), (2.0, False)])
+def test_innovation_platform_verdict_reads_the_ordering_rule(monkeypatch, z, holds):
+    def plant(res):
+        assert any(row.innovation for row in res.rows)
+        return res._replace(rows=tuple(
+            row._replace(platform=MeanSE(0.5 * z, 0.5)) if row.innovation else row
+            for row in res.rows
+        ))
+
+    verdicts = _planted(monkeypatch, "sweep", "sweep_outside_option", plant)
+    assert verdicts["innovation_platform_positive"] is holds
 
 
 # a paired difference planted against its ordering's direction: beyond

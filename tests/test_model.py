@@ -29,11 +29,9 @@ from conftest import default_specs, make_game, point_specs
 
 def test_chain_properties():
     c3 = EventChain(CHAIN_3)
-    assert c3.n_rate_depths == 2
     assert c3.conversion_depth == 2
     assert not c3.has_cart
     c4 = EventChain(CHAIN_4)
-    assert c4.n_rate_depths == 3
     assert c4.conversion_depth == 3
     assert c4.has_cart
 
@@ -127,7 +125,7 @@ def test_game_keeps_rate_keys_below_the_tie_key():
     model = pricing_model("CPC", chain)
     spec = default_specs()[0]
     limit = TIE_ROLE // 64
-    assert rate_role(limit - 2, chain.n_rate_depths) < TIE_ROLE
+    assert rate_role(limit - 2, chain.conversion_depth) < TIE_ROLE
     Game([spec] * (limit - 1), chain, model, in_site())
     with pytest.raises(GameValidationError) as err:
         Game([spec] * limit, chain, model, in_site())

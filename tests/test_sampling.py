@@ -126,7 +126,7 @@ def test_draw_rates_shape_and_determinism():
 def _draw_rates_by_copy(game, seed, stream, batch, size):
     """draw_rates as it was: every law draws a fresh array that is then
     copied into its row."""
-    L = game.chain.n_rate_depths
+    L = game.chain.conversion_depth
     out = np.empty((game.n, L, size), dtype=np.float64)
     for i, spec in enumerate(game.specs):
         for d in range(1, L + 1):

@@ -232,15 +232,14 @@ def _study_dominance(cfg: ExperimentConfig, write) -> dict[str, bool]:
     }
     theories = {combo: theoretical_play(g) for combo, g in games.items()}
     # the first combo of each bid depth with an equilibrium is scanned, and
-    # one fixture pass, in-site where every model has one, serves them all
+    # one fixture call, in-site where every model has one, serves them all
     scanned = {}  # bid depth -> combo
     for combo, g in games.items():
         if theories[combo] is not None:
             scanned.setdefault(g.model.bid_depth, combo)
     names = [model_name for model_name, _ in scanned.values()]
     fixture_sets = equilibrium_fixture_bids(
-        cfg.game.with_model(names[0], in_site()), multipliers=fixtures,
-        replications=p["fixture_replications"], seed=cfg.seed, models=names,
+        cfg.game.with_model(names[0], in_site()), multipliers=fixtures, models=names
     )
     # bid depth -> per advertiser: its rows' cells after the advertiser id;
     # a report is dropped once its cells are read

@@ -269,7 +269,6 @@ STUDY_KNOBS = {
         "grid_points": (partial(_integer, minimum=2, maximum=100_000), 101),
         "grid_max_multiplier": (partial(_number, above=0.0, below=MAX_MULTIPLIER), 2.0),
         "fixtures": (partial(_numbers, above=0.0, below=MAX_MULTIPLIER), [0.25, 0.5, 1.0, 2.0]),
-        "fixture_replications": (_REPLICATIONS, 200_000),
     },
     "lemmas": {"replications": (_REPLICATIONS, None)},
     "collapse": {

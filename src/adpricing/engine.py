@@ -86,12 +86,11 @@ class AuctionOutcome(namedtuple(
     "AuctionOutcome",
     "winner e_loser price_per_pay_event payoffs platform_payoff social_welfare draw"
     " rejections events reported_conversion",
-    defaults=(0, None, None),
 )):
     """One auction's result. winner: int; e_loser, price_per_pay_event:
     float; payoffs: tuple[float, ...], per advertiser, losers exactly 0;
     platform_payoff, social_welfare: float; draw: AuctionDraw; rejections:
-    int, default 0. Realized mode only, else None: events, tuple[bool,
+    int. Realized mode only, else None: events, tuple[bool,
     ...], the winner's funnel with index d-1 for depth d;
     reported_conversion, bool."""
 

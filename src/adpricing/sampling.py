@@ -43,13 +43,13 @@ __all__ = [
 
 BATCH_SIZE = 16_384
 
-# stream ids; each estimator owns one so studies never share draws (5 and
-# 6 are retired; ids are never renumbered, since that would change every draw)
+# stream ids; each estimator owns one so studies never share draws. 5, 6
+# and 7 are retired and never reused, and ids are never renumbered, since
+# that would change every draw
 STREAM_PAYOFFS = 1
 STREAM_UTILITY = 2
 STREAM_ORDERINGS = 3
 STREAM_COLLAPSE = 4
-STREAM_FIXTURES = 7
 STREAM_ROUNDS = 8
 
 # role ids inside a batch: rate laws take 64 x advertiser + depth, which
@@ -238,9 +238,12 @@ class MeanSE(namedtuple("MeanSE", "mean se")):
     __slots__ = ()
 
     def z(self, target: float = 0.0) -> float:
-        """Distance of the mean from target in standard errors (0 when the
-        SE is 0)."""
-        return (self.mean - target) / self.se if self.se > 0 else 0.0
+        """Distance of the mean from target in standard errors. With an SE
+        of 0 a sure difference is +-inf and an exact match 0."""
+        d = self.mean - target
+        if self.se == 0:
+            return math.copysign(math.inf, d) if d else 0.0
+        return d / self.se
 
     def beyond(self, positive: bool = True):
         """The ordering rule: the mean lies strictly more than SE_FACTOR SE

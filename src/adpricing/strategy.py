@@ -33,7 +33,8 @@ One sort and one win start per bid, then sums of the utility, shifted
 by its value at the mean rates, read only at those few starts give
 every grid bid's moments, at a cost that does not grow with the
 product of draws and grid size. The rival fixtures the scans run
-against come from one pass per game that serves every bid depth.
+against are closed form, multiples of the strongest rival's mean
+equivalent bid, and draw nothing.
 
 The result records (FixtureScan, DominanceReport, CollapseRound) are
 immutable collections.namedtuple subclasses: besides their named fields
@@ -53,10 +54,8 @@ from .payoffs import _settle_models
 from .sampling import (
     BATCH_SIZE,
     STREAM_COLLAPSE,
-    STREAM_FIXTURES,
     STREAM_UTILITY,
     batch_rng,
-    draw_rates,
     estimate,
     MeanSE,
     rate_role,
@@ -97,74 +96,36 @@ def theoretical_play(game: Game) -> tuple[Strategy, ...] | None:
 def equilibrium_fixture_bids(
     game: Game,
     multipliers=(0.25, 0.5, 1.0, 2.0),
-    replications: int = 200_000,
-    seed: int = 0,
     models=None,
 ) -> dict[str, tuple[list[float], ...]]:
     """Rival equivalent-bid fixtures per model in models (default: the
     game's posted model) under the game's scenario: one list per
-    advertiser i of multiples of E[e^{-i}], the mean of the highest rival
-    equivalent bid when rivals play theoretically.
+    advertiser i of multiples of the strongest rival's mean equivalent
+    bid, the maximum over rivals k != i of b_k x the product of k's mean
+    rates up to the bid depth, b_k being k's theoretical bid.
 
-    Closed form from moments for one rival. Otherwise one Monte-Carlo
-    pass over the full chain's draws serves every advertiser and every
-    model: a model's equivalent bids read only the rows up to its bid
-    depth, each drawn from its own generator, so its fixtures have the
-    same bits whichever other models share the pass, and models of equal
-    bid depth share their fixtures. Each batch hands run_batched the
-    per-advertiser sums of the rival maximum, and a fixture is the total
-    over replications."""
+    The closed form draws nothing. Against a fixed rival e the
+    theoretical bid earns max(0, its draw's value - e) on every draw, so
+    it beats every other bid whatever e is, and a fixture only sets the
+    level at which the scan probes. Models of equal bid depth share their
+    fixtures."""
     if game.n < 2:
         raise ValueError("fixtures need at least one rival")
-    names = [game.model.name] if models is None else list(models)
-    depth_of = {}  # model name -> bid depth
-    bids_at = {}  # bid depth -> every advertiser's theoretical bid
-    for name in names:
+    out = {}
+    for name in [game.model.name] if models is None else models:
         g = game.with_model(name)
         play = theoretical_play(g)
         if play is None:
             raise ValueError(f"{name}/{game.scenario.kind} has no equilibrium bid")
-        depth_of[name] = g.model.bid_depth
-        bids_at[g.model.bid_depth] = [s.bid for s in play]
-
-    if game.n == 2:
+        bd = g.model.bid_depth
         # same operation order as the engine's per-impression conversion,
-        # so the reduction reproduces its output bitwise
-        bases_at = {
-            bd: [bids[k] * math.prod(game.specs[k].rate_means()[:bd]) for k in (1, 0)]
-            for bd, bids in bids_at.items()
-        }
-    else:
-
-        def batch_fn(b_idx: int, size: int) -> dict:
-            # every depth's equivalent bids in turn, and each advertiser's
-            # rival maximum, fill the same two buffers
-            e = np.empty((game.n, size))
-            top = np.empty(size)
-            # only the rates up to the bid depth enter an equivalent bid
-            rates = draw_rates(game, seed, STREAM_FIXTURES, b_idx, size)
-            out = {}
-            for bd, bids in bids_at.items():
-                for k in range(game.n):
-                    np.prod(rates[k, :bd], axis=0, out=e[k])
-                    e[k] *= bids[k]
-                for i in range(game.n):
-                    # a running maximum over the rival rows, in row order
-                    rivals = [row for k, row in enumerate(e) if k != i]
-                    np.maximum(rivals[0], rivals[1], out=top)
-                    for row in rivals[2:]:
-                        np.maximum(top, row, out=top)
-                    out[bd, i] = top.sum()
-            return out
-
-        tot = run_batched(replications, batch_fn)
-        bases_at = {
-            bd: [float(tot[bd, i]) / replications for i in range(game.n)] for bd in bids_at
-        }
-    return {
-        name: tuple([m * base for m in multipliers] for base in bases_at[depth_of[name]])
-        for name in names
-    }
+        # so at multiplier 1 a fixture is its equivalent bid bitwise
+        es = [s.bid * math.prod(spec.rate_means()[:bd]) for s, spec in zip(play, game.specs)]
+        out[name] = tuple(
+            [m * max(e for k, e in enumerate(es) if k != i) for m in multipliers]
+            for i in range(game.n)
+        )
+    return out
 
 
 class FixtureScan(namedtuple(

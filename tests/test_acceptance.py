@@ -85,7 +85,7 @@ def _variant(game, model, scenario):
 
 def _scan_all_advertisers(game, replications):
     reports = []
-    fixture_sets = equilibrium_fixture_bids(game, seed=SEED)[game.model.name]
+    fixture_sets = equilibrium_fixture_bids(game)[game.model.name]
     for i, (th, fixtures) in enumerate(zip(theoretical_play(game), fixture_sets)):
         grid = np.linspace(0.0, 2.0 * th.bid, 101)
         reports.append(
@@ -310,7 +310,7 @@ def test_three_player_dominance_and_two_player_reduction():
     # one rival: the fixture closed form reproduces the engine conversion
     game2 = _cfg().game
     engine_es = mean_rate_equivalent_bids(game2)
-    fixture_sets = equilibrium_fixture_bids(game2, multipliers=(1.0,), seed=SEED)[game2.model.name]
+    fixture_sets = equilibrium_fixture_bids(game2, multipliers=(1.0,))[game2.model.name]
     for i in range(game2.n):
         assert fixture_sets[i][0] == engine_es[1 - i]
 

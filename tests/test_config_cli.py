@@ -368,9 +368,9 @@ def _typed(node):
 
 # config_sha256 of each committed config, read by load_config
 CONFIG_SHA256 = {
-    "cart.yaml": "ebc474b04038593a34fc8186fe6dc74317eff27f4e82e7527cd322dd65167d9e",
-    "default.yaml": "d45fb7c125cbae2b21dd8c4de76eb90eacd8e0de44b5b38a6ecc3610dfc9ffd4",
-    "three_player.yaml": "0bfd4e1aa384e6ea98317dff9b9b000d9da0949d148ed6daf84400fbeba4915d",
+    "cart.yaml": "f18855faf7e1526bfbf0d8b79911b38a5c0bfcc42ec7dee231caa5be09105fae",
+    "default.yaml": "27dc1bdb9dbe97bd218a89d07f1e398efd8ddd1eb67fc19c4f076b88a8b24f70",
+    "three_player.yaml": "dec7c95610ec3073839431a338f665264b85edd0bbc95d45d94e5a908b8e5c6e",
 }
 
 
@@ -832,7 +832,7 @@ def test_cli_advertisers_above_the_bound_exit_two(tmp_path, capsys, node):
         ("cpsc", "enumeration_replications", 10**30),  # above 10**10
         ("cpsc", "replications", 10**30),
         ("dominance", "replications", 10**30),
-        ("dominance", "fixture_replications", 10**30),
+        ("dominance", "fixture_replications", 10**30),  # retired: unknown at any value
         ("lemmas", "replications", 10**30),
         ("collapse", "replications", 10**30),
         ("sweep", "replications", 10**30),
@@ -1390,10 +1390,7 @@ def test_dominance_scans_each_bid_depth_once(monkeypatch, name):
         game = cfg.game.with_model(model, in_site() if kind == "in_site" else out_site())
         # the rows equal a scan of this combo's own game
         theory = theoretical_play(game)[0]
-        fixtures = equilibrium_fixture_bids(
-            game, multipliers=p["fixtures"], replications=p["fixture_replications"],
-            seed=cfg.seed,
-        )[model][0]
+        fixtures = equilibrium_fixture_bids(game, multipliers=p["fixtures"])[model][0]
         rep = best_response_scan(
             0, np.linspace(0.0, p["grid_max_multiplier"] * theory.bid, p["grid_points"]),
             fixtures, game, theory.bid, replications=p["replications"], seed=cfg.seed,

@@ -52,6 +52,14 @@ def test_batch_rng_keys():
     assert rate_role(2, 1) != rate_role(1, 2)
 
 
+def test_stream_ids_are_distinct_and_never_retired_ones():
+    streams = {k: v for k, v in vars(sampling).items() if k.startswith("STREAM_")}
+    assert streams
+    assert len(set(streams.values())) == len(streams), streams
+    # 5, 6 and 7 keyed retired estimators' draws; a new stream takes a fresh id
+    assert not set(streams.values()) & {5, 6, 7}, streams
+
+
 @pytest.mark.parametrize(
     "key",
     [
@@ -207,6 +215,17 @@ def test_equality_rule_includes_its_bounds():
     # an SE of 0 asks for the target exactly
     assert MeanSE(2.5, 0.0).within(2.5)
     assert not MeanSE(2.5, 0.0).within(np.nextafter(2.5, 3.0))
+
+
+def test_z_counts_standard_errors_and_a_sure_difference_is_infinite():
+    assert MeanSE(7.0, 2.0).z(1.0) == 3.0
+    assert MeanSE(-3.0, 1.5).z() == -2.0
+    # an SE of 0: a sure difference lies infinitely many SE away, on its
+    # side; an exact match lies at 0
+    assert MeanSE(1e-300, 0.0).z() == np.inf
+    assert MeanSE(2.5, 0.0).z(np.nextafter(2.5, 3.0)) == -np.inf
+    assert MeanSE(2.5, 0.0).z(2.5) == 0.0
+    assert MeanSE(0.0, 0.0).z() == 0.0
 
 
 def test_se_rules_decide_array_fields_cell_by_cell():

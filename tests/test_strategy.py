@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from adpricing import sampling, strategy
 from adpricing.cli import _unbeaten
 from adpricing.config import load_config
 from adpricing.distributions import Discrete
@@ -21,12 +22,9 @@ from adpricing.model import (
 )
 from adpricing.sampling import (
     BATCH_SIZE,
-    STREAM_FIXTURES,
     STREAM_ROUNDS,
     STREAM_UTILITY,
-    batch_layout,
     batch_rng,
-    draw_rates,
     rate_role,
 )
 from adpricing.strategy import (
@@ -169,75 +167,59 @@ def test_fixture_bids_two_player_reduction_exact():
 def test_fixture_bids_three_player_between_rivals():
     third = point_specs()[0]._replace(id=3, m=90.0)
     game = make_game(default_specs() + (third,), model="CPC")
-    fixtures = equilibrium_fixture_bids(game, multipliers=(1.0,), replications=50_000)["CPC"][0]
+    fixtures = equilibrium_fixture_bids(game, multipliers=(1.0,))["CPC"][0]
     es = mean_rate_equivalent_bids(game)[1:]
-    # the mean of the max of rival scores sits at or above every single one
-    assert fixtures[0] >= max(es) - 0.05
-    assert fixtures[0] <= sum(es)
+    # the strongest rival's mean equivalent bid
+    assert fixtures[0] == max(es)
 
 
 @pytest.mark.parametrize("n_advertisers", [3, 4])
 def test_fixture_pass_matches_per_advertiser_rival_max(n_advertisers):
-    # oracle: each advertiser's own batch loop over the same draws, the max
-    # over its rivals summed per batch, then in batch order
-    extra = (
-        point_specs()[0]._replace(id=3, m=90.0),
-        default_specs()[1]._replace(id=4, m=95.0),
-    )[: n_advertisers - 2]
-    n = 2 * BATCH_SIZE + 5
+    # oracle: the scalar engine's equivalent bids at the mean rates, the
+    # maximum over each advertiser's rivals, times each multiplier
     mults = (0.5, 1.0, 3.0)
     for model in ("CPC", "OCPC"):
-        game = make_game(default_specs() + extra, model=model)
-        bd = game.model.bid_depth
-        bids = [_theory(game, k).bid for k in range(game.n)]
-        fixture_sets = equilibrium_fixture_bids(
-            game, multipliers=mults, replications=n, seed=9
-        )[model]
-        assert len(fixture_sets) == game.n
-        for i in range(game.n):
-            total = 0.0
-            for b_idx, size in batch_layout(n):
-                rates = draw_rates(game, 9, STREAM_FIXTURES, b_idx, size)
-                e = np.stack(
-                    [bids[k] * np.prod(rates[k, :bd, :], axis=0) for k in range(game.n) if k != i]
-                )
-                total += float(e.max(axis=0).sum())
-            assert fixture_sets[i] == [m * (total / n) for m in mults], (model, i)
+        game = make_game(_four_specs()[:n_advertisers], model=model)
+        fixture_sets = equilibrium_fixture_bids(game, multipliers=mults)[model]
+        assert fixture_sets == _rival_max_oracle(game, mults), model
 
     with pytest.raises(ValueError, match="at least one rival"):
         equilibrium_fixture_bids(make_game(default_specs()[:1], model="CPC"))
 
 
+def test_fixture_bids_draw_nothing(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the fixtures drew random numbers")
+
+    monkeypatch.setattr(sampling, "batch_rng", no_draws)
+    monkeypatch.setattr(strategy, "batch_rng", no_draws)
+    for n_advertisers in (2, 3, 4):
+        game = make_game(_four_specs()[:n_advertisers], model="CPC")
+        fixture_sets = equilibrium_fixture_bids(game, models=["CPC", "OCPC", "CPA"])
+        assert [len(f) for f in fixture_sets.values()] == [n_advertisers] * 3
+
+
 @pytest.mark.parametrize("n_advertisers", [2, 3])
 def test_one_fixture_pass_serves_every_model_bit_for_bit(n_advertisers):
-    # CPC bids at the click, CPA and OCPC at the conversion: one pass drawn
-    # to the conversion gives each model the fixtures of its own pass
+    # CPC bids at the click, CPA and OCPC at the conversion: one call for
+    # every model gives each model the fixtures of its own call
     specs = _four_specs()[:n_advertisers]
     game = make_game(specs, model="CPC")
-    n = 2 * BATCH_SIZE + 5
-    shared = equilibrium_fixture_bids(game, replications=n, seed=9, models=["OCPC", "CPC", "CPA"])
+    shared = equilibrium_fixture_bids(game, models=["OCPC", "CPC", "CPA"])
     assert list(shared) == ["OCPC", "CPC", "CPA"]
     for model in ("CPC", "OCPC"):
-        alone = equilibrium_fixture_bids(game.with_model(model), replications=n, seed=9)
+        alone = equilibrium_fixture_bids(game.with_model(model))
         assert list(alone) == [model]
         assert repr(shared[model]) == repr(alone[model])
     assert shared["CPA"] == shared["OCPC"]
     out = make_game(specs, model="OCPC", scenario="out_site")
     with pytest.raises(ValueError, match="CPA/out_site has no equilibrium bid"):
-        equilibrium_fixture_bids(out, replications=n, models=["OCPC", "CPA"])
+        equilibrium_fixture_bids(out, models=["OCPC", "CPA"])
 
 
-# sha256 of the repr of equilibrium_fixture_bids (default multipliers,
-# 2 * BATCH_SIZE + 5 replications, seed 9), pinned when the fixture pass
-# drew every depth, and of cpa_collapse (12 rounds, decay 0.5,
-# BATCH_SIZE + 7 replications, seed 4), pinned when its rounds were
-# first settled by payoffs._settle_models
-FIXTURES_SHA256 = {
-    "three_player/CPC": "f94eb841eac4bfbc870953f8a34464b8b23b45104bc50ed870ec316041c01663",
-    "three_player/OCPC": "fa7fe448828c3b58fc5166d0ab082060111d9364a02732d02375a76e69df81b7",
-    "four/CPC": "6aea14423520e2ddaae222cb6abffcfff4453e89e948cb3f98a8cf0eb9df9e48",
-    "four/OCPC": "557f4399e265313aa1e6325a654196067f481169dccfb7acff27a748bb29caf1",
-}
+# sha256 of the repr of cpa_collapse (12 rounds, decay 0.5, BATCH_SIZE + 7
+# replications, seed 4), pinned when its rounds were first settled by
+# payoffs._settle_models
 COLLAPSE_SHA256 = {
     2: "a26107b7fcb1346219ad80bde269875b041892f2511f8922a05c2cbbd2b20ab3",
     3: "4450186b5c034c383749bb35aa689504a78bd3582afb109a656a9905a0352753",
@@ -248,6 +230,15 @@ def _repr_sha256(x):
     return hashlib.sha256(repr(x).encode()).hexdigest()
 
 
+def _rival_max_oracle(game, mults):
+    # per advertiser, each multiplier times the largest of its rivals'
+    # equivalent bids on the scalar engine at the mean rates
+    es = mean_rate_equivalent_bids(game)
+    return tuple(
+        [m * max(e for k, e in enumerate(es) if k != i) for m in mults] for i in range(game.n)
+    )
+
+
 def _four_specs():
     return default_specs() + (
         point_specs()[0]._replace(id=3, m=90.0),
@@ -255,18 +246,20 @@ def _four_specs():
     )
 
 
-@pytest.mark.parametrize("case", sorted(FIXTURES_SHA256))
+@pytest.mark.parametrize(
+    "case", ["four/CPC", "four/OCPC", "three_player/CPC", "three_player/OCPC"]
+)
 def test_fixture_bids_are_pinned(case):
-    # CPC bids at the click, OCPC at the conversion: the pass draws the
-    # full chain, and a model reads only the rows up to its bid depth
+    # CPC bids at the click, OCPC at the conversion: each model's fixtures
+    # are the engine's rival maximum at its own bid depth
     name, model = case.split("/")
     if name == "three_player":
         game = load_config(str(ROOT / "configs" / "three_player.yaml")).game
     else:
         game = make_game(_four_specs())
     game = game.with_model(model, in_site())
-    fixtures = equilibrium_fixture_bids(game, replications=2 * BATCH_SIZE + 5, seed=9)[model]
-    assert _repr_sha256(fixtures) == FIXTURES_SHA256[case]
+    fixtures = equilibrium_fixture_bids(game)[model]
+    assert fixtures == _rival_max_oracle(game, (0.25, 0.5, 1.0, 2.0))
 
 
 @pytest.mark.parametrize("n_advertisers", sorted(COLLAPSE_SHA256))

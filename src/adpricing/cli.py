@@ -214,64 +214,61 @@ def _unbeaten(gap: MeanSE) -> bool:
     return not (gap.beyond(positive=False) | np.isnan(gap.se)).any()
 
 
+def _scan_cells(game, i, bid, rival_es, p, seed) -> list[list]:
+    """Advertiser i's dominance cells, fixture_multiplier to passed, from
+    one scan of the study's grid around its theoretical bid bid: a row per
+    rival fixture, passing when _unbeaten, then the localization row,
+    passing when every fixture does and the argmax of the across-fixture
+    mean utility lies within one grid step of the grid point nearest bid
+    (extreme fixtures give flat always-win or never-win stretches, where a
+    fixture's own argmax says nothing)."""
+    grid = np.linspace(0.0, p["grid_max_multiplier"] * bid, p["grid_points"])
+    scans = best_response_scan(i, grid, rival_es, game, bid, p["replications"], seed)
+    theory_index = int(np.argmin(np.abs(grid - bid)))
+    cells = []
+    for mult, e, scan in zip(p["fixtures"], rival_es, scans):
+        k = int(np.argmax(scan.utilities))
+        cells.append([
+            mult, e, bid, *scan.theory, float(scan.utilities[k]), float(scan.gap.mean[k]),
+            float(scan.gap.se[k]), k, theory_index, _unbeaten(scan.gap),
+        ])
+    mean_curve = np.mean([scan.utilities for scan in scans], axis=0)
+    k = int(np.argmax(mean_curve))
+    ok = all(c[-1] for c in cells) and abs(k - theory_index) <= 1
+    cells.append(
+        ["mean", None, bid, None, None, float(mean_curve[k]), None, None, k, theory_index, ok]
+    )
+    return cells
+
+
 def _study_dominance(cfg: ExperimentConfig, write) -> dict[str, bool]:
     p = cfg.params["dominance"]
-    grid_max, fixtures = p["grid_max_multiplier"], p["fixtures"]
-
     header = [
         "model", "scenario", "advertiser", "fixture_multiplier", "rival_e",
         "theory_bid", "utility_theory", "se_theory", "grid_best_utility",
         "margin", "se_margin", "argmax_index", "theory_index", "passed",
         "no_equilibrium",
     ]
-    games = {
-        (model_name, kind): cfg.game.with_model(
-            model_name, in_site() if kind == "in_site" else out_site()
-        )
-        for model_name, kind in DOMINANCE_COMBOS
-    }
-    theories = {combo: theoretical_play(g) for combo, g in games.items()}
     # the first combo of each bid depth with an equilibrium is scanned, and
-    # one fixture call, in-site where every model has one, serves them all
-    scanned = {}  # bid depth -> combo
-    for combo, g in games.items():
-        if theories[combo] is not None:
-            scanned.setdefault(g.model.bid_depth, combo)
-    names = [model_name for model_name, _ in scanned.values()]
-    fixture_sets = equilibrium_fixture_bids(
-        cfg.game.with_model(names[0], in_site()), multipliers=fixtures, models=names
-    )
-    # bid depth -> per advertiser: its rows' cells after the advertiser id;
-    # a report is dropped once its cells are read
+    # the other combos of that depth reuse its cells: bid depth -> per
+    # advertiser, its rows' cells after the advertiser id
     by_depth = {}
-    for bd, combo in scanned.items():
-        by_depth[bd] = []
-        for i, (theory, rival_es) in enumerate(zip(theories[combo], fixture_sets[combo[0]])):
-            rep = best_response_scan(
-                i, np.linspace(0.0, grid_max * theory.bid, p["grid_points"]), rival_es,
-                games[combo], theory.bid, replications=p["replications"], seed=cfg.seed,
-            )
-            cells = [
-                [mult, scan.rival_e, rep.theory_bid, scan.utility_theory, scan.se_theory,
-                 float(np.max(scan.utilities)), float(scan.gap.mean[scan.argmax_index]),
-                 float(scan.gap.se[scan.argmax_index]), scan.argmax_index, rep.theory_index,
-                 _unbeaten(scan.gap), False]
-                for mult, scan in zip(fixtures, rep.fixtures)
-            ]
-            ok = all(c[-2] for c in cells) and abs(rep.argmax_index - rep.theory_index) <= 1
-            cells.append([
-                "mean", None, rep.theory_bid, None, None, float(np.max(rep.mean_curve)),
-                None, None, rep.argmax_index, rep.theory_index, ok, False,
-            ])
-            by_depth[bd].append(cells)
-
     rows = []
-    for (model_name, kind), game in games.items():
-        if theories[model_name, kind] is None:
+    for model_name, kind in DOMINANCE_COMBOS:
+        game = cfg.game.with_model(model_name, in_site() if kind == "in_site" else out_site())
+        play = theoretical_play(game)
+        if play is None:
             rows.extend([model_name, kind, spec.id] + [None] * 11 + [True] for spec in game.specs)
             continue
-        for spec, cells in zip(game.specs, by_depth[game.model.bid_depth]):
-            rows.extend([model_name, kind, spec.id, *c] for c in cells)
+        bd = game.model.bid_depth
+        if bd not in by_depth:
+            fixtures = equilibrium_fixture_bids(game, p["fixtures"])
+            by_depth[bd] = [
+                _scan_cells(game, i, s.bid, rival_es, p, cfg.seed)
+                for i, (s, rival_es) in enumerate(zip(play, fixtures))
+            ]
+        for spec, cells in zip(game.specs, by_depth[bd]):
+            rows.extend([model_name, kind, spec.id, *c, False] for c in cells)
     write("dominance.csv", header, rows)
     # the verdicts read the last two columns, passed and no_equilibrium
     return {"scans_pass": all(row[-2] for row in rows if not row[-1]),

@@ -24,22 +24,23 @@ claim is checked on the scalar engine, not here.
 
 best_response_scan measures dominance numerically at truthful play: it
 sweeps a bid grid against fixed rival equivalent bids with common
-random numbers and reports, per fixture, the theoretical bid's utility
-minus each grid bid's with the paired SE, which the dominance study
-judges. Bid b wins a draw when x * b beats the rival, x being the
-draw's product of rates up to the bid depth; that is monotone in x for
-b >= 0, so every bid wins on an upper tail of a batch's sorted draws.
-One sort and one win start per bid, then sums of the utility, shifted
-by its value at the mean rates, read only at those few starts give
-every grid bid's moments, at a cost that does not grow with the
-product of draws and grid size. The rival fixtures the scans run
-against are closed form, multiples of the strongest rival's mean
-equivalent bid, and draw nothing.
+random numbers and returns, per fixture, the theoretical bid's utility,
+every grid bid's, and the theoretical bid's utility minus each grid
+bid's with the paired SE, which the dominance study judges. Bid b wins
+a draw when x * b beats the rival, x being the draw's product of rates
+up to the bid depth; that is monotone in x for b >= 0, so every bid
+wins on an upper tail of a batch's sorted draws. One sort and one win
+start per bid, then sums of the utility, shifted by its value at the
+mean rates, read only at those few starts give every grid bid's
+moments, at a cost that does not grow with the product of draws and
+grid size. The rival fixtures the scans run against are closed form,
+multiples of the strongest rival's mean equivalent bid, and draw
+nothing.
 
-The result records (FixtureScan, DominanceReport, CollapseRound) are
-immutable collections.namedtuple subclasses: besides their named fields
-they can be unpacked and indexed, and each compares equal to the plain
-tuple of its fields.
+The result records (FixtureScan, CollapseRound) are immutable
+collections.namedtuple subclasses: besides their named fields they can
+be unpacked and indexed, and each compares equal to the plain tuple of
+its fields.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .model import Game, Strategy, EventChain, in_site
+from .model import Game, Strategy, in_site
 from .payoffs import _settle_models
 from .sampling import (
     BATCH_SIZE,
@@ -63,7 +64,6 @@ from .sampling import (
 )
 
 __all__ = [
-    "DominanceReport",
     "FixtureScan",
     "CollapseRound",
     "theoretical_play",
@@ -73,13 +73,12 @@ __all__ = [
 ]
 
 
-def _bid_event_value(spec, bid_depth: int, chain: EventChain) -> float:
+def _bid_event_value(spec, bid_depth: int) -> float:
     """The expected value of one bid-depth event: m x the mean rates
     deeper than bid_depth, multiplied in depth order."""
     b = spec.m
-    means = spec.rate_means()
-    for d in range(bid_depth + 1, chain.conversion_depth + 1):
-        b *= means[d - 1]
+    for mean in spec.rate_means()[bid_depth:]:
+        b *= mean
     return b
 
 
@@ -90,63 +89,42 @@ def theoretical_play(game: Game) -> tuple[Strategy, ...] | None:
     if game.scenario.is_out_site and game.model.name == "CPA":
         return None
     bd = game.model.bid_depth
-    return tuple(Strategy(bid=_bid_event_value(s, bd, game.chain), alpha=1.0) for s in game.specs)
+    return tuple(Strategy(bid=_bid_event_value(s, bd), alpha=1.0) for s in game.specs)
 
 
 def equilibrium_fixture_bids(
-    game: Game,
-    multipliers=(0.25, 0.5, 1.0, 2.0),
-    models=None,
-) -> dict[str, tuple[list[float], ...]]:
-    """Rival equivalent-bid fixtures per model in models (default: the
-    game's posted model) under the game's scenario: one list per
-    advertiser i of multiples of the strongest rival's mean equivalent
-    bid, the maximum over rivals k != i of b_k x the product of k's mean
-    rates up to the bid depth, b_k being k's theoretical bid.
+    game: Game, multipliers=(0.25, 0.5, 1.0, 2.0)
+) -> tuple[list[float], ...]:
+    """Rival equivalent-bid fixtures under the game's model and scenario:
+    one list per advertiser i of multiples of the strongest rival's mean
+    equivalent bid, the maximum over rivals k != i of b_k x the product
+    of k's mean rates up to the bid depth, b_k being k's theoretical bid.
 
     The closed form draws nothing. Against a fixed rival e the
     theoretical bid earns max(0, its draw's value - e) on every draw, so
     it beats every other bid whatever e is, and a fixture only sets the
-    level at which the scan probes. Models of equal bid depth share their
+    level at which the scan probes. Models of equal bid depth have equal
     fixtures."""
     if game.n < 2:
         raise ValueError("fixtures need at least one rival")
-    out = {}
-    for name in [game.model.name] if models is None else models:
-        g = game.with_model(name)
-        play = theoretical_play(g)
-        if play is None:
-            raise ValueError(f"{name}/{game.scenario.kind} has no equilibrium bid")
-        bd = g.model.bid_depth
-        # same operation order as the engine's per-impression conversion,
-        # so at multiplier 1 a fixture is its equivalent bid bitwise
-        es = [s.bid * math.prod(spec.rate_means()[:bd]) for s, spec in zip(play, game.specs)]
-        out[name] = tuple(
-            [m * max(e for k, e in enumerate(es) if k != i) for m in multipliers]
-            for i in range(game.n)
-        )
-    return out
+    play = theoretical_play(game)
+    if play is None:
+        raise ValueError(f"{game.model.name}/{game.scenario.kind} has no equilibrium bid")
+    bd = game.model.bid_depth
+    # same operation order as the engine's per-impression conversion,
+    # so at multiplier 1 a fixture is its equivalent bid bitwise
+    es = [s.bid * math.prod(spec.rate_means()[:bd]) for s, spec in zip(play, game.specs)]
+    return tuple(
+        [m * max(e for k, e in enumerate(es) if k != i) for m in multipliers]
+        for i in range(game.n)
+    )
 
 
-class FixtureScan(namedtuple(
-    "FixtureScan", "rival_e utility_theory se_theory utilities argmax_index gap"
-)):
-    """Grid scan against one fixed rival equivalent bid. rival_e,
-    utility_theory, se_theory: float; utilities: np.ndarray, per grid bid;
-    argmax_index: int, argmax of utilities; gap: MeanSE of arrays, per grid
-    bid utility_theory minus its utility and the paired SE of that
-    difference (NaN from overflowed sums)."""
-
-    __slots__ = ()
-
-
-class DominanceReport(namedtuple(
-    "DominanceReport", "theory_bid theory_index fixtures mean_curve argmax_index"
-)):
-    """theory_bid: float; theory_index: int, nearest grid index to the
-    theoretical bid; fixtures: tuple[FixtureScan, ...]; mean_curve:
-    np.ndarray, across-fixture average utility per grid bid; argmax_index:
-    int, argmax of mean_curve (localization check)."""
+class FixtureScan(namedtuple("FixtureScan", "theory utilities gap")):
+    """Grid scan against one fixed rival equivalent bid. theory: MeanSE of
+    floats, the theoretical bid's utility; utilities: np.ndarray, per grid
+    bid; gap: MeanSE of arrays, per grid bid theory.mean minus its utility
+    and the paired SE of that difference (NaN from overflowed sums)."""
 
     __slots__ = ()
 
@@ -225,13 +203,11 @@ def best_response_scan(
     theoretical: float,
     replications: int = 100_000,
     seed: int = 0,
-) -> DominanceReport:
+) -> tuple[FixtureScan, ...]:
     """Sweep candidate bids of advertiser i, played truthfully, against
-    each rival fixture with common random numbers, and report per fixture
-    the gap utility(theoretical) - utility(b) of every grid bid b with its
-    paired SE. The localization argmax is reported on the across-fixture
-    mean curve (extreme fixtures produce flat always-win or never-win
-    stretches where a per-fixture argmax is meaningless).
+    each rival fixture with common random numbers: one FixtureScan per
+    fixture, in order, with the gap utility(theoretical) - utility(b) of
+    every grid bid b and its paired SE.
 
     A won draw pays w = value x x - e against fixture e, x being the
     draw's product of rates up to the bid depth. Each batch sorts x once;
@@ -251,7 +227,7 @@ def best_response_scan(
     always wins the per-draw utility exactly.
 
     The game enters only through advertiser i's rate laws and the bid
-    depth, so models of equal bid depth give equal reports."""
+    depth, so models of equal bid depth give equal scans."""
     grid = np.asarray(list(grid), dtype=np.float64)
     rival_es = [float(x) for x in rival_es]
     if grid.size == 0 or not rival_es:
@@ -261,7 +237,7 @@ def best_response_scan(
     # the win event and the payment depend only on rates up to the bid
     # depth, so the deeper rates enter the value at their means: the
     # expectation is unchanged and their sampling noise is gone
-    value = _bid_event_value(spec, bd, game.chain)
+    value = _bid_event_value(spec, bd)
     # value x the rates' mean product mu, multiplied in the depth order x is
     value_mu = value * math.prod(spec.rate_means()[:bd])
 
@@ -301,7 +277,7 @@ def best_response_scan(
     n = replications
     fixtures = []
     for f_idx, e_k in enumerate(rival_es):
-        # each fixture's totals are dropped as its report takes their place
+        # each fixture's totals are dropped as its scan takes their place
         cnt, s, q = tot.pop(("n", f_idx)), tot.pop(("s", f_idx)), tot.pop(("q", f_idx))
         # the fixture's shift, a won draw's utility at the mean rates
         c = value_mu - e_k
@@ -311,25 +287,12 @@ def best_response_scan(
         u_grid = means[on_grid]
         band = [side * (a[on_grid] - a[th]) for a in (cnt, s, q)]
         se_d = np.sqrt(_set_variance(*band, c, n) / max(n - 1, 1))
-        fixtures.append(
-            FixtureScan(
-                rival_e=e_k,
-                utility_theory=float(u_th),
-                se_theory=float(se_th),
-                utilities=u_grid,
-                argmax_index=int(np.argmax(u_grid)),
-                gap=MeanSE(u_th - u_grid, se_d),
-            )
-        )
-
-    mean_curve = np.mean([f.utilities for f in fixtures], axis=0)
-    return DominanceReport(
-        theory_bid=float(theoretical),
-        theory_index=int(np.argmin(np.abs(grid - theoretical))),
-        fixtures=tuple(fixtures),
-        mean_curve=mean_curve,
-        argmax_index=int(np.argmax(mean_curve)),
-    )
+        fixtures.append(FixtureScan(
+            theory=MeanSE(float(u_th), float(se_th)),
+            utilities=u_grid,
+            gap=MeanSE(u_th - u_grid, se_d),
+        ))
+    return tuple(fixtures)
 
 
 class CollapseRound(namedtuple(

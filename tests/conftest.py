@@ -6,7 +6,6 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from adpricing.cli import _unbeaten
 from adpricing.distributions import Discrete, Point, Uniform
 from adpricing.engine import run_auction
 from adpricing.model import (
@@ -32,12 +31,6 @@ def make_game(specs, model="OCPC", scenario="in_site", chain_events=CHAIN_3):
     chain = EventChain(tuple(chain_events))
     sc = in_site() if scenario == "in_site" else out_site()
     return Game(specs, chain, pricing_model(model, chain), sc)
-
-
-def scans_pass(rep):
-    """The dominance study's rule on a scan report: no grid bid beats the
-    theoretical bid against any fixture."""
-    return all(_unbeaten(scan.gap) for scan in rep.fixtures)
 
 
 def default_specs():

@@ -561,6 +561,27 @@ def test_cli_simulate_end_to_end(tmp_path):
         assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest
 
 
+# sha256 of dominance/dominance.csv under --study dominance --seed 42
+# --replications 3000, recorded before the scan returned bare per-fixture
+# estimates; valuing a won draw by the engine's payoff (ROADMAP.md item
+# 21) moves the CPC rows and re-records them as a declared change
+DOMINANCE_CSV_SHA256 = {
+    "default.yaml": "8f39302fbddb8aaed63c33b4202d4d42f709d7ccb8c36ecfbe3069336dc9b52e",
+    "three_player.yaml": "47f8e823712cccedb152e167eb56d65d31c7dc9033fe4d384797d983201452df",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOMINANCE_CSV_SHA256))
+def test_cli_dominance_csv_is_pinned(tmp_path, name):
+    out = tmp_path / "results"
+    out.mkdir()
+    argv = ["--config", str(ROOT / "configs" / name), "--out", str(out),
+            "--study", "dominance", "--seed", "42", "--replications", "3000"]
+    assert cli.main(argv) == 0
+    csv_bytes = (out / "dominance" / "dominance.csv").read_bytes()
+    assert hashlib.sha256(csv_bytes).hexdigest() == DOMINANCE_CSV_SHA256[name]
+
+
 def _simulate_realized(tmp_path, scenario, rounds):
     """Out dir of one realized simulate run of the shrunk default config."""
     raw = _small_dict("simulate", rounds=rounds, mode="realized")
@@ -1374,9 +1395,9 @@ def test_dominance_scans_each_bid_depth_once(monkeypatch, name):
         cli, "equilibrium_fixture_bids", counted(cli.equilibrium_fixture_bids, "fixtures")
     )
     tables, verdicts = _recorded(cli._study_dominance, cfg)
-    # CPC bids per click; CPA and OCPC per conversion, and one fixture
-    # pass serves both bid depths
-    assert calls == {"scan": 2 * cfg.game.n, "fixtures": 1}
+    # CPC bids per click, CPA and OCPC per conversion: one fixture call
+    # and one scan per advertiser for each bid depth
+    assert calls == {"scan": 2 * cfg.game.n, "fixtures": 2}
     assert verdicts == {"scans_pass": True, "cpa_out_flagged": True}
 
     _, rows = tables["dominance.csv"]
@@ -1390,15 +1411,13 @@ def test_dominance_scans_each_bid_depth_once(monkeypatch, name):
         game = cfg.game.with_model(model, in_site() if kind == "in_site" else out_site())
         # the rows equal a scan of this combo's own game
         theory = theoretical_play(game)[0]
-        fixtures = equilibrium_fixture_bids(game, multipliers=p["fixtures"])[model][0]
-        rep = best_response_scan(
+        fixtures = equilibrium_fixture_bids(game, multipliers=p["fixtures"])[0]
+        scans = best_response_scan(
             0, np.linspace(0.0, p["grid_max_multiplier"] * theory.bid, p["grid_points"]),
             fixtures, game, theory.bid, replications=p["replications"], seed=cfg.seed,
         )
         own = by_combo[model, kind][: len(p["fixtures"])]
-        assert [r[3:6] for r in own] == [
-            [rep.theory_bid, f.utility_theory, f.se_theory] for f in rep.fixtures
-        ]
+        assert [r[3:6] for r in own] == [[theory.bid, *scan.theory] for scan in scans]
         # combos of one bid depth write equal rows
         twin = next(c for c in scanned
                     if cfg.game.with_model(c[0]).model.bid_depth == game.model.bid_depth)
@@ -1495,6 +1514,12 @@ def _planted_run(tmp_path, monkeypatch, study, estimator, plant):
     return code, json.loads((tmp_path / "manifest.json").read_text())["verdicts"]
 
 
+# the small config's grid runs to twice the theoretical bid over an odd
+# number of points, so the theoretical bid's nearest grid point is the
+# middle one
+_THEORY_INDEX = _small_dict("dominance")["study_params"]["dominance"]["grid_points"] // 2
+
+
 # one grid bid's gap (the theoretical bid's utility minus the bid's) in
 # each scan's first fixture: beyond 3 SE below 0, below 0 but within
 # 3 SE, a positive gap with a NaN SE (overflowed sums), and the exact zero
@@ -1507,22 +1532,30 @@ def _planted_run(tmp_path, monkeypatch, study, estimator, plant):
     pytest.param(0.0, 0.0, True, id="exact-zero"),
 ])
 def test_scans_pass_verdict_reads_every_gap(tmp_path, monkeypatch, mean, se, holds):
-    def plant(rep):
-        scan = rep.fixtures[0]
-        gap = MeanSE(scan.gap.mean.copy(), scan.gap.se.copy())
-        gap.mean[rep.theory_index], gap.se[rep.theory_index] = mean, se
-        return rep._replace(fixtures=(scan._replace(gap=gap), *rep.fixtures[1:]))
+    def plant(scans):
+        gap = MeanSE(scans[0].gap.mean.copy(), scans[0].gap.se.copy())
+        gap.mean[_THEORY_INDEX], gap.se[_THEORY_INDEX] = mean, se
+        return (scans[0]._replace(gap=gap), *scans[1:])
 
     code, verdicts = _planted_run(tmp_path, monkeypatch, "dominance", "best_response_scan", plant)
     assert verdicts["dominance.scans_pass"] is holds and code == (0 if holds else 1)
 
 
+# every fixture's utility at one grid bid raised above every utility of
+# the scan, so that the across-fixture mean peaks there; the gaps are the
+# scan's own, which pass
 @pytest.mark.parametrize("offset, holds", [(1, True), (2, False)])
 def test_scans_pass_verdict_needs_the_mean_argmax_within_one_step(
     tmp_path, monkeypatch, offset, holds
 ):
-    def plant(rep):
-        return rep._replace(argmax_index=rep.theory_index + offset)
+    def plant(scans):
+        top = max(float(np.max(scan.utilities)) for scan in scans) + 1.0
+        planted = []
+        for scan in scans:
+            utilities = scan.utilities.copy()
+            utilities[_THEORY_INDEX + offset] = top
+            planted.append(scan._replace(utilities=utilities))
+        return tuple(planted)
 
     code, verdicts = _planted_run(tmp_path, monkeypatch, "dominance", "best_response_scan", plant)
     assert verdicts["dominance.scans_pass"] is holds and code == (0 if holds else 1)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from adpricing import sampling, strategy
-from adpricing.cli import _unbeaten
+from adpricing.cli import _scan_cells, _unbeaten
 from adpricing.config import load_config
 from adpricing.distributions import Discrete
 from adpricing.engine import run_auction
@@ -42,7 +42,6 @@ from conftest import (
     make_game,
     mean_rate_equivalent_bids,
     point_specs,
-    scans_pass,
 )
 
 
@@ -85,7 +84,7 @@ def test_theoretical_out_site():
 
 def _one_bid(game, bid, rival_es, replications=500, seed=1):
     """Utility of one bid per rival fixture: a one-point scan at that bid."""
-    return best_response_scan(0, [bid], rival_es, game, bid, replications, seed).fixtures
+    return best_response_scan(0, [bid], rival_es, game, bid, replications, seed)
 
 
 def test_one_bid_scan_exact_point_game():
@@ -94,9 +93,9 @@ def test_one_bid_scan_exact_point_game():
     # last fixture is an exact tie, which loses: winning requires strictly
     # beating the rival
     win, lose, tie = _one_bid(game, 10.0, [2.0, 4.0, 10.0 * 0.3])
-    assert (win.utility_theory, win.se_theory) == (1.0, 0.0)
-    assert (lose.utility_theory, lose.se_theory) == (0.0, 0.0)
-    assert (tie.utility_theory, tie.se_theory) == (0.0, 0.0)
+    assert win.theory == (1.0, 0.0)
+    assert lose.theory == (0.0, 0.0)
+    assert tie.theory == (0.0, 0.0)
 
 
 def _exact_scan(game, replications):
@@ -114,8 +113,8 @@ def _exact_scan(game, replications):
     for d in range(bd + 1, game.chain.conversion_depth + 1):
         value *= spec.rate(d).mean()
     rival_es = [0.3 * x * theory, 0.7 * x * theory, 1.3 * x * theory]
-    rep = best_response_scan(0, grid, rival_es, game, theory, replications, seed=5)
-    return rep, [value * x - e for e in rival_es]
+    scans = best_response_scan(0, grid, rival_es, game, theory, replications, seed=5)
+    return scans, [value * x - e for e in rival_es]
 
 
 @pytest.mark.parametrize(
@@ -131,20 +130,20 @@ def _exact_scan(game, replications):
 def test_scan_ses_are_exactly_zero_where_x_is_sure(game_fn):
     # every column wins all draws or none, so no SE has anything to measure;
     # the sums merge over three batches
-    rep, utility = _exact_scan(game_fn(), 2 * BATCH_SIZE + 7)
-    won, lost = rep.fixtures[:2], rep.fixtures[2:]
-    for scan in rep.fixtures:
-        assert scan.se_theory == 0.0 and np.all(scan.gap.se == 0.0)
-        assert not np.signbit([scan.se_theory, *scan.gap.se]).any()
+    scans, utility = _exact_scan(game_fn(), 2 * BATCH_SIZE + 7)
+    won, lost = scans[:2], scans[2:]
+    for scan in scans:
+        assert scan.theory.se == 0.0 and np.all(scan.gap.se == 0.0)
+        assert not np.signbit([scan.theory.se, *scan.gap.se]).any()
     # the theoretical bid beats the first two fixtures on every draw and
     # reports the per-draw utility exactly; it loses every draw to the last
-    assert [scan.utility_theory for scan in won] == utility[:2]
-    assert all(scan.utility_theory == 0.0 for scan in lost)
-    for scan, u in zip(rep.fixtures, utility):
+    assert [scan.theory.mean for scan in won] == utility[:2]
+    assert all(scan.theory.mean == 0.0 for scan in lost)
+    for scan, u in zip(scans, utility):
         # a grid bid that always wins (the top of the grid does) reports the
         # same exact utility
         assert scan.utilities[-1] == u
-    assert scans_pass(rep)
+    assert all(_unbeaten(scan.gap) for scan in scans)
 
 
 def test_one_bid_scan_is_seed_deterministic():
@@ -152,13 +151,13 @@ def test_one_bid_scan_is_seed_deterministic():
     (a,) = _one_bid(game, 8.0, [2.0], replications=4000, seed=3)
     (b,) = _one_bid(game, 8.0, [2.0], replications=4000, seed=3)
     (c,) = _one_bid(game, 8.0, [2.0], replications=4000, seed=4)
-    assert (a.utility_theory, a.se_theory) == (b.utility_theory, b.se_theory)
-    assert a.utility_theory != c.utility_theory
+    assert a.theory == b.theory
+    assert a.theory.mean != c.theory.mean
 
 
 def test_fixture_bids_two_player_reduction_exact():
     game = make_game(default_specs(), model="CPC")
-    fixtures = equilibrium_fixture_bids(game, multipliers=(0.25, 0.5, 1.0, 2.0))["CPC"][0]
+    fixtures = equilibrium_fixture_bids(game, multipliers=(0.25, 0.5, 1.0, 2.0))[0]
     engine_e = mean_rate_equivalent_bids(game)[1]
     assert fixtures[2] == engine_e
     assert fixtures == [m * engine_e for m in (0.25, 0.5, 1.0, 2.0)]
@@ -167,7 +166,7 @@ def test_fixture_bids_two_player_reduction_exact():
 def test_fixture_bids_three_player_between_rivals():
     third = point_specs()[0]._replace(id=3, m=90.0)
     game = make_game(default_specs() + (third,), model="CPC")
-    fixtures = equilibrium_fixture_bids(game, multipliers=(1.0,))["CPC"][0]
+    fixtures = equilibrium_fixture_bids(game, multipliers=(1.0,))[0]
     es = mean_rate_equivalent_bids(game)[1:]
     # the strongest rival's mean equivalent bid
     assert fixtures[0] == max(es)
@@ -180,7 +179,7 @@ def test_fixture_pass_matches_per_advertiser_rival_max(n_advertisers):
     mults = (0.5, 1.0, 3.0)
     for model in ("CPC", "OCPC"):
         game = make_game(_four_specs()[:n_advertisers], model=model)
-        fixture_sets = equilibrium_fixture_bids(game, multipliers=mults)[model]
+        fixture_sets = equilibrium_fixture_bids(game, multipliers=mults)
         assert fixture_sets == _rival_max_oracle(game, mults), model
 
     with pytest.raises(ValueError, match="at least one rival"):
@@ -194,27 +193,23 @@ def test_fixture_bids_draw_nothing(monkeypatch):
     monkeypatch.setattr(sampling, "batch_rng", no_draws)
     monkeypatch.setattr(strategy, "batch_rng", no_draws)
     for n_advertisers in (2, 3, 4):
-        game = make_game(_four_specs()[:n_advertisers], model="CPC")
-        fixture_sets = equilibrium_fixture_bids(game, models=["CPC", "OCPC", "CPA"])
-        assert [len(f) for f in fixture_sets.values()] == [n_advertisers] * 3
+        for model in ("CPC", "OCPC", "CPA"):
+            game = make_game(_four_specs()[:n_advertisers], model=model)
+            assert len(equilibrium_fixture_bids(game)) == n_advertisers
 
 
 @pytest.mark.parametrize("n_advertisers", [2, 3])
-def test_one_fixture_pass_serves_every_model_bit_for_bit(n_advertisers):
-    # CPC bids at the click, CPA and OCPC at the conversion: one call for
-    # every model gives each model the fixtures of its own call
+def test_models_of_one_bid_depth_have_equal_fixtures_bit_for_bit(n_advertisers):
+    # CPA and OCPC both bid at the conversion, in-site and, for OCPC,
+    # out-site, so the dominance study scans one of them for all three;
+    # CPA out-site has no equilibrium bid to take fixtures from
     specs = _four_specs()[:n_advertisers]
-    game = make_game(specs, model="CPC")
-    shared = equilibrium_fixture_bids(game, models=["OCPC", "CPC", "CPA"])
-    assert list(shared) == ["OCPC", "CPC", "CPA"]
-    for model in ("CPC", "OCPC"):
-        alone = equilibrium_fixture_bids(game.with_model(model))
-        assert list(alone) == [model]
-        assert repr(shared[model]) == repr(alone[model])
-    assert shared["CPA"] == shared["OCPC"]
+    cpa = repr(equilibrium_fixture_bids(make_game(specs, model="CPA")))
+    assert repr(equilibrium_fixture_bids(make_game(specs, model="OCPC"))) == cpa
     out = make_game(specs, model="OCPC", scenario="out_site")
+    assert repr(equilibrium_fixture_bids(out)) == cpa
     with pytest.raises(ValueError, match="CPA/out_site has no equilibrium bid"):
-        equilibrium_fixture_bids(out, models=["OCPC", "CPA"])
+        equilibrium_fixture_bids(out.with_model("CPA"))
 
 
 # sha256 of the repr of cpa_collapse (12 rounds, decay 0.5, BATCH_SIZE + 7
@@ -258,7 +253,7 @@ def test_fixture_bids_are_pinned(case):
     else:
         game = make_game(_four_specs())
     game = game.with_model(model, in_site())
-    fixtures = equilibrium_fixture_bids(game)[model]
+    fixtures = equilibrium_fixture_bids(game)
     assert fixtures == _rival_max_oracle(game, (0.25, 0.5, 1.0, 2.0))
 
 
@@ -273,21 +268,25 @@ def test_cpa_collapse_is_pinned(n_advertisers):
 def test_best_response_scan_passes_for_theory():
     game = make_game(default_specs(), model="CPC")
     theory = _theory(game)
-    grid = np.linspace(0.0, 2.0 * theory.bid, 41)
-    fixtures = equilibrium_fixture_bids(game)["CPC"][0]
-    rep = best_response_scan(0, grid, fixtures, game, theory.bid, replications=20_000, seed=2)
-    assert scans_pass(rep)
-    assert abs(rep.argmax_index - rep.theory_index) <= 1
-    assert rep.theory_bid == theory.bid
+    multipliers = (0.25, 0.5, 1.0, 2.0)
+    p = {"grid_max_multiplier": 2.0, "grid_points": 41, "fixtures": multipliers,
+         "replications": 20_000}
+    fixtures = equilibrium_fixture_bids(game, multipliers)[0]
+    cells = _scan_cells(game, 0, theory.bid, fixtures, p, seed=2)
+    # one row per fixture, then the localization row; the study's rule
+    # passes each, and the theoretical bid's grid point is the middle one
+    assert [c[0] for c in cells] == [*multipliers, "mean"]
+    assert all(c[-1] for c in cells)
+    assert all(c[2] == theory.bid and c[-2] == 20 for c in cells)
 
 
 def test_best_response_scan_flags_wrong_bid():
     game = make_game(default_specs(), model="CPC")
     theory = _theory(game)
     grid = np.linspace(0.0, 2.0 * theory.bid, 41)
-    fixtures = equilibrium_fixture_bids(game)["CPC"][0]
-    rep = best_response_scan(0, grid, fixtures, game, 2.0 * theory.bid, replications=20_000, seed=2)
-    assert not scans_pass(rep)
+    fixtures = equilibrium_fixture_bids(game)[0]
+    scans = best_response_scan(0, grid, fixtures, game, 2.0 * theory.bid, 20_000, seed=2)
+    assert not all(_unbeaten(scan.gap) for scan in scans)
 
 
 def test_scan_rejects_negative_bids():
@@ -500,20 +499,20 @@ def test_scan_matches_dense_oracle(game_fn, n_misguessed):
         assert np.array_equal(win.sum(axis=0), size - k)
 
     n = size
-    rep = best_response_scan(0, grid, rival_es, game, theory, replications=n, seed=seed)
+    scans = best_response_scan(0, grid, rival_es, game, theory, replications=n, seed=seed)
     # one one-bid scan per grid bid reports that bid's paired gap and SE
     singles = [
-        best_response_scan(0, [b], rival_es, game, theory, replications=n, seed=seed).fixtures
+        best_response_scan(0, [b], rival_es, game, theory, replications=n, seed=seed)
         for b in grid
     ]
-    for f, (scan, (win, w, s, var, var_d)) in enumerate(zip(rep.fixtures, dense)):
+    for f, (scan, (win, w, s, var, var_d)) in enumerate(zip(scans, dense)):
         # a sum's rounding scales with the magnitude of its terms
         u_tol = 1e-12 * np.abs(w).mean()
         means = s / n
         np.testing.assert_allclose(scan.utilities, means[:-1], rtol=1e-12, atol=u_tol)
-        np.testing.assert_allclose(scan.utility_theory, means[-1], rtol=1e-12, atol=u_tol)
+        np.testing.assert_allclose(scan.theory.mean, means[-1], rtol=1e-12, atol=u_tol)
         se_th = np.sqrt(var[-1] / (n - 1))
-        np.testing.assert_allclose(scan.se_theory, se_th, rtol=1e-12)
+        np.testing.assert_allclose(scan.theory.se, se_th, rtol=1e-12)
         diff = means[-1] - means[:-1]
         se_d = np.sqrt(var_d / (n - 1))
         np.testing.assert_allclose(scan.gap.mean, diff, rtol=1e-12, atol=u_tol)

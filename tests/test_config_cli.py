@@ -561,25 +561,59 @@ def test_cli_simulate_end_to_end(tmp_path):
         assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest
 
 
-# sha256 of dominance/dominance.csv under --study dominance --seed 42
-# --replications 3000, recorded before the scan returned bare per-fixture
-# estimates; valuing a won draw by the engine's payoff (ROADMAP.md item
-# 21) moves the CPC rows and re-records them as a declared change
-DOMINANCE_CSV_SHA256 = {
-    "default.yaml": "8f39302fbddb8aaed63c33b4202d4d42f709d7ccb8c36ecfbe3069336dc9b52e",
-    "three_player.yaml": "47f8e823712cccedb152e167eb56d65d31c7dc9033fe4d384797d983201452df",
+# sha256 of every file a run writes besides its manifest, at --seed 42
+# --replications 3000, keyed by (config, study), None being reproduce-all.
+# Recorded before the scan's tail sums became one running sum per batch;
+# valuing a won draw by the engine's payoff (ROADMAP.md item 21) moves
+# the CPC rows of dominance/dominance.csv and re-records them as a
+# declared change
+STUDY_FILES_SHA256 = {
+    ("default.yaml", None): {
+        "collapse/collapse.csv": "5404187c9d499b54bf56dce81c6a2ce3591efe9aa2ae334aa4d5dfc8104ac3f8",
+        "cpsc/enumeration.csv": "454ea83fff9aa047a02df8ffa7ce3f7ce92d1567fb4b7a60a6821e64ab344d09",
+        "cpsc/orderings.csv": "1d0c2fedac8acdea881197c5497a3307b8a4b2844b9f40164b3eb27bd0db26d0",
+        "cpsc/payoffs.csv": "cfba23cd9cf3b265218a52ae5fa8932b0fbf834facf0a75ac9a32552fa6d54d0",
+        "dominance/dominance.csv": "8f39302fbddb8aaed63c33b4202d4d42f709d7ccb8c36ecfbe3069336dc9b52e",
+        "lemmas/decomposition.csv": "9041f08d32552219a2ebd4889035f291b365a337e1a2e4ab5ff73691af74b192",
+        "lemmas/degenerate_control.csv": "cac885b221b68958f856fef54c716889810b31eb5e7432baaaaa30efde1a7eec",
+        "lemmas/dice_oracle.csv": "5804a7e3f248c71ccf6152207a6e262343439e2c499ea494445c3f640bef199f",
+        "lemmas/orderings.csv": "efb28a4ec39537c2d8cda5e562f534bf8c154152b563cd116bfdca99f53a2a1e",
+        "simulate/totals.csv": "e3bf670b2f7534797fadcd183f1d69465ca3c4a1d6e30822e81a5962f48b5afc",
+        "simulate/trace.csv": "841cc13977285dc3fd6b29678f621df33af1475f444bee14df1834e167d1e738",
+        "summary.csv": "3f523973b4e51c80b79057eac7a4554d4de9fe4dc5d40145a8be3a7e63f42df6",
+        "sweep/boundaries.csv": "aaa391960c70d776601a8d17cab3125929e431ba3995584b7f4ce5075b6ce26c",
+        "sweep/sweep.csv": "a36a93f94c70dc9c0221c0190175b69aaa51db8dc687b67f9c06a2e39be3fe4d",
+    },
+    ("three_player.yaml", "dominance"): {
+        "dominance/dominance.csv": "47f8e823712cccedb152e167eb56d65d31c7dc9033fe4d384797d983201452df",
+    },
+    ("three_player.yaml", "sweep"): {
+        "sweep/boundaries.csv": "350109031fbc5fc3a4f47e79e577555162bee23012277c8464136d8272f7e889",
+        "sweep/sweep.csv": "1b41ab425d8f478daceb2b8f80dcc10b2efdb32e9895997b69f291b6d3d59cef",
+    },
+    ("cart.yaml", "cpsc"): {
+        "cpsc/enumeration.csv": "454ea83fff9aa047a02df8ffa7ce3f7ce92d1567fb4b7a60a6821e64ab344d09",
+        "cpsc/orderings.csv": "1d0c2fedac8acdea881197c5497a3307b8a4b2844b9f40164b3eb27bd0db26d0",
+        "cpsc/payoffs.csv": "cfba23cd9cf3b265218a52ae5fa8932b0fbf834facf0a75ac9a32552fa6d54d0",
+    },
 }
 
 
-@pytest.mark.parametrize("name", sorted(DOMINANCE_CSV_SHA256))
-def test_cli_dominance_csv_is_pinned(tmp_path, name):
+@pytest.mark.parametrize(
+    "name, study", sorted(STUDY_FILES_SHA256, key=str), ids=lambda v: v or "all"
+)
+def test_cli_study_files_are_pinned(tmp_path, name, study):
     out = tmp_path / "results"
     out.mkdir()
     argv = ["--config", str(ROOT / "configs" / name), "--out", str(out),
-            "--study", "dominance", "--seed", "42", "--replications", "3000"]
+            "--seed", "42", "--replications", "3000"]
+    if study is not None:
+        argv += ["--study", study]
     assert cli.main(argv) == 0
-    csv_bytes = (out / "dominance" / "dominance.csv").read_bytes()
-    assert hashlib.sha256(csv_bytes).hexdigest() == DOMINANCE_CSV_SHA256[name]
+    digests = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.rglob("*") if p.is_file() and p.name != "manifest.json"}
+    assert digests == STUDY_FILES_SHA256[name, study]
+    assert json.loads((out / "manifest.json").read_text())["files"] == digests
 
 
 def _simulate_realized(tmp_path, scenario, rounds):

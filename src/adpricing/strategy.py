@@ -29,13 +29,13 @@ every grid bid's, and the theoretical bid's utility minus each grid
 bid's with the paired SE, which the dominance study judges. Bid b wins
 a draw when x * b beats the rival, x being the draw's product of rates
 up to the bid depth; that is monotone in x for b >= 0, so every bid
-wins on an upper tail of a batch's sorted draws. One sort and one win
-start per bid, then sums of the utility, shifted by its value at the
-mean rates, read only at those few starts give every grid bid's
-moments, at a cost that does not grow with the product of draws and
-grid size. The rival fixtures the scans run against are closed form,
-multiples of the strongest rival's mean equivalent bid, and draw
-nothing.
+wins on an upper tail of a batch's sorted draws. One sort, one running
+sum from the top of the utility, shifted by its value at the mean
+rates, and one of its square, read at each bid's win start, give every
+grid bid's moments, at a cost that does not grow with the product of
+draws and grid size. The rival fixtures the scans run against are
+closed form, multiples of the strongest rival's mean equivalent bid,
+and draw nothing.
 
 The result records (FixtureScan, CollapseRound) are immutable
 collections.namedtuple subclasses: besides their named fields they can
@@ -154,30 +154,11 @@ def _win_starts(x: np.ndarray, bids: np.ndarray, e: float) -> np.ndarray:
         k[up] = np.searchsorted(x, x[k[up]], side="right")
 
 
-def _tail_sums(k: np.ndarray, *vs: np.ndarray) -> list[np.ndarray]:
-    """Per array v of vs (all of one length n), out[j] = v[k[j]:].sum()
-    for descending starts n >= k[0] >= k[1] >= ... >= 0, as ascending
-    bids' win starts are; a start at n sums nothing, to 0.
-
-    Comparing neighbours de-duplicates the starts, which read backwards
-    ascend, so np.add.reduceat sums each segment between consecutive
-    starts once; a running sum over those few segment sums, from the
-    top, gives each distinct start its tail. Draws below the lowest start
-    are never read."""
-    n = vs[0].size
-    first = np.empty(k.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(k[1:], k[:-1], out=first[1:])
-    starts = k[first][::-1]
-    if starts.size and starts[-1] == n:
-        starts = starts[:-1]
-    at = np.searchsorted(starts, k)  # each start's segment; n maps past the last
-    out = []
-    for v in vs:
-        tail = np.zeros(starts.size + 1)
-        if starts.size:
-            np.cumsum(np.add.reduceat(v, starts)[::-1], out=tail[:-1][::-1])
-        out.append(tail[at])
+def _tail_sums(v: np.ndarray) -> np.ndarray:
+    """out[k] = v[k:].sum() for every start k in 0..n, n = len(v), by one
+    running sum from the top; out[n] sums nothing, to 0."""
+    out = np.zeros(v.size + 1)
+    np.cumsum(v[::-1], out=out[-2::-1])
     return out
 
 
@@ -211,14 +192,14 @@ def best_response_scan(
 
     A won draw pays w = value x x - e against fixture e, x being the
     draw's product of rates up to the bid depth. Each batch sorts x once;
-    bid b wins against e on an upper tail x[k:] (see _win_starts), so the
-    grid, which must ascend, and the theoretical bid in its place have
-    descending win starts. Every sum is taken of the shifted utility
-    w - c, with c = value x mu - e the utility at the mean rates mu, and
-    w - c = value x (x - mu) whatever the fixture: so one array and its
-    square per batch serve every fixture, whose partial is, per bid, the
-    win count and those arrays' tail sums read at the win starts
-    (_tail_sums), and c enters only the merge.
+    bid b wins against e on an upper tail x[k:] (see _win_starts), whose
+    sums depend on no other bid, so the grid may come in any order. Every
+    sum is taken of the shifted utility w - c, with c = value x mu - e
+    the utility at the mean rates mu, and w - c = value x (x - mu)
+    whatever the fixture: so the running tail sums of one array and its
+    square per batch (_tail_sums) serve every fixture, whose partial is,
+    per bid, the win count and those sums read at the win start, and c
+    enters only the merge.
     The draws on which a grid bid and the theoretical bid disagree form
     the contiguous band between their win starts, whose sums are the
     differences of the two columns' sums. Each SE is the spread inside
@@ -243,13 +224,8 @@ def best_response_scan(
 
     if not (np.all(grid >= 0.0) and theoretical >= 0.0):
         raise ValueError("bids must be >= 0")
-    if np.any(grid[1:] < grid[:-1]):
-        raise ValueError("grid must ascend")
-    # the theoretical bid takes its place in the ascending grid, so the
-    # evaluated bids ascend and every batch's win starts descend
-    th = int(np.searchsorted(grid, theoretical))
-    bids = np.concatenate((grid[:th], [theoretical], grid[th:]))
-    on_grid = np.arange(bids.size) != th
+    # the theoretical bid is evaluated last, after the grid
+    bids = np.append(grid, theoretical)
     # a lower bid wins on a subset of the theoretical bid's draws, so its
     # band's sums are the theory column's minus its own: negated together,
     # which leaves every term of the band's variance unchanged
@@ -264,12 +240,11 @@ def best_response_scan(
         # a won draw's shifted utility, the same against every fixture
         y = value * x
         y -= value_mu
-        yy = y * y
+        sy, syy = _tail_sums(y), _tail_sums(y * y)
         out = {}
         for f_idx, e_k in enumerate(rival_es):
             k = _win_starts(x, bids, e_k)
-            out["n", f_idx] = size - k
-            out["s", f_idx], out["q", f_idx] = _tail_sums(k, y, yy)
+            out["n", f_idx], out["s", f_idx], out["q", f_idx] = size - k, sy[k], syy[k]
         return out
 
     tot = run_batched(replications, batch_fn)
@@ -282,10 +257,10 @@ def best_response_scan(
         # the fixture's shift, a won draw's utility at the mean rates
         c = value_mu - e_k
         means = c * (cnt / n) + s / n
-        u_th = means[th]
-        se_th = np.sqrt(_set_variance(cnt[th], s[th], q[th], c, n) / max(n - 1, 1))
-        u_grid = means[on_grid]
-        band = [side * (a[on_grid] - a[th]) for a in (cnt, s, q)]
+        u_th = means[-1]
+        se_th = np.sqrt(_set_variance(cnt[-1], s[-1], q[-1], c, n) / max(n - 1, 1))
+        u_grid = means[:-1]
+        band = [side * (a[:-1] - a[-1]) for a in (cnt, s, q)]
         se_d = np.sqrt(_set_variance(*band, c, n) / max(n - 1, 1))
         fixtures.append(FixtureScan(
             theory=MeanSE(float(u_th), float(se_th)),

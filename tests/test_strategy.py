@@ -298,11 +298,27 @@ def test_scan_rejects_negative_bids():
         best_response_scan(0, [1.0], [1.0], game, -1.0, replications=10)
 
 
-def test_scan_rejects_a_grid_that_does_not_ascend():
-    # the tail sums read the win starts of ascending bids, which descend
+def test_scan_does_not_depend_on_the_grid_order():
+    # every bid's sums are read at its own win start, whatever its
+    # neighbours: a shuffled grid, with a repeated bid and a point at the
+    # theoretical bid, gives the sorted grid's numbers, permuted; the sums
+    # merge over three batches
     game = make_game(default_specs(), model="CPC")
-    with pytest.raises(ValueError, match="grid must ascend"):
-        best_response_scan(0, [0.0, 2.0, 1.0], [1.0], game, 1.0, replications=10)
+    theory = _theory(game).bid
+    grid = np.linspace(0.0, 2.0 * theory, 21)
+    assert grid[10] == theory
+    grid = np.append(grid, grid[[3, 10, 17]])
+    shuffled = np.random.default_rng(5).permutation(grid)
+    order = np.argsort(shuffled, kind="stable")
+    fixtures = equilibrium_fixture_bids(game)[0]
+    reps = 2 * BATCH_SIZE + 7
+    ascending = best_response_scan(0, np.sort(grid), fixtures, game, theory, reps, seed=6)
+    scans = best_response_scan(0, shuffled, fixtures, game, theory, reps, seed=6)
+    for scan, want in zip(scans, ascending, strict=True):
+        assert scan.theory == want.theory
+        for got, ref in ((scan.utilities, want.utilities), (scan.gap.mean, want.gap.mean),
+                         (scan.gap.se, want.gap.se)):
+            assert np.array_equal(got[order], ref)
 
 
 def test_cpa_collapse_schedule_and_regimes():
@@ -368,27 +384,39 @@ def test_cpa_collapse_rejects_aliasing_round_keys():
         cpa_collapse(game, 5, 0.5, replications=(1 << 20) * BATCH_SIZE + 1)
 
 
-@pytest.mark.parametrize("size", [0, 1, 2, 7, 5000])
+def _exact_tail_sums(v):
+    """Per start k in 0..len(v), v[k:].sum() and abs(v[k:]).sum() taken
+    exactly in integers and rounded once, as math.fsum rounds them; one
+    pass from the top, where math.fsum at every start of a batch's draws
+    would take seconds."""
+    ratios = [x.as_integer_ratio() for x in v.tolist()]
+    den = max((d for _, d in ratios), default=1)  # each d is a power of 2
+    tails = np.zeros((2, v.size + 1))
+    t = a = 0
+    for k in range(v.size - 1, -1, -1):
+        num, d = ratios[k]
+        t += num * (den // d)
+        a += abs(num) * (den // d)
+        tails[:, k] = t / den, a / den
+    return tails
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 7, 5000, BATCH_SIZE])
 def test_tail_sums_match_fsum_at_every_start(size):
     rng = np.random.default_rng(size)
     v = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
-    # descending starts, as ascending bids' win starts are: ties, both ends,
-    # and starts at size (never-winning columns, whose tails are empty)
-    k = np.concatenate([rng.integers(0, size + 1, 40), [size, 0, size], rng.integers(0, size + 1, 3)])
-    k = np.sort(np.concatenate([k, k[::3]]))[::-1]
-    got_v, got_sq = _tail_sums(k, v, v * v)
-    assert got_v.shape == got_sq.shape == k.shape
-    for got, arr in ((got_v, v), (got_sq, v * v)):
-        for j, start in enumerate(k):
-            tail = arr[start:]
-            want = math.fsum(tail)
-            # a running sum's error is at most its length x eps x sum |terms|
-            bound = tail.size * 2.0**-52 * math.fsum(np.abs(tail))
-            assert abs(got[j] - want) <= bound, (start, got[j], want)
-    assert np.all(got_v[k == size] == 0.0) and np.all(got_sq[k == size] == 0.0)
-    # a start repeated anywhere reads the same tail, bit for bit
-    for start in np.unique(k):
-        assert len(set(got_v[k == start].tolist())) == 1
+    for arr in (v, v * v):
+        got = _tail_sums(arr)
+        assert got.shape == (size + 1,)
+        assert got[size] == 0.0
+        want, want_abs = _exact_tail_sums(arr)
+        for k in {0, size, *rng.integers(0, size + 1, 20).tolist()}:
+            assert want[k] == math.fsum(arr[k:]) and want_abs[k] == math.fsum(np.abs(arr[k:]))
+        # a running sum's error is at most its length x eps x sum |terms|,
+        # at every start
+        bound = np.arange(size, -1, -1) * 2.0**-52 * want_abs
+        bad = np.flatnonzero(np.abs(got - want) > bound)
+        assert bad.size == 0, (bad[:5], got[bad[:5]], want[bad[:5]])
 
 
 def _scan_draws(game, seed, size):

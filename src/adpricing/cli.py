@@ -48,7 +48,7 @@ from . import __version__
 from .config import ConfigError, ExperimentConfig, STUDIES, load_config
 from .distributions import Discrete, Point, two_point_surrogate
 from .engine import run_repeated
-from .equilibrium import CPSC_MODELS, cpsc_comparison, sweep_outside_option
+from .equilibrium import CPSC_MODELS, choose_model, cpsc_comparison, sweep_outside_option
 from .model import AdvertiserSpec, EventChain, Game, PlatformBelief, in_site, out_site, pricing_model
 from .payoffs import (
     enumeration_size,
@@ -315,10 +315,10 @@ def _study_lemmas(cfg: ExperimentConfig, write) -> dict[str, bool]:
         ]
         return [[label, name, d, d.z(), _ordered(d, up)] for label, name, d, up in named]
 
-    # point-mass conversion laws at their means; click laws untouched
-    conv_idx = cfg.game.chain.conversion_depth - 1
+    # every law deeper than CPC's bid (the click) a point mass at its mean,
+    # so CPC and OCPC score alike; click laws untouched
     degen = payoff_ordering_suite(
-        _map_laws(cfg.game, lambda d, r: Point(r.mean()) if d == conv_idx else r),
+        _map_laws(cfg.game, lambda d, r: Point(r.mean()) if d >= 1 else r),
         replications=min(reps, 100_000),
         seed=cfg.seed,
     )
@@ -402,29 +402,27 @@ def _study_sweep(cfg: ExperimentConfig, write) -> dict[str, bool]:
     ids = [spec.id for spec in cfg.game.specs]
     header = (
         ["r", "chosen"]
-        + [f"feasible_{m}" for m in res.models]
+        + [f"feasible_{m}" for m in cfg.models]
         + [*_pair("platform"), *_pair("social")]
         + [x for a in ids for x in _pair(f"payoff_{a}")]
         + ["innovation", "adv1_drop", "adv1_drop_se"]
     )
     rows = [
         [row.r, row.chosen if row.chosen is not None else "none"]
-        + [row.feasible[m] for m in res.models]
+        + [row.feasible[m] for m in cfg.models]
         + [row.platform, row.social, *row.advertisers]
         + [row.innovation, row.adv1_drop]
         for row in res.rows
     ]
 
-    # region pattern implied by the estimated thresholds and payoff table
-    def _expected(r: float):
-        feas = [m for m in res.models if r < res.boundaries[m].mean]
-        if not feas:
-            return None
-        return max(feas, key=lambda m: res.table[m].platform.mean)
-
-    pattern_ok = all(row.chosen == _expected(row.r) for row in res.rows)
+    # each row's choice against the one implied by the estimated entry
+    # thresholds, through the platform's one choice rule
+    pattern_ok = all(
+        row.chosen == choose_model(res.table, {m: row.r < res.boundaries[m].mean for m in cfg.models})
+        for row in res.rows
+    )
     observed = {row.chosen for row in res.rows}
-    regions_ok = observed >= set(res.models) | {None}
+    regions_ok = observed >= set(cfg.models) | {None}
     inno = [row for row in res.rows if row.innovation]
     write("sweep.csv", header, rows)
     write(

@@ -109,16 +109,6 @@ __all__ = [
     "parse_config",
 ]
 
-STUDIES = (
-    "simulate",
-    "dominance",
-    "lemmas",
-    "collapse",
-    "sweep",
-    "cpsc",
-    "reproduce-all",
-)
-
 # the keys a config may hold at its root
 TOP_LEVEL_KEYS = (
     "study", "seed", "replications", "threads", "out", "game", "cart_game", "study_params",
@@ -278,7 +268,7 @@ STUDY_KNOBS = {
         "replications": (_REPLICATIONS, 10_000),
     },
     "sweep": {
-        # outside options are nonnegative, and the grid ascends
+        # outside options are nonnegative
         "r_min": (partial(_number, minimum=0.0), 0.0),
         "r_max": (_number, 2.0),  # and >= r_min
         "r_points": (partial(_integer, minimum=1, maximum=100_000), 41),
@@ -289,6 +279,8 @@ STUDY_KNOBS = {
         "enumeration_replications": (_REPLICATIONS, 100_000),
     },
 }
+# the study names a config may pick: each study, then all of them in turn
+STUDIES = (*STUDY_KNOBS, "reproduce-all")
 
 # law kind -> (class, the keys of its parameters)
 LAWS = {

@@ -32,11 +32,12 @@ import math
 from collections import namedtuple
 
 from .model import Game, MODEL_TIE_ORDER
-from .payoffs import PayoffReport, _payoff_pass, estimate_equilibrium_payoffs, expected_value
+from .payoffs import PayoffReport, _payoff_pass, estimate_equilibrium_payoffs
 from .sampling import MeanSE
 
 __all__ = [
     "entry_decision",
+    "choose_model",
     "SweepRow",
     "SweepResult",
     "sweep_outside_option",
@@ -57,24 +58,14 @@ def _outside_indices(game: Game) -> list[int]:
     return [i for i, s in enumerate(game.specs) if s.outside_option is not None]
 
 
-def _tie_rank(name: str) -> int:
-    return MODEL_TIE_ORDER.index(name)
-
-
-def _choose(table: dict[str, PayoffReport], feasible: dict[str, bool]) -> str | None:
-    best = None
-    for name, rep in table.items():
-        if not feasible[name]:
-            continue
-        if best is None:
-            best = name
-            continue
-        cur = table[best]
-        if rep.platform.mean > cur.platform.mean or (
-            rep.platform.mean == cur.platform.mean and _tie_rank(name) < _tie_rank(best)
-        ):
-            best = name
-    return best
+def choose_model(table: dict[str, PayoffReport], feasible: dict[str, bool]) -> str | None:
+    """The feasible model with the highest platform payoff, ties broken by
+    the fixed MODEL_TIE_ORDER, or None when no model is feasible."""
+    return max(
+        (name for name in table if feasible[name]),
+        key=lambda name: (table[name].platform.mean, -MODEL_TIE_ORDER.index(name)),
+        default=None,
+    )
 
 
 class SweepRow(namedtuple(
@@ -88,10 +79,9 @@ class SweepRow(namedtuple(
     __slots__ = ()
 
 
-class SweepResult(namedtuple("SweepResult", "rows boundaries table models")):
+class SweepResult(namedtuple("SweepResult", "rows boundaries table")):
     """rows: tuple[SweepRow, ...]; boundaries: dict[str, MeanSE],
-    estimated entry thresholds per model; table: dict[str, PayoffReport];
-    models: tuple[str, ...]."""
+    estimated entry thresholds per model; table: dict[str, PayoffReport]."""
 
     __slots__ = ()
 
@@ -103,17 +93,15 @@ def sweep_outside_option(
     replications: int = 1_000_000,
     seed: int = 0,
 ) -> SweepResult:
-    """Sweep the outside option over r_grid (ascending). In-auction
-    payoffs do not depend on r, so the per-model table is estimated once,
-    every model on the same draws, and reused; r only moves the entry
-    decisions. The platform picks the feasible model with the highest
-    payoff, ties broken by the fixed MODEL_TIE_ORDER.
+    """Sweep the outside option over r_grid, in any order: each row reads
+    only its own r. In-auction payoffs do not depend on r, so the
+    per-model table is estimated once, every model on the same draws, and
+    reused; r only moves the entry decisions. The platform picks by
+    choose_model: the feasible model with the highest payoff, ties broken
+    by the fixed MODEL_TIE_ORDER.
 
     Rows where no model is feasible report the market as closed: chosen
     None and every payoff exactly 0."""
-    r_grid = [float(r) for r in r_grid]
-    if any(b < a for a, b in zip(r_grid, r_grid[1:])):
-        raise ValueError("r_grid must be ascending")
     models = list(models)
     if not models:
         raise ValueError("the sweep needs at least one model")
@@ -129,16 +117,16 @@ def sweep_outside_option(
     }
     # lone-bidder counterfactual: with rivals out, the free advertiser wins
     # every impression at price zero and keeps its full expected value
-    monopoly = expected_value(game.specs[adv1])
+    monopoly = game.specs[adv1].event_value(0)
 
     zero = MeanSE(0.0, 0.0)
     rows = []
-    for r in r_grid:
+    for r in map(float, r_grid):
         feasible = {
             name: all(entry_decision(rep.advertisers[i].mean, r) for i in outside)
             for name, rep in table.items()
         }
-        chosen = _choose(table, feasible)
+        chosen = choose_model(table, feasible)
         if chosen is None:
             platform, social = zero, zero
             advs = tuple(zero for _ in range(game.n))
@@ -168,12 +156,7 @@ def sweep_outside_option(
                 adv1_drop=drop,
             )
         )
-    return SweepResult(
-        rows=tuple(rows),
-        boundaries=boundaries,
-        table=table,
-        models=tuple(models),
-    )
+    return SweepResult(rows=tuple(rows), boundaries=boundaries, table=table)
 
 
 # the models cpsc_comparison settles, coarsest bid event first

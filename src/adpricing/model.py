@@ -115,6 +115,14 @@ class AdvertiserSpec(Frozen):
     def rate_means(self) -> tuple[float, ...]:
         return tuple(d.mean() for d in self.rates)
 
+    def event_value(self, depth: int) -> float:
+        """The expected value of one event at this depth: m x the mean
+        rates deeper than it, multiplied in depth order."""
+        v = self.m
+        for mean in self.rate_means()[depth:]:
+            v *= mean
+        return v
+
 
 class PricingModel(Frozen):
     __slots__ = _fields = ("name", "bid_depth", "pay_depth")

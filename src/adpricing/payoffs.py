@@ -59,7 +59,6 @@ __all__ = [
     "enumeration_size",
     "estimate_equilibrium_payoffs",
     "exact_equilibrium_payoffs",
-    "expected_value",
     "payoff_ordering_suite",
 ]
 
@@ -185,12 +184,6 @@ def _law_atoms(dist: Distribution) -> list[tuple[float, float]]:
     return dist.atoms()
 
 
-def expected_value(spec) -> float:
-    """An advertiser's expected value per impression: m x the product of
-    its mean rates."""
-    return spec.m * math.prod(spec.rate_means())
-
-
 def _enumeration_cells(game: Game) -> list[list[tuple[float, float]]]:
     """The atoms of every (advertiser, depth) factor of the posted model's
     scores, advertiser-major: a realized law's atoms, or its mean as one
@@ -214,7 +207,7 @@ def exact_equilibrium_payoffs(game: Game) -> PayoffReport:
     n = game.n
     if game.model.name == "CPA" and game.scenario.is_out_site:
         # the collapsed regime in closed form: each advertiser keeps value/N
-        utils = [expected_value(spec) / n for spec in game.specs]
+        utils = [spec.event_value(0) / n for spec in game.specs]
         return PayoffReport(
             advertisers=tuple(MeanSE(u, 0.0) for u in utils),
             platform=MeanSE(0.0, 0.0),

@@ -73,15 +73,6 @@ __all__ = [
 ]
 
 
-def _bid_event_value(spec, bid_depth: int) -> float:
-    """The expected value of one bid-depth event: m x the mean rates
-    deeper than bid_depth, multiplied in depth order."""
-    b = spec.m
-    for mean in spec.rate_means()[bid_depth:]:
-        b *= mean
-    return b
-
-
 def theoretical_play(game: Game) -> tuple[Strategy, ...] | None:
     """Every advertiser's equilibrium play under the game's model and
     scenario, truthful reporting at the value of one bid-depth event, or
@@ -89,7 +80,7 @@ def theoretical_play(game: Game) -> tuple[Strategy, ...] | None:
     if game.scenario.is_out_site and game.model.name == "CPA":
         return None
     bd = game.model.bid_depth
-    return tuple(Strategy(bid=_bid_event_value(s, bd), alpha=1.0) for s in game.specs)
+    return tuple(Strategy(bid=s.event_value(bd), alpha=1.0) for s in game.specs)
 
 
 def equilibrium_fixture_bids(
@@ -218,7 +209,7 @@ def best_response_scan(
     # the win event and the payment depend only on rates up to the bid
     # depth, so the deeper rates enter the value at their means: the
     # expectation is unchanged and their sampling noise is gone
-    value = _bid_event_value(spec, bd)
+    value = spec.event_value(bd)
     # value x the rates' mean product mu, multiplied in the depth order x is
     value_mu = value * math.prod(spec.rate_means()[:bd])
 

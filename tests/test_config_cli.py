@@ -562,12 +562,17 @@ def test_cli_simulate_end_to_end(tmp_path):
 
 
 # sha256 of every file a run writes besides its manifest, at --seed 42
-# --replications 3000, keyed by (config, study), None being reproduce-all.
+# --replications 3000, keyed by (config, study), None being the config's
+# own study (default.yaml's is reproduce-all).
 # Only the two dominance/dominance.csv digests have moved since the pin
 # was first recorded: the scan's tail sums became one running sum per
 # batch, which adds in another order and changes last bits. Valuing a won
 # draw by the engine's payoff (ROADMAP.md item 21) moves the CPC rows of
-# dominance/dominance.csv and re-records them as a declared change
+# dominance/dominance.csv and re-records them as a declared change.
+# cart.yaml's reproduce-all was pinned once its lemmas degenerate control
+# made every law deeper than the click a point mass; before that, only the
+# conversion law was, and lemmas/degenerate_control.csv (and summary.csv)
+# differed, with lemmas.degenerate_exact_zero failing
 STUDY_FILES_SHA256 = {
     ("default.yaml", None): {
         "collapse/collapse.csv": "5404187c9d499b54bf56dce81c6a2ce3591efe9aa2ae334aa4d5dfc8104ac3f8",
@@ -591,6 +596,22 @@ STUDY_FILES_SHA256 = {
     ("three_player.yaml", "sweep"): {
         "sweep/boundaries.csv": "350109031fbc5fc3a4f47e79e577555162bee23012277c8464136d8272f7e889",
         "sweep/sweep.csv": "1b41ab425d8f478daceb2b8f80dcc10b2efdb32e9895997b69f291b6d3d59cef",
+    },
+    ("cart.yaml", "reproduce-all"): {
+        "collapse/collapse.csv": "1d9bbfd97c63ab3149232affa76d17a78080c42896793fd2fd2243c7cad281ae",
+        "cpsc/enumeration.csv": "454ea83fff9aa047a02df8ffa7ce3f7ce92d1567fb4b7a60a6821e64ab344d09",
+        "cpsc/orderings.csv": "1d0c2fedac8acdea881197c5497a3307b8a4b2844b9f40164b3eb27bd0db26d0",
+        "cpsc/payoffs.csv": "cfba23cd9cf3b265218a52ae5fa8932b0fbf834facf0a75ac9a32552fa6d54d0",
+        "dominance/dominance.csv": "a79a79c787aef95354b268dca3989f2786693a3c338edc5229e83fd68611e29d",
+        "lemmas/decomposition.csv": "983d8584f7349eabe9be2920d6431b38fd71b4829caf56e4b89111117306a184",
+        "lemmas/degenerate_control.csv": "cac885b221b68958f856fef54c716889810b31eb5e7432baaaaa30efde1a7eec",
+        "lemmas/dice_oracle.csv": "5804a7e3f248c71ccf6152207a6e262343439e2c499ea494445c3f640bef199f",
+        "lemmas/orderings.csv": "321ed5160c0223f73ccfd7de6f951f56e1879c2ae58aa977473ccea7c3531216",
+        "simulate/totals.csv": "f704046a7b7ac606d6b16bd5814d0d6de8020d0c5f826f3d81dedb2280304599",
+        "simulate/trace.csv": "aa7570774140a6403b6c86e67df70562aba76cab9e1b9f6d538257f6725fad18",
+        "summary.csv": "3f523973b4e51c80b79057eac7a4554d4de9fe4dc5d40145a8be3a7e63f42df6",
+        "sweep/boundaries.csv": "2614b4c36433e2cfee23f70dfe84b9124236d502e4c794958d769c61ce794fe6",
+        "sweep/sweep.csv": "7f686a2e920312825c9690dbdc3d0bb4e1c83e134362e58ad7e1b536b89fe20d",
     },
     ("cart.yaml", "cpsc"): {
         "cpsc/enumeration.csv": "454ea83fff9aa047a02df8ffa7ce3f7ce92d1567fb4b7a60a6821e64ab344d09",
@@ -1499,6 +1520,29 @@ def test_three_regions_verdict_needs_a_closed_market(monkeypatch, closes, holds)
 
     verdicts = _planted(monkeypatch, "sweep", "sweep_outside_option", plant)
     assert verdicts["region_pattern"] and verdicts["three_regions"] is holds
+
+
+# point conversion laws make CPC's and OCPC's scores equal, so the two
+# models tie exactly on the platform's payoff wherever both are feasible:
+# the platform's choice and the region verdict must not read the order in
+# which the config lists the models
+def test_sweep_choice_does_not_depend_on_the_models_order(tmp_path):
+    chosen = []
+    for models in (["CPC", "OCPC"], ["OCPC", "CPC"]):
+        raw = _base_dict()
+        raw["game"]["models"] = models
+        for adv in raw["game"]["advertisers"]:
+            adv["rates"]["conversion"] = {"kind": "point", "v": 0.1}
+        out = tmp_path / "-".join(models)
+        out.mkdir()
+        argv = ["--config", _write(tmp_path, raw), "--out", str(out),
+                "--study", "sweep", "--replications", "20000"]
+        cli.main(argv)  # exits 1: OCPC is never chosen, so other sweep verdicts fail
+        assert json.loads((out / "manifest.json").read_text())["verdicts"]["sweep.region_pattern"]
+        with open(out / "sweep" / "sweep.csv", newline="") as fh:
+            chosen.append([row["chosen"] for row in csv.DictReader(fh)])
+    assert chosen[0] == chosen[1]
+    assert {"CPC", "none"} <= set(chosen[0])
 
 
 # the sweep flags a row as innovation only where its platform mean is

@@ -1,15 +1,18 @@
 """Platform model choice, outside-option sweeps, and the four-stage
 CPC/CPSC/OCPC comparison."""
 
+import itertools
+import random
 
 import pytest
 
 from adpricing import cli
 from adpricing.distributions import Point, Uniform, two_point_surrogate
 from adpricing.model import CHAIN_4, MODEL_TIE_ORDER
-from adpricing.payoffs import estimate_equilibrium_payoffs, exact_equilibrium_payoffs
+from adpricing.payoffs import PayoffReport, estimate_equilibrium_payoffs, exact_equilibrium_payoffs
 from adpricing.sampling import MeanSE
 from adpricing.equilibrium import (
+    choose_model,
     cpsc_comparison,
     entry_decision,
     sweep_outside_option,
@@ -77,12 +80,37 @@ def test_sweep_tie_breaks_by_fixed_order():
     assert MODEL_TIE_ORDER.index("CPC") < MODEL_TIE_ORDER.index("OCPC")
 
 
+# platform means per model: an exact top tie (+0 against -0 in the first),
+# a richer model that is not feasible, and a poorer one that is
+@pytest.mark.parametrize("means, infeasible, want", [
+    ({"CPM": 0.0, "CPA": -0.0, "OCPC": 0.0, "CPC": 5.0, "OCPM": -1.0}, {"CPC"}, "OCPC"),
+    ({"CPSC": 2.5, "OCPM": 2.5, "CPA": 2.5, "CPM": 1.0, "OCPC": 9.0}, {"OCPC"}, "CPA"),
+    ({"OCPC": -0.0, "CPC": 0.0}, set(), "CPC"),
+])
+def test_choose_model_breaks_a_tie_by_the_fixed_order(means, infeasible, want):
+    for order in itertools.permutations(means):
+        table = {m: PayoffReport((), MeanSE(means[m], 0.1), MeanSE(0.0, 0.0)) for m in order}
+        assert choose_model(table, {m: m not in infeasible for m in order}) == want
+        assert choose_model(table, {m: False for m in order}) is None
+
+
 def test_sweep_validations():
-    game = make_game(default_specs())
-    with pytest.raises(ValueError):
-        sweep_outside_option([1.0, 0.5], ["CPC"], game, 100)
     with pytest.raises(ValueError):
         sweep_outside_option([0.0, 1.0], ["CPC"], make_game(point_specs()), 100)
+
+
+def test_sweep_rows_do_not_depend_on_the_r_order():
+    game = make_game(default_specs())
+    grid = [0.0, 0.5, 1.05, 1.05, 1.1, 1.3, 2.0]
+    shuffled = grid[:]
+    random.Random(3).shuffle(shuffled)
+    assert shuffled != grid
+    ordered = sweep_outside_option(grid, ["CPC", "OCPC"], game, 4000, seed=2)
+    res = sweep_outside_option(shuffled, ["CPC", "OCPC"], game, 4000, seed=2)
+    assert {row.chosen for row in ordered.rows} == {"CPC", "OCPC", None}
+    assert res.boundaries == ordered.boundaries and res.table == ordered.table
+    for r, row in zip(shuffled, res.rows, strict=True):
+        assert row == ordered.rows[grid.index(r)]
 
 
 def test_cpsc_orderings_hold():
